@@ -43,30 +43,41 @@ from .scenario import (
 )
 
 
-def _entry_derivatives(scenario: NetworkScenario, derived: DerivedState):
-    """Per-entry (d_x, d_f) with boundary conventions.
+def _entry_derivatives(scenario: NetworkScenario, derived: DerivedState, idx=None):
+    """Per-entry (d_x, d_f, d_xx, d_ff) with boundary conventions.
 
     An unloaded entry has d_x = 0 (cost is identically zero in a
     neighborhood of F = 0) and d_f equal to the one-sided marginal 1/C,
     or +inf when the entry cannot carry any flow (C <= 0 or no power).
+    The second derivatives are zero wherever they are undefined, and d_xx
+    is zero on unloaded entries.  With `idx`, only those entries are
+    computed, in that order.
     """
     x = derived.physical.sinr
     f = derived.flows.band_flow
+    if idx is not None:
+        x = x[idx]
+        f = f[idx]
     r = scenario.cost.bandwidth
     k = scenario.cost.gain_factor
     d_x = np.zeros_like(x)
+    d_xx = np.zeros_like(x)
+    d_ff = np.zeros_like(x)
     powered = x > 0
     cap = np.full_like(x, -math.inf)
     cap[powered] = r * np.log(k * x[powered])
     usable = powered & (cap > 0)
-    loaded = f > 0
     ok = usable & (cap > f)
     with np.errstate(divide="ignore", invalid="ignore"):
         slack2 = np.where(ok, (cap - f) ** 2, 1.0)
         d_f = np.where(usable, np.where(ok, cap / slack2, math.inf), math.inf)
-    sel = ok & loaded
-    d_x[sel] = -f[sel] * r / (x[sel] * (cap[sel] - f[sel]) ** 2)
-    return d_x, d_f
+    slack = cap[ok] - f[ok]
+    d_ff[ok] = 2.0 * cap[ok] / slack**3
+    sel = ok & (f > 0)
+    sl = cap[sel] - f[sel]
+    d_x[sel] = -f[sel] * r / (x[sel] * sl**2)
+    d_xx[sel] = f[sel] * r / x[sel] ** 2 * (1.0 / sl**2 + 2.0 * r / sl**3)
+    return d_x, d_f, d_xx, d_ff
 
 
 def power_messages(scenario: NetworkScenario, derived: DerivedState) -> np.ndarray:
@@ -76,7 +87,7 @@ def power_messages(scenario: NetworkScenario, derived: DerivedState) -> np.ndarr
     message on its band; unloaded or unpowered entries contribute zero.
     """
     lay = scenario.layout
-    d_x, _ = _entry_derivatives(scenario, derived)
+    d_x = _entry_derivatives(scenario, derived)[0]
     g = scenario.gains[lay.ent_band, lay.ent_tx, lay.ent_rx]
     p = derived.physical.power
     x = derived.physical.sinr
@@ -98,7 +109,7 @@ def delta_eta(scenario: NetworkScenario, state: ControlState, derived: DerivedSt
     d_x * g * x / interference).
     """
     lay = scenario.layout
-    d_x, _ = _entry_derivatives(scenario, derived)
+    d_x = _entry_derivatives(scenario, derived)[0]
     g = scenario.gains[lay.ent_band, lay.ent_tx, lay.ent_rx]
     inn = derived.physical.interference
     x = derived.physical.sinr
@@ -146,7 +157,7 @@ def delta_rho_direct(
     share groups are normalized; used to cross-check delta_rho.
     """
     lay = scenario.layout
-    d_x, _ = _entry_derivatives(scenario, derived)
+    d_x = _entry_derivatives(scenario, derived)[0]
     g_e = scenario.gains[lay.ent_band, lay.ent_tx, lay.ent_rx]
     inn = derived.physical.interference
     x = derived.physical.sinr
@@ -196,38 +207,19 @@ def routing_marginals(
     positive fractions) or when the link leaves the destination.
     """
     lay = scenario.layout
-    _, d_f = _entry_derivatives(scenario, derived)
+    link_marginal = _link_marginals(lay, state.mu, _entry_derivatives(scenario, derived)[1])
     n_sessions = len(scenario.sessions)
-    link_marginal = np.zeros(lay.n_links)
-    for li, sl in enumerate(lay.link_slices):
-        acc = 0.0
-        for e in range(sl.start, sl.stop):
-            mu = state.mu[e]
-            if mu != 0.0:
-                acc += mu * d_f[e]
-        link_marginal[li] = acc
     node_marginal = np.zeros((n_sessions, lay.n))
     delta_phi = np.empty((n_sessions, lay.n_links))
     overflow_grad = np.empty(n_sessions)
     blocked = np.zeros((n_sessions, lay.n_links), dtype=bool)
-    for w, sess in enumerate(scenario.sessions):
+    for w in range(n_sessions):
         d = int(lay.dest[w])
-        order, adj = _session_topo_order(lay, state.phi[w], d, w)
-        marg = node_marginal[w]
-        for v in reversed(order):
-            if v == d:
-                continue
-            acc = 0.0
-            for u, li in adj[v]:
-                step = link_marginal[li] + marg[u]
-                acc += state.phi[w, li] * step
-            marg[v] = acc
+        marg, adj = _session_marginals(scenario, state, link_marginal, w)
+        node_marginal[w] = marg
         for li, (i, j) in enumerate(lay.links):
             delta_phi[w, li] = link_marginal[li] + marg[j]
-        overflow_grad[w] = sess.demand * (
-            sess.utility.overflow_derivative(derived.flows.overflow[w], sess.demand)
-            - marg[int(lay.origin[w])]
-        )
+        overflow_grad[w] = _overflow_gradient(scenario, derived, marg, w)
         reach = _positive_reachability(lay, adj)
         for li, (i, j) in enumerate(lay.links):
             if i == d or (state.phi[w, li] == 0.0 and i in reach[j]):
@@ -239,6 +231,65 @@ def routing_marginals(
         blocked=blocked,
         link_marginal=link_marginal,
     )
+
+
+def _link_marginals(lay, mu: np.ndarray, d_f: np.ndarray) -> np.ndarray:
+    """Per-link marginal cost of flow: the mu-weighted d_f of its entries."""
+    used = np.flatnonzero(mu != 0.0)
+    out = np.zeros(lay.n_links)
+    # entries accumulate in index order; zero shares are skipped so an
+    # infinite d_f on an unused band stays inert
+    np.add.at(out, lay.ent_link[used], mu[used] * d_f[used])
+    return out
+
+
+def _session_marginals(
+    scenario: NetworkScenario, state: ControlState, link_marginal: np.ndarray, w: int
+):
+    """Node marginals of session w and its positive-fraction adjacency.
+
+    marg[i] is the fraction-weighted sum over i's positive outgoing links
+    of the link marginal plus the head's marginal; the destination is 0.
+    """
+    lay = scenario.layout
+    d = int(lay.dest[w])
+    order, adj = _session_topo_order(lay, state.phi[w], d, w)
+    marg = np.zeros(lay.n)
+    for v in reversed(order):
+        if v == d:
+            continue
+        acc = 0.0
+        for u, li in adj[v]:
+            acc += state.phi[w, li] * (link_marginal[li] + marg[u])
+        marg[v] = acc
+    return marg, adj
+
+
+def _overflow_gradient(
+    scenario: NetworkScenario, derived: DerivedState, marg: np.ndarray, w: int
+) -> float:
+    """Demand-scaled overflow marginal of session w minus its origin marginal."""
+    sess = scenario.sessions[w]
+    return sess.demand * (
+        sess.utility.overflow_derivative(derived.flows.overflow[w], sess.demand)
+        - marg[int(scenario.layout.origin[w])]
+    )
+
+
+def _upstream_nodes(adj, node: int) -> set:
+    """Nodes from which `node` is reachable along positive fractions, itself included."""
+    parents = [[] for _ in adj]
+    for v, out in enumerate(adj):
+        for u, _ in out:
+            parents[u].append(v)
+    seen = {node}
+    stack = [node]
+    while stack:
+        for p in parents[stack.pop()]:
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return seen
 
 
 def _positive_reachability(lay, adj):
@@ -261,7 +312,7 @@ def _positive_reachability(lay, adj):
 def delta_mu(scenario: NetworkScenario, state: ControlState, derived: DerivedState) -> np.ndarray:
     """Exact gradient in the per-link band shares: link flow times d_f."""
     lay = scenario.layout
-    _, d_f = _entry_derivatives(scenario, derived)
+    d_f = _entry_derivatives(scenario, derived)[1]
     flow = derived.flows.link_flow[lay.ent_link]
     grad = np.zeros(lay.n_entries)
     loaded = flow > 0
@@ -289,7 +340,7 @@ def gradient_bundle(
         derived = derive(scenario, state)
     if not math.isfinite(derived.total):
         raise ValueError("gradients need a finite-cost state")
-    d_x, d_f = _entry_derivatives(scenario, derived)
+    d_x, d_f, _, _ = _entry_derivatives(scenario, derived)
     msg = power_messages(scenario, derived)
     eta_d, eta_g = delta_eta(scenario, state, derived)
     rho_g = delta_rho(scenario, state, derived, messages=msg)

@@ -26,12 +26,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gradients import (
+    _entry_derivatives,
+    _link_marginals,
+    _overflow_gradient,
+    _session_marginals,
+    _upstream_nodes,
     delta_eta,
     delta_mu,
     delta_rho,
+    power_messages,
     routing_marginals,
 )
-from .scenario import ControlState, NetworkScenario, derive
+from .scenario import ControlState, DerivedState, NetworkScenario, derive
 
 
 class StalledStepError(RuntimeError):
@@ -52,8 +58,6 @@ def project_scaled(
     lower: float = 0.0,
     upper: float = None,
     fixed=None,
-    tol: float = 1e-12,
-    max_iter: int = 200,
 ):
     """Project onto the block's feasible set in the weighted norm.
 
@@ -61,8 +65,14 @@ def project_scaled(
     constraint: "sum_to_one" (z >= 0, sum z = 1), "sum_at_most_one"
     (z >= 0, sum z <= 1), or "box" (lower <= z <= upper, uncoupled).
     Coordinates marked in `fixed` are pinned to zero and excluded.
-    The coupled cases are solved by bisection on the shift multiplier;
-    the returned point satisfies its sum constraint to within `tol`.
+
+    The coupled cases are solved exactly (Held, Wolfe & Crowder 1974;
+    Condat 2016): z = max(0, y - lam / w), where the sum is piecewise
+    linear in lam with breakpoints y * w, so lam comes in closed form from
+    the segment where the sum crosses one.  With weights spanning many
+    decades, y - lam / w cancels and leaves the sum off by far more than
+    rounding; one pass spreads that leftover over the support in
+    proportion to 1 / w, the direction the multiplier itself moves it.
     """
     y = np.asarray(target, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -82,25 +92,20 @@ def project_scaled(
             raise ValueError("cannot satisfy sum_to_one with all coordinates fixed")
         return z
     plain = np.maximum(0.0, yf)
-    total = plain.sum()
-    if constraint == "sum_at_most_one" and total <= 1.0:
+    if constraint == "sum_at_most_one" and plain.sum() <= 1.0:
         z[free] = plain
         return z
-    if constraint == "sum_to_one" and abs(total - 1.0) <= tol and np.all(yf >= 0):
-        z[free] = plain
-        return z
-    lo = float(np.min((yf - 1.0) * wf))
-    hi = float(np.max(yf * wf))
-    for _ in range(max_iter):
-        lam = 0.5 * (lo + hi)
-        s = np.maximum(0.0, yf - lam / wf).sum()
-        if abs(s - 1.0) <= tol:
-            break
-        if s > 1.0:
-            lo = lam
-        else:
-            hi = lam
-    z[free] = np.maximum(0.0, yf - lam / wf)
+    brk = yf * wf
+    order = np.argsort(-brk, kind="stable")
+    # lam_k keeps the k largest breakpoints active; the last k whose own
+    # breakpoint still lies above lam_k is the crossing segment
+    lams = (np.cumsum(yf[order]) - 1.0) / np.cumsum(1.0 / wf[order])
+    lam = lams[np.flatnonzero(brk[order] > lams)[-1]]
+    zf = np.maximum(0.0, yf - lam / wf)
+    support = zf > 0.0
+    inv = 1.0 / wf[support]
+    zf[support] = np.maximum(0.0, zf[support] + (1.0 - zf.sum()) * inv / inv.sum())
+    z[free] = zf
     return z
 
 
@@ -166,64 +171,69 @@ def blocks(scenario: NetworkScenario):
     return out
 
 
-def _entry_second(scenario, derived):
-    """Per-entry (d_xx, d_ff) curvature estimates, zero where undefined."""
-    x = derived.physical.sinr
-    f = derived.flows.band_flow
-    r = scenario.cost.bandwidth
-    k = scenario.cost.gain_factor
-    d_xx = np.zeros_like(x)
-    d_ff = np.zeros_like(x)
-    powered = x > 0
-    cap = np.full_like(x, -math.inf)
-    cap[powered] = r * np.log(k * x[powered])
-    ok = powered & (cap > 0) & (f < cap)
-    slack = cap[ok] - f[ok]
-    d_ff[ok] = 2.0 * cap[ok] / slack**3
-    loaded = ok & (f > 0)
-    sl = cap[loaded] - f[loaded]
-    d_xx[loaded] = f[loaded] * r / x[loaded] ** 2 * (1.0 / sl**2 + 2.0 * r / sl**3)
-    return d_xx, d_ff
+def _block_move(scenario, state, block, derived):
+    """Current coords, gradient, curvature, constraint, fixed mask and
+    write-back info for one block.
 
-
-def _block_move(scenario, state, block, derived, policy):
-    """Gradient, weights, current coords, and write-back info for a block."""
+    Only the block's own marginals are computed: one link's entries for
+    mu, one (node, band) group for eta, the power messages contracted
+    against the node's own gains for rho, and one session's marginal
+    recursion for phi and overflow.  Each matches the slice of the
+    whole-network formulas in :mod:`duplexnet.gradients`.
+    """
     lay = scenario.layout
-    d_xx, d_ff = _entry_second(scenario, derived)
+    phys = derived.physical
     if isinstance(block, MuBlock):
         sl = lay.link_slices[block.link]
         idx = np.arange(sl.start, sl.stop)
-        grad = delta_mu(scenario, state, derived)[idx]
+        _, d_f, _, d_ff = _entry_derivatives(scenario, derived, idx)
         flow = derived.flows.link_flow[block.link]
-        curv = d_ff[idx] * flow * flow
+        grad = flow * d_f if flow > 0 else np.zeros(idx.size)
+        curv = d_ff * flow * flow
         return state.mu[idx], grad, curv, "sum_to_one", None, ("mu", idx)
     if isinstance(block, EtaBlock):
         idx = lay.node_band_entries[(block.node, block.band)]
-        _, grad_all = delta_eta(scenario, state, derived)
+        d_x, _, d_xx, _ = _entry_derivatives(scenario, derived, idx)
         g = scenario.gains[lay.ent_band[idx], lay.ent_tx[idx], lay.ent_rx[idx]]
-        npow = derived.physical.node_band_power[block.node, block.band]
-        inn = derived.physical.interference[idx]
-        curv = d_xx[idx] * (g * npow / inn) ** 2
-        return state.eta[idx], grad_all[idx], curv, "sum_to_one", None, ("eta", idx)
+        npow = phys.node_band_power[block.node, block.band]
+        inn = phys.interference[idx]
+        x = phys.sinr[idx]
+        if npow == 0.0:
+            grad = np.zeros(idx.size)
+        else:
+            grad = npow * (d_x * g * (1.0 + x) / inn - (d_x * g * x / inn).sum())
+        curv = d_xx * (g * npow / inn) ** 2
+        return state.eta[idx], grad, curv, "sum_to_one", None, ("eta", idx)
     if isinstance(block, RhoBlock):
-        bands = np.flatnonzero(lay.rho_mask[block.node])
-        grad = delta_rho(scenario, state, derived)[block.node, bands]
-        pbar = scenario.power_budget[block.node]
-        curv = np.zeros(bands.size)
-        for bi, q in enumerate(bands):
-            own = lay.node_band_entries.get((block.node, q))
-            if own is None:
-                continue
-            g = scenario.gains[q, lay.ent_tx[own], lay.ent_rx[own]]
-            inn = derived.physical.interference[own]
-            curv[bi] = np.sum(d_xx[own] * (g * pbar * state.eta[own] / inn) ** 2)
-        return state.rho[block.node, bands], grad, curv, "sum_at_most_one", None, ("rho", (block.node, bands))
+        i = block.node
+        bands = np.flatnonzero(lay.rho_mask[i])
+        own = np.flatnonzero(lay.ent_tx == i)
+        d_x, _, d_xx, _ = _entry_derivatives(scenario, derived, own)
+        band = lay.ent_band[own]
+        g = scenario.gains[band, i, lay.ent_rx[own]]
+        inn = phys.interference[own]
+        eta = state.eta[own]
+        own_term = np.zeros(lay.band_count)
+        np.add.at(own_term, band, d_x * g * (1.0 + phys.sinr[own]) / inn * eta)
+        cross = np.einsum("qn,nq->q", scenario.gains[:, i, :], power_messages(scenario, derived))
+        pbar = scenario.power_budget[i]
+        grad = (pbar * (cross + own_term))[bands]
+        share = d_xx * (g * pbar * eta / inn) ** 2
+        curv = np.array([np.sum(share[band == q]) for q in bands])
+        return state.rho[i, bands], grad, curv, "sum_at_most_one", None, ("rho", (i, bands))
+    if not isinstance(block, (PhiBlock, OverflowBlock)):
+        raise TypeError(f"unknown block {block!r}")
+    w = block.session
+    _, d_f, _, d_ff = _entry_derivatives(scenario, derived)
+    link_marginal = _link_marginals(lay, state.mu, d_f)
+    marg, adj = _session_marginals(scenario, state, link_marginal, w)
     if isinstance(block, PhiBlock):
-        idx = np.array(lay.out_links[block.node], dtype=np.int64)
-        routing = routing_marginals(scenario, state, derived)
-        t = derived.flows.inflow[block.session, block.node]
+        i = block.node
+        idx = np.array(lay.out_links[i], dtype=np.int64)
+        heads = np.array([lay.links[li][1] for li in idx], dtype=np.int64)
+        t = derived.flows.inflow[w, i]
         if t > 0.0:
-            grad = t * routing.delta_phi[block.session, idx]
+            grad = t * (link_marginal[idx] + marg[heads])
         else:
             # no inflow: the row is a flat section of the cost, 0 * inf here
             grad = np.zeros(idx.size)
@@ -232,20 +242,20 @@ def _block_move(scenario, state, block, derived, policy):
             sl = lay.link_slices[li]
             mu = state.mu[sl.start : sl.stop]
             curv[k] = t * t * np.sum(mu * mu * d_ff[sl.start : sl.stop])
-        fixed = routing.blocked[block.session, idx]
-        return state.phi[block.session, idx], grad, curv, "sum_to_one", fixed, ("phi", (block.session, idx))
-    if isinstance(block, OverflowBlock):
-        routing = routing_marginals(scenario, state, derived)
-        sess = scenario.sessions[block.session]
-        grad = np.array([routing.overflow_grad[block.session]])
-        rejected = derived.flows.overflow[block.session]
-        if sess.utility.kind == "log":
-            curv_val = sess.demand**2 * sess.utility.weight / (1.0 + sess.demand - rejected) ** 2
-        else:
-            curv_val = 0.0
-        cur = np.array([state.phi_w[block.session]])
-        return cur, grad, np.array([curv_val]), "box", None, ("phi_w", block.session)
-    raise TypeError(f"unknown block {block!r}")
+        # a link whose head reaches i through positive fractions would
+        # close a cycle if raised from zero
+        upstream = _upstream_nodes(adj, i)
+        fixed = np.array([state.phi[w, li] == 0.0 and j in upstream for li, j in zip(idx, heads)])
+        return state.phi[w, idx], grad, curv, "sum_to_one", fixed, ("phi", (w, idx))
+    sess = scenario.sessions[w]
+    grad = np.array([_overflow_gradient(scenario, derived, marg, w)])
+    rejected = derived.flows.overflow[w]
+    if sess.utility.kind == "log":
+        curv_val = sess.demand**2 * sess.utility.weight / (1.0 + sess.demand - rejected) ** 2
+    else:
+        curv_val = 0.0
+    cur = np.array([state.phi_w[w]])
+    return cur, grad, np.array([curv_val]), "box", None, ("phi_w", w)
 
 
 def _write_coords(state, where, values):
@@ -271,6 +281,7 @@ class UpdateOutcome:
     moved: bool
     halvings: int
     step: float
+    derived: DerivedState
 
 
 def update_block(
@@ -279,21 +290,28 @@ def update_block(
     block,
     policy: ScalingPolicy = None,
     step: float = 1.0,
-    derived=None,
+    derived: DerivedState = None,
 ) -> UpdateOutcome:
     """One scaled projected step on a single block, with backtracking.
 
-    Returns the (possibly unchanged) state and its cost.  The cost never
-    increases: a trial point is accepted only when finite and satisfying
-    the sufficient-decrease test; otherwise the step is halved, and after
-    max_halvings the block is left untouched.
+    Returns the (possibly unchanged) state, its cost and its evaluation.
+    The cost never increases: a trial point is accepted only when finite
+    and satisfying the sufficient-decrease test; otherwise the step is
+    halved, and after max_halvings the block is left untouched.  A
+    projected step that is not a descent direction leaves it untouched at
+    once.  A `derived` passed in must be the evaluation of `state`; it
+    saves the one evaluation that is not a trial.
     """
     if policy is None:
         policy = ScalingPolicy()
     if derived is None:
         derived = derive(scenario, state)
     cost0 = derived.total
-    cur, grad, curv, constraint, fixed, where = _block_move(scenario, state, block, derived, policy)
+    cur, grad, curv, constraint, fixed, where = _block_move(scenario, state, block, derived)
+
+    def unmoved(halvings):
+        return UpdateOutcome(state=state, cost=cost0, moved=False, halvings=halvings, step=step, derived=derived)
+
     finite = np.isfinite(grad)
     if not np.all(finite):
         pin = np.zeros(cur.shape, dtype=bool) if fixed is None else np.asarray(fixed, dtype=bool).copy()
@@ -301,7 +319,7 @@ def update_block(
         fixed = pin
         grad = np.where(finite, grad, 0.0)
     if fixed is not None and np.all(fixed) or not np.any(grad):
-        return UpdateOutcome(state=state, cost=cost0, moved=False, halvings=0, step=step)
+        return unmoved(0)
     weights = policy.safety * np.maximum(curv, policy.floor)
     upper = 1.0 if constraint == "box" else None
     for halving in range(policy.max_halvings + 1):
@@ -309,15 +327,17 @@ def update_block(
         z = project_scaled(y, weights, constraint, upper=upper, fixed=fixed)
         delta = z - cur
         slope = float(np.dot(grad, delta))
-        if float(np.max(np.abs(delta))) <= 1e-16:
-            return UpdateOutcome(state=state, cost=cost0, moved=False, halvings=halving, step=step)
+        if slope >= 0.0 or float(np.max(np.abs(delta))) <= 1e-16:
+            return unmoved(halving)
         trial = state.copy()
         _write_coords(trial, where, z)
-        cost1 = float(derive(scenario, trial).total)
-        if math.isfinite(cost1) and cost1 <= cost0 + policy.armijo * slope:
-            return UpdateOutcome(state=trial, cost=cost1, moved=True, halvings=halving, step=step)
+        evaluated = derive(scenario, trial)
+        if math.isfinite(evaluated.total) and evaluated.total <= cost0 + policy.armijo * slope:
+            return UpdateOutcome(
+                state=trial, cost=evaluated.total, moved=True, halvings=halving, step=step, derived=evaluated
+            )
         step *= policy.shrink
-    return UpdateOutcome(state=state, cost=cost0, moved=False, halvings=policy.max_halvings, step=step)
+    return unmoved(policy.max_halvings)
 
 
 def _gap(a: float, b: float) -> float:
@@ -505,7 +525,8 @@ def solve(
         moved_any = False
         max_step = 0.0
         for b in sweep_blocks:
-            out = update_block(scenario, state, b, policy=policy, step=steps[b])
+            out = update_block(scenario, state, b, policy=policy, step=steps[b], derived=derived)
+            derived = out.derived
             if out.moved:
                 state = out.state
                 moved_any = True
@@ -513,7 +534,6 @@ def solve(
                 steps[b] = min(1.0, out.step * policy.grow)
             else:
                 steps[b] = min(1.0, steps[b])
-        derived = derive(scenario, state)
         res = optimality_residuals(scenario, state, derived)
         trace.append(TraceRow(sweep=sweep, cost=derived.total, residual=res.worst, max_step=max_step))
         if res.worst <= tol:

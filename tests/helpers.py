@@ -229,6 +229,46 @@ def random_scenario(rng, n_nodes=None, band_count=None, n_sessions=None):
     raise RuntimeError("could not draw a scenario")
 
 
+def grid_scenario(rng, side=4, n_sessions=2):
+    """side x side grid with unit spacing, positions jittered by up to 0.15.
+
+    Bands are planned by the protocol at the tight band count; sessions
+    join random node pairs with log utilities weighted 2 to 3.  Draws whose
+    start uniform_state(0.9, 0.1) has infinite cost are drawn again.
+    """
+    n = side * side
+    und = [(k, k + 1) for k in range(n) if (k + 1) % side]
+    und += [(k, k + side) for k in range(n - side)]
+    g = build_graph(und + [(b, a) for a, b in und])
+    q = min_subband_count(g.max_degree() + 1)
+    lattice = np.array([[x, y] for y in range(side) for x in range(side)], dtype=float)
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    for _ in range(50):
+        pos = lattice + rng.uniform(-0.15, 0.15, lattice.shape)
+        idx = rng.choice(len(pairs), size=n_sessions, replace=False)
+        sessions = tuple(
+            Session(
+                pairs[k][0],
+                pairs[k][1],
+                float(rng.uniform(0.2, 0.4)),
+                Utility("log", float(rng.uniform(2.0, 3.0))),
+            )
+            for k in idx
+        )
+        scen = NetworkScenario(
+            graph=g,
+            allocation=allocate_subbands(g, q, seed=int(rng.integers(2**31))),
+            gains=_pathloss_gains(pos, q, rng.uniform(0.8, 1.25, q)),
+            noise=np.full((q, n), 1e-3),
+            power_budget=np.ones(n),
+            sessions=sessions,
+            cost=CostParams(),
+        )
+        if math.isfinite(total_cost(scen, uniform_state(scen, power=0.9, overflow=0.1))):
+            return scen
+    raise RuntimeError("could not draw a grid scenario")
+
+
 def _headroom_ok(scenario, state, frac=0.6):
     der = derive(scenario, state)
     if not math.isfinite(der.total):

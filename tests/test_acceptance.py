@@ -298,6 +298,7 @@ def test_criterion_9_init_and_order_independence(criterion, solver_corpus):
     rng = np.random.default_rng(9)
     spreads = []
     curvature_clean = []
+    runs = converged = 0
     for k, scen in enumerate(solver_corpus):
         finals = []
         for i in range(5):
@@ -312,6 +313,8 @@ def test_criterion_9_init_and_order_independence(criterion, solver_corpus):
                     seed=100 * k + i,
                 )
                 finals.append(res.cost)
+                runs += 1
+                converged += res.converged
         spreads.append((max(finals) - min(finals)) / min(finals))
         curvature_clean.append(check_m_psd(scen.cost, grid=50).psd)
     gated = [s for s, clean in zip(spreads, curvature_clean) if clean]
@@ -320,9 +323,10 @@ def test_criterion_9_init_and_order_independence(criterion, solver_corpus):
         f"criterion 9: {'PASS' if ok else 'FAIL'} "
         f"(spread <= 0.1% asserted on the {len(gated)}/{len(spreads)} "
         f"scenarios with a curvature-clean cost family; vacuous here "
-        f"because the bundled family is indefinite. Raw spreads "
-        f"{min(spreads):.1e}..{max(spreads):.1e} show distinct basins, "
-        f"as expected without joint convexity.)"
+        f"because the bundled family is indefinite. {converged}/{runs} runs "
+        f"converged, {runs - converged} stopped at the 400-sweep cap. Raw "
+        f"spreads {min(spreads):.1e}..{max(spreads):.1e}, capped runs "
+        f"included, show distinct basins, as expected without joint convexity.)"
     )
     for s in gated:
         assert s <= 1e-3

@@ -61,7 +61,7 @@ def test_optimize_line3_converges():
     code, text = run(["optimize", "--scenario", str(SCENARIOS / "line3.json")])
     assert code == 0
     assert text.startswith("initial cost: 0.2078075233281507")
-    assert "final cost: 0.09690130664050331" in text
+    assert "final cost: 0.096901306640537421" in text
     assert "converged: yes" in text
 
 
@@ -117,7 +117,7 @@ def test_check_line3_reports_honest_curvature_failure():
 def test_oracle_line3_agreement():
     code, text = run(["oracle", "--scenario", str(SCENARIOS / "line3.json")])
     assert code == 0
-    assert "solver cost: 0.09690130664050331" in text
+    assert "solver cost: 0.096901306640537421" in text
     assert "best of 5 restarts" in text
     gap = float(text.split("relative gap: ")[1].split()[0])
     assert gap <= 1e-6

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from duplexnet import optimizer
+from duplexnet.gradients import gradient_bundle
 from duplexnet.optimizer import (
+    EtaBlock,
+    MuBlock,
+    OverflowBlock,
+    PhiBlock,
+    RhoBlock,
     ScalingPolicy,
     StalledStepError,
     blocks,
@@ -23,7 +30,7 @@ from duplexnet.optimizer import (
 )
 from duplexnet.scenario import derive, total_cost, uniform_state, validate_state
 
-from helpers import line3_scenario, random_interior_state
+from helpers import grid_scenario, line3_scenario, random_interior_state, random_scenario
 
 
 def test_project_scaled_hand_cases():
@@ -115,6 +122,124 @@ def test_project_scaled_against_slsqp():
             options={"ftol": 1e-14, "maxiter": 300},
         )
         assert float(np.max(np.abs(ref.x - exact))) <= 1e-6, f"trial {trial} {kind}"
+
+
+def test_project_scaled_stays_on_simplex_across_weight_decades():
+    # block weights in a solve span 2e-6..5e9; there y - lam / w cancels
+    # catastrophically, and both a bisection on lam and the closed form
+    # without its spreading pass leave these sums off by about 8e-9
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for _ in range(500):
+        n = int(rng.integers(2, 9))
+        w = np.exp(rng.uniform(np.log(2e-6), np.log(5e9), n))
+        cur = rng.dirichlet(np.ones(n))
+        g = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-4.0, 3.0, n)
+        z = project_scaled(cur - g / w, w, "sum_to_one")
+        assert np.all(z >= 0.0)
+        worst = max(worst, abs(float(z.sum()) - 1.0))
+    assert worst <= 1e-12
+
+
+def _whole_network_move(scenario, state, block, derived):
+    """Gradient and fixed mask of `block` sliced from the whole-network formulas."""
+    lay = scenario.layout
+    bundle = gradient_bundle(scenario, state, derived)
+    routing = bundle.routing
+    if isinstance(block, MuBlock):
+        sl = lay.link_slices[block.link]
+        return bundle.mu_grad[sl], None
+    if isinstance(block, EtaBlock):
+        return bundle.eta_grad[lay.node_band_entries[(block.node, block.band)]], None
+    if isinstance(block, RhoBlock):
+        return bundle.rho_grad[block.node, np.flatnonzero(lay.rho_mask[block.node])], None
+    if isinstance(block, PhiBlock):
+        idx = np.array(lay.out_links[block.node], dtype=np.int64)
+        t = derived.flows.inflow[block.session, block.node]
+        grad = t * routing.delta_phi[block.session, idx] if t > 0.0 else np.zeros(idx.size)
+        return grad, routing.blocked[block.session, idx]
+    assert isinstance(block, OverflowBlock)
+    return np.array([routing.overflow_grad[block.session]]), None
+
+
+def _assert_same_gradient(local, whole, what):
+    inf = np.isinf(whole)
+    assert np.array_equal(np.isinf(local), inf), what
+    assert np.array_equal(local[inf], whole[inf]), what
+    assert np.allclose(local[~inf], whole[~inf], rtol=1e-12, atol=0.0), what
+
+
+def test_block_local_gradients_match_whole_network():
+    rng = np.random.default_rng(71)
+    scenarios = [line3_scenario()] + [random_scenario(rng) for _ in range(4)] + [grid_scenario(rng, 4, 2)]
+    checked = 0
+    for k, scen in enumerate(scenarios):
+        start = uniform_state(scen, 0.9, 0.1)
+        states = {
+            "uniform": start,
+            "interior": random_interior_state(scen, rng),
+            "two sweeps": solve(scen, start, max_sweeps=2, tol=0.0).state,
+        }
+        for name, st in states.items():
+            der = derive(scen, st)
+            for block in blocks(scen):
+                _, grad, _, _, fixed, _ = optimizer._block_move(scen, st, block, der)
+                want_grad, want_fixed = _whole_network_move(scen, st, block, der)
+                what = f"scenario {k}, {name} state, {block}"
+                _assert_same_gradient(grad, want_grad, what)
+                if want_fixed is None:
+                    assert fixed is None, what
+                else:
+                    assert np.array_equal(fixed, want_fixed), what
+                checked += 1
+    assert checked > 100
+
+
+def _count_derive(monkeypatch):
+    calls = []
+    real = optimizer.derive
+
+    def counting(scenario, state):
+        calls.append(1)
+        return real(scenario, state)
+
+    monkeypatch.setattr(optimizer, "derive", counting)
+    return calls
+
+
+def test_solve_evaluates_once_per_trial(monkeypatch):
+    # every trial writes the block's coordinates into a copy once, then
+    # evaluates it; the only other evaluation is the starting state's
+    trials = []
+    real_write = optimizer._write_coords
+
+    def counting_write(state, where, values):
+        trials.append(1)
+        real_write(state, where, values)
+
+    monkeypatch.setattr(optimizer, "_write_coords", counting_write)
+    calls = _count_derive(monkeypatch)
+    line3 = line3_scenario()
+    res = solve(line3, uniform_state(line3, 0.9, 0.1), max_sweeps=400, tol=1e-4)
+    assert res.converged
+    assert len(trials) > 0
+    assert len(calls) == 1 + len(trials)
+
+
+def test_update_block_at_optimal_vertex_does_not_evaluate(monkeypatch):
+    # node 1's band-1 group holds an unloaded entry (link 1->0) and a
+    # loaded one (link 1->2); all power on the loaded one is optimal, so
+    # the projected step lands back on the vertex
+    line3 = line3_scenario()
+    st = uniform_state(line3, 0.9, 0.1)
+    st.eta[line3.layout.node_band_entries[(1, 1)]] = [0.0, 1.0]
+    der = derive(line3, st)
+    calls = _count_derive(monkeypatch)
+    out = update_block(line3, st, EtaBlock(1, 1), derived=der)
+    assert not out.moved
+    assert out.halvings == 0
+    assert out.derived is der
+    assert calls == []
 
 
 def test_update_block_never_increases_cost():

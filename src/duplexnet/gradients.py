@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .scenario import (
     ControlState,
     DerivedState,
@@ -44,40 +45,14 @@ from .scenario import (
 
 
 def _entry_derivatives(scenario: NetworkScenario, derived: DerivedState, idx=None):
-    """Per-entry (d_x, d_f, d_xx, d_ff) with boundary conventions.
-
-    An unloaded entry has d_x = 0 (cost is identically zero in a
-    neighborhood of F = 0) and d_f equal to the one-sided marginal 1/C,
-    or +inf when the entry cannot carry any flow (C <= 0 or no power).
-    The second derivatives are zero wherever they are undefined, and d_xx
-    is zero on unloaded entries.  With `idx`, only those entries are
-    computed, in that order.
-    """
+    """Per-entry link-cost derivatives (see :func:`kernels.link_cost_derivatives`);
+    with `idx`, only those entries, in that order."""
     x = derived.physical.sinr
     f = derived.flows.band_flow
     if idx is not None:
         x = x[idx]
         f = f[idx]
-    r = scenario.cost.bandwidth
-    k = scenario.cost.gain_factor
-    d_x = np.zeros_like(x)
-    d_xx = np.zeros_like(x)
-    d_ff = np.zeros_like(x)
-    powered = x > 0
-    cap = np.full_like(x, -math.inf)
-    cap[powered] = r * np.log(k * x[powered])
-    usable = powered & (cap > 0)
-    ok = usable & (cap > f)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slack2 = np.where(ok, (cap - f) ** 2, 1.0)
-        d_f = np.where(usable, np.where(ok, cap / slack2, math.inf), math.inf)
-    slack = cap[ok] - f[ok]
-    d_ff[ok] = 2.0 * cap[ok] / slack**3
-    sel = ok & (f > 0)
-    sl = cap[sel] - f[sel]
-    d_x[sel] = -f[sel] * r / (x[sel] * sl**2)
-    d_xx[sel] = f[sel] * r / x[sel] ** 2 * (1.0 / sl**2 + 2.0 * r / sl**3)
-    return d_x, d_f, d_xx, d_ff
+    return kernels.link_cost_derivatives(x, f, scenario.cost.bandwidth, scenario.cost.gain_factor)
 
 
 def power_messages(scenario: NetworkScenario, derived: DerivedState) -> np.ndarray:

@@ -1,14 +1,10 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Numeric kernels: the interference model and the one link-cost model.
 
 The flattened SINR/interference/cost evaluation below is the inner loop of
-everything numeric: finite-difference gradient checks, backtracking line
-searches, and the reference solver all call it thousands of times.  Both
-implementations compute identical formulas; the numba one is plain loops
-compiled with ``@njit``, the numpy one is vectorized.  Selection happens at
-import time: numba is used when importable unless the environment variable
-``DUPLEXNET_NO_NUMBA`` is set to 1/true/yes.  ``backends()`` always exposes
-every available implementation so they can be benchmarked and cross-checked
-regardless of the flag.
+everything numeric: backtracking line searches and finite-difference
+gradient checks call it thousands of times.  The link cost F/(C - F), its
+capacity C and its derivatives are defined here and nowhere else; only the
+oracle's reference solver prices links with its own independent formula.
 
 Conventions: ``gains[q, m, j]`` is the power gain from transmitter m to
 receiver j on band q, ``noise[q, j]`` the receiver noise power, ``rho[i, q]``
@@ -20,58 +16,10 @@ band; cross-node interference uses the per-node band power ``pbar * rho``.
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("DUPLEXNET_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _FLAG in ("1", "true", "yes")
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
-
-
-def _physical_loops(gains, noise, pbar, rho, ent_tx, ent_rx, ent_band, eta):
-    n, nq = rho.shape
-    ne = eta.shape[0]
-    npow = np.zeros((n, nq))
-    for i in range(n):
-        for q in range(nq):
-            npow[i, q] = pbar[i] * rho[i, q]
-    s = np.zeros((n, nq))
-    for e in range(ne):
-        s[ent_tx[e], ent_band[e]] += eta[e]
-    total_rx = np.zeros((nq, n))
-    for q in range(nq):
-        for j in range(n):
-            acc = 0.0
-            for m in range(n):
-                acc += gains[q, m, j] * npow[m, q]
-            total_rx[q, j] = acc
-    power = np.empty(ne)
-    interference = np.empty(ne)
-    sinr = np.empty(ne)
-    for e in range(ne):
-        i = ent_tx[e]
-        j = ent_rx[e]
-        q = ent_band[e]
-        g = gains[q, i, j]
-        base = npow[i, q]
-        inn = g * base * (s[i, q] - eta[e]) + (total_rx[q, j] - g * base) + noise[q, j]
-        p = base * eta[e]
-        power[e] = p
-        interference[e] = inn
-        sinr[e] = g * p / inn
-    return npow, power, interference, sinr
-
-
-def _physical_numpy(gains, noise, pbar, rho, ent_tx, ent_rx, ent_band, eta):
+def physical_terms(gains, noise, pbar, rho, ent_tx, ent_rx, ent_band, eta):
     n, nq = rho.shape
     npow = pbar[:, None] * rho
     s = np.zeros((n, nq))
@@ -89,68 +37,51 @@ def _physical_numpy(gains, noise, pbar, rho, ent_tx, ent_rx, ent_band, eta):
     return npow, power, interference, sinr
 
 
-def _link_cost_loops(sinr, band_flow, bandwidth, gain_factor):
-    ne = sinr.shape[0]
-    cost = np.zeros(ne)
-    total = 0.0
-    for e in range(ne):
-        f = band_flow[e]
-        if f == 0.0:
-            continue
-        x = sinr[e]
-        if x <= 0.0:
-            cost[e] = math.inf
-            total = math.inf
-            continue
-        cap = bandwidth * math.log(gain_factor * x)
-        if cap <= 0.0 or f >= cap:
-            cost[e] = math.inf
-            total = math.inf
-        else:
-            c = f / (cap - f)
-            cost[e] = c
-            total += c
-    return cost, total
+def capacity(sinr, bandwidth, gain_factor):
+    """Per-entry capacity bandwidth * ln(gain_factor * sinr), -inf where sinr <= 0."""
+    cap = np.full_like(sinr, -np.inf)
+    powered = sinr > 0
+    cap[powered] = bandwidth * np.log(gain_factor * sinr[powered])
+    return cap
 
 
-def _link_cost_numpy(sinr, band_flow, bandwidth, gain_factor):
+def link_cost_terms(sinr, band_flow, bandwidth, gain_factor):
+    """Per-entry cost F/(C - F) and its total.
+
+    An unloaded entry costs zero whatever its SINR; a loaded one with
+    C <= 0 or F >= C costs +inf.
+    """
     cost = np.zeros_like(sinr)
     loaded = band_flow != 0.0
-    ok = loaded & (sinr > 0.0)
-    cost[loaded & ~ok] = np.inf
-    if np.any(ok):
-        cap = bandwidth * np.log(gain_factor * sinr[ok])
-        f = band_flow[ok]
-        vals = np.where((cap <= 0.0) | (f >= cap), np.inf, f / np.where(cap - f == 0.0, 1.0, cap - f))
-        cost[ok] = vals
-    total = float(np.sum(cost[loaded])) if np.any(loaded) else 0.0
-    return cost, total
+    cap = capacity(sinr[loaded], bandwidth, gain_factor)
+    f = band_flow[loaded]
+    with np.errstate(divide="ignore"):
+        cost[loaded] = np.where((cap <= 0.0) | (f >= cap), np.inf, f / (cap - f))
+    return cost, float(np.sum(cost[loaded]))
 
 
-if HAVE_NUMBA:
-    _physical_numba = numba.njit(cache=True)(_physical_loops)
-    _link_cost_numba = numba.njit(cache=True)(_link_cost_loops)
-else:  # pragma: no cover
-    _physical_numba = None
-    _link_cost_numba = None
+def link_cost_derivatives(sinr, flow, bandwidth, gain_factor):
+    """Per-entry (d_x, d_f, d_xx, d_ff) of F/(C - F) with boundary conventions.
 
-if HAVE_NUMBA and not NUMBA_DISABLED:
-    physical_terms = _physical_numba
-    link_cost_terms = _link_cost_numba
-    BACKEND = "numba"
-else:
-    physical_terms = _physical_numpy
-    link_cost_terms = _link_cost_numpy
-    BACKEND = "numpy"
-
-
-def backend_name() -> str:
-    return BACKEND
-
-
-def backends() -> dict[str, tuple]:
-    """Every available implementation pair, keyed by backend name."""
-    out = {"numpy": (_physical_numpy, _link_cost_numpy)}
-    if HAVE_NUMBA:
-        out["numba"] = (_physical_numba, _link_cost_numba)
-    return out
+    An unloaded entry has d_x = 0 (cost is identically zero in a
+    neighborhood of F = 0) and d_f equal to the one-sided marginal 1/C,
+    or +inf when the entry cannot carry any flow (C <= 0 or no power).
+    The second derivatives are zero wherever they are undefined, and d_xx
+    is zero on unloaded entries.
+    """
+    x, f, r = sinr, flow, bandwidth
+    d_x = np.zeros_like(x)
+    d_xx = np.zeros_like(x)
+    d_ff = np.zeros_like(x)
+    cap = capacity(x, r, gain_factor)
+    ok = (cap > 0) & (cap > f)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slack2 = np.where(ok, (cap - f) ** 2, 1.0)
+        d_f = np.where(ok, cap / slack2, np.inf)
+    slack = cap[ok] - f[ok]
+    d_ff[ok] = 2.0 * cap[ok] / slack**3
+    sel = ok & (f > 0)
+    sl = cap[sel] - f[sel]
+    d_x[sel] = -f[sel] * r / (x[sel] * sl**2)
+    d_xx[sel] = f[sel] * r / x[sel] ** 2 * (1.0 / sl**2 + 2.0 * r / sl**3)
+    return d_x, d_f, d_xx, d_ff

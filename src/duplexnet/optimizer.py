@@ -249,13 +249,9 @@ def _block_move(scenario, state, block, derived):
         return state.phi[w, idx], grad, curv, "sum_to_one", fixed, ("phi", (w, idx))
     sess = scenario.sessions[w]
     grad = np.array([_overflow_gradient(scenario, derived, marg, w)])
-    rejected = derived.flows.overflow[w]
-    if sess.utility.kind == "log":
-        curv_val = sess.demand**2 * sess.utility.weight / (1.0 + sess.demand - rejected) ** 2
-    else:
-        curv_val = 0.0
+    curv = np.array([sess.utility.overflow_curvature(derived.flows.overflow[w], sess.demand)])
     cur = np.array([state.phi_w[w]])
-    return cur, grad, np.array([curv_val]), "box", None, ("phi_w", w)
+    return cur, grad, curv, "box", None, ("phi_w", w)
 
 
 def _write_coords(state, where, values):

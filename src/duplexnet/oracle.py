@@ -26,17 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import TooLargeError
-from .scenario import ControlState, NetworkScenario, derive, total_cost
 from . import gradients as _gradients
-
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    _HAVE_NUMBA = False
+from . import kernels
+from .coloring import TooLargeError
+from .scenario import ControlState, NetworkScenario, _hop_distances, derive, total_cost
 
 
 class BoundaryTooCloseError(RuntimeError):
@@ -68,17 +61,15 @@ class CheckReport:
 def _require_headroom(scenario, derived, headroom):
     x = derived.physical.sinr
     f = derived.flows.band_flow
-    r = scenario.cost.bandwidth
-    k = scenario.cost.gain_factor
+    cap = kernels.capacity(x, scenario.cost.bandwidth, scenario.cost.gain_factor)
     for e in range(f.shape[0]):
         if f[e] <= 0:
             continue
         if x[e] <= 0:
             raise BoundaryTooCloseError(f"entry {e} carries flow with no sinr")
-        cap = r * math.log(k * x[e])
-        if not f[e] <= (1.0 - headroom) * cap:
+        if not f[e] <= (1.0 - headroom) * cap[e]:
             raise BoundaryTooCloseError(
-                f"entry {e}: flow {f[e]:.6g} within {headroom:.0%} of capacity {cap:.6g}"
+                f"entry {e}: flow {f[e]:.6g} within {headroom:.0%} of capacity {cap[e]:.6g}"
             )
 
 
@@ -194,7 +185,7 @@ def finite_diff_check(
 # reference solver
 
 
-def _oracle_cost_loops(gains, noise, ent_tx, ent_rx, ent_band, p, band_flow, bandwidth, gain_factor):
+def _oracle_cost(gains, noise, ent_tx, ent_rx, ent_band, p, band_flow, bandwidth, gain_factor):
     n = noise.shape[1]
     nq = noise.shape[0]
     ne = p.shape[0]
@@ -223,7 +214,7 @@ def _oracle_cost_loops(gains, noise, ent_tx, ent_rx, ent_band, p, band_flow, ban
     return total
 
 
-def _oracle_sinr_loops(gains, noise, ent_tx, ent_rx, ent_band, p):
+def _oracle_sinr(gains, noise, ent_tx, ent_rx, ent_band, p):
     n = noise.shape[1]
     nq = noise.shape[0]
     ne = p.shape[0]
@@ -243,14 +234,6 @@ def _oracle_sinr_loops(gains, noise, ent_tx, ent_rx, ent_band, p):
         # -1 marks "no usable signal"; callers map it to a -inf capacity
         out[e] = sig / inn if (sig > 0.0 and inn > 0.0) else -1.0
     return out
-
-
-if _HAVE_NUMBA:
-    _oracle_cost = numba.njit(cache=True)(_oracle_cost_loops)
-    _oracle_sinr = numba.njit(cache=True)(_oracle_sinr_loops)
-else:  # pragma: no cover
-    _oracle_cost = _oracle_cost_loops
-    _oracle_sinr = _oracle_sinr_loops
 
 
 def _simple_paths(lay, origin, dest, cap=64):
@@ -281,18 +264,10 @@ def _simple_paths(lay, origin, dest, cap=64):
 def _project_budget(p, budget):
     """Project onto {p >= 0, sum p <= budget} (euclidean)."""
     q = np.maximum(0.0, p)
-    total = q.sum()
-    if total <= budget:
+    if q.sum() <= budget:
         return q
-    lo, hi = 0.0, float(np.max(q))
-    for _ in range(100):
-        lam = 0.5 * (lo + hi)
-        s = np.maximum(0.0, q - lam).sum()
-        if s > budget:
-            lo = lam
-        else:
-            hi = lam
-    return np.maximum(0.0, q - hi)
+    # the projection then lies on the face sum p = budget
+    return budget * _project_simplex(p / budget)
 
 
 def _project_simplex(v):
@@ -490,7 +465,7 @@ def _to_control_state(problem: _OracleProblem, vec) -> ControlState:
             for li in path:
                 outflow[li] += f[k]
         d = int(lay.dest[w])
-        dist = _hop_dist(scen.graph, d)
+        dist = _hop_distances(scen.graph, d)
         for i in range(lay.n):
             if i == d:
                 continue
@@ -504,21 +479,6 @@ def _to_control_state(problem: _OracleProblem, vec) -> ControlState:
                 for li in forward:
                     phi[w, li] = 1.0 / len(forward)
     return ControlState(rho=rho, eta=eta, phi=phi, phi_w=phi_w, mu=mu)
-
-
-def _hop_dist(g, dest):
-    dist = [math.inf] * g.n
-    dist[dest] = 0
-    frontier = [dest]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in g.adjacency(v):
-                if dist[u] == math.inf:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    return dist
 
 
 @dataclass(frozen=True)

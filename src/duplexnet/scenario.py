@@ -77,6 +77,12 @@ class Utility:
             return self.weight / (1.0 + demand - rejected)
         return self.weight
 
+    def overflow_curvature(self, rejected: float, demand: float) -> float:
+        """Second derivative of the overflow cost in the overflow fraction."""
+        if self.kind == "log":
+            return demand**2 * self.weight / (1.0 + demand - rejected) ** 2
+        return 0.0
+
 
 @dataclass(frozen=True)
 class Session:
@@ -106,7 +112,7 @@ class CostParams:
     def capacity(self, sinr: float) -> float:
         if sinr <= 0:
             raise OutOfDomainError("capacity needs sinr > 0")
-        return self.bandwidth * math.log(self.gain_factor * sinr)
+        return float(kernels.capacity(np.array([sinr]), self.bandwidth, self.gain_factor)[0])
 
 
 @dataclass(frozen=True)
@@ -524,18 +530,19 @@ def cost_derivatives(sinr: float, flow: float, cost: CostParams) -> CostDerivati
         raise OutOfDomainError(f"sinr {sinr} <= 0")
     if flow < 0:
         raise OutOfDomainError(f"flow {flow} < 0")
-    cap = cost.bandwidth * math.log(cost.gain_factor * sinr)
+    cap = cost.capacity(sinr)
     if cap <= 0:
         raise OutOfDomainError(f"capacity {cap} <= 0")
     if flow >= cap:
         raise OutOfDomainError(f"flow {flow} >= capacity {cap}")
-    slack = cap - flow
+    d_x, d_f, d_xx, d_ff = (
+        float(d[0])
+        for d in kernels.link_cost_derivatives(
+            np.array([sinr]), np.array([flow]), cost.bandwidth, cost.gain_factor
+        )
+    )
     r = cost.bandwidth
-    d_x = -flow * r / (sinr * slack * slack)
-    d_f = cap / (slack * slack)
-    d_xx = flow * r / (sinr * sinr) * (1.0 / (slack * slack) + 2.0 * r / (slack**3))
-    d_ff = 2.0 * cap / (slack**3)
-    d_xf = -(r / sinr) * (cap + flow) / (slack**3)
+    d_xf = -(r / sinr) * (cap + flow) / ((cap - flow) ** 3)
     return CostDerivatives(d_x=d_x, d_f=d_f, d_xx=d_xx, d_ff=d_ff, d_xf=d_xf)
 
 

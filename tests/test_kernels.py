@@ -1,58 +1,13 @@
-"""Numeric kernel backends must agree bit for bit."""
+"""Numeric kernels: interference model and link-cost derivatives."""
 
-import os
-import subprocess
-import sys
+import math
 
 import numpy as np
-import pytest
 
 from duplexnet import kernels
-from duplexnet.scenario import derive
+from duplexnet.scenario import CostParams, cost_derivatives
 
 from helpers import random_interior_state, random_scenario
-
-# these compare against the numba backend, or against selecting it
-needs_numba = pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-
-
-@needs_numba
-def test_both_backends_available():
-    backs = kernels.backends()
-    assert set(backs) == {"numpy", "numba"}
-    assert kernels.backend_name() in backs
-
-
-@needs_numba
-def test_backends_agree_on_random_scenarios():
-    rng = np.random.default_rng(21)
-    backs = kernels.backends()
-    for trial in range(10):
-        scen = random_scenario(rng)
-        st = random_interior_state(scen, rng)
-        lay = scen.layout
-        der = derive(scen, st)
-        outs = {}
-        for name, (phys, cost) in backs.items():
-            p = phys(scen.gains, scen.noise, scen.power_budget, st.rho,
-                     lay.ent_tx, lay.ent_rx, lay.ent_band, st.eta)
-            c = cost(p[3], der.flows.band_flow, scen.cost.bandwidth, scen.cost.gain_factor)
-            outs[name] = (*p, *c)
-        for a, b in zip(outs["numpy"], outs["numba"]):
-            np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
-
-
-@needs_numba
-def test_backends_agree_on_infinite_cost():
-    # a loaded entry past capacity must be infinite in both backends
-    sinr = np.array([1e-3, 1e-3, 10.0, 10.0])
-    flow = np.array([0.0, 0.2, 0.0, 9.0])
-    results = []
-    for name, (_, cost) in kernels.backends().items():
-        c, total = cost(sinr, flow, 1.0, 50.0)
-        results.append((tuple(c), total))
-    assert results[0] == results[1]
-    assert results[0][1] == np.inf
 
 
 def test_interference_includes_noise():
@@ -69,17 +24,40 @@ def test_interference_includes_noise():
         assert np.all(sinr >= 0)
 
 
-@needs_numba
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, DUPLEXNET_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from duplexnet import kernels; print(kernels.backend_name())"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-    env.pop("DUPLEXNET_NO_NUMBA")
-    out = subprocess.run(
-        [sys.executable, "-c", "from duplexnet import kernels; print(kernels.backend_name())"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "numba"
+def test_link_cost_derivatives_boundary_conventions():
+    r, k = 1.0, 50.0
+    cap = kernels.capacity(np.array([10.0]), r, k)[0]
+    assert math.isclose(cap, math.log(500.0), rel_tol=1e-15)
+    sinr = np.array([10.0, 0.0, -1.0, 1e-3, 0.0, 1e-3, 10.0, 10.0])
+    flow = np.array([0.0, 0.0, 0.0, 0.0, 0.2, 0.2, cap, 9.0])
+    d_x, d_f, d_xx, d_ff = kernels.link_cost_derivatives(sinr, flow, r, k)
+
+    # unloaded and usable: flat in sinr, one-sided flow marginal 1/C
+    assert d_x[0] == 0.0 and d_xx[0] == 0.0
+    assert math.isclose(d_f[0], 1.0 / cap, rel_tol=1e-15)
+    assert math.isclose(d_ff[0], 2.0 / cap**2, rel_tol=1e-15)
+    # no power (sinr <= 0) or no capacity (C <= 0): no flow can be carried
+    for e in range(1, 6):
+        assert d_f[e] == math.inf, e
+    # loaded at or past capacity: infinite marginal, zero second derivatives
+    for e in (6, 7):
+        assert d_f[e] == math.inf, e
+    for e in range(1, 8):
+        assert d_x[e] == 0.0 and d_xx[e] == 0.0 and d_ff[e] == 0.0, e
+
+    # interior points: the same values as the checked scalar form
+    rng = np.random.default_rng(25)
+    cost = CostParams(bandwidth=1.3, gain_factor=20.0)
+    x = rng.uniform(0.2, 30.0, 200)
+    cap = kernels.capacity(x, cost.bandwidth, cost.gain_factor)
+    f = rng.uniform(0.0, 0.95, 200) * np.maximum(cap, 0.0)
+    f[::7] = 0.0
+    got = kernels.link_cost_derivatives(x, f, cost.bandwidth, cost.gain_factor)
+    checked = 0
+    for e in range(x.size):
+        if cap[e] <= 0:
+            continue
+        ref = cost_derivatives(float(x[e]), float(f[e]), cost)
+        assert (got[0][e], got[1][e], got[2][e], got[3][e]) == (ref.d_x, ref.d_f, ref.d_xx, ref.d_ff), e
+        checked += 1
+    assert checked > 150

@@ -70,7 +70,6 @@ from .gradients import (
     routing_marginals,
 )
 from .optimizer import (
-    ScalingPolicy,
     SolveResult,
     StalledStepError,
     optimality_residuals,

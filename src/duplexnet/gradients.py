@@ -195,10 +195,14 @@ def routing_marginals(
         for li, (i, j) in enumerate(lay.links):
             delta_phi[w, li] = link_marginal[li] + marg[j]
         overflow_grad[w] = _overflow_gradient(scenario, derived, marg, w)
-        reach = _positive_reachability(lay, adj)
+        upstream = {}
         for li, (i, j) in enumerate(lay.links):
-            if i == d or (state.phi[w, li] == 0.0 and i in reach[j]):
+            if i == d:
                 blocked[w, li] = True
+            elif state.phi[w, li] == 0.0:
+                if i not in upstream:
+                    upstream[i] = _upstream_nodes(adj, i)
+                blocked[w, li] = j in upstream[i]
     return RoutingMarginals(
         node_marginal=node_marginal,
         delta_phi=delta_phi,
@@ -265,23 +269,6 @@ def _upstream_nodes(adj, node: int) -> set:
                 seen.add(p)
                 stack.append(p)
     return seen
-
-
-def _positive_reachability(lay, adj):
-    """reach[v] = set of nodes reachable from v along positive fractions."""
-    n = lay.n
-    reach = [None] * n
-    for start in range(n):
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u, _ in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        reach[start] = seen
-    return reach
 
 
 def delta_mu(scenario: NetworkScenario, state: ControlState, derived: DerivedState) -> np.ndarray:

@@ -7,6 +7,9 @@ form separate blocks whose feasible sets are simplexes, capped simplexes,
 or boxes.  A block update takes a diagonally scaled gradient step, projects
 back onto the block's feasible set, and backtracks until the new cost
 satisfies a sufficient-decrease test; total cost therefore never increases.
+The blocks are the rows of one table, :func:`blocks`: each names a
+ControlState array and an index into it, and the updates and the
+residuals both walk that table.
 
 The diagonal scaling uses cheap second-derivative estimates of the link
 cost (times a safety factor), with a floor so weights stay positive; the
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,43 +113,37 @@ def project_scaled(
     return z
 
 
-@dataclass(frozen=True)
-class ScalingPolicy:
-    """Knobs for the per-block scaled step and line search."""
+# the diagonal scaling is SAFETY times the curvature estimate, floored at
+# FLOOR; a trial is accepted when it beats the linear prediction times
+# ARMIJO, else the step shrinks by SHRINK, at most MAX_HALVINGS times.  A
+# block's next step is its accepted step times GROW, capped at 1.
+SAFETY = 2.0
+FLOOR = 1e-6
+ARMIJO = 1e-4
+SHRINK = 0.5
+MAX_HALVINGS = 50
+GROW = 2.0
 
-    safety: float = 2.0
-    floor: float = 1e-6
-    armijo: float = 1e-4
-    shrink: float = 0.5
-    max_halvings: int = 50
-    grow: float = 2.0
-
-
-@dataclass(frozen=True)
-class EtaBlock:
-    node: int
-    band: int
-
-
-@dataclass(frozen=True)
-class RhoBlock:
-    node: int
+CONSTRAINT = {
+    "mu": "sum_to_one",
+    "eta": "sum_to_one",
+    "rho": "sum_at_most_one",
+    "phi": "sum_to_one",
+    "phi_w": "box",
+}
 
 
-@dataclass(frozen=True)
-class MuBlock:
-    link: int
+class Block(NamedTuple):
+    """One constraint group: `getattr(state, kind)[key]` are its coordinates.
 
+    `kind` names the ControlState array; `group` names the group: the
+    link (mu), (node, band) (eta), the node (rho), (session, node) (phi)
+    or the session (phi_w).
+    """
 
-@dataclass(frozen=True)
-class PhiBlock:
-    session: int
-    node: int
-
-
-@dataclass(frozen=True)
-class OverflowBlock:
-    session: int
+    kind: str
+    key: object
+    group: object
 
 
 def blocks(scenario: NetworkScenario):
@@ -155,58 +153,54 @@ def blocks(scenario: NetworkScenario):
     for li in range(lay.n_links):
         sl = lay.link_slices[li]
         if sl.stop - sl.start > 1:
-            out.append(MuBlock(li))
+            out.append(Block("mu", np.arange(sl.start, sl.stop), li))
     for (i, q), entries in sorted(lay.node_band_entries.items()):
         if entries.size > 1:
-            out.append(EtaBlock(i, q))
+            out.append(Block("eta", entries, (i, q)))
     for i in range(lay.n):
         if np.any(lay.rho_mask[i]):
-            out.append(RhoBlock(i))
+            out.append(Block("rho", (i, np.flatnonzero(lay.rho_mask[i])), i))
     for w in range(len(scenario.sessions)):
         d = int(lay.dest[w])
         for i in range(lay.n):
             if i != d and len(lay.out_links[i]) > 1:
-                out.append(PhiBlock(w, i))
-        out.append(OverflowBlock(w))
+                out.append(Block("phi", (w, np.array(lay.out_links[i], dtype=np.int64)), (w, i)))
+        out.append(Block("phi_w", np.array([w]), w))
     return out
 
 
 def _block_move(scenario, state, block, derived):
-    """Current coords, gradient, curvature, constraint, fixed mask and
-    write-back info for one block.
+    """Gradient, curvature and fixed mask of one block.
 
     Only the block's own marginals are computed: one link's entries for
     mu, one (node, band) group for eta, the power messages contracted
     against the node's own gains for rho, and one session's marginal
-    recursion for phi and overflow.  Each matches the slice of the
+    recursion for phi and phi_w.  Each matches the slice of the
     whole-network formulas in :mod:`duplexnet.gradients`.
     """
     lay = scenario.layout
     phys = derived.physical
-    if isinstance(block, MuBlock):
-        sl = lay.link_slices[block.link]
-        idx = np.arange(sl.start, sl.stop)
+    kind = block.kind
+    if kind == "mu":
+        idx = block.key
         _, d_f, _, d_ff = _entry_derivatives(scenario, derived, idx)
-        flow = derived.flows.link_flow[block.link]
+        flow = derived.flows.link_flow[block.group]
         grad = flow * d_f if flow > 0 else np.zeros(idx.size)
-        curv = d_ff * flow * flow
-        return state.mu[idx], grad, curv, "sum_to_one", None, ("mu", idx)
-    if isinstance(block, EtaBlock):
-        idx = lay.node_band_entries[(block.node, block.band)]
+        return grad, d_ff * flow * flow, None
+    if kind == "eta":
+        idx = block.key
         d_x, _, d_xx, _ = _entry_derivatives(scenario, derived, idx)
         g = scenario.gains[lay.ent_band[idx], lay.ent_tx[idx], lay.ent_rx[idx]]
-        npow = phys.node_band_power[block.node, block.band]
+        npow = phys.node_band_power[block.group]
         inn = phys.interference[idx]
         x = phys.sinr[idx]
         if npow == 0.0:
             grad = np.zeros(idx.size)
         else:
             grad = npow * (d_x * g * (1.0 + x) / inn - (d_x * g * x / inn).sum())
-        curv = d_xx * (g * npow / inn) ** 2
-        return state.eta[idx], grad, curv, "sum_to_one", None, ("eta", idx)
-    if isinstance(block, RhoBlock):
-        i = block.node
-        bands = np.flatnonzero(lay.rho_mask[i])
+        return grad, d_xx * (g * npow / inn) ** 2, None
+    if kind == "rho":
+        i, bands = block.key
         own = np.flatnonzero(lay.ent_tx == i)
         d_x, _, d_xx, _ = _entry_derivatives(scenario, derived, own)
         band = lay.ent_band[own]
@@ -220,54 +214,35 @@ def _block_move(scenario, state, block, derived):
         grad = (pbar * (cross + own_term))[bands]
         share = d_xx * (g * pbar * eta / inn) ** 2
         curv = np.array([np.sum(share[band == q]) for q in bands])
-        return state.rho[i, bands], grad, curv, "sum_at_most_one", None, ("rho", (i, bands))
-    if not isinstance(block, (PhiBlock, OverflowBlock)):
-        raise TypeError(f"unknown block {block!r}")
-    w = block.session
+        return grad, curv, None
+    w = block.key[0]
     _, d_f, _, d_ff = _entry_derivatives(scenario, derived)
     link_marginal = _link_marginals(lay, state.mu, d_f)
     marg, adj = _session_marginals(scenario, state, link_marginal, w)
-    if isinstance(block, PhiBlock):
-        i = block.node
-        idx = np.array(lay.out_links[i], dtype=np.int64)
-        heads = np.array([lay.links[li][1] for li in idx], dtype=np.int64)
-        t = derived.flows.inflow[w, i]
-        if t > 0.0:
-            grad = t * (link_marginal[idx] + marg[heads])
-        else:
-            # no inflow: the row is a flat section of the cost, 0 * inf here
-            grad = np.zeros(idx.size)
-        curv = np.zeros(idx.size)
-        for k, li in enumerate(idx):
-            sl = lay.link_slices[li]
-            mu = state.mu[sl.start : sl.stop]
-            curv[k] = t * t * np.sum(mu * mu * d_ff[sl.start : sl.stop])
-        # a link whose head reaches i through positive fractions would
-        # close a cycle if raised from zero
-        upstream = _upstream_nodes(adj, i)
-        fixed = np.array([state.phi[w, li] == 0.0 and j in upstream for li, j in zip(idx, heads)])
-        return state.phi[w, idx], grad, curv, "sum_to_one", fixed, ("phi", (w, idx))
-    sess = scenario.sessions[w]
-    grad = np.array([_overflow_gradient(scenario, derived, marg, w)])
-    curv = np.array([sess.utility.overflow_curvature(derived.flows.overflow[w], sess.demand)])
-    cur = np.array([state.phi_w[w]])
-    return cur, grad, curv, "box", None, ("phi_w", w)
-
-
-def _write_coords(state, where, values):
-    kind, loc = where
-    if kind == "mu":
-        state.mu[loc] = values
-    elif kind == "eta":
-        state.eta[loc] = values
-    elif kind == "rho":
-        node, bands = loc
-        state.rho[node, bands] = values
-    elif kind == "phi":
-        w, idx = loc
-        state.phi[w, idx] = values
-    elif kind == "phi_w":
-        state.phi_w[loc] = values[0]
+    if kind == "phi_w":
+        sess = scenario.sessions[w]
+        grad = np.array([_overflow_gradient(scenario, derived, marg, w)])
+        curv = np.array([sess.utility.overflow_curvature(derived.flows.overflow[w], sess.demand)])
+        return grad, curv, None
+    i = block.group[1]
+    idx = block.key[1]
+    heads = np.array([lay.links[li][1] for li in idx], dtype=np.int64)
+    t = derived.flows.inflow[w, i]
+    if t > 0.0:
+        grad = t * (link_marginal[idx] + marg[heads])
+    else:
+        # no inflow: the row is a flat section of the cost, 0 * inf here
+        grad = np.zeros(idx.size)
+    curv = np.zeros(idx.size)
+    for k, li in enumerate(idx):
+        sl = lay.link_slices[li]
+        mu = state.mu[sl.start : sl.stop]
+        curv[k] = t * t * np.sum(mu * mu * d_ff[sl.start : sl.stop])
+    # a link whose head reaches i through positive fractions would
+    # close a cycle if raised from zero
+    upstream = _upstream_nodes(adj, i)
+    fixed = np.array([state.phi[w, li] == 0.0 and j in upstream for li, j in zip(idx, heads)])
+    return grad, curv, fixed
 
 
 @dataclass
@@ -283,8 +258,7 @@ class UpdateOutcome:
 def update_block(
     scenario: NetworkScenario,
     state: ControlState,
-    block,
-    policy: ScalingPolicy = None,
+    block: Block,
     step: float = 1.0,
     derived: DerivedState = None,
 ) -> UpdateOutcome:
@@ -293,17 +267,17 @@ def update_block(
     Returns the (possibly unchanged) state, its cost and its evaluation.
     The cost never increases: a trial point is accepted only when finite
     and satisfying the sufficient-decrease test; otherwise the step is
-    halved, and after max_halvings the block is left untouched.  A
+    halved, and after MAX_HALVINGS the block is left untouched.  A
     projected step that is not a descent direction leaves it untouched at
     once.  A `derived` passed in must be the evaluation of `state`; it
     saves the one evaluation that is not a trial.
     """
-    if policy is None:
-        policy = ScalingPolicy()
     if derived is None:
         derived = derive(scenario, state)
     cost0 = derived.total
-    cur, grad, curv, constraint, fixed, where = _block_move(scenario, state, block, derived)
+    cur = getattr(state, block.kind)[block.key]
+    grad, curv, fixed = _block_move(scenario, state, block, derived)
+    constraint = CONSTRAINT[block.kind]
 
     def unmoved(halvings):
         return UpdateOutcome(state=state, cost=cost0, moved=False, halvings=halvings, step=step, derived=derived)
@@ -316,9 +290,9 @@ def update_block(
         grad = np.where(finite, grad, 0.0)
     if fixed is not None and np.all(fixed) or not np.any(grad):
         return unmoved(0)
-    weights = policy.safety * np.maximum(curv, policy.floor)
+    weights = SAFETY * np.maximum(curv, FLOOR)
     upper = 1.0 if constraint == "box" else None
-    for halving in range(policy.max_halvings + 1):
+    for halving in range(MAX_HALVINGS + 1):
         y = cur - step * grad / weights
         z = project_scaled(y, weights, constraint, upper=upper, fixed=fixed)
         delta = z - cur
@@ -326,14 +300,14 @@ def update_block(
         if slope >= 0.0 or float(np.max(np.abs(delta))) <= 1e-16:
             return unmoved(halving)
         trial = state.copy()
-        _write_coords(trial, where, z)
+        getattr(trial, block.kind)[block.key] = z
         evaluated = derive(scenario, trial)
-        if math.isfinite(evaluated.total) and evaluated.total <= cost0 + policy.armijo * slope:
+        if math.isfinite(evaluated.total) and evaluated.total <= cost0 + ARMIJO * slope:
             return UpdateOutcome(
                 state=trial, cost=evaluated.total, moved=True, halvings=halving, step=step, derived=evaluated
             )
-        step *= policy.shrink
-    return unmoved(policy.max_halvings)
+        step *= SHRINK
+    return unmoved(MAX_HALVINGS)
 
 
 def _gap(a: float, b: float) -> float:
@@ -390,74 +364,54 @@ def optimality_residuals(
     share group, an unloaded link, a node without session traffic) are
     skipped.
     """
-    lay = scenario.layout
     if derived is None:
         derived = derive(scenario, state)
     if not math.isfinite(derived.total):
         raise ValueError("residuals need a finite-cost state")
-    eta_msg, _ = delta_eta(scenario, state, derived)
-    worst_eta = 0.0
-    for (i, q), entries in lay.node_band_entries.items():
-        if derived.physical.node_band_power[i, q] <= 0 or entries.size < 2:
+    routing = routing_marginals(scenario, state, derived)
+    marginal = {
+        "eta": delta_eta(scenario, state, derived)[0],
+        "rho": delta_rho(scenario, state, derived),
+        "mu": delta_mu(scenario, state, derived),
+        "phi": routing.delta_phi,
+        "phi_w": routing.overflow_grad,
+    }
+    load = {
+        "eta": derived.physical.node_band_power,
+        "mu": derived.flows.link_flow,
+        "phi": derived.flows.inflow,
+    }
+    worst = dict.fromkeys(CONSTRAINT, 0.0)
+    for block in blocks(scenario):
+        kind, key = block.kind, block.key
+        if kind in load and load[kind][block.group] <= 0:
             continue
-        worst_eta = max(
-            worst_eta,
-            _simplex_residual(eta_msg[entries], state.eta[entries] > support_tol),
-        )
-    rho_grad = delta_rho(scenario, state, derived)
-    worst_rho = 0.0
-    for i in range(lay.n):
-        bands = np.flatnonzero(lay.rho_mask[i])
-        if bands.size == 0:
-            continue
-        vals = rho_grad[i, bands]
-        used = state.rho[i, bands] > support_tol
-        tight = float(state.rho[i, bands].sum()) >= 1.0 - slack_tol
-        if np.any(used):
-            low = float(np.min(vals[used]))
-            witness = min(0.0, low) if tight else 0.0
-            res = max(_gap(float(np.max(vals[used])), witness), _gap(witness, low), 0.0)
-        else:
+        vals = marginal[kind][key]
+        cur = getattr(state, kind)[key]
+        used = cur > support_tol
+        constraint = CONSTRAINT[kind]
+        if constraint == "sum_to_one":
+            res = _simplex_residual(vals, used, excluded=routing.blocked[key] if kind == "phi" else None)
+        elif constraint == "sum_at_most_one":
+            tight = float(cur.sum()) >= 1.0 - slack_tol
             witness = 0.0
             res = 0.0
-        if np.any(~used):
-            res = max(res, _gap(witness, float(np.min(vals[~used]))))
-        worst_rho = max(worst_rho, res)
-    mu_grad = delta_mu(scenario, state, derived)
-    worst_mu = 0.0
-    for li, sl in enumerate(lay.link_slices):
-        if derived.flows.link_flow[li] <= 0 or sl.stop - sl.start < 2:
-            continue
-        idx = np.arange(sl.start, sl.stop)
-        worst_mu = max(worst_mu, _simplex_residual(mu_grad[idx], state.mu[idx] > support_tol))
-    routing = routing_marginals(scenario, state, derived)
-    worst_phi = 0.0
-    worst_over = 0.0
-    for w, sess in enumerate(scenario.sessions):
-        d = int(lay.dest[w])
-        for i in range(lay.n):
-            if i == d or derived.flows.inflow[w, i] <= 0:
-                continue
-            idx = np.array(lay.out_links[i], dtype=np.int64)
-            if idx.size < 2:
-                continue
-            worst_phi = max(
-                worst_phi,
-                _simplex_residual(
-                    routing.delta_phi[w, idx],
-                    state.phi[w, idx] > support_tol,
-                    excluded=routing.blocked[w, idx],
-                ),
-            )
-        g = routing.overflow_grad[w]
-        pw = state.phi_w[w]
-        if pw <= support_tol:
-            worst_over = max(worst_over, max(0.0, -g))
-        elif pw >= 1.0 - support_tol:
-            worst_over = max(worst_over, max(0.0, g))
+            if np.any(used):
+                low = float(np.min(vals[used]))
+                witness = min(0.0, low) if tight else 0.0
+                res = max(_gap(float(np.max(vals[used])), witness), _gap(witness, low), 0.0)
+            if np.any(~used):
+                res = max(res, _gap(witness, float(np.min(vals[~used]))))
         else:
-            worst_over = max(worst_over, abs(g))
-    return Residuals(eta=worst_eta, rho=worst_rho, mu=worst_mu, phi=worst_phi, overflow=worst_over)
+            g = vals[0]
+            if cur[0] <= support_tol:
+                res = max(0.0, -g)
+            elif cur[0] >= 1.0 - support_tol:
+                res = max(0.0, g)
+            else:
+                res = abs(g)
+        worst[kind] = max(worst[kind], res)
+    return Residuals(eta=worst["eta"], rho=worst["rho"], mu=worst["mu"], phi=worst["phi"], overflow=worst["phi_w"])
 
 
 @dataclass(frozen=True)
@@ -485,7 +439,6 @@ def solve(
     tol: float = 1e-4,
     order: str = "round_robin",
     seed: int = None,
-    policy: ScalingPolicy = None,
 ) -> SolveResult:
     """Run block sweeps until the worst residual drops below tol.
 
@@ -495,13 +448,11 @@ def solve(
     a whole sweep moves nothing while the residual is still above tol;
     returns converged=False when the sweep budget runs out first.
     """
-    if policy is None:
-        policy = ScalingPolicy()
     if order not in ("round_robin", "random"):
         raise ValueError(f"unknown order {order!r}")
     rng = np.random.default_rng(seed)
-    block_list = blocks(scenario)
-    steps = {b: 1.0 for b in block_list}
+    table = blocks(scenario)
+    steps = [1.0] * len(table)
     state = state.copy()
     derived = derive(scenario, state)
     if not math.isfinite(derived.total):
@@ -513,23 +464,19 @@ def solve(
             state=state, cost=derived.total, residual=res.worst, sweeps=0, converged=True, trace=trace
         )
     for sweep in range(1, max_sweeps + 1):
+        visit = list(range(len(table)))
         if order == "random":
-            sweep_blocks = list(block_list)
-            rng.shuffle(sweep_blocks)
-        else:
-            sweep_blocks = block_list
+            rng.shuffle(visit)
         moved_any = False
         max_step = 0.0
-        for b in sweep_blocks:
-            out = update_block(scenario, state, b, policy=policy, step=steps[b], derived=derived)
+        for k in visit:
+            out = update_block(scenario, state, table[k], step=steps[k], derived=derived)
             derived = out.derived
             if out.moved:
                 state = out.state
                 moved_any = True
                 max_step = max(max_step, out.step)
-                steps[b] = min(1.0, out.step * policy.grow)
-            else:
-                steps[b] = min(1.0, steps[b])
+                steps[k] = min(1.0, out.step * GROW)
         res = optimality_residuals(scenario, state, derived)
         trace.append(TraceRow(sweep=sweep, cost=derived.total, residual=res.worst, max_step=max_step))
         if res.worst <= tol:

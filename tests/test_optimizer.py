@@ -15,12 +15,6 @@ from scipy.optimize import minimize
 from duplexnet import optimizer
 from duplexnet.gradients import gradient_bundle
 from duplexnet.optimizer import (
-    EtaBlock,
-    MuBlock,
-    OverflowBlock,
-    PhiBlock,
-    RhoBlock,
-    ScalingPolicy,
     StalledStepError,
     blocks,
     optimality_residuals,
@@ -28,7 +22,7 @@ from duplexnet.optimizer import (
     solve,
     update_block,
 )
-from duplexnet.scenario import derive, total_cost, uniform_state, validate_state
+from duplexnet.scenario import ControlState, derive, total_cost, uniform_state, validate_state
 
 from helpers import grid_scenario, line3_scenario, random_interior_state, random_scenario
 
@@ -143,23 +137,49 @@ def test_project_scaled_stays_on_simplex_across_weight_decades():
 
 def _whole_network_move(scenario, state, block, derived):
     """Gradient and fixed mask of `block` sliced from the whole-network formulas."""
-    lay = scenario.layout
     bundle = gradient_bundle(scenario, state, derived)
     routing = bundle.routing
-    if isinstance(block, MuBlock):
-        sl = lay.link_slices[block.link]
-        return bundle.mu_grad[sl], None
-    if isinstance(block, EtaBlock):
-        return bundle.eta_grad[lay.node_band_entries[(block.node, block.band)]], None
-    if isinstance(block, RhoBlock):
-        return bundle.rho_grad[block.node, np.flatnonzero(lay.rho_mask[block.node])], None
-    if isinstance(block, PhiBlock):
-        idx = np.array(lay.out_links[block.node], dtype=np.int64)
-        t = derived.flows.inflow[block.session, block.node]
-        grad = t * routing.delta_phi[block.session, idx] if t > 0.0 else np.zeros(idx.size)
-        return grad, routing.blocked[block.session, idx]
-    assert isinstance(block, OverflowBlock)
-    return np.array([routing.overflow_grad[block.session]]), None
+    whole = {
+        "mu": bundle.mu_grad,
+        "eta": bundle.eta_grad,
+        "rho": bundle.rho_grad,
+        "phi": routing.delta_phi,
+        "phi_w": routing.overflow_grad,
+    }
+    grad = whole[block.kind][block.key]
+    if block.kind != "phi":
+        return grad, None
+    t = derived.flows.inflow[block.group]
+    return (t * grad if t > 0.0 else np.zeros(grad.size)), routing.blocked[block.key]
+
+
+def _reachability_blocked(scenario, state):
+    """blocked[w, l] by an all-pairs forward search over positive fractions.
+
+    A link leaving the destination is blocked; so is a link (i, j) at
+    zero fraction when i is reachable from j, since raising it would
+    close a cycle.
+    """
+    lay = scenario.layout
+    blocked = np.zeros((len(scenario.sessions), lay.n_links), dtype=bool)
+    for w in range(len(scenario.sessions)):
+        d = int(lay.dest[w])
+        succ = [[] for _ in range(lay.n)]
+        for li, (i, j) in enumerate(lay.links):
+            if i != d and state.phi[w, li] > 0:
+                succ[i].append(j)
+        reach = []
+        for start in range(lay.n):
+            seen, stack = {start}, [start]
+            while stack:
+                for u in succ[stack.pop()]:
+                    if u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+            reach.append(seen)
+        for li, (i, j) in enumerate(lay.links):
+            blocked[w, li] = i == d or (state.phi[w, li] == 0.0 and i in reach[j])
+    return blocked
 
 
 def _assert_same_gradient(local, whole, what):
@@ -182,8 +202,10 @@ def test_block_local_gradients_match_whole_network():
         }
         for name, st in states.items():
             der = derive(scen, st)
+            blocked = gradient_bundle(scen, st, der).routing.blocked
+            assert np.array_equal(blocked, _reachability_blocked(scen, st)), f"scenario {k}, {name} state"
             for block in blocks(scen):
-                _, grad, _, _, fixed, _ = optimizer._block_move(scen, st, block, der)
+                grad, _, fixed = optimizer._block_move(scen, st, block, der)
                 want_grad, want_fixed = _whole_network_move(scen, st, block, der)
                 what = f"scenario {k}, {name} state, {block}"
                 _assert_same_gradient(grad, want_grad, what)
@@ -193,6 +215,52 @@ def test_block_local_gradients_match_whole_network():
                     assert np.array_equal(fixed, want_fixed), what
                 checked += 1
     assert checked > 100
+
+
+def _expected_cover(scenario):
+    """Per ControlState array, the coordinates some block must own."""
+    lay = scenario.layout
+    state = uniform_state(scenario)
+    want = {kind: np.zeros(getattr(state, kind).shape, dtype=bool) for kind in ("mu", "eta", "rho", "phi", "phi_w")}
+    for sl in lay.link_slices:
+        if sl.stop - sl.start >= 2:
+            want["mu"][sl] = True
+    for entries in lay.node_band_entries.values():
+        if entries.size >= 2:
+            want["eta"][entries] = True
+    want["rho"][:] = lay.rho_mask
+    for w in range(len(scenario.sessions)):
+        for i in range(lay.n):
+            if i != int(lay.dest[w]) and len(lay.out_links[i]) >= 2:
+                want["phi"][w, lay.out_links[i]] = True
+    want["phi_w"][:] = True
+    return want
+
+
+def test_blocks_partition_the_coordinates():
+    rng = np.random.default_rng(83)
+    scenarios = [line3_scenario()] + [random_scenario(rng) for _ in range(4)] + [grid_scenario(rng, 4, 2)]
+    for k, scen in enumerate(scenarios):
+        lay = scen.layout
+        want = _expected_cover(scen)
+        owners = {kind: np.zeros(mask.shape, dtype=int) for kind, mask in want.items()}
+        for block in blocks(scen):
+            np.add.at(owners[block.kind], block.key, 1)
+            # the group names the coordinates the key selects
+            if block.kind == "mu":
+                assert np.all(lay.ent_link[block.key] == block.group)
+            elif block.kind == "eta":
+                assert np.array_equal(block.key, lay.node_band_entries[block.group])
+            elif block.kind == "rho":
+                assert block.key[0] == block.group
+            elif block.kind == "phi":
+                w, i = block.group
+                assert block.key[0] == w and np.array_equal(block.key[1], lay.out_links[i])
+            else:
+                assert np.array_equal(block.key, [block.group])
+        for kind, mask in want.items():
+            assert owners[kind].max(initial=0) <= 1, f"scenario {k}: {kind} blocks overlap"
+            assert np.array_equal(owners[kind] == 1, mask), f"scenario {k}: {kind} cover"
 
 
 def _count_derive(monkeypatch):
@@ -208,22 +276,24 @@ def _count_derive(monkeypatch):
 
 
 def test_solve_evaluates_once_per_trial(monkeypatch):
-    # every trial writes the block's coordinates into a copy once, then
-    # evaluates it; the only other evaluation is the starting state's
-    trials = []
-    real_write = optimizer._write_coords
+    # solve copies its start once; every other copy is a trial point,
+    # which is evaluated once; the only other evaluation is the start's
+    copies = []
+    real_copy = ControlState.copy
 
-    def counting_write(state, where, values):
-        trials.append(1)
-        real_write(state, where, values)
+    def counting_copy(state):
+        copies.append(1)
+        return real_copy(state)
 
-    monkeypatch.setattr(optimizer, "_write_coords", counting_write)
-    calls = _count_derive(monkeypatch)
     line3 = line3_scenario()
-    res = solve(line3, uniform_state(line3, 0.9, 0.1), max_sweeps=400, tol=1e-4)
+    start = uniform_state(line3, 0.9, 0.1)
+    monkeypatch.setattr(ControlState, "copy", counting_copy)
+    calls = _count_derive(monkeypatch)
+    res = solve(line3, start, max_sweeps=400, tol=1e-4)
     assert res.converged
-    assert len(trials) > 0
-    assert len(calls) == 1 + len(trials)
+    trials = len(copies) - 1
+    assert trials > 0
+    assert len(calls) == 1 + trials
 
 
 def test_update_block_at_optimal_vertex_does_not_evaluate(monkeypatch):
@@ -234,8 +304,9 @@ def test_update_block_at_optimal_vertex_does_not_evaluate(monkeypatch):
     st = uniform_state(line3, 0.9, 0.1)
     st.eta[line3.layout.node_band_entries[(1, 1)]] = [0.0, 1.0]
     der = derive(line3, st)
+    block = next(b for b in blocks(line3) if b.kind == "eta" and b.group == (1, 1))
     calls = _count_derive(monkeypatch)
-    out = update_block(line3, st, EtaBlock(1, 1), derived=der)
+    out = update_block(line3, st, block, derived=der)
     assert not out.moved
     assert out.halvings == 0
     assert out.derived is der
@@ -301,13 +372,13 @@ def test_solve_rejects_unknown_order():
         solve(line3, uniform_state(line3, 0.9, 0.1), order="sorted")
 
 
-def test_stall_raises_instead_of_spinning():
+def test_stall_raises_instead_of_spinning(monkeypatch):
     # an unattainable sufficient-decrease bar makes every block fail its
     # line search, which must surface as an explicit stall
     line3 = line3_scenario()
+    monkeypatch.setattr(optimizer, "ARMIJO", 1e6)
     with pytest.raises(StalledStepError) as info:
-        solve(line3, uniform_state(line3, 0.9, 0.1), max_sweeps=5,
-              policy=ScalingPolicy(armijo=1e6))
+        solve(line3, uniform_state(line3, 0.9, 0.1), max_sweeps=5)
     assert info.value.residual > info.value.tol
     assert "no block can make progress" in str(info.value)
 

@@ -1,0 +1,109 @@
+"""One SHA-256 over the outputs of a fixed, seeded set of solves.
+
+A refactor that should change no number can be checked by running this on
+both trees and comparing the digests:
+
+    python3 tools/fingerprint.py                      # this tree's src/
+    python3 tools/fingerprint.py --src OTHER/src      # another checkout
+
+The scenarios come from tests/helpers.py of this tree: line3 and line5 to
+tolerance, line3 from near rejection, the multistable square, budgeted
+descents on random small scenarios (even split, a random interior start,
+and random block order) and on jittered 4x4 and 5x5 grids.  The digest
+covers the per-family residuals of each start, and each final state, its
+cost, the whole trace, its per-family residuals and the blocked-link mask
+of its routing marginals.  `--each` also prints one
+short digest per solve, to locate a difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import struct
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _solves(dn, helpers):
+    """(label, scenario, start, solve kwargs), in a fixed order."""
+    line3 = helpers.line3_scenario()
+    even = dn.uniform_state(line3, 0.9, 0.1)
+    yield "line3 tol 1e-4", line3, even, dict(max_sweeps=400, tol=1e-4)
+    line5 = helpers.line5_scenario()
+    yield "line5 tol 1e-6", line5, dn.uniform_state(line5, 0.9, 0.1), dict(max_sweeps=400, tol=1e-6)
+    yield "line3 near rejection", line3, dn.uniform_state(line3, 0.05, 1.0), dict(max_sweeps=400, tol=1e-4)
+    square = helpers.square_scenario()
+    yield "square", square, dn.uniform_state(square, 0.9, 0.1), dict(max_sweeps=400, tol=1e-4)
+    rng = np.random.default_rng(301)
+    for k in range(12):
+        scen = helpers.random_scenario(rng)
+        start = dn.uniform_state(scen, 0.9, 0.1)
+        yield f"random {k} even", scen, start, dict(max_sweeps=4, tol=1e-4)
+        yield f"random {k} interior", scen, helpers.random_interior_state(scen, rng), dict(max_sweeps=4, tol=1e-4)
+        yield f"random {k} random order", scen, start, dict(max_sweeps=4, tol=1e-4, order="random", seed=k)
+    rng = np.random.default_rng(302)
+    for k, side in enumerate((4, 4, 4, 5, 5)):
+        scen = helpers.grid_scenario(rng, side, 2 + k % 2)
+        yield f"grid {k} {side}x{side}", scen, dn.uniform_state(scen, 0.9, 0.1), dict(max_sweeps=2, tol=1e-4)
+
+
+def _feed(h, *values):
+    for v in values:
+        if isinstance(v, np.ndarray):
+            h.update(str(v.dtype).encode() + str(v.shape).encode())
+            h.update(np.ascontiguousarray(v).tobytes())
+        elif isinstance(v, (bool, int, np.integer)):
+            h.update(struct.pack("<q", int(v)))
+        elif isinstance(v, (float, np.floating)):
+            h.update(struct.pack("<d", float(v)))
+        else:
+            h.update(str(v).encode())
+
+
+def _digest_solve(dn, scen, start, kwargs):
+    h = hashlib.sha256()
+    r = dn.optimality_residuals(scen, start)
+    _feed(h, r.eta, r.rho, r.mu, r.phi, r.overflow)
+    try:
+        res = dn.solve(scen, start, **kwargs)
+    except dn.StalledStepError as err:
+        _feed(h, "stalled", err.residual)
+        return h
+    st = res.state
+    _feed(h, st.rho, st.eta, st.phi, st.phi_w, st.mu)
+    _feed(h, res.cost, res.residual, res.sweeps, res.converged)
+    for row in res.trace:
+        _feed(h, row.sweep, row.cost, row.residual, row.max_step)
+    r = dn.optimality_residuals(scen, st)
+    _feed(h, r.eta, r.rho, r.mu, r.phi, r.overflow)
+    _feed(h, dn.routing_marginals(scen, st, dn.derive(scen, st)).blocked)
+    return h
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=str(ROOT / "src"), help="directory holding the duplexnet package")
+    ap.add_argument("--each", action="store_true", help="print a short digest per solve")
+    args = ap.parse_args(argv)
+    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "tests")]
+    import duplexnet as dn
+    import helpers
+
+    total = hashlib.sha256()
+    count = 0
+    for label, scen, start, kwargs in _solves(dn, helpers):
+        h = _digest_solve(dn, scen, start, kwargs)
+        total.update(h.digest())
+        count += 1
+        if args.each:
+            print(f"{h.hexdigest()[:16]}  {label}")
+    print(f"{total.hexdigest()}  ({count} solves, duplexnet from {Path(dn.__file__).parent})")
+
+
+if __name__ == "__main__":
+    main()

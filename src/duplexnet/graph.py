@@ -9,6 +9,7 @@ internal indices 0..n-1.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -30,7 +31,11 @@ class NotConnectedError(GraphValidationError):
 
 
 class ConnectivityGraph:
-    """Immutable link-symmetric directed graph with dense internal indices."""
+    """Immutable link-symmetric directed graph with dense internal indices.
+
+    Nodes are held in ascending id order and each adjacency row ascending,
+    as build_graph makes them; the protocol's draw order relies on it.
+    """
 
     __slots__ = ("nodes", "links", "_index", "_adj")
 
@@ -45,6 +50,9 @@ class ConnectivityGraph:
     @property
     def n(self) -> int:
         return len(self.nodes)
+
+    def __contains__(self, node: int) -> bool:
+        return node in self._index
 
     def index(self, node: int) -> int:
         return self._index[node]
@@ -127,6 +135,54 @@ def build_graph(edges: Iterable[tuple[int, int]], *, require_connected: bool = T
     if require_connected and not g.connected():
         raise NotConnectedError(f"graph has {len(g.components())} components")
     return g
+
+
+def _without_node(g: ConnectivityGraph, node: int) -> ConnectivityGraph | None:
+    """The graph left when `node` goes, without the nodes it leaves linkless.
+
+    Equal to build_graph of the surviving links with require_connected=False,
+    or None when no link survives.  Indices above each dropped row move down.
+    """
+    r = g.index(node)
+    rows = list(g._adj)
+    for u in rows[r]:
+        rows[u] = tuple(j for j in rows[u] if j != r)
+    rows[r] = ()
+    remap = []
+    kept = 0
+    for row in rows:
+        remap.append(kept if row else -1)
+        kept += bool(row)
+    if not kept:
+        return None
+    low = remap.index(-1)  # rows below the first dropped one keep their indices
+    nodes = tuple(v for v, k in zip(g.nodes, remap) if k >= 0)
+    adj = tuple(
+        row if row[-1] < low else tuple(remap[j] for j in row) for row in rows if row
+    )
+    return ConnectivityGraph(nodes, adj)
+
+
+def _with_node(g: ConnectivityGraph, node: int, neighbors: Iterable[int]) -> ConnectivityGraph:
+    """The graph with `node` linked both ways to each of `neighbors`.
+
+    The caller checks that `node` is new and the neighbors exist; the result
+    equals build_graph of the extended link list, minus its connectivity
+    check.  Indices at or after the new node's sorted position move up.
+    """
+    p = bisect_left(g.nodes, node)
+    nodes = g.nodes[:p] + (node,) + g.nodes[p:]
+
+    def shifted(row: tuple[int, ...], extra: tuple[int, ...] = ()) -> tuple[int, ...]:
+        k = bisect_left(row, p)
+        return row[:k] + extra + tuple(j + 1 for j in row[k:])
+
+    old = sorted(map(g.index, neighbors))
+    rows = [shifted(row) for row in g._adj]
+    for k in old:
+        rows[k] = shifted(g._adj[k], (p,))
+    rows.insert(p, tuple(k + (k >= p) for k in old))
+    return ConnectivityGraph(nodes, tuple(rows))
 
 
 def greedy_coloring(g: ConnectivityGraph) -> list[int]:

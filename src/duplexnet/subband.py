@@ -12,7 +12,8 @@ coordination beyond one-hop gossip.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from bisect import bisect_left, insort
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -24,7 +25,7 @@ from .coloring import (
     mask_from_colors,
     min_subband_count,
 )
-from .graph import ConnectivityGraph, build_graph
+from .graph import ConnectivityGraph, NotConnectedError, _with_node, _without_node
 
 
 class InsufficientBandsError(ValueError):
@@ -42,6 +43,9 @@ class SpectrumAllocation:
     band_count: int
     outgoing: dict[int, int]
     link_bands: dict[tuple[int, int], int]
+    # (swap repairs, subset enumerations) among the selections behind this
+    # allocation: a plan's own, plus one per join since; not part of equality
+    fallbacks: tuple[int, int] = field(default=(0, 0), compare=False)
 
     def family(self) -> ColorSetFamily:
         return ColorSetFamily(self.band_count, dict(self.outgoing))
@@ -103,14 +107,15 @@ def _choose_set(
     counts: Sequence[int],
     neighbor_masks: Iterable[int],
     rng: random.Random | None,
-) -> int:
+) -> tuple[int, str]:
     """Pick a floor(Q/2)-subset distinct from every neighbor mask.
 
     Greedy lowest-occurrence choice first; on collision swap the
     highest-occurrence chosen band for the lowest-occurrence unchosen one,
     and if the swap sequence is exhausted fall back to enumerating subsets
     in preference order (each neighbor blocks at most one candidate, so at
-    most deg+1 candidates are inspected).
+    most deg+1 candidates are inspected).  Returns the mask and the path
+    that found it: "greedy", "swap" or "enumerate".
     """
     half = band_count // 2
     taken = set(neighbor_masks)
@@ -118,7 +123,7 @@ def _choose_set(
     chosen = pref[:half]
     mask = mask_from_colors(chosen)
     if mask not in taken:
-        return mask
+        return mask, "greedy"
     outs = list(reversed(chosen))
     ins = pref[half:]
     cur = set(chosen)
@@ -127,14 +132,19 @@ def _choose_set(
         cur.add(ins[k])
         mask = mask_from_colors(cur)
         if mask not in taken:
-            return mask
+            return mask, "swap"
     for combo in combinations(pref, half):
         mask = mask_from_colors(combo)
         if mask not in taken:
-            return mask
+            return mask, "enumerate"
     raise RuntimeError(
         "no feasible band subset exists; the band count violates the protocol guarantee"
     )
+
+
+def _tally(fallbacks: tuple[int, int], path: str) -> tuple[int, int]:
+    swaps, enumerations = fallbacks
+    return swaps + (path == "swap"), enumerations + (path == "enumerate")
 
 
 def _occurrence_counts(band_count: int, masks: Iterable[int]) -> list[int]:
@@ -156,8 +166,10 @@ def allocate_subbands(
 
     With seed=None the run is fully deterministic: the lowest node id seeds,
     eligible nodes are processed in ascending id order, and band ties break
-    by ascending index.  Raises InsufficientBandsError when band_count is
-    below min_subband_count(max_degree + 1).
+    by ascending index.  A seeded run draws each next node uniformly from
+    the eligible ones in ascending id order.  Raises InsufficientBandsError
+    when band_count is below min_subband_count(max_degree + 1), and
+    NotConnectedError when some node cannot be reached from the first.
     """
     need = min_subband_count(g.max_degree() + 1)
     if band_count < need:
@@ -170,7 +182,7 @@ def allocate_subbands(
     if first_node is None:
         first = g.nodes[0] if rng is None else rng.choice(g.nodes)
     else:
-        if first_node not in g.nodes:
+        if first_node not in g:
             raise ValueError(f"unknown first node {first_node}")
         first = first_node
     half = band_count // 2
@@ -179,20 +191,36 @@ def allocate_subbands(
         outgoing[first] = (1 << half) - 1
     else:
         outgoing[first] = mask_from_colors(rng.sample(range(band_count), half))
-    while len(outgoing) < g.n:
-        eligible = sorted(
-            v
-            for v in g.nodes
-            if v not in outgoing and any(u in outgoing for u in g.neighbors(v))
-        )
-        v = eligible[0] if rng is None else rng.choice(eligible)
-        done = [outgoing[u] for u in g.neighbors(v) if u in outgoing]
+    nodes = g.nodes
+    # the frontier holds, ascending, the internal indices of the unsettled
+    # nodes next to a settled one; `seen` marks settled and frontier nodes
+    frontier: list[int] = []
+    seen = [False] * g.n
+    fallbacks = (0, 0)
+    i = g.index(first)
+    seen[i] = True
+    while True:
+        for j in g.adjacency(i):
+            if not seen[j]:
+                seen[j] = True
+                insort(frontier, j)
+        if len(outgoing) == g.n:
+            break
+        if not frontier:
+            raise NotConnectedError(
+                f"graph has {len(g.components())} components; the protocol settles "
+                f"only the {len(outgoing)} nodes reachable from node {first}"
+            )
+        i = frontier[0] if rng is None else rng.choice(frontier)
+        del frontier[bisect_left(frontier, i)]
+        done = [outgoing[nodes[j]] for j in g.adjacency(i) if nodes[j] in outgoing]
         counts = _occurrence_counts(band_count, done)
-        outgoing[v] = _choose_set(band_count, counts, done, rng)
+        outgoing[nodes[i]], path = _choose_set(band_count, counts, done, rng)
+        fallbacks = _tally(fallbacks, path)
     fam = ColorSetFamily(band_count, outgoing)
     assert check_color_sets(g, fam).feasible, "protocol produced an infeasible family"
     coloring = assign_link_colors(g, fam)
-    return SpectrumAllocation(band_count, outgoing, coloring.masks)
+    return SpectrumAllocation(band_count, outgoing, coloring.masks, fallbacks)
 
 
 def allocation_from_family(g: ConnectivityGraph, family: ColorSetFamily) -> SpectrumAllocation:
@@ -203,6 +231,7 @@ def allocation_from_family(g: ConnectivityGraph, family: ColorSetFamily) -> Spec
 
 def check_allocation(g: ConnectivityGraph, alloc: SpectrumAllocation) -> AllocationCheck:
     """Verify coverage (every link has a band) and the duplexing constraint."""
+    links = set(g.links)
     coverage = []
     for lk in g.links:
         if not alloc.link_bands.get(lk, 0):
@@ -210,7 +239,7 @@ def check_allocation(g: ConnectivityGraph, alloc: SpectrumAllocation) -> Allocat
     transmit: dict[int, set[int]] = {}
     receive: dict[int, set[int]] = {}
     for (i, j), m in alloc.link_bands.items():
-        if (i, j) not in g.links:
+        if (i, j) not in links:
             continue
         for b in colors_from_mask(m):
             transmit.setdefault(b, set()).add(i)
@@ -237,31 +266,29 @@ def apply_topology_change(
     neighbors; it requires at most max_degree(old graph) neighbors.
     """
     if isinstance(change, Leave):
-        if change.node not in g.nodes:
+        if change.node not in g:
             raise ValueError(f"unknown node {change.node}")
         keep_nodes = [v for v in g.nodes if v != change.node]
-        edges = [lk for lk in g.links if change.node not in lk]
+        new_g = _without_node(g, change.node)
         outgoing = {v: alloc.outgoing[v] for v in keep_nodes}
-        link_bands = {lk: alloc.link_bands[lk] for lk in edges}
-        new_alloc = SpectrumAllocation(alloc.band_count, outgoing, link_bands)
-        if not edges:
+        link_bands = {lk: alloc.link_bands[lk] for lk in new_g.links} if new_g is not None else {}
+        new_alloc = SpectrumAllocation(alloc.band_count, outgoing, link_bands, alloc.fallbacks)
+        if new_g is None:
             comps = tuple(frozenset((v,)) for v in keep_nodes)
             return TopologyResult(None, new_alloc, len(comps) > 1, comps)
-        new_g = build_graph(edges, require_connected=False)
         comps = new_g.components()
-        isolated = [v for v in keep_nodes if v not in new_g.nodes]
-        comps = comps + [frozenset((v,)) for v in isolated]
+        comps += [frozenset((v,)) for v in keep_nodes if v not in new_g]
         return TopologyResult(new_g, new_alloc, len(comps) > 1, tuple(comps))
 
     if isinstance(change, Join):
         node, neighbors = change.node, tuple(change.neighbors)
-        if node in g.nodes:
+        if node in g:
             raise ValueError(f"node {node} already present")
         if not neighbors:
             raise ValueError("a joining node needs at least one neighbor")
         if len(set(neighbors)) != len(neighbors):
             raise ValueError("duplicate neighbors")
-        unknown = [u for u in neighbors if u not in g.nodes]
+        unknown = [u for u in neighbors if u not in g]
         if unknown:
             raise ValueError(f"unknown neighbors {unknown}")
         if len(neighbors) > g.max_degree():
@@ -271,16 +298,20 @@ def apply_topology_change(
         rng = random.Random(seed) if seed is not None else None
         done = [alloc.outgoing[u] for u in neighbors]
         counts = _occurrence_counts(alloc.band_count, done)
-        oc = _choose_set(alloc.band_count, counts, done, rng)
+        oc, path = _choose_set(alloc.band_count, counts, done, rng)
         outgoing = dict(alloc.outgoing)
         outgoing[node] = oc
         link_bands = dict(alloc.link_bands)
         for u in neighbors:
             link_bands[(node, u)] = oc & ~alloc.outgoing[u]
             link_bands[(u, node)] = alloc.outgoing[u] & ~oc
-        edges = list(g.links) + [(node, u) for u in neighbors] + [(u, node) for u in neighbors]
-        new_g = build_graph(edges)
-        new_alloc = SpectrumAllocation(alloc.band_count, outgoing, link_bands)
-        return TopologyResult(new_g, new_alloc, False, tuple(new_g.components()))
+        new_g = _with_node(g, node, neighbors)
+        comps = new_g.components()
+        if len(comps) > 1:
+            raise NotConnectedError(f"graph has {len(comps)} components")
+        new_alloc = SpectrumAllocation(
+            alloc.band_count, outgoing, link_bands, _tally(alloc.fallbacks, path)
+        )
+        return TopologyResult(new_g, new_alloc, False, tuple(comps))
 
     raise TypeError(f"unsupported change {change!r}")

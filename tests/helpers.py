@@ -10,10 +10,14 @@ import numpy as np
 
 from duplexnet import (
     CostParams,
+    Join,
+    Leave,
     NetworkScenario,
+    NotConnectedError,
     Session,
     Utility,
     allocate_subbands,
+    apply_topology_change,
     build_graph,
     total_cost,
     uniform_state,
@@ -54,6 +58,60 @@ def random_connected_graph(rng, n=None, extra=None):
                 und.add((a, b))
     edges = [(a, b) for a, b in und] + [(b, a) for a, b in und]
     return build_graph(edges)
+
+
+def random_geometric_graph(rng, n=300, mean_degree=10):
+    """Uniform points in the unit square, linked within a common radius.
+
+    Node ids are a sorted random sample of range(10 n), so joins can take
+    ids between existing ones.  Disconnected draws are drawn again.
+    Returns (graph, {id: position}, radius).
+    """
+    radius = math.sqrt(mean_degree / (math.pi * n))
+    for _ in range(100):
+        ids = [int(v) for v in np.sort(rng.choice(10 * n, size=n, replace=False))]
+        pts = rng.random((n, 2))
+        close = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1)) < radius
+        np.fill_diagonal(close, False)
+        edges = [(ids[a], ids[b]) for a, b in zip(*np.nonzero(close))]
+        try:
+            g = build_graph(edges)
+        except NotConnectedError:
+            continue
+        if g.n == n:
+            return g, dict(zip(ids, map(tuple, pts))), radius
+    raise RuntimeError("no connected geometric graph in 100 draws")
+
+
+def churn(rng, g, alloc, pos, radius, events):
+    """Apply `events` random joins and leaves; yield (graph, allocation,
+    event, result) for each, the first two as they were before it.
+
+    A join takes a fresh id at a uniform point and links it to the nodes
+    within `radius`, nearest first and at most max_degree of them (the
+    nearest node alone when none is that close).  A leave takes a uniform
+    node.  After a leave that disconnects the graph the churn goes on from
+    the graph before it.
+    """
+    pos = dict(pos)
+    for _ in range(events):
+        present = set(g.nodes)
+        if rng.random() < 0.5:
+            node = int(rng.integers(10 * len(pos)))
+            while node in present:
+                node = int(rng.integers(10 * len(pos)))
+            at = tuple(rng.random(2))
+            dist = sorted((math.dist(at, pos[v]), v) for v in g.nodes)
+            near = [v for d, v in dist if d < radius][: g.max_degree()] or [dist[0][1]]
+            event = Join(node, tuple(near))
+        else:
+            event = Leave(g.nodes[int(rng.integers(g.n))])
+        res = apply_topology_change(g, alloc, event, seed=int(rng.integers(2**31)))
+        yield g, alloc, event, res
+        if not res.disconnected:
+            if isinstance(event, Join):
+                pos[event.node] = at
+            g, alloc = res.graph, res.allocation
 
 
 def _pathloss_gains(pos, band_count, scale=None):

@@ -130,6 +130,7 @@ def test_criterion_3_protocol_never_violates(criterion, protocol_corpus):
     t0 = time.perf_counter()
     violations = 0
     runs = 0
+    swaps = enumerations = 0
     for g, seeds in protocol_corpus:
         q = min_subband_count(max(g.degrees()) + 1)
         for s in seeds:
@@ -137,13 +138,15 @@ def test_criterion_3_protocol_never_violates(criterion, protocol_corpus):
             if not check_allocation(g, alloc).ok:
                 violations += 1
             runs += 1
+            swaps += alloc.fallbacks[0]
+            enumerations += alloc.fallbacks[1]
     elapsed = time.perf_counter() - t0
     ok = violations == 0 and elapsed < 30.0
     criterion(
         f"criterion 3: {'PASS' if ok else 'FAIL'} "
         f"({runs} protocol runs at the tight band count, {violations} "
-        f"duplexing/coverage violations, no selection fallback exhausted, "
-        f"{elapsed:.1f}s)"
+        f"duplexing/coverage violations, {swaps} selections by swap repair "
+        f"and {enumerations} by subset enumeration, {elapsed:.1f}s)"
     )
     assert violations == 0
     assert elapsed < 30.0

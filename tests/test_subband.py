@@ -1,9 +1,12 @@
 """Distributed sub-band allocation protocol and topology changes."""
 
+import random
+
 import numpy as np
 import pytest
 
-from duplexnet.coloring import min_subband_count
+from duplexnet.coloring import ColorSetFamily, assign_link_colors, mask_from_colors, min_subband_count
+from duplexnet.graph import NotConnectedError, build_graph
 from duplexnet.subband import (
     DegreeBudgetExceededError,
     InsufficientBandsError,
@@ -11,12 +14,13 @@ from duplexnet.subband import (
     Leave,
     SpectrumAllocation,
     _choose_set,
+    _occurrence_counts,
     allocate_subbands,
     apply_topology_change,
     check_allocation,
 )
 
-from helpers import complete_graph, path_graph, random_connected_graph
+from helpers import churn, complete_graph, path_graph, random_connected_graph, random_geometric_graph
 
 
 def test_path3_deterministic_trace():
@@ -39,6 +43,9 @@ def test_complete4_deterministic_trace():
     alloc = allocate_subbands(g, 4)
     assert alloc.outgoing == {0: 0b0011, 1: 0b1100, 2: 0b0101, 3: 0b1010}
     assert check_allocation(g, alloc).ok
+    # node 2 is the one swap repair; the counts stay out of equality
+    assert alloc.fallbacks == (1, 0)
+    assert alloc == SpectrumAllocation(alloc.band_count, alloc.outgoing, alloc.link_bands)
 
 
 def test_seeded_runs_reproduce():
@@ -166,14 +173,137 @@ def test_join_argument_validation():
 
 
 def test_choose_set_greedy_and_swap():
-    # greedy pick collides with both neighbors, leaving only band 2
-    assert _choose_set(3, [0, 0, 0], [0b001, 0b010], None) == 0b100
+    # greedy pick and its one swap both collide, so enumeration finds band 2
+    assert _choose_set(3, [0, 0, 0], [0b001, 0b010], None) == (0b100, "enumerate")
     # occurrence counts steer toward the least used band
-    assert _choose_set(3, [5, 0, 2], [], None) == 0b010
+    assert _choose_set(3, [5, 0, 2], [], None) == (0b010, "greedy")
     # swap repair: the favored pair {0, 1} is taken, one band is swapped
-    assert _choose_set(4, [0, 0, 5, 5], [0b0011], None) == 0b0101
+    assert _choose_set(4, [0, 0, 5, 5], [0b0011], None) == (0b0101, "swap")
 
 
 def test_choose_set_exhaustion():
     with pytest.raises(RuntimeError, match="no feasible band subset"):
         _choose_set(3, [0, 0, 0], [0b001, 0b010, 0b100], None)
+
+
+def _rescan_allocate(g, band_count, seed=None, first_node=None):
+    """The protocol as first written: every step rescans all nodes for the
+    eligible ones.  Returns the outgoing masks in settling order."""
+    rng = random.Random(seed) if seed is not None else None
+    if first_node is None:
+        first = g.nodes[0] if rng is None else rng.choice(g.nodes)
+    else:
+        first = first_node
+    half = band_count // 2
+    outgoing = {}
+    if rng is None:
+        outgoing[first] = (1 << half) - 1
+    else:
+        outgoing[first] = mask_from_colors(rng.sample(range(band_count), half))
+    while len(outgoing) < g.n:
+        eligible = sorted(
+            v
+            for v in g.nodes
+            if v not in outgoing and any(u in outgoing for u in g.neighbors(v))
+        )
+        v = eligible[0] if rng is None else rng.choice(eligible)
+        done = [outgoing[u] for u in g.neighbors(v) if u in outgoing]
+        counts = _occurrence_counts(band_count, done)
+        outgoing[v] = _choose_set(band_count, counts, done, rng)[0]
+    return outgoing
+
+
+@pytest.mark.parametrize("graph_seed", [61, 62])
+def test_frontier_matches_rescan_reference(graph_seed):
+    rng = np.random.default_rng(graph_seed)
+    g, _, _ = random_geometric_graph(rng)
+    q = min_subband_count(g.max_degree() + 1)
+    middle = g.nodes[g.n // 2]
+    for kwargs in ({}, {"seed": 7}, {"seed": 2**31 - 1}, {"first_node": middle}, {"seed": 3, "first_node": middle}):
+        alloc = allocate_subbands(g, q, **kwargs)
+        ref = _rescan_allocate(g, q, **kwargs)
+        # same sets, settled in the same order
+        assert list(alloc.outgoing.items()) == list(ref.items()), kwargs
+        masks = assign_link_colors(g, ColorSetFamily(q, ref)).masks
+        assert list(alloc.link_bands.items()) == list(masks.items()), kwargs
+
+
+@pytest.mark.parametrize("seed", [None, 5])
+def test_allocate_on_disconnected_graph_raises(seed):
+    g = build_graph([(0, 1), (1, 0), (1, 2), (2, 1), (7, 8), (8, 7)], require_connected=False)
+    with pytest.raises(NotConnectedError, match="2 components"):
+        allocate_subbands(g, 3, seed=seed)
+    with pytest.raises(NotConnectedError):
+        allocate_subbands(g, 3, seed=seed, first_node=8)
+
+
+def _rebuilt(g, change):
+    """The graph after `change` as build_graph makes it from the edge list."""
+    if isinstance(change, Leave):
+        edges = [lk for lk in g.links if change.node not in lk]
+        return build_graph(edges, require_connected=False) if edges else None
+    new = [(change.node, u) for u in change.neighbors]
+    return build_graph(list(g.links) + new + [(u, v) for v, u in new], require_connected=False)
+
+
+def _assert_matches_rebuild(g, change, res):
+    ref = _rebuilt(g, change)
+    if ref is None:
+        assert res.graph is None
+        return
+    assert res.graph.nodes == ref.nodes
+    assert res.graph.links == ref.links
+    assert [res.graph.adjacency(i) for i in range(ref.n)] == [ref.adjacency(i) for i in range(ref.n)]
+    assert [res.graph.index(v) for v in ref.nodes] == list(range(ref.n))
+    assert res.graph.components() == ref.components()
+    if isinstance(change, Leave):
+        survivors = [v for v in g.nodes if v != change.node]
+        comps = ref.components() + [frozenset((v,)) for v in survivors if v not in set(ref.nodes)]
+        assert res.components == tuple(comps)
+        assert res.disconnected == (len(comps) > 1)
+        assert list(res.allocation.link_bands) == list(ref.links)
+        assert list(res.allocation.outgoing) == survivors
+
+
+@pytest.mark.parametrize("graph_seed", [63, 64])
+def test_churn_graphs_match_rebuild(graph_seed):
+    rng = np.random.default_rng(graph_seed)
+    g, pos, radius = random_geometric_graph(rng)
+    alloc = allocate_subbands(g, min_subband_count(g.max_degree() + 1), seed=graph_seed)
+    kinds = set()
+    for before, _, change, res in churn(rng, g, alloc, pos, radius, 40):
+        _assert_matches_rebuild(before, change, res)
+        kinds.add(type(change))
+    assert kinds == {Join, Leave}
+
+
+def _lollipop():
+    # triangle 0-1-2 with node 3 hanging off node 2
+    und = [(0, 1), (1, 2), (0, 2), (2, 3)]
+    return build_graph(und + [(b, a) for a, b in und])
+
+
+def test_leave_isolating_a_neighbor_matches_rebuild():
+    g = _lollipop()
+    alloc = allocate_subbands(g, 4)
+    res = apply_topology_change(g, alloc, Leave(2))
+    _assert_matches_rebuild(g, Leave(2), res)
+    assert res.graph.nodes == (0, 1)
+    assert res.components == (frozenset({0, 1}), frozenset({3}))
+    assert res.disconnected
+
+
+def test_leave_disconnecting_then_join_raises():
+    und = [(10, 20), (20, 30), (30, 40), (40, 50), (50, 60)]
+    g = build_graph(und + [(b, a) for a, b in und])
+    alloc = allocate_subbands(g, 3)
+    res = apply_topology_change(g, alloc, Leave(30))
+    _assert_matches_rebuild(g, Leave(30), res)
+    assert res.components == (frozenset({10, 20}), frozenset({40, 50, 60}))
+    # a join that bridges nothing leaves the graph in two parts
+    with pytest.raises(NotConnectedError, match="2 components"):
+        apply_topology_change(res.graph, res.allocation, Join(15, (10,)))
+    # one that links both parts is accepted, at an id between existing ones
+    joined = apply_topology_change(res.graph, res.allocation, Join(35, (20, 40)), seed=1)
+    _assert_matches_rebuild(res.graph, Join(35, (20, 40)), joined)
+    assert not joined.disconnected

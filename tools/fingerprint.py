@@ -1,4 +1,4 @@
-"""One SHA-256 over the outputs of a fixed, seeded set of solves.
+"""SHA-256 digests over the outputs of fixed, seeded solves and spectrum plans.
 
 A refactor that should change no number can be checked by running this on
 both trees and comparing the digests:
@@ -14,6 +14,13 @@ covers the per-family residuals of each start, and each final state, its
 cost, the whole trace, its per-family residuals and the blocked-link mask
 of its routing marginals.  `--each` also prints one
 short digest per solve, to locate a difference.
+
+A second digest covers the spectrum half: two seeded 300-node random
+geometric graphs (tests/helpers.py), one planned with seed None and one
+with an integer seed, then a 40-event join/leave churn on each.  It covers,
+in iteration order, each plan's band sets and link bands and its check
+report, and after every event the resulting allocation, graph nodes and
+links, components and disconnection flag.
 """
 
 from __future__ import annotations
@@ -85,6 +92,24 @@ def _digest_solve(dn, scen, start, kwargs):
     return h
 
 
+def _spectrum_digest(dn, helpers):
+    h = hashlib.sha256()
+    rng = np.random.default_rng(303)
+    events = 0
+    for plan_seed in (None, 304):
+        g, pos, radius = helpers.random_geometric_graph(rng)
+        q = dn.min_subband_count(g.max_degree() + 1)
+        alloc = dn.allocate_subbands(g, q, seed=plan_seed)
+        _feed(h, list(alloc.outgoing.items()), list(alloc.link_bands.items()), dn.check_allocation(g, alloc))
+        for _, _, change, res in helpers.churn(rng, g, alloc, pos, radius, 40):
+            a, out = res.allocation, res.graph
+            _feed(h, change, list(a.outgoing.items()), list(a.link_bands.items()))
+            _feed(h, None if out is None else (out.nodes, out.links), [sorted(c) for c in res.components])
+            _feed(h, res.disconnected)
+            events += 1
+    return h, events
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(ROOT / "src"), help="directory holding the duplexnet package")
@@ -103,6 +128,8 @@ def main(argv=None):
         if args.each:
             print(f"{h.hexdigest()[:16]}  {label}")
     print(f"{total.hexdigest()}  ({count} solves, duplexnet from {Path(dn.__file__).parent})")
+    h, events = _spectrum_digest(dn, helpers)
+    print(f"{h.hexdigest()}  (spectrum: 2 plans, {events} join/leave events)")
 
 
 if __name__ == "__main__":

@@ -21,6 +21,12 @@ plus the downstream node's marginal; destinations anchor at zero.  The
 recursion is evaluated in reverse topological order of the positive
 subgraph, so it is exact on any acyclic routing pattern.
 
+The terms these formulas share belong to one evaluation: the
+:class:`~duplexnet.scenario.DerivedState` computes its per-entry link-cost
+derivatives, link marginals, power messages and each session's node
+marginals on first use and keeps them, so every block and residual that
+reads one evaluation slices the same arrays.
+
 Infinite marginals are possible at boundary states (an unloaded entry
 whose capacity is nonpositive has an infinite flow derivative); products
 with an exactly zero fraction or flow are taken to be zero so that such
@@ -34,44 +40,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .scenario import (
-    ControlState,
-    DerivedState,
-    NetworkScenario,
-    _session_topo_order,
-    derive,
-)
-
-
-def _entry_derivatives(scenario: NetworkScenario, derived: DerivedState, idx=None):
-    """Per-entry link-cost derivatives (see :func:`kernels.link_cost_derivatives`);
-    with `idx`, only those entries, in that order."""
-    x = derived.physical.sinr
-    f = derived.flows.band_flow
-    if idx is not None:
-        x = x[idx]
-        f = f[idx]
-    return kernels.link_cost_derivatives(x, f, scenario.cost.bandwidth, scenario.cost.gain_factor)
+from .scenario import ControlState, DerivedState, NetworkScenario, derive
 
 
 def power_messages(scenario: NetworkScenario, derived: DerivedState) -> np.ndarray:
-    """Marginal cost of unit interference power, per (node, band).
-
-    Entry e contributes d_x[e] * (-x_e^2 / (g_e * p_e)) to its receiver's
-    message on its band; unloaded or unpowered entries contribute zero.
-    """
-    lay = scenario.layout
-    d_x = _entry_derivatives(scenario, derived)[0]
-    g = scenario.gains[lay.ent_band, lay.ent_tx, lay.ent_rx]
-    p = derived.physical.power
-    x = derived.physical.sinr
-    term = np.zeros_like(p)
-    active = (p > 0) & (d_x != 0)
-    term[active] = d_x[active] * (-(x[active] ** 2)) / (g[active] * p[active])
-    msg = np.zeros((lay.n, lay.band_count))
-    np.add.at(msg, (lay.ent_rx, lay.ent_band), term)
-    return msg
+    """Marginal cost of unit interference power, per (node, band); see
+    :attr:`DerivedState.power_messages`."""
+    return derived.power_messages
 
 
 def delta_eta(scenario: NetworkScenario, state: ControlState, derived: DerivedState):
@@ -84,7 +59,7 @@ def delta_eta(scenario: NetworkScenario, state: ControlState, derived: DerivedSt
     d_x * g * x / interference).
     """
     lay = scenario.layout
-    d_x = _entry_derivatives(scenario, derived)[0]
+    d_x = derived.derivatives[0]
     g = scenario.gains[lay.ent_band, lay.ent_tx, lay.ent_rx]
     inn = derived.physical.interference
     x = derived.physical.sinr
@@ -100,12 +75,7 @@ def delta_eta(scenario: NetworkScenario, state: ControlState, derived: DerivedSt
     return delta, grad
 
 
-def delta_rho(
-    scenario: NetworkScenario,
-    state: ControlState,
-    derived: DerivedState,
-    messages: np.ndarray = None,
-) -> np.ndarray:
+def delta_rho(scenario: NetworkScenario, state: ControlState, derived: DerivedState) -> np.ndarray:
     """Message-passing power-split gradient, per (node, band).
 
     delta_rho[i, q] = budget_i * (sum_n gains[q, i, n] * msg[n, q]
@@ -113,9 +83,7 @@ def delta_rho(
     constraint set where each node-band share group sums to one.
     """
     lay = scenario.layout
-    if messages is None:
-        messages = power_messages(scenario, derived)
-    cross = np.einsum("qin,nq->iq", scenario.gains, messages)
+    cross = np.einsum("qin,nq->iq", scenario.gains, derived.power_messages)
     delta, _ = delta_eta(scenario, state, derived)
     own = np.zeros((lay.n, lay.band_count))
     contrib = delta * state.eta
@@ -132,7 +100,7 @@ def delta_rho_direct(
     share groups are normalized; used to cross-check delta_rho.
     """
     lay = scenario.layout
-    d_x = _entry_derivatives(scenario, derived)[0]
+    d_x = derived.derivatives[0]
     g_e = scenario.gains[lay.ent_band, lay.ent_tx, lay.ent_rx]
     inn = derived.physical.interference
     x = derived.physical.sinr
@@ -182,7 +150,7 @@ def routing_marginals(
     positive fractions) or when the link leaves the destination.
     """
     lay = scenario.layout
-    link_marginal = _link_marginals(lay, state.mu, _entry_derivatives(scenario, derived)[1])
+    link_marginal = derived.link_marginals
     n_sessions = len(scenario.sessions)
     node_marginal = np.zeros((n_sessions, lay.n))
     delta_phi = np.empty((n_sessions, lay.n_links))
@@ -190,7 +158,7 @@ def routing_marginals(
     blocked = np.zeros((n_sessions, lay.n_links), dtype=bool)
     for w in range(n_sessions):
         d = int(lay.dest[w])
-        marg, adj = _session_marginals(scenario, state, link_marginal, w)
+        marg, parents = derived.session_marginals(w)
         node_marginal[w] = marg
         for li, (i, j) in enumerate(lay.links):
             delta_phi[w, li] = link_marginal[li] + marg[j]
@@ -201,7 +169,7 @@ def routing_marginals(
                 blocked[w, li] = True
             elif state.phi[w, li] == 0.0:
                 if i not in upstream:
-                    upstream[i] = _upstream_nodes(adj, i)
+                    upstream[i] = _upstream_nodes(parents, i)
                 blocked[w, li] = j in upstream[i]
     return RoutingMarginals(
         node_marginal=node_marginal,
@@ -210,38 +178,6 @@ def routing_marginals(
         blocked=blocked,
         link_marginal=link_marginal,
     )
-
-
-def _link_marginals(lay, mu: np.ndarray, d_f: np.ndarray) -> np.ndarray:
-    """Per-link marginal cost of flow: the mu-weighted d_f of its entries."""
-    used = np.flatnonzero(mu != 0.0)
-    out = np.zeros(lay.n_links)
-    # entries accumulate in index order; zero shares are skipped so an
-    # infinite d_f on an unused band stays inert
-    np.add.at(out, lay.ent_link[used], mu[used] * d_f[used])
-    return out
-
-
-def _session_marginals(
-    scenario: NetworkScenario, state: ControlState, link_marginal: np.ndarray, w: int
-):
-    """Node marginals of session w and its positive-fraction adjacency.
-
-    marg[i] is the fraction-weighted sum over i's positive outgoing links
-    of the link marginal plus the head's marginal; the destination is 0.
-    """
-    lay = scenario.layout
-    d = int(lay.dest[w])
-    order, adj = _session_topo_order(lay, state.phi[w], d, w)
-    marg = np.zeros(lay.n)
-    for v in reversed(order):
-        if v == d:
-            continue
-        acc = 0.0
-        for u, li in adj[v]:
-            acc += state.phi[w, li] * (link_marginal[li] + marg[u])
-        marg[v] = acc
-    return marg, adj
 
 
 def _overflow_gradient(
@@ -255,12 +191,10 @@ def _overflow_gradient(
     )
 
 
-def _upstream_nodes(adj, node: int) -> set:
-    """Nodes from which `node` is reachable along positive fractions, itself included."""
-    parents = [[] for _ in adj]
-    for v, out in enumerate(adj):
-        for u, _ in out:
-            parents[u].append(v)
+def _upstream_nodes(parents, node: int) -> set:
+    """Nodes from which `node` is reachable along positive fractions, itself
+    included; `parents` is the reverse adjacency of
+    :meth:`DerivedState.session_marginals`."""
     seen = {node}
     stack = [node]
     while stack:
@@ -274,7 +208,7 @@ def _upstream_nodes(adj, node: int) -> set:
 def delta_mu(scenario: NetworkScenario, state: ControlState, derived: DerivedState) -> np.ndarray:
     """Exact gradient in the per-link band shares: link flow times d_f."""
     lay = scenario.layout
-    d_f = _entry_derivatives(scenario, derived)[1]
+    d_f = derived.derivatives[1]
     flow = derived.flows.link_flow[lay.ent_link]
     grad = np.zeros(lay.n_entries)
     loaded = flow > 0
@@ -302,10 +236,10 @@ def gradient_bundle(
         derived = derive(scenario, state)
     if not math.isfinite(derived.total):
         raise ValueError("gradients need a finite-cost state")
-    d_x, d_f, _, _ = _entry_derivatives(scenario, derived)
-    msg = power_messages(scenario, derived)
+    d_x, d_f, _, _ = derived.derivatives
+    msg = derived.power_messages
     eta_d, eta_g = delta_eta(scenario, state, derived)
-    rho_g = delta_rho(scenario, state, derived, messages=msg)
+    rho_g = delta_rho(scenario, state, derived)
     routing = routing_marginals(scenario, state, derived)
     mu_g = delta_mu(scenario, state, derived)
     return GradientBundle(

@@ -30,15 +30,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .gradients import (
-    _entry_derivatives,
-    _link_marginals,
     _overflow_gradient,
-    _session_marginals,
     _upstream_nodes,
     delta_eta,
     delta_mu,
     delta_rho,
-    power_messages,
     routing_marginals,
 )
 from .scenario import ControlState, DerivedState, NetworkScenario, derive
@@ -172,24 +168,24 @@ def blocks(scenario: NetworkScenario):
 def _block_move(scenario, state, block, derived):
     """Gradient, curvature and fixed mask of one block.
 
-    Only the block's own marginals are computed: one link's entries for
-    mu, one (node, band) group for eta, the power messages contracted
-    against the node's own gains for rho, and one session's marginal
-    recursion for phi and phi_w.  Each matches the slice of the
+    Each is a slice of the marginals the evaluation keeps: one link's
+    entries for mu, one (node, band) group for eta, the power messages
+    contracted against the node's own gains for rho, and one session's
+    node marginals for phi and phi_w.  Each matches the slice of the
     whole-network formulas in :mod:`duplexnet.gradients`.
     """
     lay = scenario.layout
     phys = derived.physical
+    d_x, d_f, d_xx, d_ff = derived.derivatives
     kind = block.kind
     if kind == "mu":
         idx = block.key
-        _, d_f, _, d_ff = _entry_derivatives(scenario, derived, idx)
         flow = derived.flows.link_flow[block.group]
-        grad = flow * d_f if flow > 0 else np.zeros(idx.size)
-        return grad, d_ff * flow * flow, None
+        grad = flow * d_f[idx] if flow > 0 else np.zeros(idx.size)
+        return grad, d_ff[idx] * flow * flow, None
     if kind == "eta":
         idx = block.key
-        d_x, _, d_xx, _ = _entry_derivatives(scenario, derived, idx)
+        dx = d_x[idx]
         g = scenario.gains[lay.ent_band[idx], lay.ent_tx[idx], lay.ent_rx[idx]]
         npow = phys.node_band_power[block.group]
         inn = phys.interference[idx]
@@ -197,28 +193,26 @@ def _block_move(scenario, state, block, derived):
         if npow == 0.0:
             grad = np.zeros(idx.size)
         else:
-            grad = npow * (d_x * g * (1.0 + x) / inn - (d_x * g * x / inn).sum())
-        return grad, d_xx * (g * npow / inn) ** 2, None
+            grad = npow * (dx * g * (1.0 + x) / inn - (dx * g * x / inn).sum())
+        return grad, d_xx[idx] * (g * npow / inn) ** 2, None
     if kind == "rho":
         i, bands = block.key
         own = np.flatnonzero(lay.ent_tx == i)
-        d_x, _, d_xx, _ = _entry_derivatives(scenario, derived, own)
+        dx = d_x[own]
         band = lay.ent_band[own]
         g = scenario.gains[band, i, lay.ent_rx[own]]
         inn = phys.interference[own]
         eta = state.eta[own]
         own_term = np.zeros(lay.band_count)
-        np.add.at(own_term, band, d_x * g * (1.0 + phys.sinr[own]) / inn * eta)
-        cross = np.einsum("qn,nq->q", scenario.gains[:, i, :], power_messages(scenario, derived))
+        np.add.at(own_term, band, dx * g * (1.0 + phys.sinr[own]) / inn * eta)
+        cross = np.einsum("qn,nq->q", scenario.gains[:, i, :], derived.power_messages)
         pbar = scenario.power_budget[i]
         grad = (pbar * (cross + own_term))[bands]
-        share = d_xx * (g * pbar * eta / inn) ** 2
+        share = d_xx[own] * (g * pbar * eta / inn) ** 2
         curv = np.array([np.sum(share[band == q]) for q in bands])
         return grad, curv, None
     w = block.key[0]
-    _, d_f, _, d_ff = _entry_derivatives(scenario, derived)
-    link_marginal = _link_marginals(lay, state.mu, d_f)
-    marg, adj = _session_marginals(scenario, state, link_marginal, w)
+    marg, parents = derived.session_marginals(w)
     if kind == "phi_w":
         sess = scenario.sessions[w]
         grad = np.array([_overflow_gradient(scenario, derived, marg, w)])
@@ -229,7 +223,7 @@ def _block_move(scenario, state, block, derived):
     heads = np.array([lay.links[li][1] for li in idx], dtype=np.int64)
     t = derived.flows.inflow[w, i]
     if t > 0.0:
-        grad = t * (link_marginal[idx] + marg[heads])
+        grad = t * (derived.link_marginals[idx] + marg[heads])
     else:
         # no inflow: the row is a flat section of the cost, 0 * inf here
         grad = np.zeros(idx.size)
@@ -240,7 +234,7 @@ def _block_move(scenario, state, block, derived):
         curv[k] = t * t * np.sum(mu * mu * d_ff[sl.start : sl.stop])
     # a link whose head reaches i through positive fractions would
     # close a cycle if raised from zero
-    upstream = _upstream_nodes(adj, i)
+    upstream = _upstream_nodes(parents, i)
     fixed = np.array([state.phi[w, li] == 0.0 and j in upstream for li, j in zip(idx, heads)])
     return grad, curv, fixed
 
@@ -270,7 +264,9 @@ def update_block(
     halved, and after MAX_HALVINGS the block is left untouched.  A
     projected step that is not a descent direction leaves it untouched at
     once.  A `derived` passed in must be the evaluation of `state`; it
-    saves the one evaluation that is not a trial.
+    saves the one evaluation that is not a trial.  Each trial differs from
+    `state` only in the block's array, so its evaluation recomputes only
+    the terms that array feeds and takes the rest from `derived`.
     """
     if derived is None:
         derived = derive(scenario, state)
@@ -301,7 +297,7 @@ def update_block(
             return unmoved(halving)
         trial = state.copy()
         getattr(trial, block.kind)[block.key] = z
-        evaluated = derive(scenario, trial)
+        evaluated = derive(scenario, trial, parent=derived, changed=block.kind)
         if math.isfinite(evaluated.total) and evaluated.total <= cost0 + ARMIJO * slope:
             return UpdateOutcome(
                 state=trial, cost=evaluated.total, moved=True, halvings=halving, step=step, derived=evaluated

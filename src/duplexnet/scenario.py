@@ -17,12 +17,17 @@ link cost F/(C - F) with capacity C = bandwidth * ln(gain_factor * sinr),
 plus a per-session overflow cost from the utility forgone on rejected
 traffic.  A zero-flow entry costs zero no matter how bad its SINR; a
 loaded entry with F >= C or C <= 0 costs +inf.
+
+Because the halves are independent, a state that differs from an
+evaluated one in a single array is evaluated by recomputing only the half
+that array feeds (only the per-entry band flows, for mu); :func:`derive`
+takes the rest from the earlier evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -399,20 +404,111 @@ class PhysicalTerms:
 
 @dataclass(frozen=True)
 class FlowTerms:
+    """Per-session and per-entry flows of one routing pattern.
+
+    orders[w] and adjacency[w] are session w's topological order and its
+    positive-fraction adjacency, as :func:`_session_topo_order` returns them.
+    """
+
     inflow: np.ndarray
     session_flow: np.ndarray
     link_flow: np.ndarray
     band_flow: np.ndarray
     overflow: np.ndarray
+    orders: tuple
+    adjacency: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivedState:
+    """The evaluation of `state` on `scenario`: its terms and costs.
+
+    The marginals that the gradients read are computed on first use and
+    kept: the per-entry link-cost derivatives, the per-link marginals, the
+    power messages and each session's node marginals.  The evaluation holds
+    `state` itself, not a copy, so the state must not change while the
+    evaluation is in use.
+    """
+
+    scenario: NetworkScenario = field(repr=False)
+    state: ControlState = field(repr=False)
     physical: PhysicalTerms
     flows: FlowTerms
     link_cost: np.ndarray
     overflow_cost: np.ndarray
     total: float
+
+    @cached_property
+    def derivatives(self):
+        """Per-entry (d_x, d_f, d_xx, d_ff); see :func:`kernels.link_cost_derivatives`."""
+        cost = self.scenario.cost
+        return kernels.link_cost_derivatives(
+            self.physical.sinr, self.flows.band_flow, cost.bandwidth, cost.gain_factor
+        )
+
+    @cached_property
+    def link_marginals(self) -> np.ndarray:
+        """Per-link marginal cost of flow: the mu-weighted d_f of its entries."""
+        lay = self.scenario.layout
+        mu = self.state.mu
+        used = np.flatnonzero(mu != 0.0)
+        out = np.zeros(lay.n_links)
+        # entries accumulate in index order; zero shares are skipped so an
+        # infinite d_f on an unused band stays inert
+        np.add.at(out, lay.ent_link[used], mu[used] * self.derivatives[1][used])
+        return out
+
+    @cached_property
+    def power_messages(self) -> np.ndarray:
+        """Marginal cost of unit interference power, per (node, band).
+
+        Entry e contributes d_x[e] * (-x_e^2 / (g_e * p_e)) to its receiver's
+        message on its band; unloaded or unpowered entries contribute zero.
+        """
+        lay = self.scenario.layout
+        d_x = self.derivatives[0]
+        g = self.scenario.gains[lay.ent_band, lay.ent_tx, lay.ent_rx]
+        p = self.physical.power
+        x = self.physical.sinr
+        term = np.zeros_like(p)
+        active = (p > 0) & (d_x != 0)
+        term[active] = d_x[active] * (-(x[active] ** 2)) / (g[active] * p[active])
+        msg = np.zeros((lay.n, lay.band_count))
+        np.add.at(msg, (lay.ent_rx, lay.ent_band), term)
+        return msg
+
+    def session_marginals(self, w: int):
+        """Node marginals of session w and the reverse of its positive-fraction adjacency.
+
+        marg[i] is the fraction-weighted sum over i's positive outgoing links
+        of the link marginal plus the head's marginal; the destination is 0.
+        parents[u] lists the tails of u's positive incoming links.
+        """
+        got = self._sessions[w]
+        if got is None:
+            lay = self.scenario.layout
+            d = int(lay.dest[w])
+            adj = self.flows.adjacency[w]
+            phi = self.state.phi[w]
+            link_marginal = self.link_marginals
+            marg = np.zeros(lay.n)
+            for v in reversed(self.flows.orders[w]):
+                if v == d:
+                    continue
+                acc = 0.0
+                for u, li in adj[v]:
+                    acc += phi[li] * (link_marginal[li] + marg[u])
+                marg[v] = acc
+            parents = [[] for _ in adj]
+            for v, out in enumerate(adj):
+                for u, _ in out:
+                    parents[u].append(v)
+            got = self._sessions[w] = (marg, parents)
+        return got
+
+    @cached_property
+    def _sessions(self) -> list:
+        return [None] * len(self.scenario.sessions)
 
 
 def evaluate_physical(scenario: NetworkScenario, state: ControlState) -> PhysicalTerms:
@@ -431,12 +527,17 @@ def evaluate_physical(scenario: NetworkScenario, state: ControlState) -> Physica
 
 
 def _session_topo_order(lay: Layout, phi_row: np.ndarray, dest: int, session: int):
-    """Topological order of nodes under positive fractions, or a cycle error."""
+    """Topological order of nodes under positive fractions, or a cycle error.
+
+    Also returns the positive-fraction adjacency: adj[i] lists (head, link)
+    for i's positive outgoing links, in link order.
+    """
     n = lay.n
     adj = [[] for _ in range(n)]
     indeg = [0] * n
-    for li, (i, j) in enumerate(lay.links):
-        if i != dest and phi_row[li] > 0:
+    for li in np.flatnonzero(phi_row > 0).tolist():
+        i, j = lay.links[li]
+        if i != dest:
             adj[i].append((j, li))
             indeg[j] += 1
     stack = [v for v in range(n) if indeg[v] == 0]
@@ -460,35 +561,74 @@ def evaluate_flows(scenario: NetworkScenario, state: ControlState) -> FlowTerms:
     inflow = np.zeros((n_sessions, lay.n))
     session_flow = np.zeros((n_sessions, lay.n_links))
     overflow = np.empty(n_sessions)
+    orders, adjacency = [], []
     for w, sess in enumerate(scenario.sessions):
         d = int(lay.dest[w])
         order, adj = _session_topo_order(lay, state.phi[w], d, w)
-        t = np.zeros(lay.n)
+        orders.append(order)
+        adjacency.append(adj)
+        phi = state.phi[w]
+        flow = session_flow[w]
+        t = inflow[w]
         t[lay.origin[w]] = sess.demand * (1.0 - state.phi_w[w])
         for v in order:
             ti = t[v]
             if ti == 0.0:
                 continue
             for u, li in adj[v]:
-                f = ti * state.phi[w, li]
-                session_flow[w, li] += f
+                f = ti * phi[li]
+                flow[li] += f
                 t[u] += f
-        inflow[w] = t
         overflow[w] = sess.demand * state.phi_w[w]
     link_flow = session_flow.sum(axis=0)
-    band_flow = state.mu * link_flow[lay.ent_link]
     return FlowTerms(
         inflow=inflow,
         session_flow=session_flow,
         link_flow=link_flow,
-        band_flow=band_flow,
+        band_flow=_band_flow(lay, state.mu, link_flow),
         overflow=overflow,
+        orders=tuple(orders),
+        adjacency=tuple(adjacency),
     )
 
 
-def derive(scenario: NetworkScenario, state: ControlState) -> DerivedState:
-    phys = evaluate_physical(scenario, state)
-    flows = evaluate_flows(scenario, state)
+def _band_flow(lay: Layout, mu: np.ndarray, link_flow: np.ndarray) -> np.ndarray:
+    return mu * link_flow[lay.ent_link]
+
+
+# what each ControlState array feeds: rho and eta only the physical terms,
+# mu only the per-entry band flows, phi and phi_w only the flows
+_FEEDS = {"rho": "physical", "eta": "physical", "mu": "band_flow", "phi": "flows", "phi_w": "flows"}
+
+
+def derive(
+    scenario: NetworkScenario,
+    state: ControlState,
+    *,
+    parent: DerivedState = None,
+    changed: str = None,
+) -> DerivedState:
+    """Evaluate `state`: physical terms, flows, and link and overflow costs.
+
+    `parent` may be the evaluation of a state that differs from `state`
+    only in the ControlState array named `changed`; the terms that array
+    does not feed are then taken from `parent` instead of recomputed.
+    Either way every array of the result is, bit for bit, that of a
+    fresh evaluation.
+    """
+    if parent is None:
+        feeds = None
+    elif changed in _FEEDS:
+        feeds = _FEEDS[changed]
+    else:
+        raise ValueError(f"unknown ControlState array {changed!r}")
+    phys = parent.physical if feeds in ("band_flow", "flows") else evaluate_physical(scenario, state)
+    if feeds == "physical":
+        flows = parent.flows
+    elif feeds == "band_flow":
+        flows = replace(parent.flows, band_flow=_band_flow(scenario.layout, state.mu, parent.flows.link_flow))
+    else:
+        flows = evaluate_flows(scenario, state)
     link_cost, link_total = kernels.link_cost_terms(
         phys.sinr, flows.band_flow, scenario.cost.bandwidth, scenario.cost.gain_factor
     )
@@ -499,6 +639,8 @@ def derive(scenario: NetworkScenario, state: ControlState) -> DerivedState:
         ]
     )
     return DerivedState(
+        scenario=scenario,
+        state=state,
         physical=phys,
         flows=flows,
         link_cost=link_cost,

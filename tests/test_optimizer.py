@@ -6,13 +6,14 @@ the solver is pinned to frozen costs on the three-node line and checked
 for the monotonicity the backtracking step promises.
 """
 
+from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from duplexnet import optimizer
+from duplexnet import gradients, kernels, optimizer
 from duplexnet.gradients import gradient_bundle
 from duplexnet.optimizer import (
     StalledStepError,
@@ -217,6 +218,104 @@ def test_block_local_gradients_match_whole_network():
     assert checked > 100
 
 
+def _trial(state, block, rng):
+    """`state` with `block` moved inside its feasible set, its support kept
+    (so no routing cycle appears), or None when the block cannot move so."""
+    cur = getattr(state, block.kind)[block.key]
+    if block.kind == "phi_w":
+        z = 0.9 * cur + 0.05
+    else:
+        used = cur > 0
+        if used.sum() < 2:
+            return None
+        z = 0.8 * cur
+        z[used] += 0.2 * cur.sum() * rng.dirichlet(np.ones(used.sum()))
+    trial = state.copy()
+    getattr(trial, block.kind)[block.key] = z
+    return trial
+
+
+def _assert_bitwise(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+def test_trial_evaluation_reuses_terms_bit_for_bit():
+    # the scenarios and states of the test above; trials draw from `pick`
+    rng = np.random.default_rng(71)
+    pick = np.random.default_rng(72)
+    scenarios = [line3_scenario()] + [random_scenario(rng) for _ in range(4)] + [grid_scenario(rng, 4, 2)]
+    load = {
+        "mu": lambda der, b: der.flows.link_flow[b.group],
+        "eta": lambda der, b: der.physical.node_band_power[b.group],
+        "phi": lambda der, b: der.flows.inflow[b.group],
+    }
+    tried = dict.fromkeys(optimizer.CONSTRAINT, 0)
+    loaded_mu = 0
+    for k, scen in enumerate(scenarios):
+        cost = scen.cost
+        start = uniform_state(scen, 0.9, 0.1)
+        states = {
+            "uniform": start,
+            "interior": random_interior_state(scen, rng),
+            "two sweeps": solve(scen, start, max_sweeps=2, tol=0.0).state,
+        }
+        for name, st in states.items():
+            parent = derive(scen, st)
+            for kind in optimizer.CONSTRAINT:
+                # one trial per kind, on a loaded block where there is one
+                movable = [b for b in blocks(scen) if b.kind == kind and _trial(st, b, pick) is not None]
+                loaded = [b for b in movable if kind not in load or load[kind](parent, b) > 0]
+                pool = loaded or movable
+                if not pool:
+                    continue
+                block = pool[int(pick.integers(len(pool)))]
+                trial = _trial(st, block, pick)
+                reused = derive(scen, trial, parent=parent, changed=kind)
+                fresh = derive(scen, trial)
+                what = f"scenario {k}, {name} state, {block}"
+                for terms in ("physical", "flows"):
+                    for f in fields(getattr(fresh, terms)):
+                        got = getattr(getattr(reused, terms), f.name)
+                        want = getattr(getattr(fresh, terms), f.name)
+                        if f.name in ("orders", "adjacency"):
+                            assert got == want, what
+                        else:
+                            _assert_bitwise(got, want, f"{what}: {terms}.{f.name}")
+                _assert_bitwise(reused.link_cost, fresh.link_cost, what)
+                _assert_bitwise(reused.overflow_cost, fresh.overflow_cost, what)
+                _assert_bitwise(reused.total, fresh.total, what)
+                tried[kind] += 1
+                loaded_mu += kind == "mu" and bool(loaded)
+                if not np.isfinite(fresh.total):
+                    continue
+                # the trial's stored marginals against the whole network's
+                bundle = gradient_bundle(scen, trial, fresh)
+                want = kernels.link_cost_derivatives(
+                    fresh.physical.sinr, fresh.flows.band_flow, cost.bandwidth, cost.gain_factor
+                )
+                for got, ref in zip(reused.derivatives, want):
+                    _assert_bitwise(got, ref, f"{what}: derivatives")
+                _assert_bitwise(reused.derivatives[0], bundle.d_x, what)
+                _assert_bitwise(reused.derivatives[1], bundle.d_f, what)
+                _assert_bitwise(reused.power_messages, bundle.messages, what)
+                _assert_bitwise(reused.link_marginals, bundle.routing.link_marginal, what)
+                lay = scen.layout
+                for w in range(len(scen.sessions)):
+                    marg, parents = reused.session_marginals(w)
+                    _assert_bitwise(marg, bundle.routing.node_marginal[w], f"{what}: session {w}")
+                    blocked = [
+                        i == lay.dest[w]
+                        or (trial.phi[w, li] == 0.0 and j in gradients._upstream_nodes(parents, i))
+                        for li, (i, j) in enumerate(lay.links)
+                    ]
+                    assert blocked == bundle.routing.blocked[w].tolist(), f"{what}: session {w}"
+                assert np.array_equal(bundle.routing.blocked, _reachability_blocked(scen, trial)), what
+    assert all(tried.values()), tried
+    assert loaded_mu > 0
+
+
 def _expected_cover(scenario):
     """Per ControlState array, the coordinates some block must own."""
     lay = scenario.layout
@@ -267,9 +366,9 @@ def _count_derive(monkeypatch):
     calls = []
     real = optimizer.derive
 
-    def counting(scenario, state):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return real(scenario, state)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(optimizer, "derive", counting)
     return calls

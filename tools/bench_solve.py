@@ -1,0 +1,196 @@
+"""Where a solve's time goes, per block kind, on fixed seeded workloads.
+
+Run it once on each tree to compare, under two labels:
+
+    python3 tools/bench_solve.py --src OTHER/src --label before
+    python3 tools/bench_solve.py --label after        # this tree's src/
+
+Each run imports duplexnet from --src (default: this tree's src/) and
+stores its figures under --label in BENCH_solve.json at the root of this
+tree, keeping the other labels already there.  The scenarios come from
+tests/helpers.py of this tree:
+
+* grids: 2-sweep descents from the even split on jittered grids, six of
+  4x4, four of 5x5, two of 8x8 and one of 10x10, with 2 and 3 sessions in turn
+  (`grid_scenario`, `default_rng(401)`);
+* to_tolerance: solves to `tol=1e-4`, at most 400 sweeps, from the even
+  split on twenty random small scenarios (`random_scenario`,
+  `default_rng(402)`).
+
+Per workload it records counts that do not depend on the machine (sweeps,
+converged solves, block updates and those that did not move, and
+`derive`, `evaluate_physical` and `evaluate_flows` calls per block update)
+and the wall seconds per sweep of `_block_move`, per block kind, and of
+the whole solve, and the share of solve time spent in updates that did not
+move: what skipping stationary blocks could save at most.  Each workload runs
+REPEATS times; the counts must repeat exactly and the timings are the
+medians over the repeats.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+# one BLAS thread, as in perfbench/run.py: the arrays are small
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_solve.json"
+REPEATS = 3
+KINDS = ("mu", "eta", "rho", "phi", "phi_w")
+
+
+def _workloads(dn, helpers):
+    """{name: [(scenario, start, solve kwargs)]}, in a fixed order."""
+    rng = np.random.default_rng(401)
+    grids = []
+    for k, side in enumerate((4,) * 6 + (5,) * 4 + (8,) * 2 + (10,)):
+        scen = helpers.grid_scenario(rng, side, 2 + k % 2)
+        grids.append((scen, dn.uniform_state(scen, 0.9, 0.1), dict(max_sweeps=2, tol=1e-4)))
+    rng = np.random.default_rng(402)
+    full = []
+    for _ in range(20):
+        scen = helpers.random_scenario(rng)
+        full.append((scen, dn.uniform_state(scen, 0.9, 0.1), dict(max_sweeps=400, tol=1e-4)))
+    return {"grids": grids, "to_tolerance": full}
+
+
+class _Counters:
+    """Counts and times the package's calls by rebinding module attributes."""
+
+    def __init__(self, dn):
+        self.calls = dict.fromkeys(("derive", "evaluate_physical", "evaluate_flows", "update_block"), 0)
+        self.move_s = dict.fromkeys(KINDS, 0.0)
+        self.unmoved = 0
+        self.unmoved_s = 0.0
+        self._undo = []
+        opt, scen = dn.optimizer, dn.scenario
+        for mod, name in ((opt, "derive"), (scen, "evaluate_physical"), (scen, "evaluate_flows")):
+            self._patch(mod, name, self._counting(name, getattr(mod, name)))
+        self._patch(opt, "update_block", self._updating(opt.update_block))
+        self._patch(opt, "_block_move", self._timing(opt._block_move))
+
+    def _patch(self, mod, name, fn):
+        self._undo.append((mod, name, getattr(mod, name)))
+        setattr(mod, name, fn)
+
+    def _counting(self, name, fn):
+        def wrapper(*args, **kwargs):
+            self.calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def _updating(self, fn):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            out = fn(*args, **kwargs)
+            self.calls["update_block"] += 1
+            if not out.moved:
+                self.unmoved += 1
+                self.unmoved_s += time.perf_counter() - t0
+            return out
+
+        return wrapper
+
+    def _timing(self, fn):
+        def wrapper(scenario, state, block, derived):
+            t0 = time.perf_counter()
+            out = fn(scenario, state, block, derived)
+            self.move_s[block.kind] += time.perf_counter() - t0
+            return out
+
+        return wrapper
+
+    def close(self):
+        for mod, name, fn in reversed(self._undo):
+            setattr(mod, name, fn)
+
+
+def _run(dn, cases):
+    """One pass over a workload: (counts, timings)."""
+    sweeps = converged = stalled = 0
+    counters = _Counters(dn)
+    t0 = time.perf_counter()
+    try:
+        for scen, start, kwargs in cases:
+            try:
+                res = dn.solve(scen, start, **kwargs)
+            except dn.StalledStepError:
+                stalled += 1
+                continue
+            sweeps += res.sweeps
+            converged += res.converged
+    finally:
+        wall = time.perf_counter() - t0
+        counters.close()
+    updates = counters.calls["update_block"]
+    counts = {
+        "solves": len(cases),
+        "converged": converged,
+        "stalled": stalled,
+        "sweeps": sweeps,
+        "block_updates": updates,
+        "unmoved_updates": counters.unmoved,
+        "derive_calls": counters.calls["derive"],
+        "evaluate_physical_calls": counters.calls["evaluate_physical"],
+        "evaluate_flows_calls": counters.calls["evaluate_flows"],
+    }
+    for name in ("derive", "evaluate_physical", "evaluate_flows"):
+        counts[f"{name}_per_update"] = round(counters.calls[name] / max(1, updates), 4)
+    timings = {f"block_move_{k}_s_per_sweep": counters.move_s[k] / max(1, sweeps) for k in KINDS}
+    timings["block_move_s_per_sweep"] = sum(counters.move_s.values()) / max(1, sweeps)
+    timings["solve_s_per_sweep"] = wall / max(1, sweeps)
+    timings["solve_s"] = wall
+    timings["unmoved_update_share"] = counters.unmoved_s / wall
+    return counts, timings
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=str(ROOT / "src"), help="directory holding the duplexnet package")
+    ap.add_argument("--label", required=True, help="key of this run in BENCH_solve.json, e.g. before or after")
+    args = ap.parse_args(argv)
+    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "tests")]
+    import duplexnet as dn
+    import helpers
+
+    result = {}
+    for name, cases in _workloads(dn, helpers).items():
+        runs = [_run(dn, cases) for _ in range(REPEATS)]
+        counts = runs[0][0]
+        if any(c != counts for c, _ in runs):
+            raise RuntimeError(f"{name}: counts differ between repeats: {[c for c, _ in runs]}")
+        timings = {k: round(statistics.median(t[k] for _, t in runs), 6) for k in runs[0][1]}
+        result[name] = {"counts": counts, "median_timings": timings}
+        print(f"{args.label} {name}: {json.dumps(result[name])}")
+    data = json.loads(OUT.read_text()) if OUT.exists() else {}
+    data["about"] = (
+        "tools/bench_solve.py: fixed-seed solver workloads; counts are machine-independent, "
+        f"timings are wall-clock medians over {REPEATS} repeats"
+    )
+    data.setdefault("runs", {})[args.label] = {
+        "machine": {
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "processor": platform.processor() or platform.machine(),
+        },
+        "workloads": result,
+    }
+    OUT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {OUT.name} [{args.label}]")
+
+
+if __name__ == "__main__":
+    main()

@@ -73,9 +73,6 @@ class ConnectivityGraph:
     def max_degree(self) -> int:
         return max(len(a) for a in self._adj)
 
-    def has_link(self, i: int, j: int) -> bool:
-        return j in self.neighbors(i) if i in self._index and j in self._index else False
-
     def internal_links(self) -> Iterator[tuple[int, int]]:
         for i in range(self.n):
             for j in self._adj[i]:

@@ -7,13 +7,17 @@ form separate blocks whose feasible sets are simplexes, capped simplexes,
 or boxes.  A block update takes a diagonally scaled gradient step, projects
 back onto the block's feasible set, and backtracks until the new cost
 satisfies a sufficient-decrease test; total cost therefore never increases.
-The blocks are the rows of one table, :func:`blocks`: each names a
-ControlState array and an index into it, and the updates and the
-residuals both walk that table.
+The blocks are the rows of one table, :func:`blocks`, built once per
+scenario: each names a ControlState array and an index into it, and the
+updates and the residuals both walk that table.
 
-The diagonal scaling uses cheap second-derivative estimates of the link
-cost (times a safety factor), with a floor so weights stay positive; the
-backtracking line search makes convergence independent of estimate quality.
+This module holds no gradient or curvature formula: a block's gradient
+and diagonal curvature are slices of the whole-network arrays that the
+evaluation (:class:`~duplexnet.scenario.DerivedState`) keeps, and the
+residuals read the same arrays.  The scaling is that curvature times a
+safety factor, with a floor so weights stay positive; the backtracking
+line search makes convergence independent of estimate quality.
+
 Stationarity is measured by :func:`optimality_residuals`: within every
 active group the marginals of used coordinates must agree, unused
 coordinates must not undercut them, and power rows must respect the sign
@@ -25,19 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .gradients import (
-    _overflow_gradient,
-    _upstream_nodes,
-    delta_eta,
-    delta_mu,
-    delta_rho,
-    routing_marginals,
-)
-from .scenario import ControlState, DerivedState, NetworkScenario, derive
+from .scenario import Block, ControlState, DerivedState, NetworkScenario, derive
 
 
 class StalledStepError(RuntimeError):
@@ -51,19 +46,12 @@ class StalledStepError(RuntimeError):
         )
 
 
-def project_scaled(
-    target,
-    weights,
-    constraint: str = "sum_to_one",
-    lower: float = 0.0,
-    upper: float = None,
-    fixed=None,
-):
+def project_scaled(target, weights, constraint: str = "sum_to_one", fixed=None):
     """Project onto the block's feasible set in the weighted norm.
 
     Minimizes sum_k weights[k] * (z[k] - target[k])^2 subject to the
     constraint: "sum_to_one" (z >= 0, sum z = 1), "sum_at_most_one"
-    (z >= 0, sum z <= 1), or "box" (lower <= z <= upper, uncoupled).
+    (z >= 0, sum z <= 1), or "box" (0 <= z <= 1, uncoupled).
     Coordinates marked in `fixed` are pinned to zero and excluded.
 
     The coupled cases are solved exactly (Held, Wolfe & Crowder 1974;
@@ -79,8 +67,7 @@ def project_scaled(
     if np.any(w <= 0):
         raise ValueError("projection weights must be positive")
     if constraint == "box":
-        hi = math.inf if upper is None else upper
-        return np.clip(y, lower, hi)
+        return np.clip(y, 0.0, 1.0)
     if constraint not in ("sum_to_one", "sum_at_most_one"):
         raise ValueError(f"unknown constraint {constraint!r}")
     z = np.zeros_like(y)
@@ -129,114 +116,21 @@ CONSTRAINT = {
 }
 
 
-class Block(NamedTuple):
-    """One constraint group: `getattr(state, kind)[key]` are its coordinates.
-
-    `kind` names the ControlState array; `group` names the group: the
-    link (mu), (node, band) (eta), the node (rho), (session, node) (phi)
-    or the session (phi_w).
-    """
-
-    kind: str
-    key: object
-    group: object
-
-
-def blocks(scenario: NetworkScenario):
-    """Every block of the sweep, in the canonical order."""
-    lay = scenario.layout
-    out = []
-    for li in range(lay.n_links):
-        sl = lay.link_slices[li]
-        if sl.stop - sl.start > 1:
-            out.append(Block("mu", np.arange(sl.start, sl.stop), li))
-    for (i, q), entries in sorted(lay.node_band_entries.items()):
-        if entries.size > 1:
-            out.append(Block("eta", entries, (i, q)))
-    for i in range(lay.n):
-        if np.any(lay.rho_mask[i]):
-            out.append(Block("rho", (i, np.flatnonzero(lay.rho_mask[i])), i))
-    for w in range(len(scenario.sessions)):
-        d = int(lay.dest[w])
-        for i in range(lay.n):
-            if i != d and len(lay.out_links[i]) > 1:
-                out.append(Block("phi", (w, np.array(lay.out_links[i], dtype=np.int64)), (w, i)))
-        out.append(Block("phi_w", np.array([w]), w))
-    return out
+def blocks(scenario: NetworkScenario) -> tuple:
+    """Every block of the sweep, in the canonical order; see :attr:`Layout.blocks`,
+    which builds the table once per scenario."""
+    return scenario.layout.blocks
 
 
 def _block_move(scenario, state, block, derived):
     """Gradient, curvature and fixed mask of one block.
 
-    Each is a slice of the marginals the evaluation keeps: one link's
-    entries for mu, one (node, band) group for eta, the power messages
-    contracted against the node's own gains for rho, and one session's
-    node marginals for phi and phi_w.  Each matches the slice of the
-    whole-network formulas in :mod:`duplexnet.gradients`.
+    The gradient and curvature are slices of the whole-network arrays the
+    evaluation keeps; a routing row's fixed mask marks the links whose
+    raise from zero would close a cycle.
     """
-    lay = scenario.layout
-    phys = derived.physical
-    d_x, d_f, d_xx, d_ff = derived.derivatives
-    kind = block.kind
-    if kind == "mu":
-        idx = block.key
-        flow = derived.flows.link_flow[block.group]
-        grad = flow * d_f[idx] if flow > 0 else np.zeros(idx.size)
-        return grad, d_ff[idx] * flow * flow, None
-    if kind == "eta":
-        idx = block.key
-        dx = d_x[idx]
-        g = scenario.gains[lay.ent_band[idx], lay.ent_tx[idx], lay.ent_rx[idx]]
-        npow = phys.node_band_power[block.group]
-        inn = phys.interference[idx]
-        x = phys.sinr[idx]
-        if npow == 0.0:
-            grad = np.zeros(idx.size)
-        else:
-            grad = npow * (dx * g * (1.0 + x) / inn - (dx * g * x / inn).sum())
-        return grad, d_xx[idx] * (g * npow / inn) ** 2, None
-    if kind == "rho":
-        i, bands = block.key
-        own = np.flatnonzero(lay.ent_tx == i)
-        dx = d_x[own]
-        band = lay.ent_band[own]
-        g = scenario.gains[band, i, lay.ent_rx[own]]
-        inn = phys.interference[own]
-        eta = state.eta[own]
-        own_term = np.zeros(lay.band_count)
-        np.add.at(own_term, band, dx * g * (1.0 + phys.sinr[own]) / inn * eta)
-        cross = np.einsum("qn,nq->q", scenario.gains[:, i, :], derived.power_messages)
-        pbar = scenario.power_budget[i]
-        grad = (pbar * (cross + own_term))[bands]
-        share = d_xx[own] * (g * pbar * eta / inn) ** 2
-        curv = np.array([np.sum(share[band == q]) for q in bands])
-        return grad, curv, None
-    w = block.key[0]
-    marg, parents = derived.session_marginals(w)
-    if kind == "phi_w":
-        sess = scenario.sessions[w]
-        grad = np.array([_overflow_gradient(scenario, derived, marg, w)])
-        curv = np.array([sess.utility.overflow_curvature(derived.flows.overflow[w], sess.demand)])
-        return grad, curv, None
-    i = block.group[1]
-    idx = block.key[1]
-    heads = np.array([lay.links[li][1] for li in idx], dtype=np.int64)
-    t = derived.flows.inflow[w, i]
-    if t > 0.0:
-        grad = t * (derived.link_marginals[idx] + marg[heads])
-    else:
-        # no inflow: the row is a flat section of the cost, 0 * inf here
-        grad = np.zeros(idx.size)
-    curv = np.zeros(idx.size)
-    for k, li in enumerate(idx):
-        sl = lay.link_slices[li]
-        mu = state.mu[sl.start : sl.stop]
-        curv[k] = t * t * np.sum(mu * mu * d_ff[sl.start : sl.stop])
-    # a link whose head reaches i through positive fractions would
-    # close a cycle if raised from zero
-    upstream = _upstream_nodes(parents, i)
-    fixed = np.array([state.phi[w, li] == 0.0 and j in upstream for li, j in zip(idx, heads)])
-    return grad, curv, fixed
+    fixed = derived.blocked(*block.group) if block.kind == "phi" else None
+    return derived.gradient(block.kind)[block.key], derived.curvature(block.kind)[block.key], fixed
 
 
 @dataclass
@@ -280,17 +174,14 @@ def update_block(
 
     finite = np.isfinite(grad)
     if not np.all(finite):
-        pin = np.zeros(cur.shape, dtype=bool) if fixed is None else np.asarray(fixed, dtype=bool).copy()
-        pin |= ~finite
-        fixed = pin
+        fixed = ~finite if fixed is None else fixed | ~finite
         grad = np.where(finite, grad, 0.0)
     if fixed is not None and np.all(fixed) or not np.any(grad):
         return unmoved(0)
     weights = SAFETY * np.maximum(curv, FLOOR)
-    upper = 1.0 if constraint == "box" else None
     for halving in range(MAX_HALVINGS + 1):
         y = cur - step * grad / weights
-        z = project_scaled(y, weights, constraint, upper=upper, fixed=fixed)
+        z = project_scaled(y, weights, constraint, fixed=fixed)
         delta = z - cur
         slope = float(np.dot(grad, delta))
         if slope >= 0.0 or float(np.max(np.abs(delta))) <= 1e-16:
@@ -364,13 +255,12 @@ def optimality_residuals(
         derived = derive(scenario, state)
     if not math.isfinite(derived.total):
         raise ValueError("residuals need a finite-cost state")
-    routing = routing_marginals(scenario, state, derived)
     marginal = {
-        "eta": delta_eta(scenario, state, derived)[0],
-        "rho": delta_rho(scenario, state, derived),
-        "mu": delta_mu(scenario, state, derived),
-        "phi": routing.delta_phi,
-        "phi_w": routing.overflow_grad,
+        "eta": derived.eta_delta,
+        "rho": derived.gradient("rho"),
+        "mu": derived.gradient("mu"),
+        "phi": derived.delta_phi,
+        "phi_w": derived.gradient("phi_w"),
     }
     load = {
         "eta": derived.physical.node_band_power,
@@ -387,7 +277,7 @@ def optimality_residuals(
         used = cur > support_tol
         constraint = CONSTRAINT[kind]
         if constraint == "sum_to_one":
-            res = _simplex_residual(vals, used, excluded=routing.blocked[key] if kind == "phi" else None)
+            res = _simplex_residual(vals, used, excluded=derived.blocked(*block.group) if kind == "phi" else None)
         elif constraint == "sum_at_most_one":
             tight = float(cur.sum()) >= 1.0 - slack_tol
             witness = 0.0

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,6 +157,45 @@ class Layout:
     @property
     def n_entries(self) -> int:
         return self.ent_tx.shape[0]
+
+    @cached_property
+    def link_ends(self):
+        """Tail and head index arrays of the links."""
+        ends = np.array(self.links, dtype=np.int64).reshape(-1, 2)
+        return ends[:, 0], ends[:, 1]
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """Every block of a sweep, in the canonical order."""
+        out = []
+        for li, sl in enumerate(self.link_slices):
+            if sl.stop - sl.start > 1:
+                out.append(Block("mu", np.arange(sl.start, sl.stop), li))
+        for (i, q), entries in sorted(self.node_band_entries.items()):
+            if entries.size > 1:
+                out.append(Block("eta", entries, (i, q)))
+        for i in range(self.n):
+            if np.any(self.rho_mask[i]):
+                out.append(Block("rho", (i, np.flatnonzero(self.rho_mask[i])), i))
+        for w, d in enumerate(self.dest.tolist()):
+            for i in range(self.n):
+                if i != d and len(self.out_links[i]) > 1:
+                    out.append(Block("phi", (w, np.array(self.out_links[i], dtype=np.int64)), (w, i)))
+            out.append(Block("phi_w", np.array([w]), w))
+        return tuple(out)
+
+
+class Block(NamedTuple):
+    """One constraint group: `getattr(state, kind)[key]` are its coordinates.
+
+    `kind` names the ControlState array; `group` names the group: the
+    link (mu), (node, band) (eta), the node (rho), (session, node) (phi)
+    or the session (phi_w).
+    """
+
+    kind: str
+    key: object
+    group: object
 
 
 @dataclass(eq=False)
@@ -421,13 +461,18 @@ class FlowTerms:
 
 @dataclass(frozen=True, eq=False)
 class DerivedState:
-    """The evaluation of `state` on `scenario`: its terms and costs.
+    """The evaluation of `state` on `scenario`: its terms, costs and gradients.
 
-    The marginals that the gradients read are computed on first use and
-    kept: the per-entry link-cost derivatives, the per-link marginals, the
-    power messages and each session's node marginals.  The evaluation holds
-    `state` itself, not a copy, so the state must not change while the
-    evaluation is in use.
+    Everything below the costs is computed on first use and kept: the
+    per-entry link-cost derivatives, the per-link marginals, the power
+    messages, each session's node marginals, and for every ControlState
+    array its whole-network gradient (:meth:`gradient`) and diagonal
+    curvature (:meth:`curvature`), shaped like the array.  Block updates,
+    residuals and checks all slice these.  A zero fraction or flow times
+    an infinite marginal (an unloaded entry with nonpositive capacity has
+    an infinite d_f) is taken to be zero, so such coordinates stay inert.
+    The evaluation holds `state` itself, not a copy, so the state must not
+    change while the evaluation is in use.
     """
 
     scenario: NetworkScenario = field(repr=False)
@@ -467,7 +512,7 @@ class DerivedState:
         """
         lay = self.scenario.layout
         d_x = self.derivatives[0]
-        g = self.scenario.gains[lay.ent_band, lay.ent_tx, lay.ent_rx]
+        g = self._entry_gain
         p = self.physical.power
         x = self.physical.sinr
         term = np.zeros_like(p)
@@ -509,6 +554,147 @@ class DerivedState:
     @cached_property
     def _sessions(self) -> list:
         return [None] * len(self.scenario.sessions)
+
+    def blocked(self, w: int, i: int) -> np.ndarray:
+        """Mask over node i's out-links (`layout.out_links[i]`): True where
+        phi[w, l] is zero and raising it would close a routing cycle, since
+        the link's head reaches i through positive fractions."""
+        lay = self.scenario.layout
+        phi = self.state.phi[w]
+        upstream = _upstream_nodes(self.session_marginals(w)[1], i)
+        return np.array([phi[li] == 0.0 and lay.links[li][1] in upstream for li in lay.out_links[i]], dtype=bool)
+
+    def gradient(self, kind: str) -> np.ndarray:
+        """Partial derivatives of total cost in the ControlState array `kind`."""
+        return getattr(self, f"_{kind}_family")[0]
+
+    def curvature(self, kind: str) -> np.ndarray:
+        """Diagonal curvature estimates in the ControlState array `kind`, which
+        scale its block steps: second derivatives of the link and overflow
+        costs, without cross-interference terms."""
+        return getattr(self, f"_{kind}_family")[1]
+
+    @cached_property
+    def _entry_gain(self) -> np.ndarray:
+        lay = self.scenario.layout
+        return self.scenario.gains[lay.ent_band, lay.ent_tx, lay.ent_rx]
+
+    @cached_property
+    def _mu_family(self):
+        """Link flow times d_f, zero on unloaded links; d_ff times flow squared."""
+        lay = self.scenario.layout
+        flow = self.flows.link_flow[lay.ent_link]
+        grad = np.zeros(lay.n_entries)
+        loaded = flow > 0
+        grad[loaded] = flow[loaded] * self.derivatives[1][loaded]
+        return grad, self.derivatives[3] * flow * flow
+
+    @cached_property
+    def eta_delta(self) -> np.ndarray:
+        """Per-entry marginal d_x * g * (1 + x) / interference, which the
+        optimality conditions compare within a (node, band) group."""
+        x = self.physical.sinr
+        return self.derivatives[0] * self._entry_gain * (1.0 + x) / self.physical.interference
+
+    @cached_property
+    def _eta_family(self):
+        """node_band_power * (eta_delta minus the (node, band) group's sum of
+        d_x * g * x / interference), zero in unpowered groups; d_xx times
+        (g * node_band_power / interference) squared."""
+        lay = self.scenario.layout
+        d_x, _, d_xx, _ = self.derivatives
+        inn = self.physical.interference
+        psi = d_x * self._entry_gain * self.physical.sinr / inn
+        cell = lay.ent_tx * lay.band_count + lay.ent_band
+        group = _group_sums(psi, cell, lay.n * lay.band_count)[cell]
+        base = self.physical.node_band_power[lay.ent_tx, lay.ent_band]
+        grad = np.zeros(lay.n_entries)
+        on = base != 0.0
+        grad[on] = base[on] * (self.eta_delta[on] - group[on])
+        return grad, d_xx * (self._entry_gain * base / inn) ** 2
+
+    @cached_property
+    def _rho_family(self):
+        """budget_i * (sum_n gains[q, i, n] * msg[n, q] + sum over i's band-q
+        entries of eta_delta * eta), per (node, band); the (node, band)
+        group's sum of d_xx times (g * budget * eta / interference) squared.
+
+        The gradient's message-passing form is exact where each (node, band)
+        share group sums to one, the constraint set; off it,
+        :func:`duplexnet.gradients.delta_rho_direct` is the derivative.
+        """
+        lay = self.scenario.layout
+        cell = lay.ent_tx * lay.band_count + lay.ent_band
+        cross = np.einsum("qin,nq->iq", self.scenario.gains, self.power_messages)
+        own = np.zeros((lay.n, lay.band_count))
+        np.add.at(own, (lay.ent_tx, lay.ent_band), self.eta_delta * self.state.eta)
+        scale = self._entry_gain * self.scenario.power_budget[lay.ent_tx] * self.state.eta
+        share = self.derivatives[2] * (scale / self.physical.interference) ** 2
+        curv = _group_sums(share, cell, lay.n * lay.band_count).reshape(lay.n, lay.band_count)
+        return self.scenario.power_budget[:, None] * (cross + own), curv
+
+    @cached_property
+    def delta_phi(self) -> np.ndarray:
+        """Per (session, link): the link's marginal plus the session's node
+        marginal at the link's head, defined for every link."""
+        lay = self.scenario.layout
+        marg = np.zeros((len(self.scenario.sessions), lay.n))
+        for w in range(marg.shape[0]):
+            marg[w] = self.session_marginals(w)[0]
+        return self.link_marginals + marg[:, lay.link_ends[1]]
+
+    @cached_property
+    def _phi_family(self):
+        """Inflow t at the link's tail times delta_phi, zero without inflow or
+        out of the destination even where delta_phi is infinite; t squared
+        times the link's sum of mu squared times d_ff."""
+        lay = self.scenario.layout
+        tails = lay.link_ends[0]
+        t = self.flows.inflow[:, tails]
+        grad = np.zeros_like(t)
+        live = (t > 0.0) & (tails != lay.dest[:, None])
+        grad[live] = t[live] * self.delta_phi[live]
+        mu = self.state.mu
+        per_link = _group_sums(mu * mu * self.derivatives[3], lay.ent_link, lay.n_links)
+        return grad, t * t * per_link
+
+    @cached_property
+    def _phi_w_family(self):
+        """Demand-scaled overflow marginal minus the origin's node marginal,
+        per session; the overflow cost's second derivative."""
+        origin = self.scenario.layout.origin
+        over = self.flows.overflow
+        grad = np.empty(len(self.scenario.sessions))
+        curv = np.empty(len(self.scenario.sessions))
+        for w, sess in enumerate(self.scenario.sessions):
+            slope = sess.utility.overflow_derivative(over[w], sess.demand)
+            grad[w] = sess.demand * (slope - self.session_marginals(w)[0][origin[w]])
+            curv[w] = sess.utility.overflow_curvature(over[w], sess.demand)
+        return grad, curv
+
+
+def _group_sums(values: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray:
+    """Per-group sums of `values`, each equal to np.sum over the group's
+    values in index order.  bincount adds in order, as np.sum does below 8
+    terms; from 8 terms on np.sum adds pairwise, so it sums those groups."""
+    out = np.bincount(groups, weights=values, minlength=count)
+    for g in np.flatnonzero(np.bincount(groups, minlength=count) >= 8):
+        out[g] = np.sum(values[groups == g])
+    return out
+
+
+def _upstream_nodes(parents, node: int) -> set:
+    """Nodes from which `node` is reachable along positive fractions, itself
+    included; `parents` is the reverse adjacency of
+    :meth:`DerivedState.session_marginals`."""
+    seen = {node}
+    stack = [node]
+    while stack:
+        for p in parents[stack.pop()]:
+            if p not in seen:
+                seen.add(p)
+                stack.append(p)
+    return seen
 
 
 def evaluate_physical(scenario: NetworkScenario, state: ControlState) -> PhysicalTerms:

@@ -55,10 +55,6 @@ class SpectrumAllocation:
     def outgoing_bands(self, i: int) -> tuple[int, ...]:
         return colors_from_mask(self.outgoing[i])
 
-    def links_on_band(self, band: int) -> tuple[tuple[int, int], ...]:
-        bit = 1 << band
-        return tuple(sorted(lk for lk, m in self.link_bands.items() if m & bit))
-
 
 @dataclass(frozen=True)
 class AllocationCheck:

@@ -205,6 +205,28 @@ def square_scenario():
     )
 
 
+def hub_scenario(leaves=9):
+    """A hub with one light session to each of its leaves on 5 bands.
+
+    Each of the hub's (node, band) power-share groups holds more than 8
+    loaded entries, the size from which np.sum adds pairwise instead of
+    in order.
+    """
+    g = star_graph(leaves)
+    ang = np.linspace(0.0, 2.0 * np.pi, leaves, endpoint=False)
+    ring = np.c_[np.cos(ang), np.sin(ang)] * (1.0 + 0.1 * np.arange(leaves))[:, None]
+    pos = np.vstack([[0.0, 0.0], ring])
+    return NetworkScenario(
+        graph=g,
+        allocation=allocate_subbands(g, 5, seed=3),
+        gains=_pathloss_gains(pos, 5, np.linspace(0.9, 1.1, 5)),
+        noise=np.full((5, leaves + 1), 1e-3),
+        power_budget=np.ones(leaves + 1),
+        sessions=tuple(Session(0, k, 0.05) for k in range(1, leaves + 1)),
+        cost=CostParams(),
+    )
+
+
 def _mst_edges(pos):
     """Prim's tree over euclidean distances."""
     n = len(pos)

@@ -14,7 +14,7 @@ from duplexnet.gradients import (
 from duplexnet.oracle import finite_diff_check
 from duplexnet.scenario import derive, uniform_state
 
-from helpers import line3_scenario, random_interior_state
+from helpers import hub_scenario, line3_scenario, random_interior_state
 
 
 def test_finite_differences_on_interior_states():
@@ -105,3 +105,27 @@ def test_gradient_bundle_rejects_infinite_state():
     st.rho[:, :] = 0.0  # no power, positive flow: infinite cost
     with pytest.raises(ValueError):
         gradient_bundle(line3, st, derive(line3, st))
+
+
+def test_group_sums_add_as_per_group_loops():
+    # the hub's power-share groups hold more than 8 loaded entries, where
+    # np.sum adds pairwise; the stored arrays must equal per-group loops
+    hub = hub_scenario()
+    lay = hub.layout
+    assert max(e.size for e in lay.node_band_entries.values()) > 8
+    st = uniform_state(hub, 0.9, 0.1)
+    der = derive(hub, st)
+    d_x, _, d_xx, _ = der.derivatives
+    g = hub.gains[lay.ent_band, lay.ent_tx, lay.ent_rx]
+    inn = der.physical.interference
+    eta_grad = np.zeros(lay.n_entries)
+    rho_curv = np.zeros((lay.n, lay.band_count))
+    for (i, q), e in lay.node_band_entries.items():
+        psi = d_x[e] * g[e] * der.physical.sinr[e] / inn[e]
+        base = der.physical.node_band_power[i, q]
+        if base != 0.0:
+            eta_grad[e] = base * (der.eta_delta[e] - psi.sum())
+        rho_curv[i, q] = np.sum(d_xx[e] * (g[e] * hub.power_budget[i] * st.eta[e] / inn[e]) ** 2)
+    assert np.any(eta_grad != 0.0)
+    assert eta_grad.tobytes() == der.gradient("eta").tobytes()
+    assert rho_curv.tobytes() == der.curvature("rho").tobytes()

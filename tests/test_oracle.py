@@ -22,6 +22,7 @@ from duplexnet.oracle import (
 from duplexnet.optimizer import solve
 from duplexnet.scenario import (
     CostParams,
+    DerivedState,
     NetworkScenario,
     Session,
     evaluate_physical,
@@ -30,7 +31,14 @@ from duplexnet.scenario import (
 )
 from duplexnet.subband import allocate_subbands
 
-from helpers import line3_scenario, line5_scenario, pair_scenario, path_graph
+from helpers import (
+    line3_scenario,
+    line5_scenario,
+    pair_scenario,
+    path_graph,
+    random_interior_state,
+    random_scenario,
+)
 
 
 def test_reference_matches_solver_on_line():
@@ -149,3 +157,32 @@ def test_finite_diff_check_rejects_infinite_state():
     st.rho[:, :] = 0.0
     with pytest.raises(ValueError, match="finite"):
         finite_diff_check(line3, st)
+
+
+def test_finite_diff_check_is_accurate_where_one_small_step_is_not():
+    # one central difference at h = 1e-6 misses an eta partial of this
+    # state by 1.5e-5; the miss falls 4x per halving of h, so it is
+    # truncation error, not rounding
+    rng = np.random.default_rng(63)
+    scen = random_scenario(rng)
+    st = [random_interior_state(scen, rng) for _ in range(3)][-1]
+    rep = finite_diff_check(scen, st)
+    assert rep.families["eta"].checked > 0
+    assert rep.worst <= 1e-5, rep
+
+
+def test_finite_diff_check_flags_a_scaled_gradient(monkeypatch):
+    # every stored gradient 1e-4 too large: on each state of gate 6, each
+    # family with a checked coordinate must fail the 1e-5 gate
+    real = DerivedState.gradient
+    monkeypatch.setattr(DerivedState, "gradient", lambda self, kind: real(self, kind) * (1.0 + 1e-4))
+    rng = np.random.default_rng(6)
+    checked = 0
+    for _ in range(10):
+        scen = random_scenario(rng)
+        for _ in range(20):
+            rep = finite_diff_check(scen, random_interior_state(scen, rng))
+            for kind, fam in rep.families.items():
+                assert fam.checked == 0 or fam.max_rel_err > 1e-5, (kind, fam)
+                checked += fam.checked > 0
+    assert checked == 1000

@@ -18,11 +18,13 @@ tests/helpers.py of this tree:
   `default_rng(402)`).
 
 Per workload it records counts that do not depend on the machine (sweeps,
-converged solves, block updates and those that did not move, and
-`derive`, `evaluate_physical` and `evaluate_flows` calls per block update)
-and the wall seconds per sweep of `_block_move`, per block kind, and of
-the whole solve, and the share of solve time spent in updates that did not
-move: what skipping stationary blocks could save at most.  Each workload runs
+converged solves, block updates and those that did not move, `derive`,
+`evaluate_physical` and `evaluate_flows` calls per block update, and
+`blocks()` calls and the distinct block tables they returned) and the wall
+seconds per sweep of `_block_move`, per block kind, of
+`optimality_residuals` and of the whole solve, and the share of solve time
+spent in updates that did not move: what skipping stationary blocks could
+save at most.  Each workload runs
 REPEATS times; the counts must repeat exactly and the timings are the
 medians over the repeats.
 """
@@ -71,6 +73,10 @@ class _Counters:
     def __init__(self, dn):
         self.calls = dict.fromkeys(("derive", "evaluate_physical", "evaluate_flows", "update_block"), 0)
         self.move_s = dict.fromkeys(KINDS, 0.0)
+        self.residuals_s = 0.0
+        self.blocks_calls = 0
+        # every table blocks() returned, kept alive so that ids stay unique
+        self.tables = {}
         self.unmoved = 0
         self.unmoved_s = 0.0
         self._undo = []
@@ -79,6 +85,8 @@ class _Counters:
             self._patch(mod, name, self._counting(name, getattr(mod, name)))
         self._patch(opt, "update_block", self._updating(opt.update_block))
         self._patch(opt, "_block_move", self._timing(opt._block_move))
+        self._patch(opt, "optimality_residuals", self._residuals(opt.optimality_residuals))
+        self._patch(opt, "blocks", self._tables(opt.blocks))
 
     def _patch(self, mod, name, fn):
         self._undo.append((mod, name, getattr(mod, name)))
@@ -108,6 +116,24 @@ class _Counters:
             t0 = time.perf_counter()
             out = fn(scenario, state, block, derived)
             self.move_s[block.kind] += time.perf_counter() - t0
+            return out
+
+        return wrapper
+
+    def _residuals(self, fn):
+        def wrapper(*args, **kwargs):
+            t0 = time.perf_counter()
+            out = fn(*args, **kwargs)
+            self.residuals_s += time.perf_counter() - t0
+            return out
+
+        return wrapper
+
+    def _tables(self, fn):
+        def wrapper(scenario):
+            out = fn(scenario)
+            self.blocks_calls += 1
+            self.tables[id(out)] = out
             return out
 
         return wrapper
@@ -145,11 +171,14 @@ def _run(dn, cases):
         "derive_calls": counters.calls["derive"],
         "evaluate_physical_calls": counters.calls["evaluate_physical"],
         "evaluate_flows_calls": counters.calls["evaluate_flows"],
+        "blocks_calls": counters.blocks_calls,
+        "distinct_block_tables": len(counters.tables),
     }
     for name in ("derive", "evaluate_physical", "evaluate_flows"):
         counts[f"{name}_per_update"] = round(counters.calls[name] / max(1, updates), 4)
     timings = {f"block_move_{k}_s_per_sweep": counters.move_s[k] / max(1, sweeps) for k in KINDS}
     timings["block_move_s_per_sweep"] = sum(counters.move_s.values()) / max(1, sweeps)
+    timings["residuals_s_per_sweep"] = counters.residuals_s / max(1, sweeps)
     timings["solve_s_per_sweep"] = wall / max(1, sweeps)
     timings["solve_s"] = wall
     timings["unmoved_update_share"] = counters.unmoved_s / wall

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 
@@ -30,48 +33,70 @@ class NotConnectedError(GraphValidationError):
     pass
 
 
+_first, _second = itemgetter(0), itemgetter(1)
+
+
 class ConnectivityGraph:
     """Immutable link-symmetric directed graph with dense internal indices.
 
-    Nodes are held in ascending id order and each adjacency row ascending,
-    as build_graph makes them; the protocol's draw order relies on it.
+    Each node's row holds its outgoing links (node, neighbor), keyed by node
+    id and ascending by neighbor; rows are shared between the graphs of a
+    join/leave sequence, each event copying the dict and rewriting the rows
+    it touches.  Nodes are held in ascending id order, so internal indices,
+    `links` and `adjacency` come out as build_graph makes them; the
+    protocol's draw order relies on it.  The internal-index views are built
+    on first use.  Connectivity is cached once known: build_graph proves
+    it, and an event keeps it where it can tell locally.
     """
 
-    __slots__ = ("nodes", "links", "_index", "_adj")
-
-    def __init__(self, nodes: tuple[int, ...], adj: tuple[tuple[int, ...], ...]):
+    def __init__(self, nodes: tuple, rows: dict[int, tuple[tuple[int, int], ...]]):
         self.nodes = nodes
-        self._index = {v: i for i, v in enumerate(nodes)}
-        self._adj = adj
-        self.links = tuple(
-            (nodes[i], nodes[j]) for i in range(len(nodes)) for j in adj[i]
-        )
+        self._rows = rows
+        self._connected: bool | None = None
+        self._comps: list[frozenset[int]] | None = None
+
+    @cached_property
+    def links(self) -> tuple[tuple[int, int], ...]:
+        return tuple(chain.from_iterable(map(self._rows.__getitem__, self.nodes)))
+
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        return dict(zip(self.nodes, range(len(self.nodes))))
+
+    @cached_property
+    def _adj(self) -> tuple[tuple[int, ...], ...]:
+        index = self._index.__getitem__
+        return tuple(tuple(map(index, map(_second, self._rows[v]))) for v in self.nodes)
+
+    @cached_property
+    def _max_degree(self) -> int:
+        return max(map(len, self._rows.values()))
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
     def __contains__(self, node: int) -> bool:
-        return node in self._index
+        return node in self._rows
 
     def index(self, node: int) -> int:
         return self._index[node]
 
     def neighbors(self, node: int) -> tuple[int, ...]:
-        return tuple(self.nodes[j] for j in self._adj[self.index(node)])
+        return tuple(map(_second, self._rows[node]))
 
     def adjacency(self, i: int) -> tuple[int, ...]:
         """Internal-index neighbor list of internal node i."""
         return self._adj[i]
 
     def degree(self, node: int) -> int:
-        return len(self._adj[self.index(node)])
+        return len(self._rows[node])
 
     def degrees(self) -> list[int]:
-        return [len(a) for a in self._adj]
+        return list(map(len, map(self._rows.__getitem__, self.nodes)))
 
     def max_degree(self) -> int:
-        return max(len(a) for a in self._adj)
+        return self._max_degree
 
     def internal_links(self) -> Iterator[tuple[int, int]]:
         for i in range(self.n):
@@ -79,25 +104,34 @@ class ConnectivityGraph:
                 yield (i, j)
 
     def connected(self) -> bool:
-        return len(self.components()) == 1
+        if self._connected is None:
+            self.components()
+        return self._connected
 
     def components(self) -> list[frozenset[int]]:
-        """Connected components as sets of external node ids."""
+        """Connected components as sets of external node ids, in the order
+        of their lowest id; a fresh list on every call."""
+        if self._comps is None:
+            self._comps = [frozenset(self.nodes)] if self._connected else self._search_components()
+            self._connected = len(self._comps) == 1
+        return list(self._comps)
+
+    def _search_components(self) -> list[frozenset[int]]:
+        """Connected components by a search over the whole graph."""
         seen: set[int] = set()
         comps = []
-        for s in range(self.n):
+        for s in self.nodes:
             if s in seen:
                 continue
             stack, comp = [s], {s}
             seen.add(s)
             while stack:
-                u = stack.pop()
-                for v in self._adj[u]:
+                for _, v in self._rows[stack.pop()]:
                     if v not in seen:
                         seen.add(v)
                         comp.add(v)
                         stack.append(v)
-            comps.append(frozenset(self.nodes[i] for i in comp))
+            comps.append(frozenset(comp))
         return comps
 
     def __repr__(self) -> str:
@@ -123,41 +157,74 @@ def build_graph(edges: Iterable[tuple[int, int]], *, require_connected: bool = T
     if not node_set:
         raise GraphValidationError("empty edge list")
     nodes = tuple(sorted(node_set))
-    index = {v: i for i, v in enumerate(nodes)}
-    adj_sets: list[set[int]] = [set() for _ in nodes]
-    for i, j in edge_set:
-        adj_sets[index[i]].add(index[j])
-    adj = tuple(tuple(sorted(s)) for s in adj_sets)
-    g = ConnectivityGraph(nodes, adj)
+    # ascending pairs are the links in node order, each row ascending.  The
+    # pairs hold the id objects of `nodes`: a caller may pass a fresh int per
+    # occurrence, and scattered objects slow every later pass over the links
+    one = dict(zip(nodes, nodes))
+    links = tuple([(one[i], one[j]) for i, j in sorted(edge_set)])
+    g = ConnectivityGraph(nodes, {v: tuple(row) for v, row in groupby(links, _first)})
+    g.links = links
     if require_connected and not g.connected():
         raise NotConnectedError(f"graph has {len(g.components())} components")
     return g
+
+
+def _drop(items: tuple, item) -> tuple:
+    """`items`, ascending, without `item`."""
+    k = bisect_left(items, item)
+    return items[:k] + items[k + 1 :]
+
+
+def _insert(items: tuple, item) -> tuple:
+    """`items`, ascending, with `item` at its place."""
+    k = bisect_left(items, item)
+    return items[:k] + (item,) + items[k:]
+
+
+def _reaches_all(rows: dict, targets: list[int]) -> bool:
+    """Whether a breadth-first search from targets[0] finds all the others;
+    it stops as soon as it has."""
+    start, *rest = targets
+    left = set(rest)
+    seen = {start}
+    queue = [start]
+    for v in queue:  # the loop also visits what it appends
+        if not left:
+            return True
+        for _, u in rows[v]:
+            if u not in seen:
+                seen.add(u)
+                left.discard(u)
+                queue.append(u)
+    return not left
 
 
 def _without_node(g: ConnectivityGraph, node: int) -> ConnectivityGraph | None:
     """The graph left when `node` goes, without the nodes it leaves linkless.
 
     Equal to build_graph of the surviving links with require_connected=False,
-    or None when no link survives.  Indices above each dropped row move down.
+    or None when no link survives.  Only the rows of `node` and its
+    neighbors change.  A connected graph stays so when the neighbors that
+    keep a link still reach one another: every path through `node` ran
+    between two of them.
     """
-    r = g.index(node)
-    rows = list(g._adj)
-    for u in rows[r]:
-        rows[u] = tuple(j for j in rows[u] if j != r)
-    rows[r] = ()
-    remap = []
-    kept = 0
-    for row in rows:
-        remap.append(kept if row else -1)
-        kept += bool(row)
-    if not kept:
+    rows = dict(g._rows)
+    nodes = _drop(g.nodes, node)
+    kept = []
+    for _, u in rows.pop(node):
+        row = _drop(rows[u], (u, node))
+        if row:
+            rows[u] = row
+            kept.append(u)
+        else:
+            del rows[u]
+            nodes = _drop(nodes, u)
+    if not rows:
         return None
-    low = remap.index(-1)  # rows below the first dropped one keep their indices
-    nodes = tuple(v for v, k in zip(g.nodes, remap) if k >= 0)
-    adj = tuple(
-        row if row[-1] < low else tuple(remap[j] for j in row) for row in rows if row
-    )
-    return ConnectivityGraph(nodes, adj)
+    out = ConnectivityGraph(nodes, rows)
+    if g._connected:
+        out._connected = _reaches_all(rows, kept)
+    return out
 
 
 def _with_node(g: ConnectivityGraph, node: int, neighbors: Iterable[int]) -> ConnectivityGraph:
@@ -165,21 +232,18 @@ def _with_node(g: ConnectivityGraph, node: int, neighbors: Iterable[int]) -> Con
 
     The caller checks that `node` is new and the neighbors exist; the result
     equals build_graph of the extended link list, minus its connectivity
-    check.  Indices at or after the new node's sorted position move up.
+    check.  Only the rows of `node` and its neighbors change, and a
+    connected graph stays connected.
     """
-    p = bisect_left(g.nodes, node)
-    nodes = g.nodes[:p] + (node,) + g.nodes[p:]
-
-    def shifted(row: tuple[int, ...], extra: tuple[int, ...] = ()) -> tuple[int, ...]:
-        k = bisect_left(row, p)
-        return row[:k] + extra + tuple(j + 1 for j in row[k:])
-
-    old = sorted(map(g.index, neighbors))
-    rows = [shifted(row) for row in g._adj]
-    for k in old:
-        rows[k] = shifted(g._adj[k], (p,))
-    rows.insert(p, tuple(k + (k >= p) for k in old))
-    return ConnectivityGraph(nodes, tuple(rows))
+    rows = dict(g._rows)
+    new = sorted(neighbors)
+    rows[node] = tuple((node, u) for u in new)
+    for u in new:
+        rows[u] = _insert(rows[u], (u, node))
+    out = ConnectivityGraph(_insert(g.nodes, node), rows)
+    if g._connected:
+        out._connected = True
+    return out
 
 
 def greedy_coloring(g: ConnectivityGraph) -> list[int]:

@@ -241,7 +241,7 @@ class NetworkScenario:
             raise ValueError(f"allocation is not duplexing-feasible: {report}")
         for w, sess in enumerate(self.sessions):
             for label, node in (("origin", sess.origin), ("dest", sess.dest)):
-                if node not in g._index:
+                if node not in g:
                     raise ValueError(f"session {w} {label} {node!r} not in graph")
 
     @cached_property

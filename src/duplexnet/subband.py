@@ -15,6 +15,7 @@ import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .coloring import (
@@ -24,7 +25,7 @@ from .coloring import (
     mask_from_colors,
     min_subband_count,
 )
-from .graph import ConnectivityGraph, NotConnectedError, _with_node, _without_node
+from .graph import ConnectivityGraph, NotConnectedError, _drop, _with_node, _without_node
 
 
 class InsufficientBandsError(ValueError):
@@ -224,24 +225,26 @@ def allocation_from_family(g: ConnectivityGraph, family: ColorSetFamily) -> Spec
 
 
 def check_allocation(g: ConnectivityGraph, alloc: SpectrumAllocation) -> AllocationCheck:
-    """Verify coverage (every link has a band) and the duplexing constraint."""
-    links = set(g.links)
+    """Verify coverage (every link has a band) and the duplexing constraint.
+
+    Only the graph's links count; other `link_bands` keys are ignored.
+    """
+    bands = alloc.link_bands
     coverage = []
+    transmit = dict.fromkeys(g.nodes, 0)
+    receive = dict.fromkeys(g.nodes, 0)
     for lk in g.links:
-        if not alloc.link_bands.get(lk, 0):
+        m = bands.get(lk, 0)
+        if not m:
             coverage.append(lk)
-    transmit: dict[int, set[int]] = {}
-    receive: dict[int, set[int]] = {}
-    for (i, j), m in alloc.link_bands.items():
-        if (i, j) not in links:
-            continue
-        for b in colors_from_mask(m):
-            transmit.setdefault(b, set()).add(i)
-            receive.setdefault(b, set()).add(j)
+        i, j = lk
+        transmit[i] |= m
+        receive[j] |= m
     duplexing = []
-    for b in sorted(transmit):
-        for node in sorted(transmit[b] & receive.get(b, set())):
+    for node, m in transmit.items():
+        for b in colors_from_mask(m & receive[node]):
             duplexing.append((node, b))
+    duplexing.sort(key=itemgetter(1, 0))
     return AllocationCheck(tuple(coverage), tuple(duplexing))
 
 
@@ -262,16 +265,19 @@ def apply_topology_change(
     if isinstance(change, Leave):
         if change.node not in g:
             raise ValueError(f"unknown node {change.node}")
-        keep_nodes = [v for v in g.nodes if v != change.node]
         new_g = _without_node(g, change.node)
-        outgoing = {v: alloc.outgoing[v] for v in keep_nodes}
-        link_bands = {lk: alloc.link_bands[lk] for lk in new_g.links} if new_g is not None else {}
+        # the survivors in node order and the links in link order, which the
+        # appends of earlier joins left at the end
+        keep_nodes = _drop(g.nodes, change.node)
+        outgoing = dict(zip(keep_nodes, map(alloc.outgoing.__getitem__, keep_nodes)))
+        links = new_g.links if new_g is not None else ()
+        link_bands = dict(zip(links, map(alloc.link_bands.__getitem__, links)))
         new_alloc = SpectrumAllocation(alloc.band_count, outgoing, link_bands, alloc.fallbacks)
         if new_g is None:
             comps = tuple(frozenset((v,)) for v in keep_nodes)
             return TopologyResult(None, new_alloc, len(comps) > 1, comps)
         comps = new_g.components()
-        comps += [frozenset((v,)) for v in keep_nodes if v not in new_g]
+        comps += [frozenset((v,)) for v in g.neighbors(change.node) if v not in new_g]
         return TopologyResult(new_g, new_alloc, len(comps) > 1, tuple(comps))
 
     if isinstance(change, Join):

@@ -40,6 +40,14 @@ def test_build_graph_keeps_labels():
     assert g.max_degree() == 2
 
 
+def test_components_returns_a_fresh_list():
+    g = build_graph([(0, 1), (1, 0), (7, 8), (8, 7)], require_connected=False)
+    comps = g.components()
+    comps.append(frozenset({99}))
+    assert g.components() == [frozenset({0, 1}), frozenset({7, 8})]
+    assert not g.connected()
+
+
 def test_duplicate_edges_collapse():
     g = build_graph([(0, 1), (1, 0), (0, 1), (1, 0)])
     assert g.n == 2

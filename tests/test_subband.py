@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from duplexnet.coloring import ColorSetFamily, assign_link_colors, mask_from_colors, min_subband_count
-from duplexnet.graph import NotConnectedError, build_graph
+from duplexnet.graph import ConnectivityGraph, NotConnectedError, build_graph
 from duplexnet.subband import (
     DegreeBudgetExceededError,
     InsufficientBandsError,
@@ -115,6 +115,36 @@ def test_check_allocation_detects_uncovered_link():
     rep = check_allocation(g, bad)
     assert not rep.ok
     assert rep.coverage_violations == ((2, 1),)
+
+
+def _per_band_check(g, alloc):
+    """check_allocation as first written: per-band sender and receiver sets."""
+    links = set(g.links)
+    coverage = tuple(lk for lk in g.links if not alloc.link_bands.get(lk, 0))
+    transmit, receive = {}, {}
+    for (i, j), m in alloc.link_bands.items():
+        if (i, j) in links:
+            for b in range(alloc.band_count):
+                if m >> b & 1:
+                    transmit.setdefault(b, set()).add(i)
+                    receive.setdefault(b, set()).add(j)
+    duplexing = tuple(
+        (node, b) for b in sorted(transmit) for node in sorted(transmit[b] & receive.get(b, set()))
+    )
+    return coverage, duplexing
+
+
+def test_check_allocation_matches_per_band_sets():
+    rng = np.random.default_rng(55)
+    for _ in range(20):
+        g = random_connected_graph(rng)
+        q = int(rng.integers(2, 6))
+        # random masks, some empty, and a key that is not a link
+        bands = {lk: int(rng.integers(1 << q)) for lk in g.links if rng.random() < 0.9}
+        bands[(g.nodes[0], max(g.nodes) + 1)] = (1 << q) - 1
+        alloc = SpectrumAllocation(q, {v: 0 for v in g.nodes}, bands)
+        rep = check_allocation(g, alloc)
+        assert (rep.coverage_violations, rep.duplexing_violations) == _per_band_check(g, alloc)
 
 
 def test_leave_keeps_survivors_untouched():
@@ -272,6 +302,9 @@ def test_churn_graphs_match_rebuild(graph_seed):
     alloc = allocate_subbands(g, min_subband_count(g.max_degree() + 1), seed=graph_seed)
     kinds = set()
     for before, _, change, res in churn(rng, g, alloc, pos, radius, 40):
+        # first, so that the rebuild check's components() call fills no cache
+        if res.graph is not None:
+            assert res.graph.connected() == _rebuilt(before, change).connected()
         _assert_matches_rebuild(before, change, res)
         kinds.add(type(change))
     assert kinds == {Join, Leave}
@@ -307,3 +340,45 @@ def test_leave_disconnecting_then_join_raises():
     joined = apply_topology_change(res.graph, res.allocation, Join(35, (20, 40)), seed=1)
     _assert_matches_rebuild(res.graph, Join(35, (20, 40)), joined)
     assert not joined.disconnected
+    assert joined.graph.connected()
+    assert joined.components == (frozenset({10, 20, 35, 40, 50, 60}),)
+
+
+def _count_searches(monkeypatch):
+    """The graphs on which a full connected-component search runs."""
+    searched = []
+    search = ConnectivityGraph._search_components
+
+    def counting(self):
+        searched.append(self)
+        return search(self)
+
+    monkeypatch.setattr(ConnectivityGraph, "_search_components", counting)
+    return searched
+
+
+def test_local_events_search_no_components(monkeypatch):
+    # ring 0..5: build_graph proves it connected, before the count starts
+    und = [(k, (k + 1) % 6) for k in range(6)]
+    g = build_graph(und + [(b, a) for a, b in und])
+    alloc = allocate_subbands(g, 3)
+    searched = _count_searches(monkeypatch)
+    joined = apply_topology_change(g, alloc, Join(10, (0, 3)), seed=1)
+    assert joined.components == (frozenset({0, 1, 2, 3, 4, 5, 10}),)
+    # node 1 is no cut vertex: its neighbors 0 and 2 still meet through 5, 4, 3
+    left = apply_topology_change(joined.graph, joined.allocation, Leave(1))
+    assert left.components == (frozenset({0, 2, 3, 4, 5, 10}),)
+    assert not left.disconnected and left.graph.connected()
+    assert searched == []
+    _assert_matches_rebuild(g, Join(10, (0, 3)), joined)
+    _assert_matches_rebuild(joined.graph, Leave(1), left)
+
+
+def test_cut_vertex_leave_searches_once(monkeypatch):
+    g = path_graph(5)
+    alloc = allocate_subbands(g, 3)
+    searched = _count_searches(monkeypatch)
+    res = apply_topology_change(g, alloc, Leave(2))
+    assert res.components == (frozenset({0, 1}), frozenset({3, 4}))
+    assert res.disconnected and not res.graph.connected()
+    assert searched == [res.graph]

@@ -90,9 +90,6 @@ class ColorSetFamily:
             if m & ~full:
                 raise ValueError(f"node {node} uses colors outside the universe")
 
-    def sets(self) -> dict[int, frozenset[int]]:
-        return {node: frozenset(colors_from_mask(m)) for node, m in self.masks.items()}
-
 
 @dataclass(frozen=True)
 class LinkColoring:
@@ -100,9 +97,6 @@ class LinkColoring:
 
     universe_size: int
     masks: dict[tuple[int, int], int]
-
-    def sets(self) -> dict[tuple[int, int], frozenset[int]]:
-        return {lk: frozenset(colors_from_mask(m)) for lk, m in self.masks.items()}
 
 
 @dataclass(frozen=True)
@@ -283,16 +277,19 @@ def equalize_family(
     return out
 
 
-def brute_force_min_colors(g: ConnectivityGraph, *, max_nodes: int = 6) -> int:
+BRUTE_FORCE_MAX_NODES = 6
+
+
+def brute_force_min_colors(g: ConnectivityGraph) -> int:
     """Exhaustive minimum universe size admitting a feasible family.
 
     Enumerates nonempty per-node masks in canonical first-use color order
     (color permutations explored once), prunes on condition (i) against
     assigned neighbors, and applies the condition-(ii) repair at the leaves.
-    Exact but exponential; rejects graphs above max_nodes.
+    Exact but exponential; rejects graphs above BRUTE_FORCE_MAX_NODES.
     """
-    if g.n > max_nodes:
-        raise TooLargeError(f"{g.n} nodes exceeds the exhaustive cap of {max_nodes}")
+    if g.n > BRUTE_FORCE_MAX_NODES:
+        raise TooLargeError(f"{g.n} nodes exceeds the exhaustive cap of {BRUTE_FORCE_MAX_NODES}")
     n = g.n
     adj = [g.adjacency(i) for i in range(n)]
     cap = min_subband_count(g.max_degree() + 1)

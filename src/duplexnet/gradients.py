@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import ControlState, DerivedState, NetworkScenario, derive
+from .scenario import ControlState, DerivedState, NetworkScenario
 
 
 def power_messages(scenario: NetworkScenario, derived: DerivedState) -> np.ndarray:
@@ -157,12 +157,8 @@ class GradientBundle:
     d_f: np.ndarray
 
 
-def gradient_bundle(
-    scenario: NetworkScenario, state: ControlState, derived: DerivedState = None
-) -> GradientBundle:
+def gradient_bundle(scenario: NetworkScenario, state: ControlState, derived: DerivedState) -> GradientBundle:
     """All block gradients at one state, sharing intermediate terms."""
-    if derived is None:
-        derived = derive(scenario, state)
     if not math.isfinite(derived.total):
         raise ValueError("gradients need a finite-cost state")
     d_x, d_f, _, _ = derived.derivatives

@@ -208,7 +208,7 @@ def _without_node(g: ConnectivityGraph, node: int) -> ConnectivityGraph | None:
     keep a link still reach one another: every path through `node` ran
     between two of them.
     """
-    rows = dict(g._rows)
+    rows = g._rows.copy()  # a clone even after deletions, unlike dict()
     nodes = _drop(g.nodes, node)
     kept = []
     for _, u in rows.pop(node):
@@ -235,7 +235,7 @@ def _with_node(g: ConnectivityGraph, node: int, neighbors: Iterable[int]) -> Con
     check.  Only the rows of `node` and its neighbors change, and a
     connected graph stays connected.
     """
-    rows = dict(g._rows)
+    rows = g._rows.copy()
     new = sorted(neighbors)
     rows[node] = tuple((node, u) for u in new)
     for u in new:
@@ -313,16 +313,19 @@ def _exact_chromatic(g: ConnectivityGraph, upper: int) -> int:
     return best_k
 
 
-def chromatic_number(g: ConnectivityGraph, *, exact_limit: int = 16) -> tuple[int, bool]:
+EXACT_LIMIT = 16
+
+
+def chromatic_number(g: ConnectivityGraph) -> tuple[int, bool]:
     """Chromatic number of the graph.
 
-    Returns (value, exact).  For graphs with at most exact_limit nodes the
+    Returns (value, exact).  For graphs with at most EXACT_LIMIT nodes the
     value is exact (branch and bound seeded by the DSATUR bound); beyond
     that it is the greedy upper bound, at most max_degree + 1, with
     exact=False.
     """
     greedy = max(greedy_coloring(g)) + 1
-    if g.n <= exact_limit:
+    if g.n <= EXACT_LIMIT:
         return _exact_chromatic(g, greedy), True
     return greedy, False
 

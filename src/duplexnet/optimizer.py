@@ -232,13 +232,13 @@ class Residuals:
         return max(self.eta, self.rho, self.mu, self.phi, self.overflow)
 
 
-def optimality_residuals(
-    scenario: NetworkScenario,
-    state: ControlState,
-    derived=None,
-    support_tol: float = 1e-12,
-    slack_tol: float = 1e-9,
-) -> Residuals:
+# a coordinate above SUPPORT_TOL is used (a box scalar within it of 1 sits
+# on its upper bound), and a power row within SLACK_TOL of 1 is tight
+SUPPORT_TOL = 1e-12
+SLACK_TOL = 1e-9
+
+
+def optimality_residuals(scenario: NetworkScenario, state: ControlState, derived=None) -> Residuals:
     """Stationarity violations per block family; all terms are >= 0.
 
     Share groups (eta, mu, phi): used coordinates must share the minimal
@@ -274,12 +274,12 @@ def optimality_residuals(
             continue
         vals = marginal[kind][key]
         cur = getattr(state, kind)[key]
-        used = cur > support_tol
+        used = cur > SUPPORT_TOL
         constraint = CONSTRAINT[kind]
         if constraint == "sum_to_one":
             res = _simplex_residual(vals, used, excluded=derived.blocked(*block.group) if kind == "phi" else None)
         elif constraint == "sum_at_most_one":
-            tight = float(cur.sum()) >= 1.0 - slack_tol
+            tight = float(cur.sum()) >= 1.0 - SLACK_TOL
             witness = 0.0
             res = 0.0
             if np.any(used):
@@ -290,9 +290,9 @@ def optimality_residuals(
                 res = max(res, _gap(witness, float(np.min(vals[~used]))))
         else:
             g = vals[0]
-            if cur[0] <= support_tol:
+            if cur[0] <= SUPPORT_TOL:
                 res = max(0.0, -g)
-            elif cur[0] >= 1.0 - support_tol:
+            elif cur[0] >= 1.0 - SUPPORT_TOL:
                 res = max(0.0, g)
             else:
                 res = abs(g)

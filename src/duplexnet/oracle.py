@@ -47,7 +47,6 @@ class FamilyReport:
 @dataclass(frozen=True)
 class CheckReport:
     families: dict
-    h: float
 
     @property
     def worst(self) -> float:
@@ -59,7 +58,7 @@ class CheckReport:
         return sum(f.checked for f in self.families.values())
 
 
-def _require_headroom(scenario, derived, headroom):
+def _require_headroom(scenario, derived):
     x = derived.physical.sinr
     f = derived.flows.band_flow
     cap = kernels.capacity(x, scenario.cost.bandwidth, scenario.cost.gain_factor)
@@ -68,9 +67,9 @@ def _require_headroom(scenario, derived, headroom):
             continue
         if x[e] <= 0:
             raise BoundaryTooCloseError(f"entry {e} carries flow with no sinr")
-        if not f[e] <= (1.0 - headroom) * cap[e]:
+        if not f[e] <= (1.0 - HEADROOM) * cap[e]:
             raise BoundaryTooCloseError(
-                f"entry {e}: flow {f[e]:.6g} within {headroom:.0%} of capacity {cap[e]:.6g}"
+                f"entry {e}: flow {f[e]:.6g} within {HEADROOM:.0%} of capacity {cap[e]:.6g}"
             )
 
 
@@ -127,26 +126,24 @@ def _extrapolated(cost_at, v: float, h: float) -> float:
     return best
 
 
-def finite_diff_check(
-    scenario: NetworkScenario,
-    state: ControlState,
-    h: float = H0,
-    margin: float = 1e-4,
-    headroom: float = 0.05,
-) -> CheckReport:
+MARGIN = 1e-4
+HEADROOM = 0.05
+
+
+def finite_diff_check(scenario: NetworkScenario, state: ControlState) -> CheckReport:
     """Compare every analytic partial derivative with finite differences.
 
     Each partial is estimated by :func:`_extrapolated` from central
-    differences that start at step `h`.  Coordinates closer than `margin`
+    differences that start at step H0.  Coordinates closer than MARGIN
     to a bound are skipped (their analytic values are one-sided
     conventions); the whole check raises BoundaryTooCloseError when any
-    loaded entry sits within `headroom` of its capacity, since differences
+    loaded entry sits within HEADROOM of its capacity, since differences
     would straddle the barrier.
     """
     derived = derive(scenario, state)
     if not math.isfinite(derived.total):
         raise ValueError("finite differences need a finite-cost state")
-    _require_headroom(scenario, derived, headroom)
+    _require_headroom(scenario, derived)
     lay = scenario.layout
     # the coordinates of each array that have a partial of their own:
     # rho only on outgoing bands, phi only off the destination's links
@@ -166,7 +163,7 @@ def finite_diff_check(
         for idx in zip(*np.nonzero(mask)):
             v = values[idx]
             # phi_w is the one array with an upper bound, 1
-            if v < margin or (kind == "phi_w" and v > 1.0 - margin):
+            if v < MARGIN or (kind == "phi_w" and v > 1.0 - MARGIN):
                 skipped += 1
                 continue
 
@@ -177,15 +174,28 @@ def finite_diff_check(
 
             # the first step stays within a quarter of the distance to zero;
             # an estimate that is not finite fails the check
-            fd = _extrapolated(cost_at, v, min(h, v / 4.0))
+            fd = _extrapolated(cost_at, v, min(H0, v / 4.0))
             worst = max(worst, _rel_err(fd, analytic[idx]) if math.isfinite(fd) else math.inf)
             checked += 1
         families[kind] = FamilyReport(worst, checked, skipped)
-    return CheckReport(families=families, h=h)
+    return CheckReport(families=families)
 
 
 # ---------------------------------------------------------------------------
 # reference solver
+#
+# reference_solve_small takes at most MAX_NODES nodes, MAX_SESSIONS sessions
+# and MAX_BANDS bands, and at most MAX_PATHS simple paths per session.  A
+# coordinate's section is scanned at GRID points, then refined by at most
+# REFINE golden-section steps; a restart stops after two sweeps in a row
+# that each gain at most STALL_TOL times the cost (floored at 1).
+MAX_NODES = 4
+MAX_SESSIONS = 2
+MAX_BANDS = 3
+MAX_PATHS = 64
+GRID = 9
+REFINE = 36
+STALL_TOL = 1e-12
 
 
 def _oracle_cost(gains, noise, ent_tx, ent_rx, ent_band, p, band_flow, bandwidth, gain_factor):
@@ -239,7 +249,7 @@ def _oracle_sinr(gains, noise, ent_tx, ent_rx, ent_band, p):
     return out
 
 
-def _simple_paths(lay, origin, dest, cap=64):
+def _simple_paths(lay, origin, dest):
     """All simple origin->dest paths as tuples of link indices."""
     out = []
     path = []
@@ -248,8 +258,8 @@ def _simple_paths(lay, origin, dest, cap=64):
     def walk(v):
         if v == dest:
             out.append(tuple(path))
-            if len(out) > cap:
-                raise TooLargeError(f"more than {cap} simple paths")
+            if len(out) > MAX_PATHS:
+                raise TooLargeError(f"more than {MAX_PATHS} simple paths")
             return
         for li in lay.out_links[v]:
             u = lay.links[li][1]
@@ -310,7 +320,7 @@ def _one_cost(cap, f):
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _line_min(fun, lo, hi, cur, f_cur, grid=9, refine=36):
+def _line_min(fun, lo, hi, cur, f_cur):
     """Minimize fun on [lo, hi] given the known point (cur, f_cur).
 
     Coarse grid scan picks a bracket, golden-section refines it.  The best
@@ -322,7 +332,7 @@ def _line_min(fun, lo, hi, cur, f_cur, grid=9, refine=36):
         return cur, f_cur, 0
     points = [(float(cur), f_cur)]
     evals = 0
-    for x in np.linspace(lo, hi, grid):
+    for x in np.linspace(lo, hi, GRID):
         x = float(x)
         if x == cur:
             continue
@@ -344,7 +354,7 @@ def _line_min(fun, lo, hi, cur, f_cur, grid=9, refine=36):
         best_x, best_f = c, fc
     if fd < best_f:
         best_x, best_f = d, fd
-    for _ in range(refine):
+    for _ in range(REFINE):
         if fc <= fd:
             z, d, fd = d, c, fc
             c = z - _INVPHI * (z - a)
@@ -369,7 +379,6 @@ class _OracleProblem:
     paths: list
     n_power: int
     n_flow: int
-    n_share: int
 
     def split(self, vec):
         a = self.n_power
@@ -679,12 +688,12 @@ class _Search:
             return self.flows
         return self.shares
 
-    def minimize_coord(self, c, grid=9, refine=36):
+    def minimize_coord(self, c):
         built = self._section(c)
         if built is None:
             return False
         fun, lo, hi, cur = built
-        best_x, best_f, ev = _line_min(fun, lo, hi, cur, self.cost, grid=grid, refine=refine)
+        best_x, best_f, ev = _line_min(fun, lo, hi, cur, self.cost)
         self.evals += ev
         if best_x == cur or not best_f < self.cost:
             return False
@@ -707,7 +716,7 @@ class _Search:
             arr[c.b] = olds[1]
         return False
 
-    def run(self, rng, sweeps, freeze_power, rel_tol=1e-12):
+    def run(self, rng, sweeps, freeze_power):
         coords = self.coords
         if freeze_power:
             coords = [c for c in coords if c.kind not in ("p", "pt")]
@@ -718,7 +727,7 @@ class _Search:
             before = self.cost
             for ci in rng.permutation(len(coords)):
                 self.minimize_coord(coords[ci])
-            if before - self.cost <= rel_tol * max(1.0, abs(self.cost)):
+            if before - self.cost <= STALL_TOL * max(1.0, abs(self.cost)):
                 stall += 1
                 if stall >= 2:
                     break
@@ -732,25 +741,22 @@ def reference_solve_small(
     restarts: int = 5,
     sweeps: int = 60,
     freeze_power: bool = False,
-    max_nodes: int = 4,
-    max_sessions: int = 2,
-    max_bands: int = 3,
 ) -> OracleResult:
     """Numeric-only coordinate search over tiny instances, best of restarts.
 
-    Raises TooLargeError beyond max_nodes/max_sessions/max_bands; those
-    caps keep the simple-path enumeration and the per-sweep work
+    Raises TooLargeError beyond MAX_NODES, MAX_SESSIONS or MAX_BANDS;
+    those caps keep the simple-path enumeration and the per-sweep work
     affordable.  freeze_power keeps transmit powers at their initial value
     so closed-form toy problems in flow variables can be checked in
     isolation.
     """
     lay = scenario.layout
-    if lay.n > max_nodes:
-        raise TooLargeError(f"{lay.n} nodes > {max_nodes}")
-    if len(scenario.sessions) > max_sessions:
-        raise TooLargeError(f"{len(scenario.sessions)} sessions > {max_sessions}")
-    if lay.band_count > max_bands:
-        raise TooLargeError(f"{lay.band_count} bands > {max_bands}")
+    if lay.n > MAX_NODES:
+        raise TooLargeError(f"{lay.n} nodes > {MAX_NODES}")
+    if len(scenario.sessions) > MAX_SESSIONS:
+        raise TooLargeError(f"{len(scenario.sessions)} sessions > {MAX_SESSIONS}")
+    if lay.band_count > MAX_BANDS:
+        raise TooLargeError(f"{lay.band_count} bands > {MAX_BANDS}")
     paths = [
         _simple_paths(lay, int(lay.origin[w]), int(lay.dest[w]))
         for w in range(len(scenario.sessions))
@@ -763,7 +769,6 @@ def reference_solve_small(
         paths=paths,
         n_power=lay.n_entries,
         n_flow=n_flow,
-        n_share=lay.n_entries,
     )
     rng = np.random.default_rng(seed)
     best_vec = None

@@ -380,7 +380,11 @@ def _hop_distances(g: ConnectivityGraph, dest: int):
     return dist
 
 
-def validate_state(scenario: NetworkScenario, state: ControlState, atol: float = 1e-9) -> list:
+# validate_state's slack on a bound; a group's sum may miss 1 by 10 ATOL
+ATOL = 1e-9
+
+
+def validate_state(scenario: NetworkScenario, state: ControlState) -> list:
     """Constraint violations as human-readable strings; empty means valid."""
     lay = scenario.layout
     g = scenario.graph
@@ -391,31 +395,31 @@ def validate_state(scenario: NetworkScenario, state: ControlState, atol: float =
         return ["eta/mu shape mismatch"]
     if state.phi.shape != (len(scenario.sessions), lay.n_links):
         return [f"phi shape {state.phi.shape} != {(len(scenario.sessions), lay.n_links)}"]
-    off = ~lay.rho_mask & (np.abs(state.rho) > atol)
+    off = ~lay.rho_mask & (np.abs(state.rho) > ATOL)
     for i, q in zip(*np.nonzero(off)):
         bad.append(f"rho[{g.nodes[i]}, band {q}] nonzero outside the band set")
-    if np.any(state.rho < -atol):
+    if np.any(state.rho < -ATOL):
         bad.append("negative rho entry")
     for i in range(lay.n):
         tot = float(state.rho[i].sum())
-        if tot > 1 + atol:
+        if tot > 1 + ATOL:
             bad.append(f"node {g.nodes[i]} power fractions sum to {tot:.6g} > 1")
     for (i, q), entries in sorted(lay.node_band_entries.items()):
         tot = float(state.eta[entries].sum())
-        if abs(tot - 1) > atol * max(10, entries.size):
+        if abs(tot - 1) > ATOL * max(10, entries.size):
             bad.append(f"eta over node {g.nodes[i]} band {q} sums to {tot:.6g} != 1")
-    if np.any(state.eta < -atol):
+    if np.any(state.eta < -ATOL):
         bad.append("negative eta entry")
     for li, sl in enumerate(lay.link_slices):
         tot = float(state.mu[sl].sum())
-        if abs(tot - 1) > atol * 10:
+        if abs(tot - 1) > ATOL * 10:
             i, j = lay.links[li]
             bad.append(f"mu over link ({g.nodes[i]}, {g.nodes[j]}) sums to {tot:.6g} != 1")
-    if np.any(state.mu < -atol):
+    if np.any(state.mu < -ATOL):
         bad.append("negative mu entry")
-    if np.any(state.phi < -atol):
+    if np.any(state.phi < -ATOL):
         bad.append("negative phi entry")
-    if np.any((state.phi_w < -atol) | (state.phi_w > 1 + atol)):
+    if np.any((state.phi_w < -ATOL) | (state.phi_w > 1 + ATOL)):
         bad.append("phi_w outside [0, 1]")
     for w in range(len(scenario.sessions)):
         d = int(lay.dest[w])
@@ -423,9 +427,9 @@ def validate_state(scenario: NetworkScenario, state: ControlState, atol: float =
             row = [state.phi[w, li] for li in lay.out_links[i]]
             tot = float(sum(row))
             if i == d:
-                if tot > atol:
+                if tot > ATOL:
                     bad.append(f"session {w} routes out of its destination")
-            elif abs(tot - 1) > atol * 10:
+            elif abs(tot - 1) > ATOL * 10:
                 bad.append(f"session {w} fractions at node {g.nodes[i]} sum to {tot:.6g} != 1")
         try:
             _session_topo_order(lay, state.phi[w], d, w)
@@ -881,7 +885,6 @@ class MPsdReport:
     at_sinr: float
     at_flow: float
     points: int
-    tol: float
 
     def __str__(self):
         verdict = "PSD" if self.psd else "NOT PSD"
@@ -891,14 +894,12 @@ class MPsdReport:
         )
 
 
-def check_m_psd(
-    cost: CostParams = None,
-    derivs=None,
-    grid: int = 50,
-    capacity_span=(0.25, 8.0),
-    flow_fraction_max: float = 0.95,
-    tol: float = 1e-10,
-) -> MPsdReport:
+CAPACITY_SPAN = (0.25, 8.0)
+FLOW_FRACTION_MAX = 0.95
+PSD_TOL = 1e-10
+
+
+def check_m_psd(cost: CostParams = None, derivs=None, grid: int = 50) -> MPsdReport:
     """Scan the curvature matrix of the link cost over its finite domain.
 
     The matrix pairs the log-SINR direction with the flow direction:
@@ -908,9 +909,10 @@ def check_m_psd(
 
     Positive semidefiniteness of this matrix everywhere is what a
     convexity-based convergence argument would need.  `derivs(x, f)` may
-    supply the five derivatives for an alternative cost family; by default
-    the grid covers capacities in `capacity_span` (units of bandwidth) and
-    flows up to `flow_fraction_max` of capacity.
+    supply the five derivatives for an alternative cost family.  The grid
+    covers capacities in CAPACITY_SPAN (units of bandwidth) and flows up to
+    FLOW_FRACTION_MAX of capacity; a least eigenvalue down to -PSD_TOL
+    counts as PSD.
     """
     if cost is None:
         cost = CostParams()
@@ -920,8 +922,8 @@ def check_m_psd(
             return d.d_x, d.d_f, d.d_xx, d.d_ff, d.d_xf
 
     r = cost.bandwidth
-    caps = np.linspace(capacity_span[0] * r, capacity_span[1] * r, grid)
-    fracs = np.linspace(0.0, flow_fraction_max, grid)
+    caps = np.linspace(CAPACITY_SPAN[0] * r, CAPACITY_SPAN[1] * r, grid)
+    fracs = np.linspace(0.0, FLOW_FRACTION_MAX, grid)
     best = math.inf
     best_at = (math.nan, math.nan)
     count = 0
@@ -940,10 +942,9 @@ def check_m_psd(
                 best = lo
                 best_at = (x, f)
     return MPsdReport(
-        psd=best >= -tol,
+        psd=best >= -PSD_TOL,
         min_eigenvalue=best,
         at_sinr=best_at[0],
         at_flow=best_at[1],
         points=count,
-        tol=tol,
     )

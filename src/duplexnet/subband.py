@@ -25,7 +25,7 @@ from .coloring import (
     mask_from_colors,
     min_subband_count,
 )
-from .graph import ConnectivityGraph, NotConnectedError, _drop, _with_node, _without_node
+from .graph import ConnectivityGraph, NotConnectedError, _with_node, _without_node
 
 
 class InsufficientBandsError(ValueError):
@@ -46,9 +46,6 @@ class SpectrumAllocation:
     # (swap repairs, subset enumerations) among the selections behind this
     # allocation: a plan's own, plus one per join since; not part of equality
     fallbacks: tuple[int, int] = field(default=(0, 0), compare=False)
-
-    def family(self) -> ColorSetFamily:
-        return ColorSetFamily(self.band_count, dict(self.outgoing))
 
     def bands_of(self, i: int, j: int) -> tuple[int, ...]:
         return colors_from_mask(self.link_bands[(i, j)])
@@ -90,10 +87,8 @@ def _band_preference(
     band_count: int, counts: Sequence[int], rng: random.Random | None
 ) -> list[int]:
     """Bands by ascending occurrence count; ties by index, or shuffled when seeded."""
-    if rng is None:
-        tie = list(range(band_count))
-    else:
-        tie = list(range(band_count))
+    tie = list(range(band_count))
+    if rng is not None:
         rng.shuffle(tie)
     return sorted(range(band_count), key=lambda b: (counts[b], tie[b]))
 
@@ -265,19 +260,21 @@ def apply_topology_change(
     if isinstance(change, Leave):
         if change.node not in g:
             raise ValueError(f"unknown node {change.node}")
-        new_g = _without_node(g, change.node)
-        # the survivors in node order and the links in link order, which the
-        # appends of earlier joins left at the end
-        keep_nodes = _drop(g.nodes, change.node)
-        outgoing = dict(zip(keep_nodes, map(alloc.outgoing.__getitem__, keep_nodes)))
-        links = new_g.links if new_g is not None else ()
-        link_bands = dict(zip(links, map(alloc.link_bands.__getitem__, links)))
+        node, neighbors = change.node, g.neighbors(change.node)
+        new_g = _without_node(g, node)
+        # delete in place; dict.copy, unlike dict(), still clones the table
+        # of a dict that has had a few deletions
+        outgoing = alloc.outgoing.copy()
+        del outgoing[node]
+        link_bands = alloc.link_bands.copy()
+        for u in neighbors:
+            del link_bands[(node, u)], link_bands[(u, node)]
         new_alloc = SpectrumAllocation(alloc.band_count, outgoing, link_bands, alloc.fallbacks)
         if new_g is None:
-            comps = tuple(frozenset((v,)) for v in keep_nodes)
+            comps = tuple(frozenset((v,)) for v in g.nodes if v != node)
             return TopologyResult(None, new_alloc, len(comps) > 1, comps)
         comps = new_g.components()
-        comps += [frozenset((v,)) for v in g.neighbors(change.node) if v not in new_g]
+        comps += [frozenset((v,)) for v in neighbors if v not in new_g]
         return TopologyResult(new_g, new_alloc, len(comps) > 1, tuple(comps))
 
     if isinstance(change, Join):
@@ -299,9 +296,9 @@ def apply_topology_change(
         done = [alloc.outgoing[u] for u in neighbors]
         counts = _occurrence_counts(alloc.band_count, done)
         oc, path = _choose_set(alloc.band_count, counts, done, rng)
-        outgoing = dict(alloc.outgoing)
+        outgoing = alloc.outgoing.copy()
         outgoing[node] = oc
-        link_bands = dict(alloc.link_bands)
+        link_bands = alloc.link_bands.copy()
         for u in neighbors:
             link_bands[(node, u)] = oc & ~alloc.outgoing[u]
             link_bands[(u, node)] = alloc.outgoing[u] & ~oc

@@ -18,8 +18,8 @@ non-cut vertices (`churn_events`), applied one after another:
 
 Per workload it records counts that do not depend on the machine (nodes,
 links, joins, leaves, full connected-component searches per event, and a
-digest of every event's allocation, graph and components, which must
-match between trees that give the same outputs) and the wall milliseconds
+digest of every event's allocation, its dicts sorted by key, graph and
+components, which must match between trees that give the same outputs) and the wall milliseconds
 of `allocate_subbands`, of `check_allocation` on the plan, and per join
 and per leave of `apply_topology_change`.  Each workload runs REPEATS
 times; the counts must repeat exactly and the timings are the medians over
@@ -92,7 +92,7 @@ def _run(dn, g, bands, plan_seed, events, event_seeds):
             spent[type(ev).__name__] += time.perf_counter() - s0
             seen[type(ev).__name__] += 1
             g, alloc = res.graph, res.allocation
-            digest.update(repr((ev, list(alloc.outgoing.items()), list(alloc.link_bands.items()))).encode())
+            digest.update(repr((ev, sorted(alloc.outgoing.items()), sorted(alloc.link_bands.items()))).encode())
             digest.update(repr((g.nodes, g.links, [sorted(c) for c in res.components], res.disconnected)).encode())
     finally:
         undo()

@@ -17,10 +17,11 @@ short digest per solve, to locate a difference.
 
 A second digest covers the spectrum half: two seeded 300-node random
 geometric graphs (tests/helpers.py), one planned with seed None and one
-with an integer seed, then a 40-event join/leave churn on each.  It covers,
-in iteration order, each plan's band sets and link bands and its check
-report, and after every event the resulting allocation, graph nodes and
-links, components and disconnection flag.
+with an integer seed, then a 40-event join/leave churn on each.  It covers
+each plan's band sets and link bands and its check report, and after every
+event the resulting allocation, graph nodes and links, components and
+disconnection flag.  The allocation's dicts are hashed sorted by key: their
+order is not part of the allocation.
 """
 
 from __future__ import annotations
@@ -100,10 +101,10 @@ def _spectrum_digest(dn, helpers):
         g, pos, radius = helpers.random_geometric_graph(rng)
         q = dn.min_subband_count(g.max_degree() + 1)
         alloc = dn.allocate_subbands(g, q, seed=plan_seed)
-        _feed(h, list(alloc.outgoing.items()), list(alloc.link_bands.items()), dn.check_allocation(g, alloc))
+        _feed(h, sorted(alloc.outgoing.items()), sorted(alloc.link_bands.items()), dn.check_allocation(g, alloc))
         for _, _, change, res in helpers.churn(rng, g, alloc, pos, radius, 40):
             a, out = res.allocation, res.graph
-            _feed(h, change, list(a.outgoing.items()), list(a.link_bands.items()))
+            _feed(h, change, sorted(a.outgoing.items()), sorted(a.link_bands.items()))
             _feed(h, None if out is None else (out.nodes, out.links), [sorted(c) for c in res.components])
             _feed(h, res.disconnected)
             events += 1

@@ -19,6 +19,14 @@ refinement on raw cost values, restarted from several random interior
 points.  Deliberately brute force and only for tiny instances; its value
 is having no formula in common with :mod:`duplexnet.gradients` or
 :mod:`duplexnet.optimizer` beyond the problem statement itself.
+
+The pricing runs on plain Python floats, with every sum and product in
+one fixed order, so each cost is the same double wherever it is computed.
+A section over one power (or a transfer between two powers of a node)
+changes the node's total power on the moved entries' bands only, so it
+prices again only the loaded entries on those bands and adds every
+entry's term in entry order: the same total as pricing all entries.
+This speeds the search without sharing any formula with the solver.
 """
 
 from __future__ import annotations
@@ -198,52 +206,56 @@ REFINE = 36
 STALL_TOL = 1e-12
 
 
-def _oracle_cost(gains, noise, ent_tx, ent_rx, ent_band, p, band_flow, bandwidth, gain_factor):
-    n = noise.shape[1]
-    nq = noise.shape[0]
-    ne = p.shape[0]
-    npow = np.zeros((n, nq))
-    for e in range(ne):
-        npow[ent_tx[e], ent_band[e]] += p[e]
+def _node_power(prob, p):
+    """npow[q][m]: node m's total power on band q, summed in entry order."""
+    npow = [[0.0] * prob.n for _ in range(prob.band_count)]
+    for i, q, pe in zip(prob.ent_tx, prob.ent_band, p):
+        npow[q][i] += pe
+    return npow
+
+
+def _price(prob, e, npow_q, pe, f):
+    """f / (cap - f) of loaded entry e at power pe, inf past its barrier;
+    npow_q holds every node's power on the entry's band."""
+    rx_total = 0.0
+    for gm, pm in zip(prob.ent_col[e], npow_q):
+        rx_total += gm * pm
+    g = prob.ent_gain[e]
+    inn = rx_total - g * pe + prob.ent_noise[e]
+    sig = g * pe
+    if sig <= 0.0:
+        return math.inf
+    cap = prob.bandwidth * math.log(prob.gain_factor * sig / inn)
+    if cap <= 0.0 or f >= cap:
+        return math.inf
+    return f / (cap - f)
+
+
+def _oracle_cost(prob, p, band_flow):
+    """Sum of f / (cap - f) over the loaded entries, inf past any barrier;
+    p and band_flow are lists of floats, one per entry."""
+    npow = _node_power(prob, p)
     total = 0.0
-    for e in range(ne):
-        f = band_flow[e]
+    for e, f in enumerate(band_flow):
         if f == 0.0:
             continue
-        j = ent_rx[e]
-        q = ent_band[e]
-        g = gains[q, ent_tx[e], j]
-        rx_total = 0.0
-        for m in range(n):
-            rx_total += gains[q, m, j] * npow[m, q]
-        inn = rx_total - g * p[e] + noise[q, j]
-        sig = g * p[e]
-        if sig <= 0.0:
+        term = _price(prob, e, npow[prob.ent_band[e]], p[e], f)
+        if term == math.inf:
             return math.inf
-        cap = bandwidth * math.log(gain_factor * sig / inn)
-        if cap <= 0.0 or f >= cap:
-            return math.inf
-        total += f / (cap - f)
+        total += term
     return total
 
 
-def _oracle_sinr(gains, noise, ent_tx, ent_rx, ent_band, p):
-    n = noise.shape[1]
-    nq = noise.shape[0]
-    ne = p.shape[0]
-    npow = np.zeros((n, nq))
-    for e in range(ne):
-        npow[ent_tx[e], ent_band[e]] += p[e]
-    out = np.empty(ne)
-    for e in range(ne):
-        j = ent_rx[e]
-        q = ent_band[e]
-        g = gains[q, ent_tx[e], j]
+def _oracle_sinr(prob, p):
+    npow = _node_power(prob, p)
+    out = np.empty(len(p))
+    for e, pe in enumerate(p):
         rx_total = 0.0
-        for m in range(n):
-            rx_total += gains[q, m, j] * npow[m, q]
-        inn = rx_total - g * p[e] + noise[q, j]
-        sig = g * p[e]
+        for gm, pm in zip(prob.ent_col[e], npow[prob.ent_band[e]]):
+            rx_total += gm * pm
+        g = prob.ent_gain[e]
+        inn = rx_total - g * pe + prob.ent_noise[e]
+        sig = g * pe
         # -1 marks "no usable signal"; callers map it to a -inf capacity
         out[e] = sig / inn if (sig > 0.0 and inn > 0.0) else -1.0
     return out
@@ -304,9 +316,9 @@ def _subset_cost(cap, flow):
         return 0.0
     f = flow[loaded]
     c = cap[loaded]
-    if np.any(c <= f):
+    if (c <= f).any():
         return math.inf
-    return float(np.sum(f / (c - f)))
+    return float((f / (c - f)).sum())
 
 
 def _one_cost(cap, f):
@@ -373,12 +385,37 @@ def _line_min(fun, lo, hi, cur, f_cur):
     return best_x, best_f, evals
 
 
-@dataclass
 class _OracleProblem:
-    scenario: NetworkScenario
-    paths: list
-    n_power: int
-    n_flow: int
+    """The oracle's parameterization of one scenario: per-entry powers,
+    per-session simple-path flows and per-entry band shares, in one vector."""
+
+    def __init__(self, scenario: NetworkScenario):
+        self.scenario = scen = scenario
+        lay = scen.layout
+        self.paths = [
+            _simple_paths(lay, int(lay.origin[w]), int(lay.dest[w])) for w in range(len(scen.sessions))
+        ]
+        if any(not ps for ps in self.paths):
+            raise ValueError("a session has no path to its destination")
+        self.n_power = lay.n_entries
+        self.n_flow = sum(len(ps) for ps in self.paths)
+        # the pricing reads plain Python numbers: scalar arithmetic on them
+        # gives the same doubles as on numpy scalars, at less cost per step
+        gains = scen.gains.tolist()
+        noise = scen.noise.tolist()
+        self.n = lay.n
+        self.band_count = lay.band_count
+        self.bandwidth = scen.cost.bandwidth
+        self.gain_factor = scen.cost.gain_factor
+        self.ent_tx = lay.ent_tx.tolist()
+        self.ent_band = lay.ent_band.tolist()
+        ends = list(zip(self.ent_tx, lay.ent_rx.tolist(), self.ent_band))
+        # per entry: the gains from every node to its receiver on its band,
+        # its own link's gain and its receiver's noise
+        self.ent_col = [[row[j] for row in gains[q]] for _, j, q in ends]
+        self.ent_gain = [gains[q][i][j] for i, j, q in ends]
+        self.ent_noise = [noise[q][j] for _, j, q in ends]
+        self.node_band_entries = {k: v.tolist() for k, v in lay.node_band_entries.items()}
 
     def split(self, vec):
         a = self.n_power
@@ -405,17 +442,7 @@ class _OracleProblem:
                     link_flow[li] += f[k]
             over_total += sess.utility.overflow_cost(max(0.0, rejected), sess.demand)
         band_flow = shares * link_flow[lay.ent_link]
-        link_total = _oracle_cost(
-            scen.gains,
-            scen.noise,
-            lay.ent_tx,
-            lay.ent_rx,
-            lay.ent_band,
-            p,
-            band_flow,
-            scen.cost.bandwidth,
-            scen.cost.gain_factor,
-        )
+        link_total = _oracle_cost(self, p.tolist(), band_flow.tolist())
         return float(link_total + over_total)
 
     def project(self, vec):
@@ -527,6 +554,11 @@ class _Search:
     candidate move is re-priced with the full independent evaluation before
     being accepted, so the incremental bookkeeping can only ever miss an
     improvement, never accept a spurious one.
+
+    ``refresh`` keeps each loaded entry's term at the accepted point; a
+    power section prices in floats the terms on the bands its move changes
+    (one for a power, at most two for a transfer) and sums all terms in
+    entry order, which gives exactly the whole-entry price.
     """
 
     def __init__(self, problem: _OracleProblem, vec, cost):
@@ -536,8 +568,6 @@ class _Search:
         self.evals = 0
         scen = problem.scenario
         lay = scen.layout
-        self._r = scen.cost.bandwidth
-        self._k = scen.cost.gain_factor
         self.node_entries = {
             i: np.flatnonzero(lay.ent_tx == i)
             for i in range(lay.n)
@@ -582,9 +612,11 @@ class _Search:
         self.p, self.flows, self.shares = prob.split(self.vec)
         self.link_flow = self.flows @ self.flow_inc
         self.band_flow = self.shares * self.link_flow[lay.ent_link]
-        sinr = _oracle_sinr(scen.gains, scen.noise, lay.ent_tx, lay.ent_rx, lay.ent_band, self.p)
+        pl = self.p.tolist()
+        bf = self.band_flow.tolist()
+        sinr = _oracle_sinr(prob, pl)
         with np.errstate(divide="ignore", invalid="ignore"):
-            raw = self._r * np.log(self._k * np.maximum(sinr, 1e-300))
+            raw = prob.bandwidth * np.log(prob.gain_factor * np.maximum(sinr, 1e-300))
         self.cap = np.where(sinr > 0.0, raw, -math.inf)
         self.routed = np.zeros(len(scen.sessions))
         np.add.at(self.routed, self.flow_session, self.flows)
@@ -596,44 +628,70 @@ class _Search:
         )
         self.over_total = float(self.over.sum())
         self.link_cost = _subset_cost(self.cap, self.band_flow)
+        # what the power sections start from: the powers and flows as
+        # floats, every band's node powers, and each loaded entry's term
+        # in entry order, with the (slot, entry) pairs of each band
+        self._pl, self._bf = pl, bf
+        self._npow = _node_power(prob, pl)
+        loaded = [e for e, f in enumerate(bf) if f != 0.0]
+        self._terms = [_price(prob, e, self._npow[prob.ent_band[e]], pl[e], bf[e]) for e in loaded]
+        self._on_band = [[] for _ in range(prob.band_count)]
+        for slot, e in enumerate(loaded):
+            self._on_band[prob.ent_band[e]].append((slot, e))
+
+    def _power_total(self, pl, cells):
+        """Link cost at powers pl, which differ from the refreshed ones only
+        at the (node, band) cells given: only the terms of loaded entries
+        on those bands are priced again, and all are summed in entry order."""
+        prob = self.problem
+        bf = self._bf
+        terms = self._terms.copy()
+        for i, q in cells:
+            npow_q = self._npow[q].copy()
+            tot = 0.0
+            for e in prob.node_band_entries[(i, q)]:
+                tot += pl[e]
+            npow_q[i] = tot
+            for slot, e in self._on_band[q]:
+                terms[slot] = _price(prob, e, npow_q, pl[e], bf[e])
+        total = 0.0
+        for t in terms:
+            total += t
+        return total
 
     def _section(self, c):
         """Build (fun, lo, hi, cur) for one coordinate, or None to skip it."""
         scen = self.problem.scenario
         lay = scen.layout
         if c.kind in ("p", "pt"):
-            p = self.p
-            gains, noise = scen.gains, scen.noise
-            etx, erx, ebd = lay.ent_tx, lay.ent_rx, lay.ent_band
-            bf = self.band_flow
-            r, k, ot = self._r, self._k, self.over_total
+            prob = self.problem
+            pl = self._pl.copy()
+            ot = self.over_total
+            power_total = self._power_total
             if c.kind == "p":
                 e = c.a
-                node = int(etx[e])
-                slack = float(scen.power_budget[node]) - float(p[self.node_entries[node]].sum())
-                cur = float(p[e])
+                node = prob.ent_tx[e]
+                cells = ((node, prob.ent_band[e]),)
+                slack = float(scen.power_budget[node]) - float(self.p[self.node_entries[node]].sum())
+                cur = pl[e]
                 hi = cur + max(0.0, slack)
 
                 def fun(x):
-                    old = p[e]
-                    p[e] = x
-                    tot = _oracle_cost(gains, noise, etx, erx, ebd, p, bf, r, k)
-                    p[e] = old
-                    return tot + ot
+                    pl[e] = x
+                    return power_total(pl, cells) + ot
 
                 return fun, 0.0, hi, cur
             a, b = c.a, c.b
+            pa, pb = pl[a], pl[b]
+            node = prob.ent_tx[a]
+            cells = {(node, prob.ent_band[a]), (node, prob.ent_band[b])}
 
             def fun(d):
-                pa, pb = p[a], p[b]
-                p[a] = max(0.0, pa + d)
-                p[b] = max(0.0, pb - d)
-                tot = _oracle_cost(gains, noise, etx, erx, ebd, p, bf, r, k)
-                p[a] = pa
-                p[b] = pb
-                return tot + ot
+                pl[a] = max(0.0, pa + d)
+                pl[b] = max(0.0, pb - d)
+                return power_total(pl, cells) + ot
 
-            return fun, -float(self.p[a]), float(self.p[b]), 0.0
+            return fun, -pa, pb, 0.0
         if c.kind == "f":
             fi = c.a
             sess = scen.sessions[c.session]
@@ -757,19 +815,8 @@ def reference_solve_small(
         raise TooLargeError(f"{len(scenario.sessions)} sessions > {MAX_SESSIONS}")
     if lay.band_count > MAX_BANDS:
         raise TooLargeError(f"{lay.band_count} bands > {MAX_BANDS}")
-    paths = [
-        _simple_paths(lay, int(lay.origin[w]), int(lay.dest[w]))
-        for w in range(len(scenario.sessions))
-    ]
-    if any(not ps for ps in paths):
-        raise ValueError("a session has no path to its destination")
-    n_flow = sum(len(ps) for ps in paths)
-    problem = _OracleProblem(
-        scenario=scenario,
-        paths=paths,
-        n_power=lay.n_entries,
-        n_flow=n_flow,
-    )
+    problem = _OracleProblem(scenario)
+    paths = problem.paths
     rng = np.random.default_rng(seed)
     best_vec = None
     best_cost = math.inf

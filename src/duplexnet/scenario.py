@@ -262,9 +262,9 @@ class NetworkScenario:
                     ent_band.append(q)
                     ent_link.append(li)
             link_slices.append(slice(start, len(ent_tx)))
-        out_links = tuple(
-            tuple(li for li, (i, _) in enumerate(links) if i == v) for v in range(g.n)
-        )
+        out_links = [[] for _ in range(g.n)]
+        for li, (i, _) in enumerate(links):
+            out_links[i].append(li)
         node_band_entries = {}
         for e, (i, q) in enumerate(zip(ent_tx, ent_band)):
             node_band_entries.setdefault((i, q), []).append(e)
@@ -285,7 +285,7 @@ class NetworkScenario:
             ent_band=np.array(ent_band, dtype=np.int64),
             ent_link=np.array(ent_link, dtype=np.int64),
             link_slices=tuple(link_slices),
-            out_links=out_links,
+            out_links=tuple(map(tuple, out_links)),
             node_band_entries=node_band_entries,
             rho_mask=rho_mask,
             origin=origin,

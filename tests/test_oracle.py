@@ -29,7 +29,7 @@ from duplexnet.scenario import (
     total_cost,
     uniform_state,
 )
-from duplexnet.subband import allocate_subbands
+from duplexnet.subband import SpectrumAllocation, allocate_subbands
 
 from helpers import (
     line3_scenario,
@@ -38,6 +38,7 @@ from helpers import (
     path_graph,
     random_interior_state,
     random_scenario,
+    square_scenario,
 )
 
 
@@ -64,8 +65,63 @@ def test_reference_is_deterministic():
     b = reference_solve_small(line3, seed=4, restarts=3)
     assert a.cost == b.cost
     assert a.restart_costs == b.restart_costs
-    assert a.state.rho.tobytes() == b.state.rho.tobytes()
-    assert a.state.phi.tobytes() == b.state.phi.tobytes()
+    for name in ("rho", "eta", "mu", "phi", "phi_w"):
+        assert getattr(a.state, name).tobytes() == getattr(b.state, name).tobytes(), name
+    assert a.evaluations == b.evaluations
+
+
+def _two_band_line3():
+    """line3 with its middle node sending on two of the three bands, so
+    that a transfer between its entries moves power across bands."""
+    line3 = line3_scenario()
+    alloc = SpectrumAllocation(
+        3,
+        {0: 0b100, 1: 0b011, 2: 0b100},
+        {(0, 1): 0b100, (2, 1): 0b100, (1, 0): 0b011, (1, 2): 0b011},
+    )
+    return NetworkScenario(
+        graph=line3.graph,
+        allocation=alloc,
+        gains=line3.gains,
+        noise=line3.noise,
+        power_budget=line3.power_budget,
+        sessions=line3.sessions,
+        cost=line3.cost,
+    )
+
+
+def test_power_sections_equal_the_whole_entry_price():
+    # a power section prices only the moved bands again; at every point
+    # it must give exactly the price of all entries at the moved powers
+    rng = np.random.default_rng(71)
+    scens = [line3_scenario(), _two_band_line3(), square_scenario()]
+    scens += [random_scenario(rng, 4, q, w) for q, w in ((3, 2), (2, 1), (3, 1), (2, 2))]
+    checked = infinite = 0
+    for scen in scens:
+        problem = oracle_mod._OracleProblem(scen)
+        for _ in range(2):
+            # a random point: a power and a band share per entry, a flow per path
+            vec = problem.project(rng.uniform(0.05, 0.4, 2 * problem.n_power + problem.n_flow))
+            search = oracle_mod._Search(problem, vec, problem.evaluate(vec))
+            band_flow = search.band_flow.tolist()
+            for c in search.coords:
+                if c.kind not in ("p", "pt"):
+                    continue
+                fun, lo, hi, cur = search._section(c)
+                for x in (lo, cur, hi, lo + 0.3 * (hi - lo), lo + 0.8 * (hi - lo)):
+                    moved = search.p.copy()
+                    if c.kind == "p":
+                        moved[c.a] = x
+                    else:
+                        moved[c.a] = max(0.0, moved[c.a] + x)
+                        moved[c.b] = max(0.0, moved[c.b] - x)
+                    want = oracle_mod._oracle_cost(problem, moved.tolist(), band_flow) + search.over_total
+                    got = fun(x)
+                    assert got == want, (c, x, got, want)
+                    checked += 1
+                    infinite += got == math.inf
+    # at lo, a loaded entry keeps no power, so some sections are infinite
+    assert checked > 500 and infinite > 0, (checked, infinite)
 
 
 def test_agreement_test_catches_biased_evaluator(monkeypatch):

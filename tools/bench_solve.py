@@ -15,7 +15,9 @@ tests/helpers.py of this tree:
   (`grid_scenario`, `default_rng(401)`);
 * to_tolerance: solves to `tol=1e-4`, at most 400 sweeps, from the even
   split on twenty random small scenarios (`random_scenario`,
-  `default_rng(402)`).
+  `default_rng(402)`);
+* reference: the seeded `reference_solve_small` runs whose outputs
+  tools/fingerprint.py digests (`reference_cases`).
 
 Per workload it records counts that do not depend on the machine (sweeps,
 converged solves, block updates and those that did not move, `derive`,
@@ -24,9 +26,10 @@ converged solves, block updates and those that did not move, `derive`,
 seconds per sweep of `_block_move`, per block kind, of
 `optimality_residuals` and of the whole solve, and the share of solve time
 spent in updates that did not move: what skipping stationary blocks could
-save at most.  Each workload runs
-REPEATS times; the counts must repeat exactly and the timings are the
-medians over the repeats.
+save at most.  For the reference runs it records the evaluations of each
+run, which do not depend on the machine either, and the wall seconds of
+each run and of all of them.  Each workload runs REPEATS times; the counts
+must repeat exactly and the timings are the medians over the repeats.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
+from fingerprint import reference_cases  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_solve.json"
@@ -185,6 +189,20 @@ def _run(dn, cases):
     return counts, timings
 
 
+def _run_reference(dn, cases):
+    """One pass over the reference runs: (counts, timings)."""
+    counts = {"solves": len(cases), "evaluations": {}}
+    timings = {}
+    for label, scen, kwargs in cases:
+        t0 = time.perf_counter()
+        ref = dn.reference_solve_small(scen, **kwargs)
+        timings[f"{label} s"] = time.perf_counter() - t0
+        counts["evaluations"][label] = ref.evaluations
+    counts["evaluations_total"] = sum(counts["evaluations"].values())
+    timings["solve_s"] = sum(timings.values())
+    return counts, timings
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(ROOT / "src"), help="directory holding the duplexnet package")
@@ -195,8 +213,10 @@ def main(argv=None):
     import helpers
 
     result = {}
-    for name, cases in _workloads(dn, helpers).items():
-        runs = [_run(dn, cases) for _ in range(REPEATS)]
+    workloads = {name: (_run, cases) for name, cases in _workloads(dn, helpers).items()}
+    workloads["reference"] = (_run_reference, list(reference_cases(helpers)))
+    for name, (run, cases) in workloads.items():
+        runs = [run(dn, cases) for _ in range(REPEATS)]
         counts = runs[0][0]
         if any(c != counts for c, _ in runs):
             raise RuntimeError(f"{name}: counts differ between repeats: {[c for c, _ in runs]}")

@@ -22,6 +22,12 @@ each plan's band sets and link bands and its check report, and after every
 event the resulting allocation, graph nodes and links, components and
 disconnection flag.  The allocation's dicts are hashed sorted by key: their
 order is not part of the allocation.
+
+A third digest covers the reference search (`reference_solve_small`) on
+the seeded runs of `reference_cases`: line3 at its defaults and with
+frozen power, the square at 10 restarts, and six reference-sized random
+scenarios at 2 restarts and 12 sweeps.  It covers each run's cost,
+restart costs, evaluation count and all five arrays of its state.
 """
 
 from __future__ import annotations
@@ -93,6 +99,27 @@ def _digest_solve(dn, scen, start, kwargs):
     return h
 
 
+def reference_cases(helpers):
+    """(label, scenario, reference_solve_small kwargs), in a fixed order."""
+    line3 = helpers.line3_scenario()
+    yield "line3", line3, {}
+    yield "line3 frozen power", line3, dict(freeze_power=True)
+    yield "square", helpers.square_scenario(), dict(restarts=10)
+    rng = np.random.default_rng(305)
+    for k, (q, w) in enumerate(((3, 2), (2, 1), (3, 1), (2, 2), (3, 2), (2, 2))):
+        scen = helpers.random_scenario(rng, 4, q, w)
+        yield f"random {k} ({q} bands, {w} sessions)", scen, dict(seed=k, restarts=2, sweeps=12)
+
+
+def _digest_reference(dn, scen, kwargs):
+    h = hashlib.sha256()
+    ref = dn.reference_solve_small(scen, **kwargs)
+    st = ref.state
+    _feed(h, ref.cost, len(ref.restart_costs), *ref.restart_costs, ref.evaluations)
+    _feed(h, st.rho, st.eta, st.phi, st.phi_w, st.mu)
+    return h
+
+
 def _spectrum_digest(dn, helpers):
     h = hashlib.sha256()
     rng = np.random.default_rng(303)
@@ -131,6 +158,15 @@ def main(argv=None):
     print(f"{total.hexdigest()}  ({count} solves, duplexnet from {Path(dn.__file__).parent})")
     h, events = _spectrum_digest(dn, helpers)
     print(f"{h.hexdigest()}  (spectrum: 2 plans, {events} join/leave events)")
+    total = hashlib.sha256()
+    count = 0
+    for label, scen, kwargs in reference_cases(helpers):
+        h = _digest_reference(dn, scen, kwargs)
+        total.update(h.digest())
+        count += 1
+        if args.each:
+            print(f"{h.hexdigest()[:16]}  reference {label}")
+    print(f"{total.hexdigest()}  ({count} reference solves)")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ Subcommands:
   interior state, and scan the link-cost curvature matrix for positive
   semidefiniteness; exits nonzero when a sub-check fails.
 * ``oracle``: on a small scenario, compare the block solver against the
-  independent numeric reference solver.
+  independent numeric reference solver, and say whether the solver
+  converged.
 
 Exit codes: 0 success, 1 a check or convergence failure, 2 bad input.
 """
@@ -153,7 +154,7 @@ def _cmd_oracle(args, out) -> int:
     opts = loaded.optimizer
     state = uniform_state(scen, power=opts.get("power", 0.9), overflow=opts.get("overflow", 0.1))
     try:
-        ref = reference_solve_small(scen, seed=args.seed or 0, restarts=args.restarts, sweeps=args.sweeps)
+        ref = reference_solve_small(scen, seed=args.seed, restarts=args.restarts, sweeps=args.sweeps)
     except TooLargeError as exc:
         print(f"scenario too large for the reference solver: {exc}", file=out)
         return 2
@@ -169,7 +170,8 @@ def _cmd_oracle(args, out) -> int:
     print(f"reference cost: {_fmt(ref.cost)} (best of {len(ref.restart_costs)} restarts)", file=out)
     gap = abs(result.cost - ref.cost) / max(abs(ref.cost), 1e-12)
     print(f"relative gap: {gap:.3e}", file=out)
-    return 0
+    print(f"converged: {'yes' if result.converged else 'no'}", file=out)
+    return 0 if result.converged else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

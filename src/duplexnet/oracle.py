@@ -10,23 +10,26 @@ margin of a constraint boundary (one-sided conventions apply there).
 
 ``reference_solve_small`` minimizes the same objective with none of the
 package's analytic machinery: it parameterizes by raw per-entry transmit
-powers, per-session simple-path flows, and per-link band shares, evaluates
-SINR through its own kernel written in a different algebraic arrangement,
-and runs a derivative-free cyclic coordinate search: each scalar
-coordinate (one power, one path flow, or a pairwise transfer inside a
-budget/simplex group) is minimized by a grid scan plus golden-section
-refinement on raw cost values, restarted from several random interior
-points.  Deliberately brute force and only for tiny instances; its value
-is having no formula in common with :mod:`duplexnet.gradients` or
-:mod:`duplexnet.optimizer` beyond the problem statement itself.
+powers, per-session simple-path flows, and per-link band shares, prices
+links with its own scalar code instead of :mod:`duplexnet.kernels`, and
+runs a derivative-free cyclic coordinate search: each scalar coordinate
+(one power, one path flow, or a pairwise transfer inside a budget/simplex
+group) is minimized by a grid scan plus golden-section refinement on raw
+cost values, restarted from several random interior points.  Deliberately
+brute force and only for tiny instances; it reads no gradient, so it
+checks the solver by cost values alone.
 
-The pricing runs on plain Python floats, with every sum and product in
-one fixed order, so each cost is the same double wherever it is computed.
-A section over one power (or a transfer between two powers of a node)
-changes the node's total power on the moved entries' bands only, so it
-prices again only the loaded entries on those bands and adds every
-entry's term in entry order: the same total as pricing all entries.
-This speeds the search without sharing any formula with the solver.
+There is one pricing.  ``_OracleProblem.price`` works on plain Python
+floats with every sum in one fixed order: each band's node powers, each
+link's flow (its paths' flows in path order), and per entry its band
+flow, capacity (``_capacity``) and term (``_term``), plus each session's
+overflow cost.  ``evaluate`` adds the terms in entry order, then the
+overflows in session order.  A section of the search keeps those lists
+from the accepted point and prices again only what its move changes: the
+loaded entries on the moved bands for a power, the entries on the moved
+links (and the moved session's overflow) for a path flow or a share.  It
+then adds every term in the same order, so each section value is exactly
+``evaluate`` of the moved vector.
 """
 
 from __future__ import annotations
@@ -214,9 +217,9 @@ def _node_power(prob, p):
     return npow
 
 
-def _price(prob, e, npow_q, pe, f):
-    """f / (cap - f) of loaded entry e at power pe, inf past its barrier;
-    npow_q holds every node's power on the entry's band."""
+def _capacity(prob, e, npow_q, pe):
+    """Capacity of entry e at power pe, -inf with no signal; npow_q holds
+    every node's power on the entry's band."""
     rx_total = 0.0
     for gm, pm in zip(prob.ent_col[e], npow_q):
         rx_total += gm * pm
@@ -224,41 +227,26 @@ def _price(prob, e, npow_q, pe, f):
     inn = rx_total - g * pe + prob.ent_noise[e]
     sig = g * pe
     if sig <= 0.0:
-        return math.inf
-    cap = prob.bandwidth * math.log(prob.gain_factor * sig / inn)
-    if cap <= 0.0 or f >= cap:
+        return -math.inf
+    return prob.bandwidth * math.log(prob.gain_factor * sig / inn)
+
+
+def _term(cap, f):
+    """f / (cap - f) of an entry carrying f: 0 when it is unloaded, inf at
+    or past its barrier."""
+    if f <= 0.0:
+        return 0.0
+    if f >= cap:
         return math.inf
     return f / (cap - f)
 
 
-def _oracle_cost(prob, p, band_flow):
-    """Sum of f / (cap - f) over the loaded entries, inf past any barrier;
-    p and band_flow are lists of floats, one per entry."""
-    npow = _node_power(prob, p)
+def _total(values):
+    """Sum from left to right: every cost adds its pieces in this one order."""
     total = 0.0
-    for e, f in enumerate(band_flow):
-        if f == 0.0:
-            continue
-        term = _price(prob, e, npow[prob.ent_band[e]], p[e], f)
-        if term == math.inf:
-            return math.inf
-        total += term
+    for v in values:
+        total += v
     return total
-
-
-def _oracle_sinr(prob, p):
-    npow = _node_power(prob, p)
-    out = np.empty(len(p))
-    for e, pe in enumerate(p):
-        rx_total = 0.0
-        for gm, pm in zip(prob.ent_col[e], npow[prob.ent_band[e]]):
-            rx_total += gm * pm
-        g = prob.ent_gain[e]
-        inn = rx_total - g * pe + prob.ent_noise[e]
-        sig = g * pe
-        # -1 marks "no usable signal"; callers map it to a -inf capacity
-        out[e] = sig / inn if (sig > 0.0 and inn > 0.0) else -1.0
-    return out
 
 
 def _simple_paths(lay, origin, dest):
@@ -302,31 +290,6 @@ def _project_simplex(v):
     rho_idx = np.nonzero(u * np.arange(1, len(v) + 1) > (css - 1.0))[0][-1]
     theta = (css[rho_idx] - 1.0) / (rho_idx + 1.0)
     return np.maximum(0.0, v - theta)
-
-
-def _subset_cost(cap, flow):
-    """Sum of f/(cap - f) over loaded entries, inf when any is at capacity.
-
-    cap must already be -inf wherever the entry has no usable signal, so a
-    single comparison covers the whole barrier precedence: an unloaded
-    entry is free, a loaded one needs 0 < f < cap.
-    """
-    loaded = flow > 0.0
-    if not loaded.any():
-        return 0.0
-    f = flow[loaded]
-    c = cap[loaded]
-    if (c <= f).any():
-        return math.inf
-    return float((f / (c - f)).sum())
-
-
-def _one_cost(cap, f):
-    if f <= 0.0:
-        return 0.0
-    if cap <= f:
-        return math.inf
-    return f / (cap - f)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -416,51 +379,70 @@ class _OracleProblem:
         self.ent_gain = [gains[q][i][j] for i, j, q in ends]
         self.ent_noise = [noise[q][j] for _, j, q in ends]
         self.node_band_entries = {k: v.tolist() for k, v in lay.node_band_entries.items()}
+        self.ent_link = lay.ent_link.tolist()
+        self.link_entries = [range(sl.start, sl.stop) for sl in lay.link_slices]
+        # the entries each node sends on, in node order
+        self.node_entries = [np.flatnonzero(lay.ent_tx == i) for i in range(lay.n)]
+        # flows are numbered session by session, path by path
+        self.flow_paths = [path for ps in self.paths for path in ps]
+        self.session_flows = []
+        pos = 0
+        for ps in self.paths:
+            self.session_flows.append(range(pos, pos + len(ps)))
+            pos += len(ps)
+        self.link_paths = [[] for _ in range(lay.n_links)]
+        for k, path in enumerate(self.flow_paths):
+            for li in path:
+                self.link_paths[li].append(k)
 
     def split(self, vec):
         a = self.n_power
         b = a + self.n_flow
         return vec[:a], vec[a:b], vec[b:]
 
+    def link_flow(self, li, fl):
+        """Flow on link li: its paths' flows from the list fl, in path order."""
+        return _total(fl[k] for k in self.link_paths[li])
+
+    def routed(self, w, fl):
+        return _total(fl[k] for k in self.session_flows[w])
+
+    def overflow(self, w, fl):
+        """Session w's overflow cost, inf where it routes past its demand."""
+        sess = self.scenario.sessions[w]
+        rejected = sess.demand - self.routed(w, fl)
+        if rejected < -1e-12:
+            return math.inf
+        return sess.utility.overflow_cost(max(0.0, rejected), sess.demand)
+
+    def price(self, pl, fl, sh):
+        """Every piece of the cost at the powers, path flows and shares pl,
+        fl, sh (lists of floats): each band's node powers, the link flows,
+        and per entry its band flow, capacity and term, then per session its
+        overflow cost."""
+        npow = _node_power(self, pl)
+        lflow = [self.link_flow(li, fl) for li in range(len(self.link_paths))]
+        bflow = [s * lflow[li] for s, li in zip(sh, self.ent_link)]
+        caps = [_capacity(self, e, npow[q], pe) for e, (q, pe) in enumerate(zip(self.ent_band, pl))]
+        terms = [_term(c, f) for c, f in zip(caps, bflow)]
+        overs = [self.overflow(w, fl) for w in range(len(self.paths))]
+        return npow, lflow, bflow, caps, terms, overs
+
     def evaluate(self, vec) -> float:
-        scen = self.scenario
-        lay = scen.layout
-        p, flows, shares = self.split(vec)
-        link_flow = np.zeros(lay.n_links)
-        pos = 0
-        over_total = 0.0
-        for w, sess in enumerate(scen.sessions):
-            ps = self.paths[w]
-            f = flows[pos : pos + len(ps)]
-            pos += len(ps)
-            routed = float(f.sum())
-            rejected = sess.demand - routed
-            if rejected < -1e-12:
-                return math.inf
-            for k, path in enumerate(ps):
-                for li in path:
-                    link_flow[li] += f[k]
-            over_total += sess.utility.overflow_cost(max(0.0, rejected), sess.demand)
-        band_flow = shares * link_flow[lay.ent_link]
-        link_total = _oracle_cost(self, p.tolist(), band_flow.tolist())
-        return float(link_total + over_total)
+        *_, terms, overs = self.price(*(part.tolist() for part in self.split(vec)))
+        return _total(terms) + _total(overs)
 
     def project(self, vec):
         scen = self.scenario
         lay = scen.layout
         p, flows, shares = self.split(vec)
         p = p.copy()
-        for i in range(lay.n):
-            idx = np.nonzero(lay.ent_tx == i)[0]
+        for i, idx in enumerate(self.node_entries):
             if idx.size:
                 p[idx] = _project_budget(p[idx], scen.power_budget[i])
         flows = flows.copy()
-        pos = 0
-        for w, sess in enumerate(scen.sessions):
-            k = len(self.paths[w])
-            seg = flows[pos : pos + k]
-            flows[pos : pos + k] = _project_budget(seg, sess.demand)
-            pos += k
+        for sess, ks in zip(scen.sessions, self.session_flows):
+            flows[ks.start : ks.stop] = _project_budget(flows[ks.start : ks.stop], sess.demand)
         shares = shares.copy()
         for sl in lay.link_slices:
             if sl.stop - sl.start == 1:
@@ -550,15 +532,14 @@ class _Search:
     Each coordinate is a 1-D section of the cost: one entry power, one
     path flow, or a pairwise transfer inside a budget/simplex group (power
     within a node, flow within a session, shares within a link).  Sections
-    are minimized on raw cost values only, no gradients anywhere.  Every
-    candidate move is re-priced with the full independent evaluation before
-    being accepted, so the incremental bookkeeping can only ever miss an
-    improvement, never accept a spurious one.
+    are minimized on raw cost values only, no gradients anywhere.
 
-    ``refresh`` keeps each loaded entry's term at the accepted point; a
-    power section prices in floats the terms on the bands its move changes
-    (one for a power, at most two for a transfer) and sums all terms in
-    entry order, which gives exactly the whole-entry price.
+    ``refresh`` keeps what ``_OracleProblem.price`` returns at the accepted
+    point.  A section's ``fun`` moves a copy of one list the way
+    ``minimize_coord`` moves the vector, and ``_cost`` prices again only
+    the terms that move changes, then adds every term in order; so each
+    section value is exactly ``evaluate`` of the moved vector.  Every
+    accepted move is still priced again by ``evaluate``.
     """
 
     def __init__(self, problem: _OracleProblem, vec, cost):
@@ -566,185 +547,98 @@ class _Search:
         self.vec = vec
         self.cost = float(cost)
         self.evals = 0
-        scen = problem.scenario
-        lay = scen.layout
-        self.node_entries = {
-            i: np.flatnonzero(lay.ent_tx == i)
-            for i in range(lay.n)
-            if np.any(lay.ent_tx == i)
-        }
-        self.flow_session = np.empty(problem.n_flow, dtype=np.int64)
-        self.flow_inc = np.zeros((problem.n_flow, lay.n_links))
-        self.flow_entries = []
-        pos = 0
-        for w, ps in enumerate(problem.paths):
-            for path in ps:
-                self.flow_session[pos] = w
-                for li in path:
-                    self.flow_inc[pos, li] = 1.0
-                on_path = np.isin(lay.ent_link, np.asarray(path, dtype=np.int64))
-                self.flow_entries.append(np.flatnonzero(on_path))
-                pos += 1
         self.coords = self._build_coords()
         self.refresh()
 
     def _build_coords(self):
-        lay = self.problem.scenario.layout
-        coords = [_Coord("p", e) for e in range(lay.n_entries)]
-        for idx in self.node_entries.values():
+        prob = self.problem
+        coords = [_Coord("p", e) for e in range(prob.n_power)]
+        for idx in prob.node_entries:
             coords.extend(_ring_pairs("pt", idx))
-        pos = 0
-        for w, ps in enumerate(self.problem.paths):
-            k = len(ps)
-            coords.extend(_Coord("f", pos + t, session=w) for t in range(k))
-            coords.extend(_ring_pairs("ft", range(pos, pos + k), session=w))
-            pos += k
-        for sl in lay.link_slices:
-            if sl.stop - sl.start >= 2:
-                coords.extend(_ring_pairs("st", range(sl.start, sl.stop)))
+        for w, ks in enumerate(prob.session_flows):
+            coords.extend(_Coord("f", k, session=w) for k in ks)
+            coords.extend(_ring_pairs("ft", ks, session=w))
+        for ents in prob.link_entries:
+            coords.extend(_ring_pairs("st", ents))
         return coords
 
     def refresh(self):
-        """Rebuild the cached pieces the fast 1-D sections read from."""
+        """Price the accepted point again, keeping every piece as a list."""
         prob = self.problem
-        scen = prob.scenario
-        lay = scen.layout
-        self.p, self.flows, self.shares = prob.split(self.vec)
-        self.link_flow = self.flows @ self.flow_inc
-        self.band_flow = self.shares * self.link_flow[lay.ent_link]
-        pl = self.p.tolist()
-        bf = self.band_flow.tolist()
-        sinr = _oracle_sinr(prob, pl)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw = prob.bandwidth * np.log(prob.gain_factor * np.maximum(sinr, 1e-300))
-        self.cap = np.where(sinr > 0.0, raw, -math.inf)
-        self.routed = np.zeros(len(scen.sessions))
-        np.add.at(self.routed, self.flow_session, self.flows)
-        self.over = np.array(
-            [
-                s.utility.overflow_cost(max(0.0, s.demand - self.routed[w]), s.demand)
-                for w, s in enumerate(scen.sessions)
-            ]
+        self.pl, self.fl, self.sh = (part.tolist() for part in prob.split(self.vec))
+        self.npow, self.lflow, self.bflow, self.caps, self.terms, self.overs = prob.price(
+            self.pl, self.fl, self.sh
         )
-        self.over_total = float(self.over.sum())
-        self.link_cost = _subset_cost(self.cap, self.band_flow)
-        # what the power sections start from: the powers and flows as
-        # floats, every band's node powers, and each loaded entry's term
-        # in entry order, with the (slot, entry) pairs of each band
-        self._pl, self._bf = pl, bf
-        self._npow = _node_power(prob, pl)
-        loaded = [e for e, f in enumerate(bf) if f != 0.0]
-        self._terms = [_price(prob, e, self._npow[prob.ent_band[e]], pl[e], bf[e]) for e in loaded]
-        self._on_band = [[] for _ in range(prob.band_count)]
-        for slot, e in enumerate(loaded):
-            self._on_band[prob.ent_band[e]].append((slot, e))
+        # the loaded entries of each band: those a power move prices again
+        self.on_band = [[] for _ in range(prob.band_count)]
+        for e, f in enumerate(self.bflow):
+            if f > 0.0:
+                self.on_band[prob.ent_band[e]].append(e)
 
-    def _power_total(self, pl, cells):
-        """Link cost at powers pl, which differ from the refreshed ones only
-        at the (node, band) cells given: only the terms of loaded entries
-        on those bands are priced again, and all are summed in entry order."""
+    def _cost(self, pl, fl, sh, cells=(), links=(), sessions=()):
+        """Cost at the lists pl, fl, sh, which differ from the refreshed ones
+        only in the node powers of the (node, band) `cells`, the flows or
+        shares on `links` and the routed flow of `sessions`."""
         prob = self.problem
-        bf = self._bf
-        terms = self._terms.copy()
+        terms = self.terms.copy()
         for i, q in cells:
-            npow_q = self._npow[q].copy()
-            tot = 0.0
-            for e in prob.node_band_entries[(i, q)]:
-                tot += pl[e]
-            npow_q[i] = tot
-            for slot, e in self._on_band[q]:
-                terms[slot] = _price(prob, e, npow_q, pl[e], bf[e])
-        total = 0.0
-        for t in terms:
-            total += t
-        return total
+            npow_q = self.npow[q].copy()
+            npow_q[i] = _total(pl[e] for e in prob.node_band_entries[(i, q)])
+            for e in self.on_band[q]:
+                terms[e] = _term(_capacity(prob, e, npow_q, pl[e]), self.bflow[e])
+        for li in links:
+            lf = prob.link_flow(li, fl)
+            for e in prob.link_entries[li]:
+                terms[e] = _term(self.caps[e], sh[e] * lf)
+        overs = self.overs.copy()
+        for w in sessions:
+            overs[w] = prob.overflow(w, fl)
+        return _total(terms) + _total(overs)
 
     def _section(self, c):
         """Build (fun, lo, hi, cur) for one coordinate, or None to skip it."""
-        scen = self.problem.scenario
-        lay = scen.layout
+        prob = self.problem
+        a, b = c.a, c.b
+        ends = (a,) if c.kind in ("p", "f") else (a, b)
+        pl, fl, sh = self.pl, self.fl, self.sh
         if c.kind in ("p", "pt"):
-            prob = self.problem
-            pl = self._pl.copy()
-            ot = self.over_total
-            power_total = self._power_total
+            pl = arr = pl.copy()
+            scope = {"cells": {(prob.ent_tx[e], prob.ent_band[e]) for e in ends}}
+        elif c.kind in ("f", "ft"):
+            fl = arr = fl.copy()
+            scope = {"links": {li for k in ends for li in prob.flow_paths[k]}, "sessions": (c.session,)}
+        else:
+            li = prob.ent_link[a]
+            if self.lflow[li] <= 0.0:
+                return None
+            sh = arr = sh.copy()
+            scope = {"links": (li,)}
+        cost = self._cost
+        if len(ends) == 1:
+            cur = arr[a]
             if c.kind == "p":
-                e = c.a
-                node = prob.ent_tx[e]
-                cells = ((node, prob.ent_band[e]),)
-                slack = float(scen.power_budget[node]) - float(self.p[self.node_entries[node]].sum())
-                cur = pl[e]
-                hi = cur + max(0.0, slack)
-
-                def fun(x):
-                    pl[e] = x
-                    return power_total(pl, cells) + ot
-
-                return fun, 0.0, hi, cur
-            a, b = c.a, c.b
-            pa, pb = pl[a], pl[b]
-            node = prob.ent_tx[a]
-            cells = {(node, prob.ent_band[a]), (node, prob.ent_band[b])}
-
-            def fun(d):
-                pl[a] = max(0.0, pa + d)
-                pl[b] = max(0.0, pb - d)
-                return power_total(pl, cells) + ot
-
-            return fun, -pa, pb, 0.0
-        if c.kind == "f":
-            fi = c.a
-            sess = scen.sessions[c.session]
-            pe = self.flow_entries[fi]
-            cap_pe = self.cap[pe]
-            bf_pe = self.band_flow[pe]
-            sh_pe = self.shares[pe]
-            rest = self.link_cost - _subset_cost(cap_pe, bf_pe)
-            over_rest = self.over_total - float(self.over[c.session])
-            cur = float(self.flows[fi])
-            routed_others = float(self.routed[c.session]) - cur
-            hi = cur + max(0.0, sess.demand - float(self.routed[c.session]))
-            util, demand = sess.utility, sess.demand
+                node = prob.ent_tx[a]
+                # powers lead the vector, so these are the node's powers
+                slack = float(prob.scenario.power_budget[node]) - float(self.vec[prob.node_entries[node]].sum())
+            else:
+                slack = prob.scenario.sessions[c.session].demand - prob.routed(c.session, self.fl)
 
             def fun(x):
-                f_sub = bf_pe + sh_pe * (x - cur)
-                over_w = util.overflow_cost(max(0.0, demand - (routed_others + x)), demand)
-                return rest + _subset_cost(cap_pe, f_sub) + over_rest + over_w
+                arr[a] = x
+                return cost(pl, fl, sh, **scope)
 
-            return fun, 0.0, hi, cur
-        if c.kind == "ft":
-            a, b = c.a, c.b
-            pe = np.union1d(self.flow_entries[a], self.flow_entries[b])
-            inc_a = np.isin(pe, self.flow_entries[a]).astype(float)
-            inc_b = np.isin(pe, self.flow_entries[b]).astype(float)
-            dvec = self.shares[pe] * (inc_a - inc_b)
-            cap_pe = self.cap[pe]
-            bf_pe = self.band_flow[pe]
-            base = self.over_total + self.link_cost - _subset_cost(cap_pe, bf_pe)
-
-            def fun(d):
-                return base + _subset_cost(cap_pe, bf_pe + d * dvec)
-
-            return fun, -float(self.flows[a]), float(self.flows[b]), 0.0
-        a, b = c.a, c.b
-        lflow = float(self.link_flow[lay.ent_link[a]])
-        if lflow <= 0.0:
-            return None
-        ca, cb = float(self.cap[a]), float(self.cap[b])
-        fa0, fb0 = float(self.band_flow[a]), float(self.band_flow[b])
-        base = self.link_cost - _one_cost(ca, fa0) - _one_cost(cb, fb0) + self.over_total
+            return fun, 0.0, cur + max(0.0, slack), cur
+        va, vb = arr[a], arr[b]
 
         def fun(d):
-            return base + _one_cost(ca, fa0 + d * lflow) + _one_cost(cb, fb0 - d * lflow)
+            arr[a] = max(0.0, va + d)
+            arr[b] = max(0.0, vb - d)
+            return cost(pl, fl, sh, **scope)
 
-        return fun, -float(self.shares[a]), float(self.shares[b]), 0.0
+        return fun, -va, vb, 0.0
 
     def _array_for(self, kind):
-        if kind in ("p", "pt"):
-            return self.p
-        if kind in ("f", "ft"):
-            return self.flows
-        return self.shares
+        return dict(zip("pfs", self.problem.split(self.vec)))[kind[0]]
 
     def minimize_coord(self, c):
         built = self._section(c)
@@ -824,8 +718,7 @@ def reference_solve_small(
     evals = 0
     for _ in range(max(1, restarts)):
         p0 = np.empty(lay.n_entries)
-        for i in range(lay.n):
-            idx = np.nonzero(lay.ent_tx == i)[0]
+        for i, idx in enumerate(problem.node_entries):
             if idx.size == 0:
                 continue
             raw = rng.uniform(0.2, 1.0, idx.size)

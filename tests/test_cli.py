@@ -121,6 +121,14 @@ def test_oracle_line3_agreement():
     assert "best of 5 restarts" in text
     gap = float(text.split("relative gap: ")[1].split()[0])
     assert gap <= 1e-6
+    assert "converged: yes" in text
+
+
+def test_oracle_unconverged_solver_exit_code():
+    code, text = run(["oracle", "--scenario", str(SCENARIOS / "line3.json"),
+                      "--max-sweeps", "1"])
+    assert code == 1
+    assert "converged: no" in text
 
 
 def test_oracle_too_large_is_input_error():

@@ -90,12 +90,13 @@ def _two_band_line3():
     )
 
 
-def test_power_sections_equal_the_whole_entry_price():
-    # a power section prices only the moved bands again; at every point
-    # it must give exactly the price of all entries at the moved powers
+def test_every_section_equals_evaluate_of_the_moved_vector():
+    # a section prices again only what its move changes; at every point
+    # it must give exactly evaluate of the vector minimize_coord would set
     rng = np.random.default_rng(71)
     scens = [line3_scenario(), _two_band_line3(), square_scenario()]
     scens += [random_scenario(rng, 4, q, w) for q, w in ((3, 2), (2, 1), (3, 1), (2, 2))]
+    kinds = set()
     checked = infinite = 0
     for scen in scens:
         problem = oracle_mod._OracleProblem(scen)
@@ -103,25 +104,28 @@ def test_power_sections_equal_the_whole_entry_price():
             # a random point: a power and a band share per entry, a flow per path
             vec = problem.project(rng.uniform(0.05, 0.4, 2 * problem.n_power + problem.n_flow))
             search = oracle_mod._Search(problem, vec, problem.evaluate(vec))
-            band_flow = search.band_flow.tolist()
             for c in search.coords:
-                if c.kind not in ("p", "pt"):
+                built = search._section(c)
+                if built is None:
                     continue
-                fun, lo, hi, cur = search._section(c)
+                kinds.add(c.kind)
+                fun, lo, hi, cur = built
                 for x in (lo, cur, hi, lo + 0.3 * (hi - lo), lo + 0.8 * (hi - lo)):
-                    moved = search.p.copy()
-                    if c.kind == "p":
-                        moved[c.a] = x
+                    moved = vec.copy()
+                    arr = dict(zip("pfs", problem.split(moved)))[c.kind[0]]
+                    if c.kind in ("p", "f"):
+                        arr[c.a] = x
                     else:
-                        moved[c.a] = max(0.0, moved[c.a] + x)
-                        moved[c.b] = max(0.0, moved[c.b] - x)
-                    want = oracle_mod._oracle_cost(problem, moved.tolist(), band_flow) + search.over_total
+                        arr[c.a] = max(0.0, arr[c.a] + x)
+                        arr[c.b] = max(0.0, arr[c.b] - x)
+                    want = problem.evaluate(moved)
                     got = fun(x)
                     assert got == want, (c, x, got, want)
                     checked += 1
                     infinite += got == math.inf
+    assert kinds == {"p", "pt", "f", "ft", "st"}, kinds
     # at lo, a loaded entry keeps no power, so some sections are infinite
-    assert checked > 500 and infinite > 0, (checked, infinite)
+    assert checked > 800 and infinite > 0, (checked, infinite)
 
 
 def test_agreement_test_catches_biased_evaluator(monkeypatch):

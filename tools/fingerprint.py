@@ -13,7 +13,8 @@ and random block order) and on jittered 4x4 and 5x5 grids.  The digest
 covers the per-family residuals of each start, and each final state, its
 cost, the whole trace, its per-family residuals and the blocked-link mask
 of its routing marginals.  `--each` also prints one
-short digest per solve, to locate a difference.
+short digest per solve, to locate a difference, and next to each
+reference search's digest its cost and evaluation count, to size one.
 
 A second digest covers the spectrum half: two seeded 300-node random
 geometric graphs (tests/helpers.py), one planned with seed None and one
@@ -117,7 +118,7 @@ def _digest_reference(dn, scen, kwargs):
     st = ref.state
     _feed(h, ref.cost, len(ref.restart_costs), *ref.restart_costs, ref.evaluations)
     _feed(h, st.rho, st.eta, st.phi, st.phi_w, st.mu)
-    return h
+    return h, ref
 
 
 def _spectrum_digest(dn, helpers):
@@ -161,11 +162,11 @@ def main(argv=None):
     total = hashlib.sha256()
     count = 0
     for label, scen, kwargs in reference_cases(helpers):
-        h = _digest_reference(dn, scen, kwargs)
+        h, ref = _digest_reference(dn, scen, kwargs)
         total.update(h.digest())
         count += 1
         if args.each:
-            print(f"{h.hexdigest()[:16]}  reference {label}")
+            print(f"{h.hexdigest()[:16]}  reference {label}: cost {ref.cost:.17g}, {ref.evaluations} evaluations")
     print(f"{total.hexdigest()}  ({count} reference solves)")
 
 

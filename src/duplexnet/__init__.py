@@ -49,11 +49,9 @@ from .scenario import (
     CostParams,
     CycleDetectedError,
     NetworkScenario,
-    OutOfDomainError,
     Session,
     Utility,
     check_m_psd,
-    cost_derivatives,
     derive,
     evaluate_flows,
     evaluate_physical,

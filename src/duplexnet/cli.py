@@ -35,6 +35,12 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _start(loaded):
+    """The even-split start state, with the scenario file's power and overflow."""
+    opts = loaded.optimizer
+    return uniform_state(loaded.scenario, power=opts.get("power", 0.9), overflow=opts.get("overflow", 0.1))
+
+
 def _load(path, out):
     try:
         return load_scenario(path)
@@ -94,7 +100,7 @@ def _cmd_optimize(args, out) -> int:
     tol = args.tol if args.tol is not None else opts.get("tol", 1e-4)
     order = args.order if args.order is not None else opts.get("order", "round_robin")
     seed = args.seed if args.seed is not None else opts.get("seed")
-    state = uniform_state(scen, power=opts.get("power", 0.9), overflow=opts.get("overflow", 0.1))
+    state = _start(loaded)
     start = derive(scen, state).total
     print(f"initial cost: {_fmt(start)}", file=out)
     try:
@@ -118,12 +124,14 @@ def _cmd_optimize(args, out) -> int:
 
 
 def _cmd_check(args, out) -> int:
+    if args.grid < 1:
+        print(f"--grid must be at least 1, got {args.grid}", file=out)
+        return 2
     loaded = _load(args.scenario, out)
     if loaded is None:
         return 2
     scen = loaded.scenario
-    opts = loaded.optimizer
-    state = uniform_state(scen, power=opts.get("power", 0.9), overflow=opts.get("overflow", 0.1))
+    state = _start(loaded)
     failures = 0
     try:
         report = finite_diff_check(scen, state)
@@ -151,8 +159,7 @@ def _cmd_oracle(args, out) -> int:
     if loaded is None:
         return 2
     scen = loaded.scenario
-    opts = loaded.optimizer
-    state = uniform_state(scen, power=opts.get("power", 0.9), overflow=opts.get("overflow", 0.1))
+    state = _start(loaded)
     try:
         ref = reference_solve_small(scen, seed=args.seed, restarts=args.restarts, sweeps=args.sweeps)
     except TooLargeError as exc:
@@ -197,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="finite-difference gradient check and curvature scan")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     p.add_argument("--grad-tol", type=float, default=1e-5)
-    p.add_argument("--grid", type=int, default=50)
+    p.add_argument("--grid", type=int, default=50, help="curvature scan points per axis")
 
     p = sub.add_parser("oracle", help="compare the solver against the numeric reference")
     p.add_argument("--scenario", required=True, help="scenario JSON file")

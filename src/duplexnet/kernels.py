@@ -3,8 +3,10 @@
 The flattened SINR/interference/cost evaluation below is the inner loop of
 everything numeric: backtracking line searches and finite-difference
 gradient checks call it thousands of times.  The link cost F/(C - F), its
-capacity C and its derivatives are defined here and nowhere else; only the
-oracle's reference solver prices links with its own independent formula.
+capacity C and every derivative, the cross term d_xf of the curvature
+scan included, are defined here and nowhere else; the scan evaluates its
+whole grid in one call.  Only the oracle's reference solver prices links
+with its own independent formula.
 
 Conventions: ``gains[q, m, j]`` is the power gain from transmitter m to
 receiver j on band q, ``noise[q, j]`` the receiver noise power, ``rho[i, q]``
@@ -85,3 +87,13 @@ def link_cost_derivatives(sinr, flow, bandwidth, gain_factor):
     d_x[sel] = -f[sel] * r / (x[sel] * sl**2)
     d_xx[sel] = f[sel] * r / x[sel] ** 2 * (1.0 / sl**2 + 2.0 * r / sl**3)
     return d_x, d_f, d_xx, d_ff
+
+
+def link_cost_cross(sinr, flow, bandwidth, gain_factor):
+    """Per-entry cross derivative d_xf of F/(C - F), zero where C <= 0 or F >= C."""
+    x, f, r = sinr, flow, bandwidth
+    cap = capacity(x, r, gain_factor)
+    ok = (cap > 0) & (cap > f)
+    d_xf = np.zeros_like(x)
+    d_xf[ok] = -(r / x[ok]) * (cap[ok] + f[ok]) / (cap[ok] - f[ok]) ** 3
+    return d_xf

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import kernels
 from .coloring import TooLargeError
-from .scenario import ControlState, NetworkScenario, _hop_distances, derive
+from .scenario import ControlState, NetworkScenario, derive, uniform_state
 
 
 class BoundaryTooCloseError(RuntimeError):
@@ -472,33 +472,22 @@ def _to_control_state(problem: _OracleProblem, vec) -> ControlState:
         rho[i, q] = tot / scen.power_budget[i]
         eta[entries] = group / tot if tot > 0 else 1.0 / entries.size
     mu = shares.copy()
-    phi = np.zeros((len(scen.sessions), lay.n_links))
+    # a node that routes nothing keeps the even split's shortest-hop rows
+    phi = uniform_state(scen).phi
     phi_w = np.zeros(len(scen.sessions))
-    pos = 0
-    for w, sess in enumerate(scen.sessions):
-        ps = problem.paths[w]
-        f = flows[pos : pos + len(ps)]
-        pos += len(ps)
-        routed = float(f.sum())
+    for w, (sess, ks) in enumerate(zip(scen.sessions, problem.session_flows)):
+        routed = float(flows[ks.start : ks.stop].sum())
         phi_w[w] = max(0.0, min(1.0, 1.0 - routed / sess.demand))
         outflow = np.zeros(lay.n_links)
-        for k, path in enumerate(ps):
-            for li in path:
-                outflow[li] += f[k]
-        d = int(lay.dest[w])
-        dist = _hop_distances(scen.graph, d)
-        for i in range(lay.n):
-            if i == d:
-                continue
-            idx = list(lay.out_links[i])
+        for k in ks:
+            outflow[list(problem.flow_paths[k])] += flows[k]
+        # no path leaves the destination, so its rows stay zero
+        for out in lay.out_links:
+            idx = list(out)
             loads = outflow[idx]
             tot = loads.sum()
             if tot > 0:
                 phi[w, idx] = loads / tot
-            else:
-                forward = [li for li in idx if dist[lay.links[li][1]] < dist[i]]
-                for li in forward:
-                    phi[w, li] = 1.0 / len(forward)
     return ControlState(rho=rho, eta=eta, phi=phi, phi_w=phi_w, mu=mu)
 
 

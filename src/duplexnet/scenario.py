@@ -50,10 +50,6 @@ class CycleDetectedError(ValueError):
         super().__init__(msg)
 
 
-class OutOfDomainError(ValueError):
-    """Cost derivatives requested outside the finite-cost domain."""
-
-
 @dataclass(frozen=True)
 class Utility:
     """Concave session utility; overflow cost is the utility forgone.
@@ -114,11 +110,6 @@ class CostParams:
     def __post_init__(self):
         if self.bandwidth <= 0 or self.gain_factor <= 0:
             raise ValueError("bandwidth and gain_factor must be positive")
-
-    def capacity(self, sinr: float) -> float:
-        if sinr <= 0:
-            raise OutOfDomainError("capacity needs sinr > 0")
-        return float(kernels.capacity(np.array([sinr]), self.bandwidth, self.gain_factor)[0])
 
 
 @dataclass(frozen=True)
@@ -844,41 +835,6 @@ def total_cost(scenario: NetworkScenario, state: ControlState) -> float:
 
 
 @dataclass(frozen=True)
-class CostDerivatives:
-    d_x: float
-    d_f: float
-    d_xx: float
-    d_ff: float
-    d_xf: float
-
-
-def cost_derivatives(sinr: float, flow: float, cost: CostParams) -> CostDerivatives:
-    """First and second derivatives of F/(C(x) - F) at an interior point.
-
-    Requires sinr > 0, flow >= 0, and positive slack C - F > 0 with C > 0;
-    anything else raises OutOfDomainError.
-    """
-    if sinr <= 0:
-        raise OutOfDomainError(f"sinr {sinr} <= 0")
-    if flow < 0:
-        raise OutOfDomainError(f"flow {flow} < 0")
-    cap = cost.capacity(sinr)
-    if cap <= 0:
-        raise OutOfDomainError(f"capacity {cap} <= 0")
-    if flow >= cap:
-        raise OutOfDomainError(f"flow {flow} >= capacity {cap}")
-    d_x, d_f, d_xx, d_ff = (
-        float(d[0])
-        for d in kernels.link_cost_derivatives(
-            np.array([sinr]), np.array([flow]), cost.bandwidth, cost.gain_factor
-        )
-    )
-    r = cost.bandwidth
-    d_xf = -(r / sinr) * (cap + flow) / ((cap - flow) ** 3)
-    return CostDerivatives(d_x=d_x, d_f=d_f, d_xx=d_xx, d_ff=d_ff, d_xf=d_xf)
-
-
-@dataclass(frozen=True)
 class MPsdReport:
     psd: bool
     min_eigenvalue: float
@@ -899,7 +855,7 @@ FLOW_FRACTION_MAX = 0.95
 PSD_TOL = 1e-10
 
 
-def check_m_psd(cost: CostParams = None, derivs=None, grid: int = 50) -> MPsdReport:
+def check_m_psd(cost: CostParams = CostParams(), derivs=None, grid: int = 50) -> MPsdReport:
     """Scan the curvature matrix of the link cost over its finite domain.
 
     The matrix pairs the log-SINR direction with the flow direction:
@@ -909,42 +865,28 @@ def check_m_psd(cost: CostParams = None, derivs=None, grid: int = 50) -> MPsdRep
 
     Positive semidefiniteness of this matrix everywhere is what a
     convexity-based convergence argument would need.  `derivs(x, f)` may
-    supply the five derivatives for an alternative cost family.  The grid
+    supply the five derivatives of an alternative cost family; it is called
+    once, elementwise on arrays, and a scalar output broadcasts.  The grid
     covers capacities in CAPACITY_SPAN (units of bandwidth) and flows up to
-    FLOW_FRACTION_MAX of capacity; a least eigenvalue down to -PSD_TOL
-    counts as PSD.
+    FLOW_FRACTION_MAX of capacity, `grid` points per axis; a least
+    eigenvalue down to -PSD_TOL counts as PSD.
     """
-    if cost is None:
-        cost = CostParams()
+    if grid < 1:
+        raise ValueError(f"grid must be at least 1, got {grid}")
+    r, k = cost.bandwidth, cost.gain_factor
     if derivs is None:
-        def derivs(x, f, _cost=cost):
-            d = cost_derivatives(x, f, _cost)
-            return d.d_x, d.d_f, d.d_xx, d.d_ff, d.d_xf
+        def derivs(x, f):
+            return (*kernels.link_cost_derivatives(x, f, r, k), kernels.link_cost_cross(x, f, r, k))
 
-    r = cost.bandwidth
     caps = np.linspace(CAPACITY_SPAN[0] * r, CAPACITY_SPAN[1] * r, grid)
     fracs = np.linspace(0.0, FLOW_FRACTION_MAX, grid)
-    best = math.inf
-    best_at = (math.nan, math.nan)
-    count = 0
-    for cap in caps:
-        x = math.exp(cap / r) / cost.gain_factor
-        for frac in fracs:
-            f = frac * cap
-            d_x, _, d_xx, d_ff, d_xf = derivs(x, f)
-            a = d_xx * x * x + d_x * x
-            b = d_xf * x
-            c = d_ff
-            half_gap = math.hypot((a - c) / 2.0, b)
-            lo = (a + c) / 2.0 - half_gap
-            count += 1
-            if lo < best:
-                best = lo
-                best_at = (x, f)
+    x = np.repeat(np.exp(caps / r) / k, grid)
+    f = np.outer(caps, fracs).ravel()
+    d_x, _, d_xx, d_ff, d_xf = derivs(x, f)
+    a, b, c = d_xx * x * x + d_x * x, d_xf * x, d_ff
+    lo = np.broadcast_to((a + c) / 2.0 - np.hypot((a - c) / 2.0, b), x.shape)
+    at = int(np.argmin(lo))
+    best = float(lo[at])
     return MPsdReport(
-        psd=best >= -PSD_TOL,
-        min_eigenvalue=best,
-        at_sinr=best_at[0],
-        at_flow=best_at[1],
-        points=count,
+        psd=best >= -PSD_TOL, min_eigenvalue=best, at_sinr=float(x[at]), at_flow=float(f[at]), points=x.size
     )

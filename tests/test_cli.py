@@ -114,6 +114,14 @@ def test_check_line3_reports_honest_curvature_failure():
     assert "NOT PSD" in text
 
 
+def test_check_rejects_an_empty_grid():
+    # a scan over no points proves nothing: bad input, exit code 2
+    for grid in ("0", "-3"):
+        code, text = run(["check", "--scenario", str(SCENARIOS / "line3.json"), "--grid", grid])
+        assert code == 2
+        assert text == f"--grid must be at least 1, got {grid}\n"
+
+
 def test_oracle_line3_agreement():
     code, text = run(["oracle", "--scenario", str(SCENARIOS / "line3.json")])
     assert code == 0

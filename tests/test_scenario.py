@@ -1,9 +1,9 @@
 """Scenario model: cost derivatives, curvature scan, flows, validation.
 
-The five analytic derivatives of the congestion cost are checked two
-ways: once against hand-derived closed forms at a point chosen to make
-them rational multiples of e, and once against symbolic differentiation
-at random interior points.
+The five analytic derivatives of the congestion cost, as the kernels
+compute them, are checked two ways: once against hand-derived closed
+forms at a point chosen to make them rational multiples of e, and once
+against symbolic differentiation at random interior points.
 """
 
 import math
@@ -12,16 +12,17 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from duplexnet import kernels
 from duplexnet.scenario import (
+    CAPACITY_SPAN,
+    FLOW_FRACTION_MAX,
     ControlState,
     CostParams,
     CycleDetectedError,
     NetworkScenario,
-    OutOfDomainError,
     Session,
     Utility,
     check_m_psd,
-    cost_derivatives,
     derive,
     evaluate_flows,
     evaluate_physical,
@@ -66,21 +67,28 @@ def test_session_validation():
 def test_cost_params_validation():
     with pytest.raises(ValueError):
         CostParams(bandwidth=-1.0)
-    with pytest.raises(OutOfDomainError):
-        CostParams().capacity(0.0)
-    assert CostParams(bandwidth=2.0, gain_factor=10.0).capacity(1.0) == pytest.approx(2.0 * math.log(10.0))
+    cost = CostParams(bandwidth=2.0, gain_factor=10.0)
+    cap = kernels.capacity(np.array([0.0, 1.0]), cost.bandwidth, cost.gain_factor)
+    assert cap[0] == -math.inf
+    assert cap[1] == pytest.approx(2.0 * math.log(10.0))
+
+
+def _derivatives(x, f, cost):
+    """The five kernel derivatives (d_x, d_f, d_xx, d_ff, d_xf) of F/(C - F)."""
+    r, k = cost.bandwidth, cost.gain_factor
+    return (*kernels.link_cost_derivatives(x, f, r, k), kernels.link_cost_cross(x, f, r, k))
 
 
 def test_cost_derivatives_closed_form_point():
     # at x = e, f = 1, R = 1, K = e the capacity is 2 and every derivative
     # reduces to a short rational expression in e
     e = math.e
-    d = cost_derivatives(e, 1.0, CostParams(bandwidth=1.0, gain_factor=e))
-    assert d.d_x == pytest.approx(-1.0 / e, rel=1e-14)
-    assert d.d_f == pytest.approx(2.0, rel=1e-14)
-    assert d.d_xx == pytest.approx(3.0 / e**2, rel=1e-14)
-    assert d.d_ff == pytest.approx(4.0, rel=1e-14)
-    assert d.d_xf == pytest.approx(-3.0 / e, rel=1e-14)
+    d_x, d_f, d_xx, d_ff, d_xf = _derivatives(np.array([e]), np.array([1.0]), CostParams(1.0, e))
+    assert d_x[0] == pytest.approx(-1.0 / e, rel=1e-14)
+    assert d_f[0] == pytest.approx(2.0, rel=1e-14)
+    assert d_xx[0] == pytest.approx(3.0 / e**2, rel=1e-14)
+    assert d_ff[0] == pytest.approx(4.0, rel=1e-14)
+    assert d_xf[0] == pytest.approx(-3.0 / e, rel=1e-14)
 
 
 def test_cost_derivatives_against_sympy():
@@ -93,29 +101,35 @@ def test_cost_derivatives_against_sympy():
         "d_ff": sp.lambdify((x_s, f_s, r_s, k_s), sp.diff(expr, f_s, 2), "math"),
         "d_xf": sp.lambdify((x_s, f_s, r_s, k_s), sp.diff(expr, x_s, f_s), "math"),
     }
+    # the 30 trials' interior points in one array call; each point has its
+    # own r and k, which line up because every point passes the kernels'
+    # masks (C > 0, 0 < F < C)
     rng = np.random.default_rng(31)
-    for trial in range(30):
+    pts = []
+    for _ in range(30):
         r = float(rng.uniform(0.5, 2.0))
         k = float(rng.uniform(5.0, 100.0))
         x = float(rng.uniform(0.5, 20.0))
         cap = r * math.log(k * x)
         if cap <= 0.05:
             continue
-        f = float(rng.uniform(0.05, 0.9)) * cap
-        got = cost_derivatives(x, f, CostParams(bandwidth=r, gain_factor=k))
+        pts.append((x, float(rng.uniform(0.05, 0.9)) * cap, r, k))
+    x, f, r, k = (np.array(col) for col in zip(*pts))
+    got = dict(zip(fns, (*kernels.link_cost_derivatives(x, f, r, k), kernels.link_cost_cross(x, f, r, k))))
+    for e, pt in enumerate(pts):
         for name in fns:
-            ref = fns[name](x, f, r, k)
-            err = abs(getattr(got, name) - ref) / max(abs(ref), 1e-12)
-            assert err <= 1e-10, f"trial {trial} {name}: {err:.3e}"
+            ref = fns[name](*pt)
+            err = abs(got[name][e] - ref) / max(abs(ref), 1e-12)
+            assert err <= 1e-10, f"point {e} {name}: {err:.3e}"
 
 
 def test_cost_derivatives_domain_guard():
-    # at or past capacity the barrier blows up; derivatives are undefined
-    cost = CostParams(bandwidth=1.0, gain_factor=math.e)
-    with pytest.raises(OutOfDomainError):
-        cost_derivatives(math.e, 2.0, cost)  # f == capacity
-    with pytest.raises(OutOfDomainError):
-        cost_derivatives(0.0, 0.1, cost)
+    # at capacity (f == C) and with no signal (x = 0) the barrier blows up:
+    # the flow marginal is infinite and the undefined cross term reads 0
+    x, f = np.array([math.e, 0.0]), np.array([2.0, 0.1])
+    _, d_f, _, _, d_xf = _derivatives(x, f, CostParams(bandwidth=1.0, gain_factor=math.e))
+    assert list(d_f) == [math.inf, math.inf]
+    assert list(d_xf) == [0.0, 0.0]
 
 
 def test_curvature_matrix_matches_hessian():
@@ -134,16 +148,16 @@ def test_curvature_matrix_matches_hessian():
         if cap <= 0.1:
             continue
         f = float(rng.uniform(0.1, 0.8)) * cap
-        d = cost_derivatives(x, f, cost)
+        d_x, _, d_xx, d_ff, d_xf = (float(d[0]) for d in _derivatives(np.array([x]), np.array([f]), cost))
         u = math.log(x)
         a_fd = (g(u + h, f, cost) - 2 * g(u, f, cost) + g(u - h, f, cost)) / h**2
         c_fd = (g(u, f + h, cost) - 2 * g(u, f, cost) + g(u, f - h, cost)) / h**2
         b_fd = (
             g(u + h, f + h, cost) - g(u + h, f - h, cost) - g(u - h, f + h, cost) + g(u - h, f - h, cost)
         ) / (4 * h**2)
-        assert d.d_xx * x * x + d.d_x * x == pytest.approx(a_fd, rel=1e-3, abs=1e-6)
-        assert d.d_xf * x == pytest.approx(b_fd, rel=1e-3, abs=1e-6)
-        assert d.d_ff == pytest.approx(c_fd, rel=1e-3, abs=1e-6)
+        assert d_xx * x * x + d_x * x == pytest.approx(a_fd, rel=1e-3, abs=1e-6)
+        assert d_xf * x == pytest.approx(b_fd, rel=1e-3, abs=1e-6)
+        assert d_ff == pytest.approx(c_fd, rel=1e-3, abs=1e-6)
 
 
 def test_default_cost_curvature_is_indefinite():
@@ -159,12 +173,39 @@ def test_squared_slack_cost_is_psd():
     # (f - ln x)^2 composed with u = ln x is jointly convex, so its scan
     # passes; this pins the checker itself against a known-good family
     def derivs(x, f):
-        r = f - math.log(x)
+        r = f - np.log(x)
         return (-2 * r / x, 2 * r, (2 + 2 * r) / x / x, 2.0, -2.0 / x)
 
     rep = check_m_psd(derivs=derivs)
     assert rep.psd
     assert rep.min_eigenvalue >= -1e-10
+
+
+def test_curvature_scan_matches_a_point_by_point_scan():
+    # the one array evaluation finds the same least eigenvalue, at the same
+    # first point reaching it, as visiting the grid one point at a time
+    for cost in (CostParams(), CostParams(bandwidth=0.7, gain_factor=80.0)):
+        r, k = cost.bandwidth, cost.gain_factor
+        best, at = math.inf, None
+        for cap in np.linspace(CAPACITY_SPAN[0] * r, CAPACITY_SPAN[1] * r, 13):
+            x = np.exp(cap / r) / k
+            for frac in np.linspace(0.0, FLOW_FRACTION_MAX, 13):
+                f = frac * cap
+                d_x, _, d_xx, d_ff, d_xf = (float(d[0]) for d in _derivatives(np.array([x]), np.array([f]), cost))
+                a, b, c = d_xx * x * x + d_x * x, d_xf * x, d_ff
+                lo = (a + c) / 2.0 - np.hypot((a - c) / 2.0, b)
+                if lo < best:
+                    best, at = lo, (x, f)
+        rep = check_m_psd(cost, grid=13)
+        assert (rep.min_eigenvalue, rep.at_sinr, rep.at_flow, rep.points) == (best, *at, 169)
+
+
+def test_curvature_scan_rejects_an_empty_grid():
+    # no scanned point must not read as PSD
+    for grid in (0, -3):
+        with pytest.raises(ValueError, match="grid"):
+            check_m_psd(grid=grid)
+    assert check_m_psd(grid=1).points == 1
 
 
 def test_saddle_cost_fails_psd():

@@ -29,7 +29,10 @@ spent in updates that did not move: what skipping stationary blocks could
 save at most.  For the reference runs it records the evaluations of each
 run, which do not depend on the machine either, and the wall seconds of
 each run and of all of them.  Each workload runs REPEATS times; the counts
-must repeat exactly and the timings are the medians over the repeats.
+must repeat exactly.  Each timing is stored as its median over the repeats
+(median_timings) next to its least and greatest (min_timings,
+max_timings), so that a before/after gap can be read against the spread
+of one tree's repeats.
 """
 
 from __future__ import annotations
@@ -220,13 +223,14 @@ def main(argv=None):
         counts = runs[0][0]
         if any(c != counts for c, _ in runs):
             raise RuntimeError(f"{name}: counts differ between repeats: {[c for c, _ in runs]}")
-        timings = {k: round(statistics.median(t[k] for _, t in runs), 6) for k in runs[0][1]}
-        result[name] = {"counts": counts, "median_timings": timings}
+        result[name] = {"counts": counts}
+        for stat, fn in (("median", statistics.median), ("min", min), ("max", max)):
+            result[name][f"{stat}_timings"] = {k: round(fn(t[k] for _, t in runs), 6) for k in runs[0][1]}
         print(f"{args.label} {name}: {json.dumps(result[name])}")
     data = json.loads(OUT.read_text()) if OUT.exists() else {}
     data["about"] = (
         "tools/bench_solve.py: fixed-seed solver workloads; counts are machine-independent, "
-        f"timings are wall-clock medians over {REPEATS} repeats"
+        f"timings are wall-clock medians over {REPEATS} repeats, with their min and max"
     )
     data.setdefault("runs", {})[args.label] = {
         "machine": {

@@ -8,8 +8,16 @@ or boxes.  A block update takes a diagonally scaled gradient step, projects
 back onto the block's feasible set, and backtracks until the new cost
 satisfies a sufficient-decrease test; total cost therefore never increases.
 The blocks are the rows of one table, :func:`blocks`, built once per
-scenario: each names a ControlState array and an index into it, and the
-updates and the residuals both walk that table.
+scenario: each names a ControlState array and an index into it.  The
+updates walk that table; the residuals reduce over the same blocks laid
+end to end (:attr:`~duplexnet.scenario.Layout.segments`), one array pass
+per block family.
+
+One load rule, :func:`group_load`, serves both: a link without flow (mu),
+a (node, band) without power (eta) and a node without inflow of the
+session (phi) carry no load.  Such a block's gradient is exactly zero, so
+an update leaves it untouched without computing anything, and its
+residual is zero.
 
 This module holds no gradient or curvature formula: a block's gradient
 and diagonal curvature are slices of the whole-network arrays that the
@@ -32,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scenario import Block, ControlState, DerivedState, NetworkScenario, derive
+from .scenario import Block, ControlState, DerivedState, NetworkScenario, derive, group_sums
 
 
 class StalledStepError(RuntimeError):
@@ -122,6 +130,21 @@ def blocks(scenario: NetworkScenario) -> tuple:
     return scenario.layout.blocks
 
 
+def group_load(derived: DerivedState, kind: str):
+    """The load each group of block kind `kind` carries, as an array that a
+    block's `group` indexes: link flow (mu), (node, band) power (eta) and
+    session inflow at a node (phi); None for rho and phi_w, whose blocks
+    always count.  A group whose load is <= 0 carries none: its block's
+    gradient slice is exactly zero, so the block cannot move."""
+    if kind == "mu":
+        return derived.flows.link_flow
+    if kind == "eta":
+        return derived.physical.node_band_power
+    if kind == "phi":
+        return derived.flows.inflow
+    return None
+
+
 def _block_move(scenario, state, block, derived):
     """Gradient, curvature and fixed mask of one block.
 
@@ -155,9 +178,11 @@ def update_block(
     Returns the (possibly unchanged) state, its cost and its evaluation.
     The cost never increases: a trial point is accepted only when finite
     and satisfying the sufficient-decrease test; otherwise the step is
-    halved, and after MAX_HALVINGS the block is left untouched.  A
-    projected step that is not a descent direction leaves it untouched at
-    once.  A `derived` passed in must be the evaluation of `state`; it
+    halved, and after MAX_HALVINGS the block is left untouched.  A block
+    whose group carries no load (:func:`group_load`, the rule the
+    residuals share) has a zero gradient and is left untouched before
+    anything is computed; so is one whose projected step is not a descent
+    direction.  A `derived` passed in must be the evaluation of `state`; it
     saves the one evaluation that is not a trial.  Each trial differs from
     `state` only in the block's array, so its evaluation recomputes only
     the terms that array feeds and takes the rest from `derived`.
@@ -165,13 +190,16 @@ def update_block(
     if derived is None:
         derived = derive(scenario, state)
     cost0 = derived.total
-    cur = getattr(state, block.kind)[block.key]
-    grad, curv, fixed = _block_move(scenario, state, block, derived)
-    constraint = CONSTRAINT[block.kind]
 
     def unmoved(halvings):
         return UpdateOutcome(state=state, cost=cost0, moved=False, halvings=halvings, step=step, derived=derived)
 
+    load = group_load(derived, block.kind)
+    if load is not None and load[block.group] <= 0:
+        return unmoved(0)
+    cur = getattr(state, block.kind)[block.key]
+    grad, curv, fixed = _block_move(scenario, state, block, derived)
+    constraint = CONSTRAINT[block.kind]
     finite = np.isfinite(grad)
     if not np.all(finite):
         fixed = ~finite if fixed is None else fixed | ~finite
@@ -197,26 +225,20 @@ def update_block(
     return unmoved(MAX_HALVINGS)
 
 
-def _gap(a: float, b: float) -> float:
-    """a - b with equal infinities treated as a zero gap."""
-    if a == b:
-        return 0.0
-    return a - b
+def _gaps(a, b):
+    """a - b elementwise, with equal infinities giving a zero gap."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.where(a == b, 0.0, a - b)
 
 
-def _simplex_residual(vals, used, excluded=None):
-    keep = np.ones(len(vals), dtype=bool) if excluded is None else ~np.asarray(excluded, dtype=bool)
-    used = np.asarray(used, dtype=bool) & keep
-    unused = ~np.asarray(used, dtype=bool) & keep
-    if not np.any(used):
-        return 0.0
-    u = vals[used]
-    witness = float(np.min(u))
-    spread = _gap(float(np.max(u)), witness)
-    viol = 0.0
-    if np.any(unused):
-        viol = max(0.0, _gap(witness, float(np.min(vals[unused]))))
-    return max(spread, viol)
+def _segment_min(values, mask, starts):
+    """Per segment, the least of `values` where `mask` holds; inf where it never does."""
+    return np.minimum.reduceat(np.where(mask, values, np.inf), starts)
+
+
+def _segment_max(values, mask, starts):
+    """Per segment, the greatest of `values` where `mask` holds; -inf where it never does."""
+    return np.maximum.reduceat(np.where(mask, values, -np.inf), starts)
 
 
 @dataclass(frozen=True)
@@ -247,9 +269,10 @@ def optimality_residuals(scenario: NetworkScenario, state: ControlState, derived
     marginals must vanish and unused ones must be nonnegative; with a
     tight budget the used marginals must agree on a common nonpositive
     value that no unused one undercuts.  Overflow scalars follow box
-    sign conditions.  Groups that cannot affect the cost (an unpowered
-    share group, an unloaded link, a node without session traffic) are
-    skipped.
+    sign conditions.  Groups that carry no load (:func:`group_load`: an
+    unloaded link, an unpowered share group, a node without session
+    traffic) cannot affect the cost and count zero.  Each family is one
+    pass of segment reductions over its blocks laid end to end.
     """
     if derived is None:
         derived = derive(scenario, state)
@@ -262,41 +285,40 @@ def optimality_residuals(scenario: NetworkScenario, state: ControlState, derived
         "phi": derived.delta_phi,
         "phi_w": derived.gradient("phi_w"),
     }
-    load = {
-        "eta": derived.physical.node_band_power,
-        "mu": derived.flows.link_flow,
-        "phi": derived.flows.inflow,
-    }
     worst = dict.fromkeys(CONSTRAINT, 0.0)
-    for block in blocks(scenario):
-        kind, key = block.kind, block.key
-        if kind in load and load[kind][block.group] <= 0:
-            continue
-        vals = marginal[kind][key]
-        cur = getattr(state, kind)[key]
+    for kind, seg in scenario.layout.segments.items():
+        vals = marginal[kind].ravel()[seg.index]
+        cur = getattr(state, kind).ravel()[seg.index]
         used = cur > SUPPORT_TOL
         constraint = CONSTRAINT[kind]
         if constraint == "sum_to_one":
-            res = _simplex_residual(vals, used, excluded=derived.blocked(*block.group) if kind == "phi" else None)
+            unloaded = group_load(derived, kind)[tuple(seg.groups.T)] <= 0
+            unused = ~used
+            if kind == "phi":
+                bounds = np.append(seg.starts, seg.index.size)
+                for k in np.flatnonzero(~unloaded):
+                    unused[bounds[k] : bounds[k + 1]] &= ~derived.blocked(*seg.groups[k].tolist())
+            witness = _segment_min(vals, used, seg.starts)
+            spread = _gaps(_segment_max(vals, used, seg.starts), witness)
+            viol = np.maximum(0.0, _gaps(witness, _segment_min(vals, unused, seg.starts)))
+            res = np.maximum(spread, viol)
+            res[unloaded | ~np.logical_or.reduceat(used, seg.starts)] = 0.0
         elif constraint == "sum_at_most_one":
-            tight = float(cur.sum()) >= 1.0 - SLACK_TOL
-            witness = 0.0
-            res = 0.0
-            if np.any(used):
-                low = float(np.min(vals[used]))
-                witness = min(0.0, low) if tight else 0.0
-                res = max(_gap(float(np.max(vals[used])), witness), _gap(witness, low), 0.0)
-            if np.any(~used):
-                res = max(res, _gap(witness, float(np.min(vals[~used]))))
+            row = np.repeat(np.arange(seg.starts.size), np.diff(seg.starts, append=seg.index.size))
+            tight = group_sums(cur, row, seg.starts.size) >= 1.0 - SLACK_TOL
+            low = _segment_min(vals, used, seg.starts)
+            high = _segment_max(vals, used, seg.starts)
+            # without a used coordinate, low = inf and high = -inf leave 0
+            witness = np.where(tight, np.minimum(0.0, low), 0.0)
+            res = np.maximum(np.maximum(_gaps(high, witness), _gaps(witness, low)), 0.0)
+            res = np.maximum(res, _gaps(witness, _segment_min(vals, ~used, seg.starts)))
         else:
-            g = vals[0]
-            if cur[0] <= SUPPORT_TOL:
-                res = max(0.0, -g)
-            elif cur[0] >= 1.0 - SUPPORT_TOL:
-                res = max(0.0, g)
-            else:
-                res = abs(g)
-        worst[kind] = max(worst[kind], res)
+            res = np.where(
+                cur <= SUPPORT_TOL,
+                np.maximum(0.0, -vals),
+                np.where(cur >= 1.0 - SUPPORT_TOL, np.maximum(0.0, vals), np.abs(vals)),
+            )
+        worst[kind] = max(0.0, float(res.max()))
     return Residuals(eta=worst["eta"], rho=worst["rho"], mu=worst["mu"], phi=worst["phi"], overflow=worst["phi_w"])
 
 

@@ -175,6 +175,46 @@ class Layout:
             out.append(Block("phi_w", np.array([w]), w))
         return tuple(out)
 
+    @cached_property
+    def segments(self) -> dict:
+        """Per block kind that has blocks, its blocks of :attr:`blocks` laid
+        end to end; see :class:`Segments`."""
+        sessions = self.dest.size
+        shapes = {
+            "mu": (self.n_entries,),
+            "eta": (self.n_entries,),
+            "rho": self.rho_mask.shape,
+            "phi": (sessions, self.n_links),
+            "phi_w": (sessions,),
+        }
+        out = {}
+        for kind, shape in shapes.items():
+            table = [b for b in self.blocks if b.kind == kind]
+            if not table:
+                continue
+            flat = np.arange(math.prod(shape), dtype=np.int64).reshape(shape)
+            index = [flat[b.key] for b in table]
+            sizes = np.array([ix.size for ix in index], dtype=np.int64)
+            out[kind] = Segments(
+                index=np.concatenate(index),
+                starts=np.cumsum(sizes) - sizes,
+                groups=np.array([b.group for b in table], dtype=np.int64).reshape(len(table), -1),
+            )
+        return out
+
+
+class Segments(NamedTuple):
+    """The blocks of one kind laid end to end, for reductions over all of them.
+
+    `index` holds the blocks' coordinates as flat positions in the raveled
+    ControlState array, block k's run starting at starts[k]; groups[k]
+    holds block k's group as a row of indices.
+    """
+
+    index: np.ndarray
+    starts: np.ndarray
+    groups: np.ndarray
+
 
 class Block(NamedTuple):
     """One constraint group: `getattr(state, kind)[key]` are its coordinates.
@@ -556,8 +596,12 @@ class DerivedState:
         the link's head reaches i through positive fractions."""
         lay = self.scenario.layout
         phi = self.state.phi[w]
+        out = lay.out_links[i]
+        # only a zero fraction can be blocked: with none, skip the search
+        if all(phi[li] != 0.0 for li in out):
+            return np.zeros(len(out), dtype=bool)
         upstream = _upstream_nodes(self.session_marginals(w)[1], i)
-        return np.array([phi[li] == 0.0 and lay.links[li][1] in upstream for li in lay.out_links[i]], dtype=bool)
+        return np.array([phi[li] == 0.0 and lay.links[li][1] in upstream for li in out], dtype=bool)
 
     def gradient(self, kind: str) -> np.ndarray:
         """Partial derivatives of total cost in the ControlState array `kind`."""
@@ -601,7 +645,7 @@ class DerivedState:
         inn = self.physical.interference
         psi = d_x * self._entry_gain * self.physical.sinr / inn
         cell = lay.ent_tx * lay.band_count + lay.ent_band
-        group = _group_sums(psi, cell, lay.n * lay.band_count)[cell]
+        group = group_sums(psi, cell, lay.n * lay.band_count)[cell]
         base = self.physical.node_band_power[lay.ent_tx, lay.ent_band]
         grad = np.zeros(lay.n_entries)
         on = base != 0.0
@@ -625,7 +669,7 @@ class DerivedState:
         np.add.at(own, (lay.ent_tx, lay.ent_band), self.eta_delta * self.state.eta)
         scale = self._entry_gain * self.scenario.power_budget[lay.ent_tx] * self.state.eta
         share = self.derivatives[2] * (scale / self.physical.interference) ** 2
-        curv = _group_sums(share, cell, lay.n * lay.band_count).reshape(lay.n, lay.band_count)
+        curv = group_sums(share, cell, lay.n * lay.band_count).reshape(lay.n, lay.band_count)
         return self.scenario.power_budget[:, None] * (cross + own), curv
 
     @cached_property
@@ -650,7 +694,7 @@ class DerivedState:
         live = (t > 0.0) & (tails != lay.dest[:, None])
         grad[live] = t[live] * self.delta_phi[live]
         mu = self.state.mu
-        per_link = _group_sums(mu * mu * self.derivatives[3], lay.ent_link, lay.n_links)
+        per_link = group_sums(mu * mu * self.derivatives[3], lay.ent_link, lay.n_links)
         return grad, t * t * per_link
 
     @cached_property
@@ -668,7 +712,7 @@ class DerivedState:
         return grad, curv
 
 
-def _group_sums(values: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray:
+def group_sums(values: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray:
     """Per-group sums of `values`, each equal to np.sum over the group's
     values in index order.  bincount adds in order, as np.sum does below 8
     terms; from 8 terms on np.sum adds pairwise, so it sums those groups."""

@@ -150,16 +150,20 @@ def line3_scenario():
     The block solver and the reference search agree on this instance to
     full printed precision, so it anchors the solver-vs-oracle tests.
     """
-    g = path_graph(3)
-    alloc = allocate_subbands(g, 3, seed=1)
+    return three_node_scenario(path_graph(3), 3, 0.5)
+
+
+def three_node_scenario(g, band_count, demand):
+    """Nodes 0, 1 and 2 at unit spacing in a row, linked as in `g`, with
+    one session from node 0 to node 2."""
     pos = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     return NetworkScenario(
         graph=g,
-        allocation=alloc,
-        gains=_pathloss_gains(pos, 3),
-        noise=np.full((3, 3), 1e-3),
+        allocation=allocate_subbands(g, band_count, seed=1),
+        gains=_pathloss_gains(pos, band_count),
+        noise=np.full((band_count, 3), 1e-3),
         power_budget=np.ones(3),
-        sessions=(Session(0, 2, 0.5, Utility("log", 1.0)),),
+        sessions=(Session(0, 2, demand, Utility("log", 1.0)),),
         cost=CostParams(),
     )
 

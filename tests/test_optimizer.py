@@ -6,6 +6,7 @@ the solver is pinned to frozen costs on the three-node line and checked
 for the monotonicity the backtracking step promises.
 """
 
+import math
 from dataclasses import fields
 from itertools import combinations
 
@@ -16,8 +17,13 @@ from scipy.optimize import minimize
 from duplexnet import kernels, optimizer
 from duplexnet.gradients import gradient_bundle
 from duplexnet.optimizer import (
+    CONSTRAINT,
+    SLACK_TOL,
+    SUPPORT_TOL,
+    Residuals,
     StalledStepError,
     blocks,
+    group_load,
     optimality_residuals,
     project_scaled,
     solve,
@@ -25,7 +31,17 @@ from duplexnet.optimizer import (
 )
 from duplexnet.scenario import ControlState, derive, total_cost, uniform_state, validate_state
 
-from helpers import grid_scenario, line3_scenario, random_interior_state, random_scenario
+from helpers import (
+    complete_graph,
+    grid_scenario,
+    hub_scenario,
+    line3_scenario,
+    path_graph,
+    random_interior_state,
+    random_scenario,
+    square_scenario,
+    three_node_scenario,
+)
 
 
 def test_project_scaled_hand_cases():
@@ -216,11 +232,6 @@ def test_trial_evaluation_reuses_terms_bit_for_bit():
     rng = np.random.default_rng(71)
     pick = np.random.default_rng(72)
     scenarios = [line3_scenario()] + [random_scenario(rng) for _ in range(4)] + [grid_scenario(rng, 4, 2)]
-    load = {
-        "mu": lambda der, b: der.flows.link_flow[b.group],
-        "eta": lambda der, b: der.physical.node_band_power[b.group],
-        "phi": lambda der, b: der.flows.inflow[b.group],
-    }
     tried = dict.fromkeys(optimizer.CONSTRAINT, 0)
     loaded_mu = 0
     for k, scen in enumerate(scenarios):
@@ -236,7 +247,8 @@ def test_trial_evaluation_reuses_terms_bit_for_bit():
             for kind in optimizer.CONSTRAINT:
                 # one trial per kind, on a loaded block where there is one
                 movable = [b for b in blocks(scen) if b.kind == kind and _trial(st, b, pick) is not None]
-                loaded = [b for b in movable if kind not in load or load[kind](parent, b) > 0]
+                load = group_load(parent, kind)
+                loaded = [b for b in movable if load is None or load[b.group] > 0]
                 pool = loaded or movable
                 if not pool:
                     continue
@@ -463,3 +475,195 @@ def test_residuals_reject_infinite_state():
     st.rho[:, :] = 0.0
     with pytest.raises(ValueError):
         optimality_residuals(line3, st)
+
+
+@pytest.fixture(scope="module")
+def sweep_states():
+    """(label, scenario, state): line3, the square, the hub, four random
+    draws and a 4x4 and a 5x5 grid, each at the even split, at a random
+    interior state (the grids have none that random_interior_state finds)
+    and after two sweeps."""
+    rng = np.random.default_rng(91)
+    scenarios = {"line3": line3_scenario(), "square": square_scenario(), "hub": hub_scenario()}
+    for k in range(4):
+        scenarios[f"random {k}"] = random_scenario(rng)
+    scenarios["grid 4x4"] = grid_scenario(rng, 4, 2)
+    scenarios["grid 5x5"] = grid_scenario(rng, 5, 3)
+    out = []
+    for name, scen in scenarios.items():
+        even = uniform_state(scen, 0.9, 0.1)
+        out.append((f"{name}, even split", scen, even))
+        if not name.startswith("grid"):
+            out.append((f"{name}, interior", scen, random_interior_state(scen, rng)))
+        out.append((f"{name}, two sweeps", scen, solve(scen, even, max_sweeps=2, tol=0.0).state))
+    return out
+
+
+def test_unloaded_blocks_are_skipped_without_computing(sweep_states, monkeypatch):
+    # the premise of the skip: a group without load has an all-zero
+    # gradient, so update_block may return before slicing anything
+    moves = []
+    real_move = optimizer._block_move
+
+    def counting_move(*args):
+        moves.append(1)
+        return real_move(*args)
+
+    monkeypatch.setattr(optimizer, "_block_move", counting_move)
+    calls = _count_derive(monkeypatch)
+    skipped = dict.fromkeys(("mu", "eta", "phi"), 0)
+    for label, scen, st in sweep_states:
+        der = derive(scen, st)
+        for block in blocks(scen):
+            load = group_load(der, block.kind)
+            if load is None or load[block.group] > 0:
+                continue
+            what = f"{label}, {block}"
+            assert not np.any(der.gradient(block.kind)[block.key]), what
+            out = update_block(scen, st, block, step=0.25, derived=der)
+            assert (out.moved, out.halvings, out.step, out.cost) == (False, 0, 0.25, der.total), what
+            assert out.state is st and out.derived is der, what
+            skipped[block.kind] += 1
+    assert moves == [] and calls == []
+    assert all(skipped.values()), skipped
+
+
+def _gap(a: float, b: float) -> float:
+    """a - b with equal infinities treated as a zero gap."""
+    if a == b:
+        return 0.0
+    return a - b
+
+
+def _simplex_residual(vals, used, excluded=None):
+    keep = np.ones(len(vals), dtype=bool) if excluded is None else ~np.asarray(excluded, dtype=bool)
+    used = np.asarray(used, dtype=bool) & keep
+    unused = ~np.asarray(used, dtype=bool) & keep
+    if not np.any(used):
+        return 0.0
+    u = vals[used]
+    witness = float(np.min(u))
+    spread = _gap(float(np.max(u)), witness)
+    viol = 0.0
+    if np.any(unused):
+        viol = max(0.0, _gap(witness, float(np.min(vals[unused]))))
+    return max(spread, viol)
+
+
+def _loop_residuals(scenario, state, derived):
+    """optimality_residuals block by block: the reference for its array form."""
+    marginal = {
+        "eta": derived.eta_delta,
+        "rho": derived.gradient("rho"),
+        "mu": derived.gradient("mu"),
+        "phi": derived.delta_phi,
+        "phi_w": derived.gradient("phi_w"),
+    }
+    load = {
+        "eta": derived.physical.node_band_power,
+        "mu": derived.flows.link_flow,
+        "phi": derived.flows.inflow,
+    }
+    worst = dict.fromkeys(CONSTRAINT, 0.0)
+    for block in blocks(scenario):
+        kind, key = block.kind, block.key
+        if kind in load and load[kind][block.group] <= 0:
+            continue
+        vals = marginal[kind][key]
+        cur = getattr(state, kind)[key]
+        used = cur > SUPPORT_TOL
+        constraint = CONSTRAINT[kind]
+        if constraint == "sum_to_one":
+            res = _simplex_residual(vals, used, excluded=derived.blocked(*block.group) if kind == "phi" else None)
+        elif constraint == "sum_at_most_one":
+            tight = float(cur.sum()) >= 1.0 - SLACK_TOL
+            witness = 0.0
+            res = 0.0
+            if np.any(used):
+                low = float(np.min(vals[used]))
+                witness = min(0.0, low) if tight else 0.0
+                res = max(_gap(float(np.max(vals[used])), witness), _gap(witness, low), 0.0)
+            if np.any(~used):
+                res = max(res, _gap(witness, float(np.min(vals[~used]))))
+        else:
+            g = vals[0]
+            if cur[0] <= SUPPORT_TOL:
+                res = max(0.0, -g)
+            elif cur[0] >= 1.0 - SUPPORT_TOL:
+                res = max(0.0, g)
+            else:
+                res = abs(g)
+        worst[kind] = max(worst[kind], res)
+    return Residuals(eta=worst["eta"], rho=worst["rho"], mu=worst["mu"], phi=worst["phi"], overflow=worst["phi_w"])
+
+
+def _link(scenario, tail, head):
+    return scenario.layout.link_index[(tail, head)]
+
+
+def _edge_states():
+    """(label, scenario, state) at the edges of the residual rules, each
+    checked to hold the case it names."""
+    out = []
+    line3 = line3_scenario()
+    # phi_w on its bounds; near rejection node 1 still has inflow
+    out.append(("line3, nothing rejected", line3, uniform_state(line3, 0.9, 0.0)))
+    out.append(("line3, all rejected", line3, uniform_state(line3, 0.05, 1.0)))
+    # an unloaded group with unequal marginals: node 1 of a triangle routes
+    # back to node 0, which sends nothing to it; the link 0->1 it would
+    # close a cycle with is blocked and undercuts node 0's used link 0->2
+    tri = three_node_scenario(complete_graph(3), 3, 2.0)
+    st = uniform_state(tri, 0.9, 0.0)
+    st.phi[0] = 0.0
+    st.phi[0, _link(tri, 0, 2)] = 1.0
+    st.phi[0, [_link(tri, 1, 0), _link(tri, 1, 2)]] = [0.1, 0.9]
+    der = derive(tri, st)
+    assert der.flows.inflow[0, 1] == 0.0 and der.blocked(0, 0).tolist() == [True, False]
+    marg = der.delta_phi[0]
+    assert marg[_link(tri, 1, 0)] != marg[_link(tri, 1, 2)]
+    assert marg[_link(tri, 0, 1)] < marg[_link(tri, 0, 2)]
+    out.append(("triangle, blocked link", tri, st))
+    # tight and slack power rows whose in-order float sums land on either
+    # side of the tightness bound, each opposite to its exact sum, and a
+    # tight row whose used marginals are all positive
+    six = three_node_scenario(path_graph(3), 6, 0.5)
+    st = uniform_state(six, 1.0, 0.1)
+    rows = {
+        0: [0.386160245011157, 0.3396348050659725, 0.2742049489228705],
+        1: [0.5148939199254647, 0.3236119562060325, 0.16149412286850276],
+        2: [0.2, 0.5, 0.3],
+    }
+    for i, row in rows.items():
+        st.rho[i, six.layout.rho_mask[i]] = row
+    bound = 1.0 - SLACK_TOL
+    sums = [float(st.rho[i, six.layout.rho_mask[i]].sum()) for i in rows]
+    assert sums[0] >= bound > math.fsum(rows[0]) and sums[1] < bound <= math.fsum(rows[1]) and sums[2] >= bound
+    assert np.all(derive(six, st).gradient("rho")[2, six.layout.rho_mask[2]] > 0.0)
+    out.append(("line3 on six bands, tight and slack rows", six, st))
+    # an infinite marginal: node 1 puts no power on one band of the loaded
+    # link 1->2 and no flow on it, so that band's d_f is infinite
+    st = uniform_state(six, 0.9, 0.1)
+    sl = six.layout.link_slices[_link(six, 1, 2)]
+    st.rho[1, six.layout.ent_band[sl.start]] = 0.0
+    st.mu[sl] = [0.0, 0.5, 0.5]
+    der = derive(six, st)
+    assert math.isfinite(der.total) and np.isinf(der.gradient("mu")[sl.start])
+    out.append(("line3 on six bands, infinite marginal", six, st))
+    # off the feasible set: the loaded link 0->1 splits no flow over its
+    # bands, so its share group has no used coordinate
+    st = uniform_state(six, 0.9, 0.1)
+    st.mu[six.layout.link_slices[_link(six, 0, 1)]] = 0.0
+    assert math.isfinite(derive(six, st).total)
+    out.append(("line3 on six bands, a loaded group with nothing used", six, st))
+    return out
+
+
+def test_residuals_equal_the_per_block_loop(sweep_states):
+    families = [f.name for f in fields(Residuals)]
+    for label, scen, st in sweep_states + _edge_states():
+        der = derive(scen, st)
+        got = optimality_residuals(scen, st, der)
+        want = _loop_residuals(scen, st, der)
+        for name in families:
+            assert getattr(got, name) == getattr(want, name), f"{label}: {name}"
+            assert float(getattr(got, name)).hex() == float(getattr(want, name)).hex(), f"{label}: {name}"

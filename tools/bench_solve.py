@@ -1,14 +1,17 @@
 """Where a solve's time goes, per block kind, on fixed seeded workloads.
 
-Run it once on each tree to compare, under two labels:
+Give each tree to compare a label and the directory holding its duplexnet
+package:
 
-    python3 tools/bench_solve.py --src OTHER/src --label before
-    python3 tools/bench_solve.py --label after        # this tree's src/
+    python3 tools/bench_solve.py before=OTHER/src after=src
 
-Each run imports duplexnet from --src (default: this tree's src/) and
-stores its figures under --label in BENCH_solve.json at the root of this
-tree, keeping the other labels already there.  The scenarios come from
-tests/helpers.py of this tree:
+The trees take turns repeat by repeat, first in the order given and then
+reversed, so that they share the machine's state; each repeat runs in a
+fresh interpreter, which imports duplexnet from its tree, runs every
+workload once untimed (so that what a scenario caches is built) and then
+once measured.  Each label's figures are stored under it in
+BENCH_solve.json at the root of this tree, keeping the other labels
+already there.  The scenarios come from tests/helpers.py of this tree:
 
 * grids: 2-sweep descents from the even split on jittered grids, six of
   4x4, four of 5x5, two of 8x8 and one of 10x10, with 2 and 3 sessions in turn
@@ -20,30 +23,32 @@ tests/helpers.py of this tree:
   tools/fingerprint.py digests (`reference_cases`).
 
 Per workload it records counts that do not depend on the machine (sweeps,
-converged solves, block updates and those that did not move, `derive`,
-`evaluate_physical` and `evaluate_flows` calls per block update, and
-`blocks()` calls and the distinct block tables they returned) and the wall
-seconds per sweep of `_block_move`, per block kind, of
-`optimality_residuals` and of the whole solve, and the share of solve time
-spent in updates that did not move: what skipping stationary blocks could
-save at most.  For the reference runs it records the evaluations of each
-run, which do not depend on the machine either, and the wall seconds of
-each run and of all of them.  Each workload runs REPEATS times; the counts
-must repeat exactly.  Each timing is stored as its median over the repeats
-(median_timings) next to its least and greatest (min_timings,
-max_timings), so that a before/after gap can be read against the spread
-of one tree's repeats.
+converged solves, block updates, those that did not move and those that
+reached `_block_move` at all, `derive`, `evaluate_physical` and
+`evaluate_flows` calls per block update, and `blocks()` calls and the
+distinct block tables they returned) and the wall seconds per sweep of
+`_block_move`, per block kind, of `optimality_residuals` and of the whole
+solve, and the share of solve time spent in updates that did not move.
+For the reference runs it records the evaluations of each run, which do
+not depend on the machine either, and the wall seconds of each run and of
+all of them.  Each tree runs REPEATS times; its counts must repeat
+exactly, and the counts that differ between trees are printed.  Each
+timing is stored as its median over the repeats (median_timings) next to
+its least and greatest (min_timings, max_timings), so that a before/after
+gap can be read against the spread of one tree's repeats.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import platform
 import statistics
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 # one BLAS thread, as in perfbench/run.py: the arrays are small
@@ -55,7 +60,7 @@ from fingerprint import reference_cases  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_solve.json"
-REPEATS = 3
+REPEATS = 5
 KINDS = ("mu", "eta", "rho", "phi", "phi_w")
 
 
@@ -80,6 +85,7 @@ class _Counters:
     def __init__(self, dn):
         self.calls = dict.fromkeys(("derive", "evaluate_physical", "evaluate_flows", "update_block"), 0)
         self.move_s = dict.fromkeys(KINDS, 0.0)
+        self.moves = 0
         self.residuals_s = 0.0
         self.blocks_calls = 0
         # every table blocks() returned, kept alive so that ids stay unique
@@ -123,6 +129,7 @@ class _Counters:
             t0 = time.perf_counter()
             out = fn(scenario, state, block, derived)
             self.move_s[block.kind] += time.perf_counter() - t0
+            self.moves += 1
             return out
 
         return wrapper
@@ -175,6 +182,7 @@ def _run(dn, cases):
         "sweeps": sweeps,
         "block_updates": updates,
         "unmoved_updates": counters.unmoved,
+        "block_moves": counters.moves,
         "derive_calls": counters.calls["derive"],
         "evaluate_physical_calls": counters.calls["evaluate_physical"],
         "evaluate_flows_calls": counters.calls["evaluate_flows"],
@@ -206,43 +214,80 @@ def _run_reference(dn, cases):
     return counts, timings
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", default=str(ROOT / "src"), help="directory holding the duplexnet package")
-    ap.add_argument("--label", required=True, help="key of this run in BENCH_solve.json, e.g. before or after")
-    args = ap.parse_args(argv)
-    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "tests")]
+def _measure(src):
+    """One repeat of every workload on the duplexnet package in `src`,
+    each after an untimed pass: {workload: (counts, timings)}."""
+    sys.path[:0] = [src, str(ROOT / "tests")]
     import duplexnet as dn
     import helpers
 
-    result = {}
     workloads = {name: (_run, cases) for name, cases in _workloads(dn, helpers).items()}
     workloads["reference"] = (_run_reference, list(reference_cases(helpers)))
+    out = {}
     for name, (run, cases) in workloads.items():
-        runs = [run(dn, cases) for _ in range(REPEATS)]
-        counts = runs[0][0]
-        if any(c != counts for c, _ in runs):
-            raise RuntimeError(f"{name}: counts differ between repeats: {[c for c, _ in runs]}")
-        result[name] = {"counts": counts}
-        for stat, fn in (("median", statistics.median), ("min", min), ("max", max)):
-            result[name][f"{stat}_timings"] = {k: round(fn(t[k] for _, t in runs), 6) for k in runs[0][1]}
-        print(f"{args.label} {name}: {json.dumps(result[name])}")
+        run(dn, cases)
+        out[name] = run(dn, cases)
+    return out
+
+
+def _tree(arg):
+    label, sep, src = arg.partition("=")
+    if not (label and sep and src):
+        raise argparse.ArgumentTypeError(f"expected LABEL=SRC, got {arg!r}")
+    return label, str(Path(src).resolve())
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument(
+        "trees",
+        nargs="+",
+        type=_tree,
+        metavar="LABEL=SRC",
+        help="a key in BENCH_solve.json and the directory holding that tree's duplexnet package",
+    )
+    trees = dict(ap.parse_args(argv).trees)
+    runs = {label: [] for label in trees}
+    # one worker, replaced after every task: each repeat gets a fresh interpreter
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(1, mp_context=spawn, max_tasks_per_child=1) as pool:
+        for rep in range(REPEATS):
+            order = list(trees) if rep % 2 == 0 else list(reversed(trees))
+            for label in order:
+                runs[label].append(pool.submit(_measure, trees[label]).result())
+                print(f"repeat {rep + 1}/{REPEATS}: {label}", flush=True)
     data = json.loads(OUT.read_text()) if OUT.exists() else {}
     data["about"] = (
         "tools/bench_solve.py: fixed-seed solver workloads; counts are machine-independent, "
-        f"timings are wall-clock medians over {REPEATS} repeats, with their min and max"
+        f"timings are wall-clock medians over {REPEATS} repeats, with their min and max; "
+        "the trees of one invocation alternate repeat by repeat, each repeat in a fresh interpreter"
     )
-    data.setdefault("runs", {})[args.label] = {
-        "machine": {
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "processor": platform.processor() or platform.machine(),
-        },
-        "workloads": result,
+    machine = {
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "processor": platform.processor() or platform.machine(),
     }
+    for label, reps in runs.items():
+        result = {}
+        for name in reps[0]:
+            counts = reps[0][name][0]
+            if any(rep[name][0] != counts for rep in reps):
+                raise RuntimeError(f"{label} {name}: counts differ between repeats: {[rep[name][0] for rep in reps]}")
+            result[name] = {"counts": counts}
+            timings = [rep[name][1] for rep in reps]
+            for stat, fn in (("median", statistics.median), ("min", min), ("max", max)):
+                result[name][f"{stat}_timings"] = {k: round(fn(t[k] for t in timings), 6) for k in timings[0]}
+            print(f"{label} {name}: {json.dumps(result[name])}")
+        data.setdefault("runs", {})[label] = {"machine": machine, "workloads": result}
+    labels = list(runs)
+    for name in runs[labels[0]][0]:
+        counts = [runs[label][0][name][0] for label in labels]
+        differ = sorted(k for k in counts[0] if any(c.get(k) != counts[0][k] for c in counts[1:]))
+        if len(labels) > 1:
+            print(f"{name}: counts that differ between {', '.join(labels)}: {', '.join(differ) or 'none'}")
     OUT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {OUT.name} [{args.label}]")
+    print(f"wrote {OUT.name} [{', '.join(labels)}]")
 
 
 if __name__ == "__main__":

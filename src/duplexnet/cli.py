@@ -113,9 +113,11 @@ def _cmd_optimize(args, out) -> int:
         return 1
     if args.trace:
         with open(args.trace, "w") as fh:
-            fh.write("sweep,cost,residual,max_step\n")
+            fh.write("sweep,cost,residual,max_step,evaluations\n")
             for row in result.trace:
-                fh.write(f"{row.sweep},{_fmt(row.cost)},{_fmt(row.residual)},{_fmt(row.max_step)}\n")
+                fh.write(
+                    f"{row.sweep},{_fmt(row.cost)},{_fmt(row.residual)},{_fmt(row.max_step)},{row.evaluations}\n"
+                )
     print(f"final cost: {_fmt(result.cost)}", file=out)
     print(f"residual: {_fmt(result.residual)}", file=out)
     print(f"sweeps: {result.sweeps}", file=out)

@@ -48,7 +48,7 @@ def capacity(sinr, bandwidth, gain_factor):
 
 
 def link_cost_terms(sinr, band_flow, bandwidth, gain_factor):
-    """Per-entry cost F/(C - F) and its total.
+    """Per-entry cost F/(C - F).
 
     An unloaded entry costs zero whatever its SINR; a loaded one with
     C <= 0 or F >= C costs +inf.
@@ -59,7 +59,7 @@ def link_cost_terms(sinr, band_flow, bandwidth, gain_factor):
     f = band_flow[loaded]
     with np.errstate(divide="ignore"):
         cost[loaded] = np.where((cap <= 0.0) | (f >= cap), np.inf, f / (cap - f))
-    return cost, float(np.sum(cost[loaded]))
+    return cost
 
 
 def link_cost_derivatives(sinr, flow, bandwidth, gain_factor):

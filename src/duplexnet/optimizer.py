@@ -19,6 +19,28 @@ session (phi) carry no load.  Such a block's gradient is exactly zero, so
 an update leaves it untouched without computing anything, and its
 residual is zero.
 
+Separable blocks move as one run.  A band-split (mu) move on a link
+changes only the band flows of that link's entries, and a power-share
+(eta) move on a (node, band) only the SINR of that group's entries, since
+the node's band power, and so every receiver's total received power, stays
+the same.  So within a run, a maximal stretch of consecutive mu blocks or
+of consecutive eta blocks in the visit order, every block's gradient,
+curvature and load at the run's starting evaluation are exactly those the
+blocks before it leave, and the only link costs a block's move changes
+are its own entries'.  A run takes every block's first trial point from
+its starting evaluation and prices all of them with one evaluation; the
+sufficient-decrease tests are then replayed in block order, each against
+the total the one-by-one update would price, which is the starting
+per-entry link costs with the accepted moves before the block and its own
+trial patched in, summed as :func:`~duplexnet.scenario.derive` sums them
+(:func:`~duplexnet.scenario.summed_cost`).  A rejected trial halves its
+step and prices the state the blocks before it left, as a lone block
+does.  For separable blocks the simultaneous (Jacobi) and one-by-one
+(Gauss-Seidel) updates coincide (Bertsekas & Tsitsiklis 1989), so every
+decision, step, cost and state is bit for bit that of updating the blocks
+one after another.  rho, phi and phi_w blocks are coupled through the
+interference and the flows and update one at a time.
+
 This module holds no gradient or curvature formula: a block's gradient
 and diagonal curvature are slices of the whole-network arrays that the
 evaluation (:class:`~duplexnet.scenario.DerivedState`) keeps, and the
@@ -37,10 +59,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .scenario import Block, ControlState, DerivedState, NetworkScenario, derive, group_sums
+from .scenario import Block, ControlState, DerivedState, NetworkScenario, derive, group_sums, summed_cost
 
 
 class StalledStepError(RuntimeError):
@@ -115,6 +138,10 @@ SHRINK = 0.5
 MAX_HALVINGS = 50
 GROW = 2.0
 
+# a move of one of these blocks changes the link cost of its own entries
+# only, so consecutive blocks of one such kind move as one run
+SEPARABLE = ("mu", "eta")
+
 CONSTRAINT = {
     "mu": "sum_to_one",
     "eta": "sum_to_one",
@@ -156,6 +183,141 @@ def _block_move(scenario, state, block, derived):
     return derived.gradient(block.kind)[block.key], derived.curvature(block.kind)[block.key], fixed
 
 
+def _search(scenario, state, block, derived):
+    """(current point, gradient, weights, fixed mask) of one block at
+    `derived`, or None when the block cannot move: its group carries no
+    load, its gradient is zero, or all its coordinates are fixed."""
+    load = group_load(derived, block.kind)
+    if load is not None and load[block.group] <= 0:
+        return None
+    grad, curv, fixed = _block_move(scenario, state, block, derived)
+    finite = np.isfinite(grad)
+    if not np.all(finite):
+        fixed = ~finite if fixed is None else fixed | ~finite
+        grad = np.where(finite, grad, 0.0)
+    if fixed is not None and np.all(fixed) or not np.any(grad):
+        return None
+    return getattr(state, block.kind)[block.key], grad, SAFETY * np.maximum(curv, FLOOR), fixed
+
+
+def _trial_point(search, constraint, step):
+    """The scaled step of length `step` projected back onto the block's
+    feasible set, and its slope; None when it is no descent direction."""
+    cur, grad, weights, fixed = search
+    z = project_scaled(cur - step * grad / weights, weights, constraint, fixed=fixed)
+    delta = z - cur
+    slope = float(np.dot(grad, delta))
+    if slope >= 0.0 or float(np.max(np.abs(delta))) <= 1e-16:
+        return None
+    return z, slope
+
+
+def _accepts(total, cost0, slope):
+    """The sufficient-decrease test of a trial priced at `total`."""
+    return math.isfinite(total) and total <= cost0 + ARMIJO * slope
+
+
+class _Move(NamedTuple):
+    """One block's part of a run: the cost after it, whether it moved, its
+    halvings and its last step."""
+
+    cost: float
+    moved: bool
+    halvings: int
+    step: float
+
+
+def _update_run(scenario, state, run, steps, derived):
+    """Update the blocks of `run` one after another, block k from steps[k].
+
+    `run` is one block, or several blocks of one separable kind (mu or eta;
+    see the module docstring); `derived` is the evaluation of `state`.
+    Returns the final state, its evaluation, one _Move per block and the
+    number of evaluations made.  Every block's first trial point comes from
+    `derived`, and one evaluation prices them all.  The sufficient-decrease
+    tests are then replayed in block order: with several trials, block k's
+    total is the link-cost vector of the moves accepted before it with its
+    own trial patched in, summed by :func:`summed_cost` as `derive` sums
+    it.  A rejected trial halves the step and is priced on its own, on the
+    state the blocks before it left.
+    """
+    kind = run[0].kind
+    constraint = CONSTRAINT[kind]
+    searches, points = [], []
+    for block, step in zip(run, steps):
+        search = _search(scenario, state, block, derived)
+        searches.append(search)
+        points.append(None if search is None else _trial_point(search, constraint, step))
+    proposed = len(points) - points.count(None)
+    if not proposed:
+        return state, derived, [_Move(derived.total, False, 0, step) for step in steps], 0
+    joint = state.copy()
+    for block, point in zip(run, points):
+        if point is not None:
+            getattr(joint, kind)[block.key] = point[0]
+    priced = derive(scenario, joint, parent=derived, changed=kind)
+    evaluations = 1
+    if proposed > 1:
+        link_cost = derived.link_cost.copy()
+        band_flow = derived.flows.band_flow.copy()
+    cost = derived.total
+    taken = []  # (key, point) of the moves accepted so far
+    latest = state, derived  # the state they make and its evaluation, while one is at hand
+    first_tries = True
+    moves = []
+    for block, search, point, step in zip(run, searches, points, steps):
+        if point is None:
+            moves.append(_Move(cost, False, 0, step))
+            continue
+        z, slope = point
+        total = priced.total
+        if proposed > 1:
+            key = block.key
+            before = link_cost[key], band_flow[key]
+            link_cost[key] = priced.link_cost[key]
+            band_flow[key] = priced.flows.band_flow[key]
+            total = summed_cost(link_cost, band_flow, derived.overflow_cost)
+        if _accepts(total, cost, slope):
+            taken.append((block.key, z))
+            cost, latest = total, None
+            moves.append(_Move(cost, True, 0, step))
+            continue
+        first_tries = False
+        if proposed > 1:
+            link_cost[key], band_flow[key] = before
+        for halving in range(1, MAX_HALVINGS + 1):
+            step *= SHRINK
+            point = _trial_point(search, constraint, step)
+            if point is None:
+                moves.append(_Move(cost, False, halving, step))
+                break
+            z, slope = point
+            trial = state.copy()
+            for taken_key, taken_z in [*taken, (block.key, z)]:
+                getattr(trial, kind)[taken_key] = taken_z
+            evaluated = derive(scenario, trial, parent=derived, changed=kind)
+            evaluations += 1
+            if _accepts(evaluated.total, cost, slope):
+                taken.append((block.key, z))
+                cost, latest = evaluated.total, (trial, evaluated)
+                if proposed > 1:
+                    link_cost[block.key] = evaluated.link_cost[block.key]
+                    band_flow[block.key] = evaluated.flows.band_flow[block.key]
+                moves.append(_Move(cost, True, halving, step))
+                break
+        else:
+            moves.append(_Move(cost, False, MAX_HALVINGS, step * SHRINK))
+    if first_tries:
+        return joint, priced, moves, evaluations
+    if latest is None:
+        final = state.copy()
+        for key, z in taken:
+            getattr(final, kind)[key] = z
+        latest = final, derive(scenario, final, parent=derived, changed=kind)
+        evaluations += 1
+    return *latest, moves, evaluations
+
+
 @dataclass
 class UpdateOutcome:
     state: ControlState
@@ -164,6 +326,7 @@ class UpdateOutcome:
     halvings: int
     step: float
     derived: DerivedState
+    evaluations: int
 
 
 def update_block(
@@ -175,54 +338,39 @@ def update_block(
 ) -> UpdateOutcome:
     """One scaled projected step on a single block, with backtracking.
 
-    Returns the (possibly unchanged) state, its cost and its evaluation.
-    The cost never increases: a trial point is accepted only when finite
-    and satisfying the sufficient-decrease test; otherwise the step is
-    halved, and after MAX_HALVINGS the block is left untouched.  A block
-    whose group carries no load (:func:`group_load`, the rule the
-    residuals share) has a zero gradient and is left untouched before
-    anything is computed; so is one whose projected step is not a descent
-    direction.  A `derived` passed in must be the evaluation of `state`; it
-    saves the one evaluation that is not a trial.  Each trial differs from
-    `state` only in the block's array, so its evaluation recomputes only
-    the terms that array feeds and takes the rest from `derived`.
+    Returns the (possibly unchanged) state, its cost, its evaluation and
+    the number of evaluations made.  The cost never increases: a trial
+    point is accepted only when finite and satisfying the
+    sufficient-decrease test; otherwise the step is halved, and after
+    MAX_HALVINGS the block is left untouched.  A block whose group carries
+    no load (:func:`group_load`, the rule the residuals share) has a zero
+    gradient and is left untouched before anything is computed; so is one
+    whose projected step is not a descent direction.  A `derived` passed in
+    must be the evaluation of `state`; it saves the one evaluation that is
+    not a trial.  Each trial differs from `state` only in the block's
+    array, so its evaluation recomputes only the terms that array feeds and
+    takes the rest from `derived`.
+
+    This is the one-block case of a run (see the module docstring):
+    :func:`solve` moves a stretch of consecutive mu blocks, or of
+    consecutive eta blocks, with one trial evaluation for all of them, and
+    every block's outcome is bit for bit what this function returns for it
+    when the blocks are updated one after another.
     """
+    evaluations = 0
     if derived is None:
         derived = derive(scenario, state)
-    cost0 = derived.total
-
-    def unmoved(halvings):
-        return UpdateOutcome(state=state, cost=cost0, moved=False, halvings=halvings, step=step, derived=derived)
-
-    load = group_load(derived, block.kind)
-    if load is not None and load[block.group] <= 0:
-        return unmoved(0)
-    cur = getattr(state, block.kind)[block.key]
-    grad, curv, fixed = _block_move(scenario, state, block, derived)
-    constraint = CONSTRAINT[block.kind]
-    finite = np.isfinite(grad)
-    if not np.all(finite):
-        fixed = ~finite if fixed is None else fixed | ~finite
-        grad = np.where(finite, grad, 0.0)
-    if fixed is not None and np.all(fixed) or not np.any(grad):
-        return unmoved(0)
-    weights = SAFETY * np.maximum(curv, FLOOR)
-    for halving in range(MAX_HALVINGS + 1):
-        y = cur - step * grad / weights
-        z = project_scaled(y, weights, constraint, fixed=fixed)
-        delta = z - cur
-        slope = float(np.dot(grad, delta))
-        if slope >= 0.0 or float(np.max(np.abs(delta))) <= 1e-16:
-            return unmoved(halving)
-        trial = state.copy()
-        getattr(trial, block.kind)[block.key] = z
-        evaluated = derive(scenario, trial, parent=derived, changed=block.kind)
-        if math.isfinite(evaluated.total) and evaluated.total <= cost0 + ARMIJO * slope:
-            return UpdateOutcome(
-                state=trial, cost=evaluated.total, moved=True, halvings=halving, step=step, derived=evaluated
-            )
-        step *= SHRINK
-    return unmoved(MAX_HALVINGS)
+        evaluations = 1
+    state, derived, (move,), made = _update_run(scenario, state, (block,), (step,), derived)
+    return UpdateOutcome(
+        state=state,
+        cost=move.cost,
+        moved=move.moved,
+        halvings=move.halvings,
+        step=move.step,
+        derived=derived,
+        evaluations=evaluations + made,
+    )
 
 
 def _gaps(a, b):
@@ -324,10 +472,15 @@ def optimality_residuals(scenario: NetworkScenario, state: ControlState, derived
 
 @dataclass(frozen=True)
 class TraceRow:
+    """One sweep of a solve: its end cost, worst residual, largest accepted
+    step and the evaluations (`derive` calls) it made.  Row 0 is the start,
+    whose one evaluation no row counts."""
+
     sweep: int
     cost: float
     residual: float
     max_step: float
+    evaluations: int
 
 
 @dataclass
@@ -338,6 +491,19 @@ class SolveResult:
     sweeps: int
     converged: bool
     trace: list = field(default_factory=list)
+
+
+def _runs(table, visit) -> list:
+    """The visit order cut into runs: maximal stretches of consecutive mu
+    blocks or of consecutive eta blocks, and every other block alone."""
+    runs = []
+    for k in visit:
+        kind = table[k].kind
+        if runs and kind in SEPARABLE and table[runs[-1][-1]].kind == kind:
+            runs[-1].append(k)
+        else:
+            runs.append([k])
+    return runs
 
 
 def solve(
@@ -366,27 +532,38 @@ def solve(
     if not math.isfinite(derived.total):
         raise ValueError("solve needs a finite-cost initial state")
     res = optimality_residuals(scenario, state, derived)
-    trace = [TraceRow(sweep=0, cost=derived.total, residual=res.worst, max_step=0.0)]
+    trace = [TraceRow(sweep=0, cost=derived.total, residual=res.worst, max_step=0.0, evaluations=0)]
     if res.worst <= tol:
         return SolveResult(
             state=state, cost=derived.total, residual=res.worst, sweeps=0, converged=True, trace=trace
         )
+    runs = _runs(table, range(len(table)))
     for sweep in range(1, max_sweeps + 1):
-        visit = list(range(len(table)))
         if order == "random":
+            visit = list(range(len(table)))
             rng.shuffle(visit)
+            runs = _runs(table, visit)
         moved_any = False
         max_step = 0.0
-        for k in visit:
-            out = update_block(scenario, state, table[k], step=steps[k], derived=derived)
-            derived = out.derived
-            if out.moved:
-                state = out.state
-                moved_any = True
-                max_step = max(max_step, out.step)
-                steps[k] = min(1.0, out.step * GROW)
+        evaluations = 0
+        for run in runs:
+            if len(run) == 1:
+                out = update_block(scenario, state, table[run[0]], step=steps[run[0]], derived=derived)
+                state, derived, moves, made = out.state, out.derived, (out,), out.evaluations
+            else:
+                state, derived, moves, made = _update_run(
+                    scenario, state, [table[k] for k in run], [steps[k] for k in run], derived
+                )
+            evaluations += made
+            for k, move in zip(run, moves):
+                if move.moved:
+                    moved_any = True
+                    max_step = max(max_step, move.step)
+                    steps[k] = min(1.0, move.step * GROW)
         res = optimality_residuals(scenario, state, derived)
-        trace.append(TraceRow(sweep=sweep, cost=derived.total, residual=res.worst, max_step=max_step))
+        trace.append(
+            TraceRow(sweep=sweep, cost=derived.total, residual=res.worst, max_step=max_step, evaluations=evaluations)
+        )
         if res.worst <= tol:
             return SolveResult(
                 state=state,

@@ -854,9 +854,7 @@ def derive(
         flows = replace(parent.flows, band_flow=_band_flow(scenario.layout, state.mu, parent.flows.link_flow))
     else:
         flows = evaluate_flows(scenario, state)
-    link_cost, link_total = kernels.link_cost_terms(
-        phys.sinr, flows.band_flow, scenario.cost.bandwidth, scenario.cost.gain_factor
-    )
+    link_cost = kernels.link_cost_terms(phys.sinr, flows.band_flow, scenario.cost.bandwidth, scenario.cost.gain_factor)
     over = np.array(
         [
             sess.utility.overflow_cost(flows.overflow[w], sess.demand)
@@ -870,8 +868,16 @@ def derive(
         flows=flows,
         link_cost=link_cost,
         overflow_cost=over,
-        total=float(link_total + over.sum()),
+        total=summed_cost(link_cost, flows.band_flow, over),
     )
+
+
+def summed_cost(link_cost: np.ndarray, band_flow: np.ndarray, overflow_cost: np.ndarray) -> float:
+    """Total cost: the link costs of the loaded entries, summed by np.sum
+    in entry order, plus the overflow costs.  :func:`derive` and the
+    optimizer's replay of a run of separable blocks both total with it, so
+    equal per-entry terms give bit-identical totals."""
+    return float(np.sum(link_cost[band_flow != 0.0]) + overflow_cost.sum())
 
 
 def total_cost(scenario: NetworkScenario, state: ControlState) -> float:

@@ -371,24 +371,34 @@ def _headroom_ok(scenario, state, frac=0.6):
 
 def random_interior_state(scenario, rng, max_tries=40):
     """Strictly feasible random state with every loaded entry well under
-    capacity, so central differences are trustworthy at the point."""
+    capacity, so central differences are trustworthy at the point.
+
+    Every split is a Dirichlet draw.  After max_tries failed draws, the
+    draws go on with the Dirichlet concentration doubling every
+    max_tries // 4 draws, which pulls the splits toward even: on grids most
+    uneven draws leave some loaded band without headroom.  The first
+    max_tries draws are those of a plain retry loop, so every state found
+    within them stays what it was.
+    """
     lay = scenario.layout
-    for _ in range(max_tries):
+    for attempt in range(3 * max_tries):
+        late = attempt - max_tries
+        alpha = 1.0 if late < 0 else 2.0 ** (1 + late // (max_tries // 4))
         state = uniform_state(scenario, power=0.5, overflow=0.5)
         for i in range(lay.n):
             bands = np.flatnonzero(lay.rho_mask[i])
             if bands.size:
-                state.rho[i, bands] = rng.uniform(0.4, 0.8) * rng.dirichlet(np.ones(bands.size))
+                state.rho[i, bands] = rng.uniform(0.4, 0.8) * rng.dirichlet(np.full(bands.size, alpha))
         for entries in lay.node_band_entries.values():
-            state.eta[entries] = rng.dirichlet(np.ones(entries.size))
+            state.eta[entries] = rng.dirichlet(np.full(entries.size, alpha))
         for sl in lay.link_slices:
-            state.mu[sl] = rng.dirichlet(np.ones(sl.stop - sl.start))
+            state.mu[sl] = rng.dirichlet(np.full(sl.stop - sl.start, alpha))
         for w in range(len(scenario.sessions)):
             state.phi_w[w] = rng.uniform(0.25, 0.75)
             for i in range(lay.n):
                 idx = [li for li in lay.out_links[i] if state.phi[w, li] > 0]
                 if len(idx) > 1:
-                    state.phi[w, idx] = rng.dirichlet(np.ones(len(idx)))
+                    state.phi[w, idx] = rng.dirichlet(np.full(len(idx), alpha))
         if _headroom_ok(scenario, state):
             return state
         # admitted flow too aggressive for the sampled split; reject more

@@ -72,8 +72,11 @@ def test_optimize_trace_is_reproducible(tmp_path):
                        "--order", "random", "--seed", "11", "--trace", str(t)])
         assert code == 0
     assert t1.read_bytes() == t2.read_bytes()
-    header = t1.read_text().splitlines()[0]
-    assert header == "sweep,cost,residual,max_step"
+    header, *rows = t1.read_text().splitlines()
+    assert header == "sweep,cost,residual,max_step,evaluations"
+    # the start's evaluation is counted in no row; every sweep evaluates
+    evaluations = [int(row.split(",")[4]) for row in rows]
+    assert evaluations[0] == 0 and min(evaluations[1:]) > 0
 
 
 def test_optimize_budget_exhaustion_exit_code():

@@ -353,8 +353,9 @@ def _count_derive(monkeypatch):
 
 
 def test_solve_evaluates_once_per_trial(monkeypatch):
-    # solve copies its start once; every other copy is a trial point,
-    # which is evaluated once; the only other evaluation is the start's
+    # every evaluation is the start's, a trial's or a run's closing one, and
+    # each comes with one copy of a state: solve copies its start, and a
+    # run copies the state it prices; the trace counts all but the start's
     copies = []
     real_copy = ControlState.copy
 
@@ -362,15 +363,16 @@ def test_solve_evaluates_once_per_trial(monkeypatch):
         copies.append(1)
         return real_copy(state)
 
-    line3 = line3_scenario()
-    start = uniform_state(line3, 0.9, 0.1)
     monkeypatch.setattr(ControlState, "copy", counting_copy)
     calls = _count_derive(monkeypatch)
-    res = solve(line3, start, max_sweeps=400, tol=1e-4)
-    assert res.converged
-    trials = len(copies) - 1
-    assert trials > 0
-    assert len(calls) == 1 + trials
+    grid = grid_scenario(np.random.default_rng(5), 4, 2)
+    for scen, kwargs in ((line3_scenario(), dict(max_sweeps=400, tol=1e-4)), (grid, dict(max_sweeps=3, tol=0.0))):
+        copies.clear()
+        calls.clear()
+        res = solve(scen, uniform_state(scen, 0.9, 0.1), **kwargs)
+        assert res.converged or res.sweeps == kwargs["max_sweeps"]
+        assert len(copies) > 1
+        assert len(calls) == len(copies) == 1 + sum(row.evaluations for row in res.trace)
 
 
 def test_update_block_at_optimal_vertex_does_not_evaluate(monkeypatch):
@@ -481,8 +483,7 @@ def test_residuals_reject_infinite_state():
 def sweep_states():
     """(label, scenario, state): line3, the square, the hub, four random
     draws and a 4x4 and a 5x5 grid, each at the even split, at a random
-    interior state (the grids have none that random_interior_state finds)
-    and after two sweeps."""
+    interior state and after two sweeps."""
     rng = np.random.default_rng(91)
     scenarios = {"line3": line3_scenario(), "square": square_scenario(), "hub": hub_scenario()}
     for k in range(4):
@@ -493,8 +494,7 @@ def sweep_states():
     for name, scen in scenarios.items():
         even = uniform_state(scen, 0.9, 0.1)
         out.append((f"{name}, even split", scen, even))
-        if not name.startswith("grid"):
-            out.append((f"{name}, interior", scen, random_interior_state(scen, rng)))
+        out.append((f"{name}, interior", scen, random_interior_state(scen, rng)))
         out.append((f"{name}, two sweeps", scen, solve(scen, even, max_sweeps=2, tol=0.0).state))
     return out
 
@@ -526,6 +526,157 @@ def test_unloaded_blocks_are_skipped_without_computing(sweep_states, monkeypatch
             skipped[block.kind] += 1
     assert moves == [] and calls == []
     assert all(skipped.values()), skipped
+
+
+def _sweep_block_by_block(scenario, state, visits):
+    """The per-block sweep loop: update_block on every block of each visit
+    order in turn, steps carried as solve carries them.  Returns the state
+    and evaluation after each sweep and (block, cost, moved, halvings,
+    step) per update."""
+    table = blocks(scenario)
+    steps = [1.0] * len(table)
+    derived = derive(scenario, state)
+    ends, log = [], []
+    for visit in visits:
+        for k in visit:
+            out = update_block(scenario, state, table[k], step=steps[k], derived=derived)
+            state, derived = out.state, out.derived
+            log.append((k, out.cost, out.moved, out.halvings, out.step))
+            if out.moved:
+                steps[k] = min(1.0, out.step * optimizer.GROW)
+        ends.append((state, derived))
+    return ends, log
+
+
+def _sweep_by_runs(scenario, state, visits, runs_seen):
+    """The same sweeps with each visit order cut into runs, as solve cuts
+    it; runs_seen[kind] counts the runs of more than one block."""
+    table = blocks(scenario)
+    steps = [1.0] * len(table)
+    derived = derive(scenario, state)
+    ends, log = [], []
+    for visit in visits:
+        for run in optimizer._runs(table, visit):
+            state, derived, moves, _ = optimizer._update_run(
+                scenario, state, [table[k] for k in run], [steps[k] for k in run], derived
+            )
+            if len(run) > 1:
+                runs_seen[table[run[0]].kind] += 1
+            for k, move in zip(run, moves):
+                log.append((k, move.cost, move.moved, move.halvings, move.step))
+                if move.moved:
+                    steps[k] = min(1.0, move.step * optimizer.GROW)
+        ends.append((state, derived))
+    return ends, log
+
+
+def _visits(scenario, order, sweeps=2):
+    count = len(blocks(scenario))
+    rng = np.random.default_rng(17)
+    out = []
+    for _ in range(sweeps):
+        visit = list(range(count))
+        if order == "random":
+            rng.shuffle(visit)
+        out.append(visit)
+    return out
+
+
+def _assert_same_sweeps(scenario, state, order, what, runs_seen, sweeps=2):
+    visits = _visits(scenario, order, sweeps)
+    want_ends, want_log = _sweep_block_by_block(scenario, state, visits)
+    got_ends, got_log = _sweep_by_runs(scenario, state, visits, runs_seen)
+    assert len(got_log) == len(want_log), what
+    for got, want in zip(got_log, want_log):
+        assert got[0] == want[0] and got[2:4] == want[2:4], f"{what}, block {want[0]}"
+        for a, b in ((got[1], want[1]), (got[4], want[4])):
+            assert float(a).hex() == float(b).hex(), f"{what}, block {want[0]}"
+    for sweep, ((st, der), (want_st, want_der)) in enumerate(zip(got_ends, want_ends)):
+        for kind in CONSTRAINT:
+            _assert_bitwise(getattr(st, kind), getattr(want_st, kind), f"{what}, sweep {sweep}: {kind}")
+            _assert_bitwise(getattr(der.state, kind), getattr(st, kind), f"{what}, sweep {sweep}: {kind}")
+        _assert_bitwise(der.link_cost, want_der.link_cost, f"{what}, sweep {sweep}: link cost")
+        _assert_bitwise(der.total, want_der.total, f"{what}, sweep {sweep}: total")
+    return got_log, [state] + [st for st, _ in got_ends]
+
+
+@pytest.fixture(scope="module")
+def run_states(sweep_states):
+    """sweep_states without the random interior states of the small
+    scenarios, and an 8x8 grid at the even split, a random interior state
+    and after two sweeps."""
+    out = [(label, scen, st) for label, scen, st in sweep_states if "grid" in label or "interior" not in label]
+    rng = np.random.default_rng(92)
+    grid = grid_scenario(rng, 8, 2)
+    even = uniform_state(grid, 0.9, 0.1)
+    out.append(("grid 8x8, even split", grid, even))
+    out.append(("grid 8x8, interior", grid, random_interior_state(grid, rng)))
+    out.append(("grid 8x8, two sweeps", grid, solve(grid, even, max_sweeps=2, tol=0.0).state))
+    return out
+
+
+def test_separable_runs_match_the_block_by_block_sweep(run_states):
+    # a mu or eta block changes the link cost of its own entries only, so a
+    # run of them priced by one evaluation and replayed in block order is,
+    # bit for bit, the sequential update of its blocks
+    runs_seen = dict.fromkeys(optimizer.SEPARABLE, 0)
+    moved_in_runs = solved = 0
+    for label, scen, st in run_states:
+        for order in ("round_robin", "random"):
+            what = f"{label}, {order}"
+            log, states = _assert_same_sweeps(scen, st, order, what, runs_seen)
+            moved_in_runs += sum(entry[2] for entry in log if blocks(scen)[entry[0]].kind in optimizer.SEPARABLE)
+            # solve cuts its visit orders (seeded as _visits seeds them) the
+            # same way; it stops early where the residual reaches zero
+            res = solve(scen, st, max_sweeps=2, tol=0.0, order=order, seed=17)
+            for kind in CONSTRAINT:
+                _assert_bitwise(getattr(res.state, kind), getattr(states[res.sweeps], kind), f"{what}: solve's {kind}")
+            solved += res.sweeps == 2
+    assert all(runs_seen.values()), runs_seen
+    assert moved_in_runs > 0 and solved > 0
+
+
+def test_rejections_inside_a_run_match_the_block_by_block_sweep(run_states, monkeypatch):
+    # with a tenth of the curvature scaling, first steps overshoot: trials
+    # are rejected, some priced infinite, and blocks halve inside runs
+    monkeypatch.setattr(optimizer, "SAFETY", 0.2)
+    totals = []
+    real_summed = optimizer.summed_cost
+
+    def recording(*args):
+        totals.append(real_summed(*args))
+        return totals[-1]
+
+    monkeypatch.setattr(optimizer, "summed_cost", recording)
+    runs_seen = dict.fromkeys(optimizer.SEPARABLE, 0)
+    halved = 0
+    for label, scen, st in run_states:
+        if "two sweeps" in label:
+            continue
+        table = blocks(scen)
+        log, _ = _assert_same_sweeps(scen, st, "round_robin", label, runs_seen)
+        halved += sum(1 for k, _, _, halvings, _ in log if halvings and table[k].kind in optimizer.SEPARABLE)
+    assert halved > 0
+    assert any(math.isinf(t) for t in totals)
+    # a bar above the linear prediction: only blocks along which the cost
+    # is concave pass, so blocks that give up sit in runs next to blocks
+    # that move; an unattainable bar rejects every trial until the step no
+    # longer moves the block or the halvings run out
+    ends = set()
+    mixed = 0
+    for armijo in (1.5, 1e6):
+        monkeypatch.setattr(optimizer, "ARMIJO", armijo)
+        for label, scen, st in run_states:
+            if label in ("line3, even split", "grid 4x4, even split", "grid 5x5, interior"):
+                table = blocks(scen)
+                what = f"{label}, ARMIJO {armijo}"
+                log, _ = _assert_same_sweeps(scen, st, "round_robin", what, runs_seen, sweeps=1)
+                log = [entry for entry in log if table[entry[0]].kind in optimizer.SEPARABLE]
+                ends |= {halvings for _, _, moved, halvings, _ in log if not moved}
+                gave_up = [i for i, (_, _, moved, halvings, _) in enumerate(log) if not moved and halvings]
+                mixed += bool(gave_up) and any(moved for _, _, moved, _, _ in log[gave_up[0] :])
+    assert optimizer.MAX_HALVINGS in ends and len(ends - {0, optimizer.MAX_HALVINGS}) > 0, ends
+    assert mixed > 0
 
 
 def _gap(a: float, b: float) -> float:

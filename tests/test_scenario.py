@@ -323,10 +323,12 @@ def test_barrier_precedence():
     # a band with no capacity costs nothing while idle but is infeasible
     # the moment it carries flow
     from duplexnet.kernels import link_cost_terms
+    from duplexnet.scenario import summed_cost
 
     sinr = np.array([1e-3, 1e-3, 10.0, 10.0])
     flow = np.array([0.0, 0.2, 0.0, 5.0])
-    cost, total = link_cost_terms(sinr, flow, 1.0, 50.0)
+    cost = link_cost_terms(sinr, flow, 1.0, 50.0)
+    total = summed_cost(cost, flow, np.zeros(0))
     assert cost[0] == 0.0
     assert cost[1] == math.inf
     assert cost[2] == 0.0

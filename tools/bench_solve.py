@@ -27,8 +27,14 @@ converged solves, block updates, those that did not move and those that
 reached `_block_move` at all, `derive`, `evaluate_physical` and
 `evaluate_flows` calls per block update, and `blocks()` calls and the
 distinct block tables they returned) and the wall seconds per sweep of
-`_block_move`, per block kind, of `optimality_residuals` and of the whole
-solve, and the share of solve time spent in updates that did not move.
+the updates and of `_block_move`, per block kind, of
+`optimality_residuals` and of the whole solve, and the share of solve
+time spent in updates that moved nothing.  Updates are counted block by
+block, whichever function performed them: `_update_run`, which updates
+one block or a run of separable ones, where the tree has it, else
+`update_block`.  An update's time is that of the call: a run's time goes
+to its kind as a whole, and counts as unmoved only when none of its
+blocks moved.
 For the reference runs it records the evaluations of each run, which do
 not depend on the machine either, and the wall seconds of each run and of
 all of them.  Each tree runs REPEATS times; its counts must repeat
@@ -83,8 +89,10 @@ class _Counters:
     """Counts and times the package's calls by rebinding module attributes."""
 
     def __init__(self, dn):
-        self.calls = dict.fromkeys(("derive", "evaluate_physical", "evaluate_flows", "update_block"), 0)
+        self.calls = dict.fromkeys(("derive", "evaluate_physical", "evaluate_flows"), 0)
         self.move_s = dict.fromkeys(KINDS, 0.0)
+        self.update_s = dict.fromkeys(KINDS, 0.0)
+        self.updates = 0
         self.moves = 0
         self.residuals_s = 0.0
         self.blocks_calls = 0
@@ -96,7 +104,10 @@ class _Counters:
         opt, scen = dn.optimizer, dn.scenario
         for mod, name in ((opt, "derive"), (scen, "evaluate_physical"), (scen, "evaluate_flows")):
             self._patch(mod, name, self._counting(name, getattr(mod, name)))
-        self._patch(opt, "update_block", self._updating(opt.update_block))
+        if hasattr(opt, "_update_run"):
+            self._patch(opt, "_update_run", self._running(opt._update_run))
+        else:
+            self._patch(opt, "update_block", self._updating(opt.update_block))
         self._patch(opt, "_block_move", self._timing(opt._block_move))
         self._patch(opt, "optimality_residuals", self._residuals(opt.optimality_residuals))
         self._patch(opt, "blocks", self._tables(opt.blocks))
@@ -112,14 +123,29 @@ class _Counters:
 
         return wrapper
 
+    def _record(self, kind, moved, seconds):
+        """One update call of `kind` that took `seconds`; moved[k] tells
+        whether its block k moved."""
+        self.updates += len(moved)
+        self.unmoved += len(moved) - sum(moved)
+        self.update_s[kind] += seconds
+        if not any(moved):
+            self.unmoved_s += seconds
+
     def _updating(self, fn):
-        def wrapper(*args, **kwargs):
+        def wrapper(scenario, state, block, *args, **kwargs):
             t0 = time.perf_counter()
-            out = fn(*args, **kwargs)
-            self.calls["update_block"] += 1
-            if not out.moved:
-                self.unmoved += 1
-                self.unmoved_s += time.perf_counter() - t0
+            out = fn(scenario, state, block, *args, **kwargs)
+            self._record(block.kind, [out.moved], time.perf_counter() - t0)
+            return out
+
+        return wrapper
+
+    def _running(self, fn):
+        def wrapper(scenario, state, run, *args):
+            t0 = time.perf_counter()
+            out = fn(scenario, state, run, *args)
+            self._record(run[0].kind, [move.moved for move in out[2]], time.perf_counter() - t0)
             return out
 
         return wrapper
@@ -174,7 +200,7 @@ def _run(dn, cases):
     finally:
         wall = time.perf_counter() - t0
         counters.close()
-    updates = counters.calls["update_block"]
+    updates = counters.updates
     counts = {
         "solves": len(cases),
         "converged": converged,
@@ -192,6 +218,7 @@ def _run(dn, cases):
     for name in ("derive", "evaluate_physical", "evaluate_flows"):
         counts[f"{name}_per_update"] = round(counters.calls[name] / max(1, updates), 4)
     timings = {f"block_move_{k}_s_per_sweep": counters.move_s[k] / max(1, sweeps) for k in KINDS}
+    timings.update({f"update_{k}_s_per_sweep": counters.update_s[k] / max(1, sweeps) for k in KINDS})
     timings["block_move_s_per_sweep"] = sum(counters.move_s.values()) / max(1, sweeps)
     timings["residuals_s_per_sweep"] = counters.residuals_s / max(1, sweeps)
     timings["solve_s_per_sweep"] = wall / max(1, sweeps)

@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="minimize total cost from the even-split state")
     p.add_argument("--scenario", required=True, help="scenario JSON file")
-    p.add_argument("--max-sweeps", "--max-iters", dest="max_sweeps", type=int, default=None)
+    p.add_argument("--max-sweeps", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--order", choices=("round_robin", "random"), default=None)
     p.add_argument("--seed", type=int, default=None)

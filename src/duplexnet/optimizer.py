@@ -39,7 +39,9 @@ does.  For separable blocks the simultaneous (Jacobi) and one-by-one
 (Gauss-Seidel) updates coincide (Bertsekas & Tsitsiklis 1989), so every
 decision, step, cost and state is bit for bit that of updating the blocks
 one after another.  rho, phi and phi_w blocks are coupled through the
-interference and the flows and update one at a time.
+interference and the flows and update one at a time.  :func:`_sweep` walks
+one visit order run by run; a moved block's next step comes from the one
+step rule, :func:`_next_step`.
 
 This module holds no gradient or curvature formula: a block's gradient
 and diagonal curvature are slices of the whole-network arrays that the
@@ -130,13 +132,15 @@ def project_scaled(target, weights, constraint: str = "sum_to_one", fixed=None):
 # the diagonal scaling is SAFETY times the curvature estimate, floored at
 # FLOOR; a trial is accepted when it beats the linear prediction times
 # ARMIJO, else the step shrinks by SHRINK, at most MAX_HALVINGS times.  A
-# block's next step is its accepted step times GROW, capped at 1.
+# moved block's next step is its accepted step times GROW, capped at
+# MAX_STEP (:func:`_next_step`).
 SAFETY = 2.0
 FLOOR = 1e-6
 ARMIJO = 1e-4
 SHRINK = 0.5
 MAX_HALVINGS = 50
 GROW = 2.0
+MAX_STEP = 1.0
 
 # a move of one of these blocks changes the link cost of its own entries
 # only, so consecutive blocks of one such kind move as one run
@@ -506,6 +510,36 @@ def _runs(table, visit) -> list:
     return runs
 
 
+def _next_step(step: float) -> float:
+    """The step a block tries next after moving with `step`."""
+    return min(MAX_STEP, step * GROW)
+
+
+def _sweep(scenario, state, derived, table, runs, steps):
+    """One sweep over `runs` (index lists into `table`) from `state` and its
+    evaluation `derived`; block k starts from steps[k], which a move
+    replaces by :func:`_next_step`.  Returns the end state, its evaluation,
+    (block index, move) per visited block and the evaluations made."""
+    visited = []
+    evaluations = 0
+    for run in runs:
+        if len(run) == 1:
+            out = update_block(scenario, state, table[run[0]], step=steps[run[0]], derived=derived)
+            # keep the move, not the outcome: it holds a state and its evaluation
+            state, derived, made = out.state, out.derived, out.evaluations
+            moves = (_Move(out.cost, out.moved, out.halvings, out.step),)
+        else:
+            state, derived, moves, made = _update_run(
+                scenario, state, [table[k] for k in run], [steps[k] for k in run], derived
+            )
+        evaluations += made
+        for k, move in zip(run, moves):
+            visited.append((k, move))
+            if move.moved:
+                steps[k] = _next_step(move.step)
+    return state, derived, visited, evaluations
+
+
 def solve(
     scenario: NetworkScenario,
     state: ControlState,
@@ -531,50 +565,22 @@ def solve(
     derived = derive(scenario, state)
     if not math.isfinite(derived.total):
         raise ValueError("solve needs a finite-cost initial state")
-    res = optimality_residuals(scenario, state, derived)
-    trace = [TraceRow(sweep=0, cost=derived.total, residual=res.worst, max_step=0.0, evaluations=0)]
-    if res.worst <= tol:
-        return SolveResult(
-            state=state, cost=derived.total, residual=res.worst, sweeps=0, converged=True, trace=trace
-        )
     runs = _runs(table, range(len(table)))
-    for sweep in range(1, max_sweeps + 1):
-        if order == "random":
-            visit = list(range(len(table)))
-            rng.shuffle(visit)
-            runs = _runs(table, visit)
-        moved_any = False
-        max_step = 0.0
-        evaluations = 0
-        for run in runs:
-            if len(run) == 1:
-                out = update_block(scenario, state, table[run[0]], step=steps[run[0]], derived=derived)
-                state, derived, moves, made = out.state, out.derived, (out,), out.evaluations
-            else:
-                state, derived, moves, made = _update_run(
-                    scenario, state, [table[k] for k in run], [steps[k] for k in run], derived
-                )
-            evaluations += made
-            for k, move in zip(run, moves):
-                if move.moved:
-                    moved_any = True
-                    max_step = max(max_step, move.step)
-                    steps[k] = min(1.0, move.step * GROW)
+    trace, visited, evaluations = [], [], 0
+    for sweep in range(max(max_sweeps, 0) + 1):  # sweep 0 is the start
+        if sweep:
+            if order == "random":
+                visit = list(range(len(table)))
+                rng.shuffle(visit)
+                runs = _runs(table, visit)
+            state, derived, visited, evaluations = _sweep(scenario, state, derived, table, runs, steps)
         res = optimality_residuals(scenario, state, derived)
-        trace.append(
-            TraceRow(sweep=sweep, cost=derived.total, residual=res.worst, max_step=max_step, evaluations=evaluations)
-        )
+        taken = [move.step for _, move in visited if move.moved]
+        trace.append(TraceRow(sweep, derived.total, res.worst, max(taken, default=0.0), evaluations))
         if res.worst <= tol:
-            return SolveResult(
-                state=state,
-                cost=derived.total,
-                residual=res.worst,
-                sweeps=sweep,
-                converged=True,
-                trace=trace,
-            )
-        if not moved_any:
+            break
+        if sweep and not taken:
             raise StalledStepError(res.worst, tol)
     return SolveResult(
-        state=state, cost=derived.total, residual=res.worst, sweeps=max_sweeps, converged=False, trace=trace
+        state=state, cost=derived.total, residual=res.worst, sweeps=sweep, converged=res.worst <= tol, trace=trace
     )

@@ -29,7 +29,8 @@ from the accepted point and prices again only what its move changes: the
 loaded entries on the moved bands for a power, the entries on the moved
 links (and the moved session's overflow) for a path flow or a share.  It
 then adds every term in the same order, so each section value is exactly
-``evaluate`` of the moved vector.
+``evaluate`` of the moved vector, and a move is accepted at that value:
+each start and each accepted point is priced in full once.
 """
 
 from __future__ import annotations
@@ -523,18 +524,18 @@ class _Search:
     within a node, flow within a session, shares within a link).  Sections
     are minimized on raw cost values only, no gradients anywhere.
 
-    ``refresh`` keeps what ``_OracleProblem.price`` returns at the accepted
-    point.  A section's ``fun`` moves a copy of one list the way
+    ``refresh`` is the one full pricing of the start and of each accepted
+    point: it keeps what ``_OracleProblem.price`` returns there and sets
+    ``cost``.  A section's ``fun`` moves a copy of one list the way
     ``minimize_coord`` moves the vector, and ``_cost`` prices again only
     the terms that move changes, then adds every term in order; so each
-    section value is exactly ``evaluate`` of the moved vector.  Every
-    accepted move is still priced again by ``evaluate``.
+    section value is exactly ``evaluate`` of the moved vector, and a move
+    is accepted at its section value.
     """
 
-    def __init__(self, problem: _OracleProblem, vec, cost):
+    def __init__(self, problem: _OracleProblem, vec):
         self.problem = problem
         self.vec = vec
-        self.cost = float(cost)
         self.evals = 0
         self.coords = self._build_coords()
         self.refresh()
@@ -552,12 +553,14 @@ class _Search:
         return coords
 
     def refresh(self):
-        """Price the accepted point again, keeping every piece as a list."""
+        """Price the point `vec`, one evaluation, keeping every piece as a list."""
         prob = self.problem
         self.pl, self.fl, self.sh = (part.tolist() for part in prob.split(self.vec))
         self.npow, self.lflow, self.bflow, self.caps, self.terms, self.overs = prob.price(
             self.pl, self.fl, self.sh
         )
+        self.cost = _total(self.terms) + _total(self.overs)
+        self.evals += 1
         # the loaded entries of each band: those a power move prices again
         self.on_band = [[] for _ in range(prob.band_count)]
         for e, f in enumerate(self.bflow):
@@ -640,22 +643,12 @@ class _Search:
             return False
         arr = self._array_for(c.kind)
         if c.kind in ("p", "f"):
-            olds = (float(arr[c.a]),)
             arr[c.a] = best_x
         else:
-            olds = (float(arr[c.a]), float(arr[c.b]))
-            arr[c.a] = max(0.0, olds[0] + best_x)
-            arr[c.b] = max(0.0, olds[1] - best_x)
-        new_cost = self.problem.evaluate(self.vec)
-        self.evals += 1
-        if new_cost < self.cost:
-            self.cost = float(new_cost)
-            self.refresh()
-            return True
-        arr[c.a] = olds[0]
-        if len(olds) == 2:
-            arr[c.b] = olds[1]
-        return False
+            arr[c.a] = max(0.0, arr[c.a] + best_x)
+            arr[c.b] = max(0.0, arr[c.b] - best_x)
+        self.refresh()
+        return True
 
     def run(self, rng, sweeps, freeze_power):
         coords = self.coords
@@ -723,18 +716,14 @@ def reference_solve_small(
         for sl in lay.link_slices:
             raw = rng.uniform(0.5, 1.0, sl.stop - sl.start)
             s0[sl.start : sl.stop] = raw / raw.sum()
-        vec = problem.project(np.concatenate([p0, f0, s0]))
-        cost = problem.evaluate(vec)
-        evals += 1
+        search = _Search(problem, problem.project(np.concatenate([p0, f0, s0])))
         shrinks = 0
-        while not math.isfinite(cost) and shrinks < 10:
+        while not math.isfinite(search.cost) and shrinks < 10:
             # admitted flow too aggressive for the sampled powers; back off
             f0 = f0 * 0.2 if shrinks < 9 else np.zeros_like(f0)
-            vec = problem.project(np.concatenate([p0, f0, s0]))
-            cost = problem.evaluate(vec)
-            evals += 1
+            search.vec = problem.project(np.concatenate([p0, f0, s0]))
+            search.refresh()
             shrinks += 1
-        search = _Search(problem, vec, cost)
         search.run(rng, sweeps, freeze_power)
         vec = search.vec
         cost = search.cost

@@ -121,7 +121,6 @@ class Layout:
     """
 
     links: tuple
-    link_index: dict
     ent_tx: np.ndarray
     ent_rx: np.ndarray
     ent_band: np.ndarray
@@ -279,7 +278,6 @@ class NetworkScenario:
     def layout(self) -> Layout:
         g = self.graph
         links = tuple(sorted(g.internal_links()))
-        link_index = {lk: li for li, lk in enumerate(links)}
         ent_tx, ent_rx, ent_band, ent_link = [], [], [], []
         link_slices = []
         for li, (i, j) in enumerate(links):
@@ -310,7 +308,6 @@ class NetworkScenario:
         dest = np.array([g.index(s.dest) for s in self.sessions], dtype=np.int64)
         return Layout(
             links=links,
-            link_index=link_index,
             ent_tx=np.array(ent_tx, dtype=np.int64),
             ent_rx=np.array(ent_rx, dtype=np.int64),
             ent_band=np.array(ent_band, dtype=np.int64),

@@ -74,6 +74,16 @@ def test_chromatic_number_matches_exhaustive_oracle():
         assert chi == chi_exhaustive(g), f"trial {trial}"
 
 
+def test_exact_search_improves_on_the_dsatur_bound():
+    # DSATUR colours this graph (a seeded random_connected_graph draw) with
+    # four colours, but three suffice: the branch and bound must find them
+    # rather than return the greedy bound it starts from
+    und = [(0, 1), (0, 2), (0, 4), (0, 5), (2, 3), (2, 6), (2, 7), (3, 6), (3, 7), (4, 5), (4, 7), (5, 6)]
+    g = build_graph(und + [(b, a) for a, b in und])
+    assert max(greedy_coloring(g)) + 1 == 4
+    assert chromatic_number(g) == (chi_exhaustive(g), True) == (3, True)
+
+
 def test_chromatic_number_known_families():
     assert chromatic_number(complete_graph(5)) == (5, True)
     assert chromatic_number(cycle_graph(6)) == (2, True)

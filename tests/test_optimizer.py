@@ -543,29 +543,26 @@ def _sweep_block_by_block(scenario, state, visits):
             state, derived = out.state, out.derived
             log.append((k, out.cost, out.moved, out.halvings, out.step))
             if out.moved:
-                steps[k] = min(1.0, out.step * optimizer.GROW)
+                steps[k] = optimizer._next_step(out.step)
         ends.append((state, derived))
     return ends, log
 
 
 def _sweep_by_runs(scenario, state, visits, runs_seen):
-    """The same sweeps with each visit order cut into runs, as solve cuts
-    it; runs_seen[kind] counts the runs of more than one block."""
+    """The same sweeps by solve's own sweep, each visit order cut into runs
+    as solve cuts it; runs_seen[kind] counts the runs of more than one
+    block."""
     table = blocks(scenario)
     steps = [1.0] * len(table)
     derived = derive(scenario, state)
     ends, log = [], []
     for visit in visits:
-        for run in optimizer._runs(table, visit):
-            state, derived, moves, _ = optimizer._update_run(
-                scenario, state, [table[k] for k in run], [steps[k] for k in run], derived
-            )
+        runs = optimizer._runs(table, visit)
+        for run in runs:
             if len(run) > 1:
                 runs_seen[table[run[0]].kind] += 1
-            for k, move in zip(run, moves):
-                log.append((k, move.cost, move.moved, move.halvings, move.step))
-                if move.moved:
-                    steps[k] = min(1.0, move.step * optimizer.GROW)
+        state, derived, visited, _ = optimizer._sweep(scenario, state, derived, table, runs, steps)
+        log.extend((k, move.cost, move.moved, move.halvings, move.step) for k, move in visited)
         ends.append((state, derived))
     return ends, log
 
@@ -634,6 +631,20 @@ def test_separable_runs_match_the_block_by_block_sweep(run_states):
             solved += res.sweeps == 2
     assert all(runs_seen.values()), runs_seen
     assert moved_in_runs > 0 and solved > 0
+
+
+def test_step_cap_is_read_where_solve_and_the_block_by_block_sweep_read_it(run_states, monkeypatch):
+    # the step rule has one home: raising its cap changes solve's steps and
+    # the reference loop's alike, so they still end in the same state
+    label, scen, st = next(case for case in run_states if case[0] == "square, even split")
+    capped = solve(scen, st, max_sweeps=2, tol=0.0)
+    monkeypatch.setattr(optimizer, "MAX_STEP", 16.0)
+    res = solve(scen, st, max_sweeps=2, tol=0.0)
+    ends, log = _sweep_block_by_block(scen, st, _visits(scen, "round_robin"))
+    assert res.sweeps == 2 and max(entry[4] for entry in log if entry[2]) > 1.0
+    assert any(not np.array_equal(getattr(res.state, kind), getattr(capped.state, kind)) for kind in CONSTRAINT)
+    for kind in CONSTRAINT:
+        _assert_bitwise(getattr(res.state, kind), getattr(ends[-1][0], kind), f"{label}, cap 16: {kind}")
 
 
 def test_rejections_inside_a_run_match_the_block_by_block_sweep(run_states, monkeypatch):
@@ -749,7 +760,7 @@ def _loop_residuals(scenario, state, derived):
 
 
 def _link(scenario, tail, head):
-    return scenario.layout.link_index[(tail, head)]
+    return scenario.layout.links.index((tail, head))
 
 
 def _edge_states():

@@ -103,7 +103,7 @@ def test_every_section_equals_evaluate_of_the_moved_vector():
         for _ in range(2):
             # a random point: a power and a band share per entry, a flow per path
             vec = problem.project(rng.uniform(0.05, 0.4, 2 * problem.n_power + problem.n_flow))
-            search = oracle_mod._Search(problem, vec, problem.evaluate(vec))
+            search = oracle_mod._Search(problem, vec)
             for c in search.coords:
                 built = search._section(c)
                 if built is None:
@@ -129,20 +129,49 @@ def test_every_section_equals_evaluate_of_the_moved_vector():
 
 
 def test_agreement_test_catches_biased_evaluator(monkeypatch):
-    # bias the oracle's internal objective by a flow-dependent term; the
-    # reported optimum must then disagree with the true cost function,
-    # which is exactly what the solver-vs-reference comparison relies on
+    # bias the oracle's one pricing by a flow-dependent term, 0.05 times
+    # each session's routed flow; the reported optimum must then disagree
+    # with the true cost function, which is exactly what the
+    # solver-vs-reference comparison relies on
     line3 = line3_scenario()
-    orig = oracle_mod._OracleProblem.evaluate
+    orig = oracle_mod._OracleProblem.overflow
 
-    def biased(self, vec):
-        val = orig(self, vec)
-        return val + 0.05 * float(np.sum(self.split(vec)[1]))
+    def biased(self, w, fl):
+        return orig(self, w, fl) + 0.05 * self.routed(w, fl)
 
-    monkeypatch.setattr(oracle_mod._OracleProblem, "evaluate", biased)
+    monkeypatch.setattr(oracle_mod._OracleProblem, "overflow", biased)
     bad = reference_solve_small(line3, seed=0, restarts=3)
     monkeypatch.undo()
     assert abs(bad.cost - total_cost(line3, bad.state)) > 1e-3
+
+
+def test_reference_prices_each_start_and_each_accepted_move_once(monkeypatch):
+    # a move is accepted at its section value, so the one full pricing of
+    # a point is the refresh that keeps its pieces; every start (a
+    # projected random point) and every accepted move is priced once
+    calls = dict.fromkeys(("price", "project", "accepted"), 0)
+    real = {name: getattr(oracle_mod._OracleProblem, name) for name in ("price", "project")}
+    real_minimize = oracle_mod._Search.minimize_coord
+
+    def counting(name):
+        def wrapper(*args):
+            calls[name] += 1
+            return real[name](*args)
+
+        return wrapper
+
+    def minimize_coord(self, c):
+        moved = real_minimize(self, c)
+        calls["accepted"] += moved
+        return moved
+
+    for name in real:
+        monkeypatch.setattr(oracle_mod._OracleProblem, name, counting(name))
+    monkeypatch.setattr(oracle_mod._Search, "minimize_coord", minimize_coord)
+    ref = reference_solve_small(square_scenario(), seed=0, restarts=3, sweeps=8)
+    assert calls["project"] == 3 and calls["accepted"] > 0, calls
+    assert calls["price"] == calls["project"] + calls["accepted"], calls
+    assert ref.evaluations > calls["price"]
 
 
 def test_freeze_power_reduces_to_scalar_problem():

@@ -313,8 +313,8 @@ def test_routing_cycle_detection():
     st = uniform_state(line3, 0.9, 0.1)
     lay = line3.layout
     st.phi[0, :] = 0.0
-    st.phi[0, lay.link_index[(0, 1)]] = 1.0
-    st.phi[0, lay.link_index[(1, 0)]] = 1.0
+    st.phi[0, lay.links.index((0, 1))] = 1.0
+    st.phi[0, lay.links.index((1, 0))] = 1.0
     with pytest.raises(CycleDetectedError, match="session 0"):
         evaluate_flows(line3, st)
 

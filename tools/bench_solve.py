@@ -30,11 +30,10 @@ distinct block tables they returned) and the wall seconds per sweep of
 the updates and of `_block_move`, per block kind, of
 `optimality_residuals` and of the whole solve, and the share of solve
 time spent in updates that moved nothing.  Updates are counted block by
-block, whichever function performed them: `_update_run`, which updates
-one block or a run of separable ones, where the tree has it, else
-`update_block`.  An update's time is that of the call: a run's time goes
-to its kind as a whole, and counts as unmoved only when none of its
-blocks moved.
+block in `_update_run`, which updates one block or a run of separable
+ones.  An update's time is that of the call: a run's time goes to its
+kind as a whole, and counts as unmoved only when none of its blocks
+moved.
 For the reference runs it records the evaluations of each run, which do
 not depend on the machine either, and the wall seconds of each run and of
 all of them.  Each tree runs REPEATS times; its counts must repeat
@@ -104,10 +103,7 @@ class _Counters:
         opt, scen = dn.optimizer, dn.scenario
         for mod, name in ((opt, "derive"), (scen, "evaluate_physical"), (scen, "evaluate_flows")):
             self._patch(mod, name, self._counting(name, getattr(mod, name)))
-        if hasattr(opt, "_update_run"):
-            self._patch(opt, "_update_run", self._running(opt._update_run))
-        else:
-            self._patch(opt, "update_block", self._updating(opt.update_block))
+        self._patch(opt, "_update_run", self._running(opt._update_run))
         self._patch(opt, "_block_move", self._timing(opt._block_move))
         self._patch(opt, "optimality_residuals", self._residuals(opt.optimality_residuals))
         self._patch(opt, "blocks", self._tables(opt.blocks))
@@ -131,15 +127,6 @@ class _Counters:
         self.update_s[kind] += seconds
         if not any(moved):
             self.unmoved_s += seconds
-
-    def _updating(self, fn):
-        def wrapper(scenario, state, block, *args, **kwargs):
-            t0 = time.perf_counter()
-            out = fn(scenario, state, block, *args, **kwargs)
-            self._record(block.kind, [out.moved], time.perf_counter() - t0)
-            return out
-
-        return wrapper
 
     def _running(self, fn):
         def wrapper(scenario, state, run, *args):

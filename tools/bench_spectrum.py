@@ -59,16 +59,15 @@ def _inputs(dn, inputs, seed, nodes, events):
 
 def _count_searches(graph_cls, counter):
     """Count the full connected-component searches of graph_cls; returns an
-    undo callable.  Before they were cached, every components() call was one."""
-    name = "_search_components" if hasattr(graph_cls, "_search_components") else "components"
-    fn = getattr(graph_cls, name)
+    undo callable."""
+    fn = graph_cls._search_components
 
     def counting(self):
         counter[0] += 1
         return fn(self)
 
-    setattr(graph_cls, name, counting)
-    return lambda: setattr(graph_cls, name, fn)
+    graph_cls._search_components = counting
+    return lambda: setattr(graph_cls, "_search_components", fn)
 
 
 def _run(dn, g, bands, plan_seed, events, event_seeds):

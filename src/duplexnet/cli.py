@@ -15,6 +15,8 @@ Subcommands:
   converged.
 
 Exit codes: 0 success, 1 a check or convergence failure, 2 bad input.
+The solve flags are bad input when the scenario file's optimizer section
+would reject the same values.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .graph import interference_stats
 from .oracle import TooLargeError, finite_diff_check, reference_solve_small
 from .optimizer import StalledStepError, solve
 from .scenario import check_m_psd, derive, uniform_state
-from .scenario_io import ParseError, load_scenario
+from .scenario_io import ParseError, load_scenario, read_optimizer
 from .subband import allocate_subbands, check_allocation
 
 
@@ -41,19 +43,27 @@ def _start(loaded):
     return uniform_state(loaded.scenario, power=opts.get("power", 0.9), overflow=opts.get("overflow", 0.1))
 
 
-def _load(path, out):
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def _load(args, out, flags=()):
+    """The scenario file, its optimizer section updated by the given solve flags; None after printing why not."""
+    given = {key: getattr(args, key) for key in flags if getattr(args, key) is not None}
     try:
-        return load_scenario(path)
+        loaded = load_scenario(args.scenario)
+        loaded.optimizer.update(read_optimizer(given, "command line", _flag))
     except ParseError as exc:
         print(exc, file=out)
         return None
     except ValueError as exc:
-        print(f"{path}: {exc}", file=out)
+        print(f"{args.scenario}: {exc}", file=out)
         return None
+    return loaded
 
 
 def _cmd_spectrum(args, out) -> int:
-    loaded = _load(args.scenario, out)
+    loaded = _load(args, out)
     if loaded is None:
         return 2
     scen = loaded.scenario
@@ -91,20 +101,17 @@ def _cmd_spectrum(args, out) -> int:
 
 
 def _cmd_optimize(args, out) -> int:
-    loaded = _load(args.scenario, out)
+    loaded = _load(args, out, ("max_sweeps", "tol", "order", "seed"))
     if loaded is None:
         return 2
     scen = loaded.scenario
     opts = loaded.optimizer
-    max_sweeps = args.max_sweeps if args.max_sweeps is not None else opts.get("max_sweeps", 200)
-    tol = args.tol if args.tol is not None else opts.get("tol", 1e-4)
-    order = args.order if args.order is not None else opts.get("order", "round_robin")
-    seed = args.seed if args.seed is not None else opts.get("seed")
     state = _start(loaded)
     start = derive(scen, state).total
     print(f"initial cost: {_fmt(start)}", file=out)
     try:
-        result = solve(scen, state, max_sweeps=max_sweeps, tol=tol, order=order, seed=seed)
+        result = solve(scen, state, max_sweeps=opts.get("max_sweeps", 200), tol=opts.get("tol", 1e-4),
+                       order=opts.get("order", "round_robin"), seed=opts.get("seed"))
     except StalledStepError as exc:
         print(f"stalled: {exc}", file=out)
         return 1
@@ -129,7 +136,7 @@ def _cmd_check(args, out) -> int:
     if args.grid < 1:
         print(f"--grid must be at least 1, got {args.grid}", file=out)
         return 2
-    loaded = _load(args.scenario, out)
+    loaded = _load(args, out)
     if loaded is None:
         return 2
     scen = loaded.scenario
@@ -157,7 +164,7 @@ def _cmd_check(args, out) -> int:
 
 
 def _cmd_oracle(args, out) -> int:
-    loaded = _load(args.scenario, out)
+    loaded = _load(args, out, ("max_sweeps", "tol"))
     if loaded is None:
         return 2
     scen = loaded.scenario
@@ -168,7 +175,7 @@ def _cmd_oracle(args, out) -> int:
         print(f"scenario too large for the reference solver: {exc}", file=out)
         return 2
     try:
-        result = solve(scen, state, max_sweeps=args.max_sweeps, tol=args.tol)
+        result = solve(scen, state, max_sweeps=loaded.optimizer["max_sweeps"], tol=loaded.optimizer["tol"])
     except StalledStepError as exc:
         print(f"solver stalled: {exc}", file=out)
         return 1

@@ -63,8 +63,8 @@ class Utility:
     def __post_init__(self):
         if self.kind not in ("log", "linear"):
             raise ValueError(f"unknown utility kind {self.kind!r}")
-        if self.weight <= 0:
-            raise ValueError("utility weight must be positive")
+        if not 0 < self.weight < math.inf:
+            raise ValueError("utility weight must be positive and finite")
 
     def value(self, rate: float) -> float:
         if self.kind == "log":
@@ -96,8 +96,8 @@ class Session:
     def __post_init__(self):
         if self.origin == self.dest:
             raise ValueError("session origin equals destination")
-        if self.demand <= 0:
-            raise ValueError("session demand must be positive")
+        if not 0 < self.demand < math.inf:
+            raise ValueError("session demand must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,8 @@ class CostParams:
     gain_factor: float = 50.0
 
     def __post_init__(self):
-        if self.bandwidth <= 0 or self.gain_factor <= 0:
-            raise ValueError("bandwidth and gain_factor must be positive")
+        if not (0 < self.bandwidth < math.inf and 0 < self.gain_factor < math.inf):
+            raise ValueError("bandwidth and gain_factor must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -258,12 +258,12 @@ class NetworkScenario:
             raise ValueError(f"noise must have shape {(q, n)}, got {self.noise.shape}")
         if self.power_budget.shape != (n,):
             raise ValueError(f"power_budget must have shape {(n,)}")
-        if np.any(self.gains < 0):
-            raise ValueError("gains must be nonnegative")
-        if np.any(self.noise <= 0):
-            raise ValueError("noise must be positive")
-        if np.any(self.power_budget <= 0):
-            raise ValueError("power budgets must be positive")
+        if not np.all((0 <= self.gains) & (self.gains < np.inf)):
+            raise ValueError("gains must be nonnegative and finite")
+        if not np.all((0 < self.noise) & (self.noise < np.inf)):
+            raise ValueError("noise must be positive and finite")
+        if not np.all((0 < self.power_budget) & (self.power_budget < np.inf)):
+            raise ValueError("power budgets must be positive and finite")
         if not g.connected():
             raise ValueError("scenario graph must be connected")
         report = check_allocation(g, self.allocation)
@@ -423,6 +423,9 @@ def validate_state(scenario: NetworkScenario, state: ControlState) -> list:
         return ["eta/mu shape mismatch"]
     if state.phi.shape != (len(scenario.sessions), lay.n_links):
         return [f"phi shape {state.phi.shape} != {(len(scenario.sessions), lay.n_links)}"]
+    for name in ("rho", "eta", "phi", "phi_w", "mu"):
+        if not np.all(np.isfinite(getattr(state, name))):
+            bad.append(f"non-finite {name} entry")
     off = ~lay.rho_mask & (np.abs(state.rho) > ATOL)
     for i, q in zip(*np.nonzero(off)):
         bad.append(f"rho[{g.nodes[i]}, band {q}] nonzero outside the band set")

@@ -2,8 +2,11 @@
 
 A scenario file has sections ``graph``, ``spectrum``, ``channel``,
 ``power``, ``sessions``, and optionally ``cost`` and ``optimizer``.
-Unknown keys anywhere are errors; all problems found in one file are
-reported together rather than one at a time.
+Unknown keys and duplicate keys are errors, node names are all strings or
+all numbers, and every number must be finite (no ``NaN`` or ``Infinity``).
+All problems found in one file are reported together.
+:func:`read_optimizer` applies the optimizer section's rules to solve
+options from elsewhere, such as the command line.
 
 Channel gains come from node positions when given (power-law path loss
 ``distance ** -path_loss_exponent``), from a flat ``default_gain``
@@ -19,12 +22,15 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .coloring import ColorSetFamily
+from .coloring import MAX_UNIVERSE, ColorSetFamily
 from .graph import build_graph
 from .scenario import CostParams, NetworkScenario, Session, Utility
 from .subband import allocate_subbands, allocation_from_family
@@ -47,336 +53,297 @@ class LoadedScenario:
     source: str = ""
 
 
-_TOP_KEYS = {"graph", "spectrum", "channel", "power", "sessions", "cost", "optimizer"}
+_SECTIONS = ("graph", "spectrum", "channel", "power", "sessions")
+_TOP_KEYS = {*_SECTIONS, "cost", "optimizer"}
 _GRAPH_KEYS = {"nodes", "edges", "positions"}
 _SPECTRUM_KEYS = {"bands", "seed", "first_node", "outgoing"}
 _CHANNEL_KEYS = {"path_loss_exponent", "default_gain", "noise", "gains", "band_scale"}
-_POWER_KEYS = {"budget"}
 _SESSION_KEYS = {"origin", "dest", "demand", "utility"}
 _UTILITY_KEYS = {"kind", "weight"}
-_COST_KEYS = {"bandwidth", "gain_factor"}
-_OPTIMIZER_KEYS = {"max_sweeps", "tol", "order", "seed", "power", "overflow"}
+_COST_DEFAULTS = {"bandwidth": 1.0, "gain_factor": 50.0}
 
 
-def _check_keys(section, allowed, required, where, problems):
-    if not isinstance(section, dict):
-        problems.append(f"{where}: expected an object, got {type(section).__name__}")
-        return False
-    for key in section:
-        if key not in allowed:
-            problems.append(f"{where}: unknown key {key!r} (allowed: {sorted(allowed)})")
-    for key in required:
-        if key not in section:
-            problems.append(f"{where}: missing required key {key!r}")
-    return all(k in section for k in required)
+def _is_finite(val) -> bool:
+    """A number that is not a bool, NaN, an infinity or an int beyond float range."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and abs(val) <= sys.float_info.max
 
 
-def _number(section, key, where, problems, positive=False, default=None):
-    if key not in section:
-        return default
-    val = section[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        problems.append(f"{where}.{key}: expected a number, got {val!r}")
-        return default
-    if positive and val <= 0:
-        problems.append(f"{where}.{key}: must be positive, got {val!r}")
-        return default
-    return float(val)
+class _Reader:
+    """The problems found so far, and one reader per kind of value.
+
+    Each reader returns the value it read, or None after recording a problem
+    that names the field.  ``names`` maps each node's name, as written in a
+    mapping key, to the node; the graph reader fills it.
+    """
+
+    def __init__(self):
+        self.problems = []
+        self.names = {}
+
+    def fail(self, problem):
+        """Record a problem; returns None, a reader's value after a problem."""
+        self.problems.append(problem)
+
+    def raise_if_any(self, source):
+        if self.problems:
+            raise ParseError(source, self.problems)
+
+    def keys(self, sec, allowed, required, where) -> bool:
+        """Whether sec is an object that holds every required key; unknown keys are problems."""
+        if not isinstance(sec, dict):
+            self.fail(f"{where}: expected an object, got {type(sec).__name__}")
+            return False
+        self.problems += [f"{where}: unknown key {k!r} (allowed: {sorted(allowed)})" for k in sec if k not in allowed]
+        missing = [f"{where}: missing required key {k!r}" for k in sorted(required) if k not in sec]
+        self.problems += missing
+        return not missing
+
+    def number(self, val, where, low=-math.inf, high=math.inf):
+        if not _is_finite(val):
+            return self.fail(f"{where}: expected a finite number, got {val!r}")
+        if not low <= val <= high:
+            return self.fail(f"{where}: expected a value in [{low:g}, {high:g}], got {val!r}")
+        return float(val)
+
+    def positive(self, val, where):
+        num = self.number(val, where)
+        if num is not None and not num > 0:
+            return self.fail(f"{where}: must be positive, got {val!r}")
+        return num
+
+    def count(self, val, where, least=0, most=math.inf):
+        if type(val) is not int or not least <= val <= most:
+            return self.fail(f"{where}: expected an integer in [{least}, {most}], got {val!r}")
+        return val
+
+    def choice(self, val, where, options):
+        if val not in options:
+            return self.fail(f"{where}: expected one of {', '.join(options)}, got {val!r}")
+        return val
+
+    def node(self, val, where):
+        node = self.names.get(str(val))
+        if node is None:
+            self.fail(f"{where}: unknown node {val!r}")
+        return node
+
+    def point(self, val, where):
+        if not isinstance(val, list) or len(val) != 2 or not all(map(_is_finite, val)):
+            return self.fail(f"{where}: expected [x, y] of finite numbers, got {val!r}")
+        return (float(val[0]), float(val[1]))
+
+    def link(self, key, where):
+        """The (tx, rx) nodes of a key like "a->b"."""
+        tx, _, rx = key.partition("->")
+        ends = self.node(tx, where), self.node(rx, where)
+        return None if None in ends else ends
+
+    def mapping(self, val, where, read_key, read):
+        """{read_key(key): read(value)} over an object's entries that pass both readers."""
+        if not isinstance(val, dict):
+            return self.fail(f"{where}: expected a mapping, got {type(val).__name__}")
+        got = [(read_key(key, where), read(item, f"{where}[{key!r}]")) for key, item in val.items()]
+        return {k: v for k, v in got if k is not None and v is not None}
+
+    def per_node(self, val, where, read, scalar=False):
+        """{node: read(value)} over every node, from a mapping keyed by node name or, if scalar, one value."""
+        if scalar and not isinstance(val, dict):
+            one = read(val, where)
+            return None if one is None else dict.fromkeys(self.names.values(), one)
+        out = self.mapping(val, where, self.node, read)
+        if out is None:
+            return None
+        missing = [key for key in self.names if key not in val]
+        if missing:
+            self.fail(f"{where}: missing nodes {missing}")
+        return out if len(out) == len(self.names) else None
 
 
-def _per_node(value, nodes, where, problems):
-    """Scalar or {node: value} mapping -> dict over all nodes, or None."""
-    if isinstance(value, bool):
-        problems.append(f"{where}: expected a number or mapping")
+def _read_document(source):
+    """The file's top-level object, with its sections checked for presence."""
+    try:
+        text = source.read_text()
+    except OSError as exc:
+        raise ParseError(source, [f"cannot read: {exc}"]) from exc
+
+    def unique_keys(pairs):
+        repeated = [key for key, n in Counter(key for key, _ in pairs).items() if n > 1]
+        if repeated:
+            raise ParseError(source, [f"duplicate key {key!r}" for key in repeated])
+        return dict(pairs)
+
+    try:
+        doc = json.loads(text, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ParseError(source, [f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"]) from exc
+    if not isinstance(doc, dict):
+        raise ParseError(source, ["top level must be an object"])
+    problems = [f"unknown top-level section {k!r} (allowed: {sorted(_TOP_KEYS)})" for k in doc if k not in _TOP_KEYS]
+    problems += [f"missing required section {k!r}" for k in _SECTIONS if k not in doc]
+    if problems:
+        raise ParseError(source, problems)
+    return doc
+
+
+def _read_graph(r, sec):
+    """The connectivity graph and the node positions (or None); fills r.names."""
+    if not r.keys(sec, _GRAPH_KEYS, {"nodes", "edges"}, "graph"):
+        return None, None
+    nodes, edges = sec["nodes"], sec["edges"]
+    one_kind = isinstance(nodes, list) and (all(isinstance(v, str) for v in nodes) or all(map(_is_finite, nodes)))
+    if not one_kind or not nodes:
+        r.fail(f"graph.nodes: expected a nonempty list of all strings or all finite numbers, got {nodes!r}")
+    elif not len(set(map(str, nodes))) == len(set(nodes)) == len(nodes):
+        r.fail("graph.nodes: duplicate node names")
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        r.fail(f"graph.edges: expected a list of pairs, got {edges!r}")
+    if r.problems:
+        return None, None
+    r.names = {str(v): v for v in nodes}
+    pairs = [tuple(r.node(v, f"graph.edges[{k}]") for v in edge) for k, edge in enumerate(edges)]
+    if r.problems:
+        return None, None
+    try:
+        g = build_graph(pairs + [(b, a) for a, b in pairs])
+    except ValueError as exc:
+        r.fail(f"graph: {exc}")
+        return None, None
+    if len(g.nodes) < len(nodes):
+        r.fail(f"graph: nodes with no edges: {sorted(map(str, set(nodes) - set(g.nodes)))}")
+        return None, None
+    positions = r.per_node(sec["positions"], "graph.positions", r.point) if "positions" in sec else None
+    return g, positions
+
+
+def _read_spectrum(r, sec, g):
+    """The band count and a call that builds the allocation, or Nones after a problem."""
+    if not r.keys(sec, _SPECTRUM_KEYS, {"bands"}, "spectrum"):
+        return None, None
+    bands = r.count(sec["bands"], "spectrum.bands", least=1, most=MAX_UNIVERSE)
+    seed = None if sec.get("seed") is None else r.count(sec["seed"], "spectrum.seed")
+    first = r.node(sec["first_node"], "spectrum.first_node") if "first_node" in sec else None
+    if bands is None:
+        return None, None
+    if "outgoing" not in sec:
+        return bands, partial(allocate_subbands, g, bands, seed=seed, first_node=first)
+
+    def band_list(val, where):
+        if isinstance(val, list) and all(type(b) is int and 0 <= b < bands for b in val):
+            return val
+        return r.fail(f"{where}: expected a list of band indices below {bands}, got {val!r}")
+
+    masks = r.per_node(sec["outgoing"], "spectrum.outgoing", band_list)
+    return bands, partial(_explicit_allocation, g, bands, masks)
+
+
+def _explicit_allocation(g, bands, masks):
+    return allocation_from_family(g, ColorSetFamily.from_sets(bands, masks))
+
+
+def _read_channel(r, sec, g, positions, bands):
+    """Gains [bands, n, n] and noise [bands, n], or Nones after a problem."""
+    if not r.keys(sec, _CHANNEL_KEYS, set(), "channel"):
+        return None, None
+    alpha = r.positive(sec.get("path_loss_exponent", 3.5), "channel.path_loss_exponent")
+    default_gain = r.positive(sec.get("default_gain", 0.01), "channel.default_gain")
+    noise = r.per_node(sec.get("noise", 1e-3), "channel.noise", r.positive, scalar=True)
+    overrides = r.mapping(sec.get("gains", {}), "channel.gains", r.link, partial(r.number, low=0.0))
+    scale = sec.get("band_scale", [1.0] * (bands or 0))
+    if not isinstance(scale, list) or (bands is not None and len(scale) != bands):
+        r.fail(f"channel.band_scale: expected a list of one positive number per band, got {scale!r}")
+    else:
+        scale = [r.positive(s, f"channel.band_scale[{k}]") for k, s in enumerate(scale)]
+    if r.problems:
+        return None, None
+    base = np.full((g.n, g.n), default_gain)
+    if positions is not None:
+        for a in range(g.n):
+            pa = positions[g.nodes[a]]
+            for b in range(g.n):
+                if a == b:
+                    continue
+                pb = positions[g.nodes[b]]
+                d = max(math.dist(pa, pb), 1e-3)
+                base[a, b] = d**-alpha
+    np.fill_diagonal(base, 0.0)
+    for (a, b), gain in overrides.items():
+        base[g.index(a), g.index(b)] = gain
+    return np.stack([s * base for s in scale]), np.tile(np.array([noise[v] for v in g.nodes]), (bands, 1))
+
+
+def _read_sessions(r, sec):
+    if not isinstance(sec, list) or not sec:
+        return r.fail("sessions: expected a nonempty list")
+    sessions = []
+    for k, item in enumerate(sec):
+        where = f"sessions[{k}]"
+        if not r.keys(item, _SESSION_KEYS, {"origin", "dest", "demand"}, where):
+            continue
+        origin = r.node(item["origin"], f"{where}.origin")
+        dest = r.node(item["dest"], f"{where}.dest")
+        demand = r.positive(item["demand"], f"{where}.demand")
+        utility = _read_utility(r, item.get("utility", {}), f"{where}.utility")
+        if None in (origin, dest, demand, utility):
+            continue
+        try:
+            sessions.append(Session(origin=origin, dest=dest, demand=demand, utility=utility))
+        except ValueError as exc:
+            r.fail(f"{where}: {exc}")
+    return sessions
+
+
+def _read_utility(r, sec, where):
+    if not r.keys(sec, _UTILITY_KEYS, set(), where):
         return None
-    if isinstance(value, (int, float)):
-        return {v: float(value) for v in nodes}
-    if isinstance(value, dict):
-        out = {}
-        names = {str(v): v for v in nodes}
-        for key, val in value.items():
-            if key not in names:
-                problems.append(f"{where}: unknown node {key!r}")
-                continue
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                problems.append(f"{where}[{key!r}]: expected a number")
-                continue
-            out[names[key]] = float(val)
-        for v in nodes:
-            if v not in out:
-                problems.append(f"{where}: no value for node {v!r}")
-        return out if len(out) == len(nodes) else None
-    problems.append(f"{where}: expected a number or mapping, got {type(value).__name__}")
-    return None
+    weight = r.positive(sec.get("weight", 1.0), f"{where}.weight")
+    try:
+        return Utility(kind=sec.get("kind", "log"), weight=1.0 if weight is None else weight)
+    except ValueError as exc:
+        return r.fail(f"{where}: {exc}")
+
+
+def _read_cost(r, sec):
+    if not r.keys(sec, _COST_DEFAULTS, set(), "cost"):
+        return None
+    values = {key: r.positive(sec.get(key, default), f"cost.{key}") for key, default in _COST_DEFAULTS.items()}
+    return None if None in values.values() else CostParams(**values)
+
+
+def _read_optimizer(r, sec, label):
+    """The optimizer options that pass their rules; label(key) names a key in problems."""
+    fraction = partial(r.number, low=0.0, high=1.0)
+    readers = {"max_sweeps": r.count, "seed": r.count, "tol": r.positive, "power": fraction, "overflow": fraction,
+               "order": partial(r.choice, options=("round_robin", "random"))}
+    if not r.keys(sec, readers, set(), "optimizer"):
+        return {}
+    values = {key: readers[key](val, label(key)) for key, val in sec.items() if key in readers}
+    return {key: val for key, val in values.items() if val is not None}
+
+
+def read_optimizer(options: dict, source, label) -> dict:
+    """Solve options checked as the optimizer section is; a ParseError names each bad one as label(key)."""
+    r = _Reader()
+    out = _read_optimizer(r, options, label)
+    r.raise_if_any(source)
+    return out
 
 
 def load_scenario(path) -> LoadedScenario:
     """Parse and validate a scenario file, reporting all problems at once."""
     source = Path(path)
-    try:
-        text = source.read_text()
-    except OSError as exc:
-        raise ParseError(source, [f"cannot read: {exc}"]) from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(source, [f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"]) from exc
-    problems = []
-    if not isinstance(doc, dict):
-        raise ParseError(source, ["top level must be an object"])
-    for key in doc:
-        if key not in _TOP_KEYS:
-            problems.append(f"unknown top-level section {key!r} (allowed: {sorted(_TOP_KEYS)})")
-    for key in ("graph", "spectrum", "channel", "power", "sessions"):
-        if key not in doc:
-            problems.append(f"missing required section {key!r}")
-    if problems:
-        raise ParseError(source, problems)
-
-    graph_sec = doc["graph"]
-    g = None
-    positions = None
-    if _check_keys(graph_sec, _GRAPH_KEYS, {"nodes", "edges"}, "graph", problems):
-        nodes = graph_sec["nodes"]
-        edges = graph_sec["edges"]
-        if not isinstance(nodes, list) or not nodes:
-            problems.append("graph.nodes: expected a nonempty list")
-        elif len(set(map(str, nodes))) != len(nodes):
-            problems.append("graph.nodes: duplicate node names")
-        if not isinstance(edges, list):
-            problems.append("graph.edges: expected a list of pairs")
-        if not problems:
-            known = set(nodes)
-            pairs = []
-            for k, edge in enumerate(edges):
-                if not isinstance(edge, list) or len(edge) != 2:
-                    problems.append(f"graph.edges[{k}]: expected a pair")
-                    continue
-                a, b = edge
-                for v in (a, b):
-                    if v not in known:
-                        problems.append(f"graph.edges[{k}]: unknown node {v!r}")
-                pairs.append((a, b))
-            if not problems:
-                both = []
-                for a, b in pairs:
-                    both.append((a, b))
-                    both.append((b, a))
-                try:
-                    g = build_graph(both)
-                except ValueError as exc:
-                    problems.append(f"graph: {exc}")
-                if g is not None:
-                    extra = set(nodes) - set(g.nodes)
-                    if extra:
-                        problems.append(f"graph: nodes with no edges: {sorted(map(str, extra))}")
-                        g = None
-        if "positions" in graph_sec and not problems:
-            positions = _per_position(graph_sec["positions"], g.nodes, problems)
-    if problems:
-        raise ParseError(source, problems)
-
-    chan = doc["channel"]
-    gains = noise = None
-    if _check_keys(chan, _CHANNEL_KEYS, set(), "channel", problems):
-        alpha = _number(chan, "path_loss_exponent", "channel", problems, positive=True, default=3.5)
-        default_gain = _number(chan, "default_gain", "channel", problems, positive=True, default=0.01)
-        base = np.full((g.n, g.n), default_gain)
-        if positions is not None:
-            for a in range(g.n):
-                pa = positions[g.nodes[a]]
-                for b in range(g.n):
-                    if a == b:
-                        continue
-                    pb = positions[g.nodes[b]]
-                    d = max(math.dist(pa, pb), 1e-3)
-                    base[a, b] = d**-alpha
-        np.fill_diagonal(base, 0.0)
-        if "gains" in chan:
-            overrides = chan["gains"]
-            if not isinstance(overrides, dict):
-                problems.append("channel.gains: expected a mapping like {'a->b': 0.5}")
-            else:
-                names = {str(v): i for i, v in enumerate(g.nodes)}
-                for key, val in overrides.items():
-                    parts = str(key).split("->")
-                    if len(parts) != 2 or parts[0] not in names or parts[1] not in names:
-                        problems.append(f"channel.gains: bad pair {key!r}")
-                        continue
-                    if isinstance(val, bool) or not isinstance(val, (int, float)) or val < 0:
-                        problems.append(f"channel.gains[{key!r}]: expected a nonnegative number")
-                        continue
-                    base[names[parts[0]], names[parts[1]]] = float(val)
-        noise_map = _per_node(chan.get("noise", 1e-3), g.nodes, "channel.noise", problems)
-        band_scale = chan.get("band_scale")
-        spectrum = doc["spectrum"]
-        bands = None
-        if _check_keys(spectrum, _SPECTRUM_KEYS, {"bands"}, "spectrum", problems):
-            bands_val = spectrum["bands"]
-            if isinstance(bands_val, bool) or not isinstance(bands_val, int) or bands_val < 1:
-                problems.append(f"spectrum.bands: expected a positive integer, got {bands_val!r}")
-            else:
-                bands = bands_val
-        if band_scale is not None:
-            if (
-                not isinstance(band_scale, list)
-                or bands is not None
-                and len(band_scale) != bands
-                or any(isinstance(s, bool) or not isinstance(s, (int, float)) or s <= 0 for s in band_scale)
-            ):
-                problems.append("channel.band_scale: expected one positive number per band")
-                band_scale = None
-        if not problems and bands is not None:
-            scale = band_scale if band_scale is not None else [1.0] * bands
-            gains = np.stack([s * base for s in scale])
-            noise = np.tile(
-                np.array([noise_map[v] for v in g.nodes]), (bands, 1)
-            )
-            if np.any(noise <= 0):
-                problems.append("channel.noise: values must be positive")
-                gains = noise = None
-    if problems:
-        raise ParseError(source, problems)
-
-    power_sec = doc["power"]
+    doc = _read_document(source)
+    r = _Reader()
+    g, positions = _read_graph(r, doc["graph"])
+    r.raise_if_any(source)
+    bands, allocate = _read_spectrum(r, doc["spectrum"], g)
+    gains, noise = _read_channel(r, doc["channel"], g, positions, bands)
     budget = None
-    if _check_keys(power_sec, _POWER_KEYS, {"budget"}, "power", problems):
-        budget_map = _per_node(power_sec["budget"], g.nodes, "power.budget", problems)
-        if budget_map is not None:
-            if any(v <= 0 for v in budget_map.values()):
-                problems.append("power.budget: values must be positive")
-            else:
-                budget = np.array([budget_map[v] for v in g.nodes])
-
-    sessions_sec = doc["sessions"]
-    sessions = []
-    if not isinstance(sessions_sec, list) or not sessions_sec:
-        problems.append("sessions: expected a nonempty list")
-    else:
-        names = {str(v): v for v in g.nodes}
-        for k, sec in enumerate(sessions_sec):
-            if not _check_keys(sec, _SESSION_KEYS, {"origin", "dest", "demand"}, f"sessions[{k}]", problems):
-                continue
-            origin = names.get(str(sec["origin"]))
-            dest = names.get(str(sec["dest"]))
-            if origin is None:
-                problems.append(f"sessions[{k}].origin: unknown node {sec['origin']!r}")
-            if dest is None:
-                problems.append(f"sessions[{k}].dest: unknown node {sec['dest']!r}")
-            demand = _number(sec, "demand", f"sessions[{k}]", problems, positive=True)
-            utility = Utility()
-            if "utility" in sec and _check_keys(
-                sec["utility"], _UTILITY_KEYS, set(), f"sessions[{k}].utility", problems
-            ):
-                kind = sec["utility"].get("kind", "log")
-                weight = _number(sec["utility"], "weight", f"sessions[{k}].utility", problems, positive=True, default=1.0)
-                try:
-                    utility = Utility(kind=kind, weight=weight if weight is not None else 1.0)
-                except ValueError as exc:
-                    problems.append(f"sessions[{k}].utility: {exc}")
-            if origin is not None and dest is not None and demand is not None:
-                try:
-                    sessions.append(Session(origin=origin, dest=dest, demand=demand, utility=utility))
-                except ValueError as exc:
-                    problems.append(f"sessions[{k}]: {exc}")
-
-    cost = CostParams()
-    if "cost" in doc and _check_keys(doc["cost"], _COST_KEYS, set(), "cost", problems):
-        bw = _number(doc["cost"], "bandwidth", "cost", problems, positive=True, default=1.0)
-        kf = _number(doc["cost"], "gain_factor", "cost", problems, positive=True, default=50.0)
-        if bw is not None and kf is not None:
-            cost = CostParams(bandwidth=bw, gain_factor=kf)
-
-    optimizer = {}
-    if "optimizer" in doc and _check_keys(doc["optimizer"], _OPTIMIZER_KEYS, set(), "optimizer", problems):
-        opt = doc["optimizer"]
-        if "order" in opt and opt["order"] not in ("round_robin", "random"):
-            problems.append(f"optimizer.order: expected round_robin or random, got {opt['order']!r}")
-        elif "order" in opt:
-            optimizer["order"] = opt["order"]
-        for key, kind in (("max_sweeps", int), ("seed", int)):
-            if key in opt:
-                if isinstance(opt[key], bool) or not isinstance(opt[key], kind) or opt[key] < 0:
-                    problems.append(f"optimizer.{key}: expected a nonnegative integer")
-                else:
-                    optimizer[key] = opt[key]
-        for key, hi in (("tol", None), ("power", 1.0), ("overflow", 1.0)):
-            if key in opt:
-                val = _number(opt, key, "optimizer", problems, positive=key == "tol")
-                if val is not None and hi is not None and not 0 <= val <= hi:
-                    problems.append(f"optimizer.{key}: expected a value in [0, {hi:g}]")
-                elif val is not None:
-                    optimizer[key] = val
-    if problems:
-        raise ParseError(source, problems)
-
-    spectrum = doc["spectrum"]
-    if "outgoing" in spectrum:
-        masks_sec = spectrum["outgoing"]
-        if not isinstance(masks_sec, dict):
-            raise ParseError(source, ["spectrum.outgoing: expected a mapping of node -> band list"])
-        names = {str(v): v for v in g.nodes}
-        masks = {}
-        for key, bands_list in masks_sec.items():
-            if key not in names:
-                problems.append(f"spectrum.outgoing: unknown node {key!r}")
-                continue
-            if not isinstance(bands_list, list) or not all(
-                isinstance(b, int) and not isinstance(b, bool) and 0 <= b < spectrum["bands"]
-                for b in bands_list
-            ):
-                problems.append(f"spectrum.outgoing[{key!r}]: expected a list of band indices")
-                continue
-            masks[names[key]] = bands_list
-        missing = set(g.nodes) - set(masks)
-        if missing:
-            problems.append(f"spectrum.outgoing: missing nodes {sorted(map(str, missing))}")
-        if problems:
-            raise ParseError(source, problems)
-        family = ColorSetFamily.from_sets(spectrum["bands"], masks)
-        allocation = allocation_from_family(g, family)
-    else:
-        seed = spectrum.get("seed")
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
-            raise ParseError(source, [f"spectrum.seed: expected a nonnegative integer, got {seed!r}"])
-        first = None
-        if "first_node" in spectrum:
-            first = {str(v): v for v in g.nodes}.get(str(spectrum["first_node"]))
-            if first is None:
-                raise ParseError(source, [f"spectrum.first_node: unknown node {spectrum['first_node']!r}"])
-        allocation = allocate_subbands(g, spectrum["bands"], seed=seed, first_node=first)
-
-    scenario = NetworkScenario(
-        graph=g,
-        allocation=allocation,
-        gains=gains,
-        noise=noise,
-        power_budget=budget,
-        sessions=tuple(sessions),
-        cost=cost,
-    )
+    if r.keys(doc["power"], {"budget"}, {"budget"}, "power"):
+        budget = r.per_node(doc["power"]["budget"], "power.budget", r.positive, scalar=True)
+    sessions = _read_sessions(r, doc["sessions"])
+    cost = _read_cost(r, doc.get("cost", {}))
+    optimizer = _read_optimizer(r, doc.get("optimizer", {}), "optimizer.{}".format)
+    r.raise_if_any(source)
+    budget = np.array([budget[v] for v in g.nodes])
+    scenario = NetworkScenario(g, allocate(), gains, noise, budget, tuple(sessions), cost)
     return LoadedScenario(scenario=scenario, optimizer=optimizer, source=str(source))
-
-
-def _per_position(value, nodes, problems):
-    if not isinstance(value, dict):
-        problems.append("graph.positions: expected a mapping of node -> [x, y]")
-        return None
-    names = {str(v): v for v in nodes}
-    out = {}
-    for key, pos in value.items():
-        if key not in names:
-            problems.append(f"graph.positions: unknown node {key!r}")
-            continue
-        if (
-            not isinstance(pos, list)
-            or len(pos) != 2
-            or any(isinstance(c, bool) or not isinstance(c, (int, float)) for c in pos)
-        ):
-            problems.append(f"graph.positions[{key!r}]: expected [x, y]")
-            continue
-        out[names[key]] = (float(pos[0]), float(pos[1]))
-    missing = set(nodes) - set(out)
-    if missing and not problems:
-        problems.append(f"graph.positions: missing nodes {sorted(map(str, missing))}")
-    return out if len(out) == len(nodes) else None

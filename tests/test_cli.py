@@ -142,6 +142,19 @@ def test_oracle_unconverged_solver_exit_code():
     assert "converged: no" in text
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["optimize", "--tol", "-1"], "--tol"),
+    (["optimize", "--tol", "nan"], "--tol"),
+    (["optimize", "--max-sweeps", "-2"], "--max-sweeps"),
+    (["oracle", "--tol", "-1"], "--tol"),
+])
+def test_solve_flags_the_file_would_reject_are_input_errors(argv, flag):
+    # the file's optimizer section rejects these values, so the flags are bad input too
+    code, text = run(argv + ["--scenario", str(SCENARIOS / "line3.json")])
+    assert code == 2
+    assert f"{flag}:" in text
+
+
 def test_oracle_too_large_is_input_error():
     code, text = run(["oracle", "--scenario", str(SCENARIOS / "ring8.json")])
     assert code == 2

@@ -43,6 +43,12 @@ def test_utility_validation():
     assert Utility("linear", 2.0).weight == 2.0
 
 
+@pytest.mark.parametrize("weight", [math.nan, math.inf])
+def test_utility_weight_must_be_finite(weight):
+    with pytest.raises(ValueError, match="weight"):
+        Utility("log", weight)
+
+
 def test_utility_overflow_cost_forms():
     # rejecting r of demand d forgoes utility between rates d - r and d:
     # log gives w * (ln(1 + d) - ln(1 + d - r)), linear gives w * r
@@ -64,6 +70,12 @@ def test_session_validation():
         Session(0, 0, 0.5)
 
 
+@pytest.mark.parametrize("demand", [math.nan, math.inf])
+def test_session_demand_must_be_finite(demand):
+    with pytest.raises(ValueError, match="demand"):
+        Session(0, 2, demand)
+
+
 def test_cost_params_validation():
     with pytest.raises(ValueError):
         CostParams(bandwidth=-1.0)
@@ -71,6 +83,14 @@ def test_cost_params_validation():
     cap = kernels.capacity(np.array([0.0, 1.0]), cost.bandwidth, cost.gain_factor)
     assert cap[0] == -math.inf
     assert cap[1] == pytest.approx(2.0 * math.log(10.0))
+
+
+@pytest.mark.parametrize(
+    "bandwidth, gain_factor", [(math.nan, 50.0), (1.0, math.nan), (math.inf, 50.0), (1.0, math.inf)]
+)
+def test_cost_params_must_be_finite(bandwidth, gain_factor):
+    with pytest.raises(ValueError, match="finite"):
+        CostParams(bandwidth, gain_factor)
 
 
 def _derivatives(x, f, cost):
@@ -240,6 +260,16 @@ def test_scenario_shape_validation():
         NetworkScenario(graph=g, allocation=alloc, **bad)
 
 
+@pytest.mark.parametrize("field", ["gains", "noise", "power_budget"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_scenario_values_must_be_finite(field, value):
+    g = path_graph(3)
+    arrays = dict(gains=np.full((3, 3, 3), 0.5), noise=np.full((3, 3), 1e-3), power_budget=np.ones(3))
+    arrays[field].flat[1] = value
+    with pytest.raises(ValueError, match="finite"):
+        NetworkScenario(graph=g, allocation=allocate_subbands(g, 3), sessions=(Session(0, 2, 0.3),), **arrays)
+
+
 def test_layout_invariants():
     rng = np.random.default_rng(33)
     for trial in range(10):
@@ -293,6 +323,15 @@ def test_validate_state_reports_violations():
     bad = st.copy()
     bad.eta[:] = -0.1
     assert any("eta" in m for m in validate_state(line3, bad))
+
+
+@pytest.mark.parametrize("name", ["rho", "eta", "phi", "phi_w", "mu"])
+def test_validate_state_reports_non_finite_entries(name):
+    # every bound and sum test is false for NaN, so NaN needs its own check
+    line3 = line3_scenario()
+    bad = uniform_state(line3, 0.9, 0.1)
+    getattr(bad, name)[...] = np.nan
+    assert f"non-finite {name} entry" in validate_state(line3, bad)
 
 
 def test_flow_conservation():

@@ -158,3 +158,46 @@ def test_bundled_examples_parse():
     for f in files:
         loaded = load_scenario(f)
         assert loaded.scenario.graph.n >= 2
+
+
+def with_value(path, value):
+    """The minimal document as JSON text, with the value at path replaced."""
+    doc = minimal_doc()
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return json.dumps(doc)
+
+
+NAN, INF = float("nan"), float("inf")
+MALFORMED = [
+    pytest.param(with_value(("graph", "nodes"), [["a"], ["b"], ["c"]]), "graph.nodes", id="list node names"),
+    pytest.param(with_value(("graph",), {"nodes": [None, "b", "c"], "edges": [[None, "b"], ["b", "c"]]}),
+                 "graph.nodes", id="null node name"),
+    pytest.param(with_value(("graph",), {"nodes": ["a", 1, "c"], "edges": [["a", 1], [1, "c"]]}),
+                 "graph.nodes", id="mixed node names"),
+    pytest.param(with_value(("sessions", 0, "demand"), NAN), "sessions[0].demand", id="NaN demand"),
+    pytest.param(with_value(("sessions", 0, "demand"), INF), "sessions[0].demand", id="Infinity demand"),
+    pytest.param(with_value(("power", "budget"), INF), "power.budget", id="Infinity budget"),
+    pytest.param(with_value(("power", "budget"), {"a": 1.0, "b": NAN, "c": 1.0}), "power.budget['b']", id="NaN budget"),
+    pytest.param(with_value(("channel", "noise"), NAN), "channel.noise", id="NaN noise"),
+    pytest.param(with_value(("graph", "positions"), {"a": [0.0, 0.0], "b": [NAN, 0.0], "c": [2.0, 0.0]}),
+                 "graph.positions['b']", id="NaN position"),
+    pytest.param(with_value(("graph", "positions"), {"a": [0.0, 0.0], "b": [1.0, INF], "c": [2.0, 0.0]}),
+                 "graph.positions['b']", id="Infinity position"),
+    pytest.param(with_value(("channel", "gains"), {"a->b": INF}), "channel.gains['a->b']", id="Infinity gain"),
+    pytest.param(with_value(("channel", "gains"), {"b->c": NAN}), "channel.gains['b->c']", id="NaN gain"),
+    pytest.param(with_value(("optimizer",), {"tol": 1e-4}).replace('"tol": 0.0001', '"tol": 0.0001, "tol": 0.01'),
+                 "'tol'", id="duplicate key"),
+]
+
+
+@pytest.mark.parametrize("text, field", MALFORMED)
+def test_malformed_values_are_parse_errors_naming_the_field(tmp_path, text, field):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    with pytest.raises(ParseError) as info:
+        load_scenario(p)
+    assert any(field in problem for problem in info.value.problems), info.value.problems

@@ -29,14 +29,22 @@ the seeded runs of `reference_cases`: line3 at its defaults and with
 frozen power, the square at 10 restarts, and six reference-sized random
 scenarios at 2 restarts and 12 sweeps.  It covers each run's cost,
 restart costs, evaluation count and all five arrays of its state.
+
+A fourth digest covers the scenario files: `load_scenario` of the bundled
+scenarios/*.json and of `scenario_documents`, valid documents that use
+every section option, integer node names included.  It covers each
+scenario's nodes, links, outgoing band sets, link bands, the bytes of its
+gains, noise and budgets, its sessions and cost, and the optimizer dict.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import struct
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +147,66 @@ def _spectrum_digest(dn, helpers):
     return h, events
 
 
+def scenario_documents():
+    """(label, document): valid scenario files that together use every section option."""
+    line = {"nodes": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}
+    yield "defaults", {
+        "graph": line,
+        "spectrum": {"bands": 3, "seed": 1},
+        "channel": {},
+        "power": {"budget": 1.0},
+        "sessions": [{"origin": "a", "dest": "c", "demand": 0.5}],
+    }
+    yield "every option, string names", {
+        "graph": {**line, "positions": {"a": [0.0, 0.0], "b": [1.2, 0.3], "c": [2, -1]}},
+        "spectrum": {"bands": 3, "seed": 5, "first_node": "b"},
+        "channel": {"path_loss_exponent": 3, "default_gain": 0.02, "noise": {"a": 0.001, "b": 0.002, "c": 3e-3},
+                    "gains": {"a->c": 0.25, "c->b": 0}, "band_scale": [1, 2.5, 0.75]},
+        "power": {"budget": {"a": 1, "b": 2.5, "c": 0.5}},
+        "sessions": [{"origin": "a", "dest": "c", "demand": 0.4, "utility": {"kind": "linear", "weight": 2}},
+                     {"origin": "c", "dest": "b", "demand": 1, "utility": {"weight": 0.5}},
+                     {"origin": "b", "dest": "a", "demand": 0.2, "utility": {"kind": "log"}}],
+        "cost": {"bandwidth": 2, "gain_factor": 40.5},
+        "optimizer": {"max_sweeps": 50, "tol": 1e-5, "order": "random", "seed": 3, "power": 0.8, "overflow": 0},
+    }
+    ring = {"nodes": [0, 1, 2, 3], "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+    yield "integer names, explicit band sets", {
+        "graph": {**ring, "positions": {"0": [0, 0], "1": [1, 0], "2": [1, 1], "3": [0, 1]}},
+        "spectrum": {"bands": 2, "seed": None, "outgoing": {"0": [0], "1": [1], "2": [0], "3": [1]}},
+        "channel": {"noise": 0.002, "gains": {"0->2": 0.001}},
+        "power": {"budget": {"0": 1, "1": 2, "2": 1.5, "3": 1}},
+        "sessions": [{"origin": 0, "dest": 2, "demand": 0.3}, {"origin": "3", "dest": "1", "demand": 0.1}],
+        "cost": {},
+        "optimizer": {"tol": 1e-3},
+    }
+    yield "integer names, protocol", {
+        "graph": {"nodes": [30, 10, 20], "edges": [[30, 10], [10, 20]]},
+        "spectrum": {"bands": 3, "first_node": 20},
+        "channel": {"default_gain": 0.05, "band_scale": [1.0, 1.0, 0.5]},
+        "power": {"budget": 2},
+        "sessions": [{"origin": 30, "dest": 20, "demand": 0.25}],
+        "optimizer": {},
+    }
+
+
+def _scenario_digest(dn):
+    h = hashlib.sha256()
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = sorted((ROOT / "scenarios").glob("*.json"))
+        for k, (_, doc) in enumerate(scenario_documents()):
+            paths.append(Path(tmp) / f"doc{k}.json")
+            paths[-1].write_text(json.dumps(doc))
+        for path in paths:
+            loaded = dn.scenario_io.load_scenario(path)
+            scen, alloc = loaded.scenario, loaded.scenario.allocation
+            _feed(h, scen.graph.nodes, scen.graph.links, sorted(alloc.outgoing.items()))
+            _feed(h, sorted(alloc.link_bands.items()), scen.gains, scen.noise, scen.power_budget)
+            _feed(h, scen.sessions, scen.cost, sorted(loaded.optimizer.items()))
+            count += 1
+    return h, count
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=str(ROOT / "src"), help="directory holding the duplexnet package")
@@ -146,6 +214,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "tests")]
     import duplexnet as dn
+    import duplexnet.scenario_io
     import helpers
 
     total = hashlib.sha256()
@@ -168,6 +237,8 @@ def main(argv=None):
         if args.each:
             print(f"{h.hexdigest()[:16]}  reference {label}: cost {ref.cost:.17g}, {ref.evaluations} evaluations")
     print(f"{total.hexdigest()}  ({count} reference solves)")
+    h, count = _scenario_digest(dn)
+    print(f"{h.hexdigest()}  (scenario files: {count} loaded)")
 
 
 if __name__ == "__main__":

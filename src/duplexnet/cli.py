@@ -16,7 +16,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 a check or convergence failure, 2 bad input.
 The solve flags are bad input when the scenario file's optimizer section
-would reject the same values.
+would reject the same values, and the other number flags when the file
+would reject the same value in a field of its kind (``_FLAG_RULES``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .graph import interference_stats
 from .oracle import TooLargeError, finite_diff_check, reference_solve_small
 from .optimizer import StalledStepError, solve
 from .scenario import check_m_psd, derive, uniform_state
-from .scenario_io import ParseError, load_scenario, read_optimizer
+from .scenario_io import ParseError, load_scenario, read_optimizer, read_values
 from .subband import allocate_subbands, check_allocation
 
 
@@ -47,12 +48,28 @@ def _flag(key):
     return "--" + key.replace("_", "-")
 
 
-def _load(args, out, flags=()):
-    """The scenario file, its optimizer section updated by the given solve flags; None after printing why not."""
-    given = {key: getattr(args, key) for key in flags if getattr(args, key) is not None}
+# the flags outside the optimizer section, each with the rule the scenario
+# file reads a value of its kind by (see scenario_io.read_values)
+_FLAG_RULES = {
+    "grad_tol": ("positive", {}),
+    "restarts": ("count", {"least": 1}),
+    "sweeps": ("count", {"least": 1}),
+    "seed": ("count", {}),
+}
+
+
+def _given(args, keys):
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+
+
+def _load(args, out, flags=(), checked=()):
+    """The scenario file, its optimizer section updated by the given solve
+    flags, after the `checked` flags pass their rules; None after printing
+    why not."""
     try:
         loaded = load_scenario(args.scenario)
-        loaded.optimizer.update(read_optimizer(given, "command line", _flag))
+        loaded.optimizer.update(read_optimizer(_given(args, flags), "command line", _flag))
+        read_values(_given(args, checked), _FLAG_RULES, "command line", _flag)
     except ParseError as exc:
         print(exc, file=out)
         return None
@@ -63,7 +80,7 @@ def _load(args, out, flags=()):
 
 
 def _cmd_spectrum(args, out) -> int:
-    loaded = _load(args, out)
+    loaded = _load(args, out, checked=("seed",))
     if loaded is None:
         return 2
     scen = loaded.scenario
@@ -136,7 +153,7 @@ def _cmd_check(args, out) -> int:
     if args.grid < 1:
         print(f"--grid must be at least 1, got {args.grid}", file=out)
         return 2
-    loaded = _load(args, out)
+    loaded = _load(args, out, checked=("grad_tol",))
     if loaded is None:
         return 2
     scen = loaded.scenario
@@ -164,7 +181,7 @@ def _cmd_check(args, out) -> int:
 
 
 def _cmd_oracle(args, out) -> int:
-    loaded = _load(args, out, ("max_sweeps", "tol"))
+    loaded = _load(args, out, ("max_sweeps", "tol"), ("restarts", "sweeps", "seed"))
     if loaded is None:
         return 2
     scen = loaded.scenario

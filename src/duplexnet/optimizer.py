@@ -50,6 +50,18 @@ residuals read the same arrays.  The scaling is that curvature times a
 safety factor, with a floor so weights stay positive; the backtracking
 line search makes convergence independent of estimate quality.
 
+A block step runs in Python floats.  A block has a handful of
+coordinates, so :func:`_search` reads its point, gradient and curvature
+once as lists, and the scaled step, the projection and the move are
+plain float arithmetic instead of dozens of numpy calls on tiny arrays.
+Each operation is the one numpy ran, in numpy's order, so every output is
+bit for bit the same: sums add as np.sum adds (:func:`_sum`: one after
+another below 8 terms, 8 accumulators combined pairwise from 8, halves
+above 128) and running sums one after another as np.cumsum does.  The
+slope stays one np.dot: BLAS may fuse and reorder its products, and a
+sequential float sum differs from it in the last bit on a share of
+blocks.
+
 Stationarity is measured by :func:`optimality_residuals`: within every
 active group the marginals of used coordinates must agree, unused
 coordinates must not undercut them, and power rows must respect the sign
@@ -94,39 +106,104 @@ def project_scaled(target, weights, constraint: str = "sum_to_one", fixed=None):
     decades, y - lam / w cancels and leaves the sum off by far more than
     rounding; one pass spreads that leftover over the support in
     proportion to 1 / w, the direction the multiplier itself moves it.
+
+    The work runs in Python floats (see the module docstring), each step
+    as numpy runs it on arrays: max(0, v) keeps -0.0 and NaN as np.maximum
+    does, the sort is stable with NaN breakpoints last, and a division by
+    zero gives inf or NaN, so the result, non-finite inputs included, is
+    bit for bit that of the same steps on arrays.  `target` and `weights`
+    may be arrays or lists of floats; the result is an array.
     """
-    y = np.asarray(target, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if np.any(w <= 0):
+    y, w = _as_list(target), _as_list(weights)
+    if len(w) != len(y) or fixed is not None and len(fixed) != len(y):
+        raise ValueError("target, weights and fixed must have one entry per coordinate")
+    if any(v <= 0.0 for v in w):
         raise ValueError("projection weights must be positive")
     if constraint == "box":
-        return np.clip(y, 0.0, 1.0)
+        return np.array([0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in y], dtype=float)
     if constraint not in ("sum_to_one", "sum_at_most_one"):
         raise ValueError(f"unknown constraint {constraint!r}")
-    z = np.zeros_like(y)
-    free = np.ones(y.shape, dtype=bool) if fixed is None else ~np.asarray(fixed, dtype=bool)
-    yf = y[free]
-    wf = w[free]
-    if yf.size == 0:
+    free = range(len(y)) if fixed is None else [k for k, pinned in enumerate(_as_list(fixed, bool)) if not pinned]
+    yf = [y[k] for k in free]
+    wf = [w[k] for k in free]
+    if not yf:
         if constraint == "sum_to_one":
             raise ValueError("cannot satisfy sum_to_one with all coordinates fixed")
-        return z
-    plain = np.maximum(0.0, yf)
-    if constraint == "sum_at_most_one" and plain.sum() <= 1.0:
-        z[free] = plain
-        return z
-    brk = yf * wf
-    order = np.argsort(-brk, kind="stable")
+        return np.zeros(len(y))
+    plain = [0.0 if v < 0.0 else v for v in yf]
+    if constraint == "sum_at_most_one" and _sum(plain) <= 1.0:
+        return _placed(plain, free, len(y))
+    brk = [a * b for a, b in zip(yf, wf)]
     # lam_k keeps the k largest breakpoints active; the last k whose own
     # breakpoint still lies above lam_k is the crossing segment
-    lams = (np.cumsum(yf[order]) - 1.0) / np.cumsum(1.0 / wf[order])
-    lam = lams[np.flatnonzero(brk[order] > lams)[-1]]
-    zf = np.maximum(0.0, yf - lam / wf)
-    support = zf > 0.0
-    inv = 1.0 / wf[support]
-    zf[support] = np.maximum(0.0, zf[support] + (1.0 - zf.sum()) * inv / inv.sum())
-    z[free] = zf
-    return z
+    lam = None
+    head = inv_head = 0.0
+    for k in sorted(range(len(brk)), key=lambda j: (brk[j] == brk[j], brk[j]), reverse=True):
+        head += yf[k]
+        inv_head += 1.0 / wf[k]
+        lam_k = _quotient(head - 1.0, inv_head)
+        if brk[k] > lam_k:
+            lam = lam_k
+    if lam is None:
+        raise IndexError("no breakpoint lies above its segment's multiplier")
+    zf = [0.0 if v < 0.0 else v for v in (a - lam / b for a, b in zip(yf, wf))]
+    support = [k for k, v in enumerate(zf) if v > 0.0]
+    inv = [1.0 / wf[k] for k in support]
+    leftover, inv_total = 1.0 - _sum(zf), _sum(inv)
+    for k, v in zip(support, inv):
+        moved = zf[k] + _quotient(leftover * v, inv_total)
+        zf[k] = 0.0 if moved < 0.0 else moved
+    return _placed(zf, free, len(y))
+
+
+def _as_list(values, dtype=float) -> list:
+    """`values` as a list of `dtype` values; a list is taken as one already."""
+    return values if type(values) is list else np.asarray(values, dtype=dtype).ravel().tolist()
+
+
+def _placed(values, free, n):
+    """An array of n zeros with `values` at the indices `free`."""
+    if type(free) is range:
+        return np.array(values, dtype=float)
+    z = [0.0] * n
+    for k, v in zip(free, values):
+        z[k] = v
+    return np.array(z, dtype=float)
+
+
+def _quotient(a: float, b: float) -> float:
+    """a / b, with a zero b giving a signed infinity or NaN as numpy's division does."""
+    if b:
+        return a / b
+    if a != a or not a:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _sum(values) -> float:
+    """The sum of a list of floats, added in the order np.sum adds them, so
+    equal bit for bit: below 8 terms one after another from 0.0; from 8 to
+    128 terms into 8 accumulators, combined pairwise ((0+1)+(2+3)) +
+    ((4+5)+(6+7)) and then the leftover terms one after another; above 128
+    terms the two halves (the first a multiple of 8 long) summed so and
+    added.  The sum starts from 0.0, so it never returns -0.0, as np.sum
+    does not."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _sum(values[:half]) + _sum(values[half:])
+    total = 0.0
+    tail = values
+    if n >= 8:
+        acc = values[:8]
+        for start in range(8, n - n % 8, 8):
+            for j in range(8):
+                acc[j] += values[start + j]
+        total += ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        tail = values[n - n % 8 :]
+    for v in tail:
+        total += v
+    return total
 
 
 # the diagonal scaling is SAFETY times the curvature estimate, floored at
@@ -195,23 +272,25 @@ def _search(scenario, state, block, derived):
     if load is not None and load[block.group] <= 0:
         return None
     grad, curv, fixed = _block_move(scenario, state, block, derived)
-    finite = np.isfinite(grad)
-    if not np.all(finite):
-        fixed = ~finite if fixed is None else fixed | ~finite
-        grad = np.where(finite, grad, 0.0)
-    if fixed is not None and np.all(fixed) or not np.any(grad):
+    grad = grad.tolist()
+    fixed = None if fixed is None else fixed.tolist()
+    if not all(map(math.isfinite, grad)):
+        fixed = [not math.isfinite(g) or fixed is not None and fixed[k] for k, g in enumerate(grad)]
+        grad = [g if math.isfinite(g) else 0.0 for g in grad]
+    if fixed is not None and all(fixed) or not any(grad):
         return None
-    return getattr(state, block.kind)[block.key], grad, SAFETY * np.maximum(curv, FLOOR), fixed
+    weights = [SAFETY * (FLOOR if c < FLOOR else c) for c in curv.tolist()]
+    return getattr(state, block.kind)[block.key].tolist(), grad, weights, fixed
 
 
 def _trial_point(search, constraint, step):
     """The scaled step of length `step` projected back onto the block's
     feasible set, and its slope; None when it is no descent direction."""
     cur, grad, weights, fixed = search
-    z = project_scaled(cur - step * grad / weights, weights, constraint, fixed=fixed)
-    delta = z - cur
+    z = project_scaled([c - step * g / w for c, g, w in zip(cur, grad, weights)], weights, constraint, fixed=fixed)
+    delta = [a - b for a, b in zip(z.tolist(), cur)]
     slope = float(np.dot(grad, delta))
-    if slope >= 0.0 or float(np.max(np.abs(delta))) <= 1e-16:
+    if slope >= 0.0 or all(abs(d) <= 1e-16 for d in delta):
         return None
     return z, slope
 

@@ -657,7 +657,7 @@ class _Search:
         if not coords:
             return
         stall = 0
-        for _ in range(max(1, sweeps)):
+        for _ in range(sweeps):
             before = self.cost
             for ci in rng.permutation(len(coords)):
                 self.minimize_coord(coords[ci])
@@ -682,8 +682,10 @@ def reference_solve_small(
     those caps keep the simple-path enumeration and the per-sweep work
     affordable.  freeze_power keeps transmit powers at their initial value
     so closed-form toy problems in flow variables can be checked in
-    isolation.
+    isolation.  Raises ValueError when restarts or sweeps is below 1.
     """
+    if restarts < 1 or sweeps < 1:
+        raise ValueError(f"restarts and sweeps must be at least 1, got {restarts} and {sweeps}")
     lay = scenario.layout
     if lay.n > MAX_NODES:
         raise TooLargeError(f"{lay.n} nodes > {MAX_NODES}")
@@ -698,7 +700,7 @@ def reference_solve_small(
     best_cost = math.inf
     restart_costs = []
     evals = 0
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         p0 = np.empty(lay.n_entries)
         for i, idx in enumerate(problem.node_entries):
             if idx.size == 0:

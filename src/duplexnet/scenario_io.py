@@ -6,7 +6,8 @@ Unknown keys and duplicate keys are errors, node names are all strings or
 all numbers, and every number must be finite (no ``NaN`` or ``Infinity``).
 All problems found in one file are reported together.
 :func:`read_optimizer` applies the optimizer section's rules to solve
-options from elsewhere, such as the command line.
+options from elsewhere, such as the command line, and :func:`read_values`
+the file's rule for a number or an integer to any other value.
 
 Channel gains come from node positions when given (power-law path loss
 ``distance ** -path_loss_exponent``), from a flat ``default_gain``
@@ -324,6 +325,20 @@ def read_optimizer(options: dict, source, label) -> dict:
     """Solve options checked as the optimizer section is; a ParseError names each bad one as label(key)."""
     r = _Reader()
     out = _read_optimizer(r, options, label)
+    r.raise_if_any(source)
+    return out
+
+
+def read_values(values: dict, rules: dict, source, label) -> dict:
+    """Values from elsewhere checked by the rules the file reads its own
+    values with: rules[key] is (reader, bounds), the reader "number",
+    "positive" or "count" and bounds its keyword bounds, such as
+    {"least": 1}.  A ParseError names each bad value as label(key)."""
+    r = _Reader()
+    out = {}
+    for key, val in values.items():
+        reader, bounds = rules[key]
+        out[key] = getattr(r, reader)(val, label(key), **bounds)
     r.raise_if_any(source)
     return out
 

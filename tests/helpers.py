@@ -231,6 +231,41 @@ def hub_scenario(leaves=9):
     )
 
 
+def fan_scenario(rng, relays=9):
+    """A source (node 0) and a destination (the last node) joined through
+    `relays` relays, with a session each way.
+
+    The two ends route over all their out-links, so their routing rows
+    and (node, band) power-share groups hold 8 or more coordinates at 9
+    relays, the size from which np.sum adds pairwise.  Relay positions are
+    jittered, bands are planned at the tight count, and draws whose start
+    uniform_state(0.9, 0.1) has infinite cost are drawn again.
+    """
+    dest = relays + 1
+    und = [(0, k) for k in range(1, dest)] + [(k, dest) for k in range(1, dest)]
+    g = build_graph(und + [(b, a) for a, b in und])
+    q = min_subband_count(g.max_degree() + 1)
+    for _ in range(50):
+        pos = np.vstack([[0.0, 0.0], np.c_[np.ones(relays), np.linspace(-1.0, 1.0, relays)], [2.0, 0.0]])
+        pos[1:dest] += rng.uniform(-0.1, 0.1, (relays, 2))
+        sessions = tuple(
+            Session(a, b, float(rng.uniform(0.1, 0.2)), Utility("log", float(rng.uniform(2.0, 3.0))))
+            for a, b in ((0, dest), (dest, 0))
+        )
+        scen = NetworkScenario(
+            graph=g,
+            allocation=allocate_subbands(g, q, seed=int(rng.integers(2**31))),
+            gains=_pathloss_gains(pos, q, rng.uniform(0.8, 1.25, q)),
+            noise=np.full((q, dest + 1), 1e-3),
+            power_budget=np.ones(dest + 1),
+            sessions=sessions,
+            cost=CostParams(),
+        )
+        if math.isfinite(total_cost(scen, uniform_state(scen, power=0.9, overflow=0.1))):
+            return scen
+    raise RuntimeError("could not draw a fan scenario")
+
+
 def _mst_edges(pos):
     """Prim's tree over euclidean distances."""
     n = len(pos)

@@ -155,6 +155,22 @@ def test_solve_flags_the_file_would_reject_are_input_errors(argv, flag):
     assert f"{flag}:" in text
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["check", "--grad-tol", "nan"], "--grad-tol"),
+    (["check", "--grad-tol", "-1"], "--grad-tol"),
+    (["oracle", "--restarts", "0"], "--restarts"),
+    (["oracle", "--sweeps", "-1"], "--sweeps"),
+    (["oracle", "--seed", "-1"], "--seed"),
+    (["spectrum", "--seed", "-1"], "--seed"),
+])
+def test_other_flags_the_file_would_reject_are_input_errors(argv, flag):
+    # a gradient tolerance is a positive number, restarts and sweeps are
+    # integers from 1, and seeds integers from 0, as the file reads them
+    code, text = run(argv + ["--scenario", str(SCENARIOS / "line3.json")])
+    assert code == 2
+    assert f"{flag}:" in text
+
+
 def test_oracle_too_large_is_input_error():
     code, text = run(["oracle", "--scenario", str(SCENARIOS / "ring8.json")])
     assert code == 2

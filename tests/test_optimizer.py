@@ -151,6 +151,108 @@ def test_project_scaled_stays_on_simplex_across_weight_decades():
     assert worst <= 1e-12
 
 
+def numpy_projection(target, weights, constraint="sum_to_one", fixed=None):
+    """project_scaled as it was written on numpy arrays, kept as the
+    reference that the float version must equal bit for bit."""
+    y = np.asarray(target, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if np.any(w <= 0):
+        raise ValueError("projection weights must be positive")
+    if constraint == "box":
+        return np.clip(y, 0.0, 1.0)
+    z = np.zeros_like(y)
+    free = np.ones(y.shape, dtype=bool) if fixed is None else ~np.asarray(fixed, dtype=bool)
+    yf = y[free]
+    wf = w[free]
+    if yf.size == 0:
+        if constraint == "sum_to_one":
+            raise ValueError("cannot satisfy sum_to_one with all coordinates fixed")
+        return z
+    plain = np.maximum(0.0, yf)
+    if constraint == "sum_at_most_one" and plain.sum() <= 1.0:
+        z[free] = plain
+        return z
+    brk = yf * wf
+    order = np.argsort(-brk, kind="stable")
+    lams = (np.cumsum(yf[order]) - 1.0) / np.cumsum(1.0 / wf[order])
+    lam = lams[np.flatnonzero(brk[order] > lams)[-1]]
+    zf = np.maximum(0.0, yf - lam / wf)
+    support = zf > 0.0
+    inv = 1.0 / wf[support]
+    zf[support] = np.maximum(0.0, zf[support] + (1.0 - zf.sum()) * inv / inv.sum())
+    z[free] = zf
+    return z
+
+
+def _outcome(project, *args, **kwargs):
+    """The array `project` returns, as its bytes with NaNs marked, or the
+    type of the error it raises."""
+    try:
+        z = project(*args, **kwargs)
+    except (ValueError, IndexError) as exc:
+        return type(exc)
+    nan = np.isnan(z)
+    return z.dtype, z.shape, nan.tobytes(), np.where(nan, 0.0, z).tobytes()
+
+
+def _random_block(rng, n):
+    """A solver-like block: a point on the simplex, a gradient over seven
+    decades and weights spanning 2e-6..5e9, as (target, weights)."""
+    w = np.exp(rng.uniform(np.log(2e-6), np.log(5e9), n))
+    cur = rng.dirichlet(np.ones(n))
+    g = rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-4.0, 3.0, n)
+    return cur - rng.choice([1.0, 0.5, 2.0 ** -10]) * g / w, w
+
+
+def test_project_scaled_equals_the_array_projection_bit_for_bit():
+    rng = np.random.default_rng(43)
+    for trial in range(2400):
+        n = int(rng.integers(1, 41)) if trial % 2 else int(rng.integers(1, 6))
+        y, w = _random_block(rng, n)
+        if trial % 7 == 3:
+            # ties among targets and breakpoints
+            y, w = np.round(rng.normal(0.3, 0.5, n), 1), np.round(rng.uniform(0.5, 3.0, n))
+        constraint = ("sum_to_one", "sum_at_most_one", "box")[trial % 3]
+        fixed = rng.random(n) < 0.3 if trial % 4 >= 2 else None
+        want = _outcome(numpy_projection, y, w, constraint, fixed=fixed)
+        assert _outcome(project_scaled, y, w, constraint, fixed=fixed) == want, f"trial {trial}"
+        # the solver passes lists of floats
+        lists = None if fixed is None else fixed.tolist()
+        assert _outcome(project_scaled, y.tolist(), w.tolist(), constraint, fixed=lists) == want, f"trial {trial}"
+
+
+def test_project_scaled_keeps_the_array_outcome_on_non_finite_input():
+    # NaN or infinite targets and weights, signed zeros and extremes give
+    # the array projection's result, NaNs included, or its error
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e308, -1e308, 5e-324]
+    rng = np.random.default_rng(44)
+    errors = set()
+    for trial in range(1200):
+        n = int(rng.integers(1, 12))
+        y, w = _random_block(rng, n)
+        for _ in range(int(rng.integers(1, 3))):
+            (y if rng.random() < 0.5 else w)[rng.integers(n)] = specials[rng.integers(len(specials))]
+        constraint = ("sum_to_one", "sum_at_most_one", "box")[trial % 3]
+        fixed = rng.random(n) < 0.3 if trial % 4 >= 2 else None
+        with np.errstate(all="ignore"):
+            want = _outcome(numpy_projection, y, w, constraint, fixed=fixed)
+        assert _outcome(project_scaled, y, w, constraint, fixed=fixed) == want, f"trial {trial}"
+        if isinstance(want, type):
+            errors.add(want)
+    assert errors == {ValueError, IndexError}
+
+
+def test_block_sums_add_in_numpy_order():
+    # sequential below 8 terms, 8 accumulators to 128, halves above: equal
+    # to np.sum bit for bit, where a plain running sum is not
+    rng = np.random.default_rng(45)
+    for n in range(1, 301):
+        for _ in range(4):
+            x = rng.normal(size=n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+            assert optimizer._sum(x.tolist()) == np.sum(x), f"{n} terms"
+        assert math.copysign(1.0, optimizer._sum([-0.0] * n)) == math.copysign(1.0, np.sum(np.full(n, -0.0)))
+
+
 def _reachability_blocked(scenario, state):
     """blocked[w, l] by an all-pairs forward search over positive fractions.
 

@@ -230,6 +230,13 @@ def test_size_guards():
         reference_solve_small(wide)
 
 
+@pytest.mark.parametrize("kwargs", [dict(restarts=0), dict(restarts=-2), dict(sweeps=0), dict(sweeps=-1)])
+def test_reference_rejects_fewer_than_one_restart_or_sweep(kwargs):
+    # a search of no restarts or no sweeps is bad input, not one of each
+    with pytest.raises(ValueError, match="at least 1"):
+        reference_solve_small(line3_scenario(), **kwargs)
+
+
 def test_finite_diff_check_rejects_boundary_states():
     # at full power the single loaded entry has capacity ln(50 * 500),
     # about 10.13; a demand of 9.8 parks the flow inside the headroom

@@ -35,6 +35,13 @@ scenarios/*.json and of `scenario_documents`, valid documents that use
 every section option, integer node names included.  It covers each
 scenario's nodes, links, outgoing band sets, link bands, the bytes of its
 gains, noise and budgets, its sessions and cost, and the optimizer dict.
+
+A fifth digest, "wide blocks", covers solves as the first does, on
+scenarios whose eta and phi blocks hold 8 or more coordinates, the size
+from which the projection's sums add pairwise as np.sum does: a hub with 9
+leaves and fans of 9, 10 and 11 relays between two ends
+(tests/helpers.py), each descended for at most 4 sweeps from the even
+split, from a random interior start and in random block order.
 """
 
 from __future__ import annotations
@@ -75,6 +82,19 @@ def _solves(dn, helpers):
         yield f"grid {k} {side}x{side}", scen, dn.uniform_state(scen, 0.9, 0.1), dict(max_sweeps=2, tol=1e-4)
 
 
+def _wide_solves(dn, helpers):
+    """(label, scenario, start, solve kwargs) on scenarios whose eta and phi
+    blocks hold 8 or more coordinates, in a fixed order."""
+    rng = np.random.default_rng(306)
+    scens = [("hub 9", helpers.hub_scenario(9))]
+    scens += [(f"fan {relays}", helpers.fan_scenario(rng, relays)) for relays in (9, 10, 11)]
+    for name, scen in scens:
+        start = dn.uniform_state(scen, 0.9, 0.1)
+        yield f"{name} even", scen, start, dict(max_sweeps=4, tol=1e-4)
+        yield f"{name} interior", scen, helpers.random_interior_state(scen, rng), dict(max_sweeps=4, tol=1e-4)
+        yield f"{name} random order", scen, start, dict(max_sweeps=4, tol=1e-4, order="random", seed=7)
+
+
 def _feed(h, *values):
     for v in values:
         if isinstance(v, np.ndarray):
@@ -106,6 +126,19 @@ def _digest_solve(dn, scen, start, kwargs):
     _feed(h, r.eta, r.rho, r.mu, r.phi, r.overflow)
     _feed(h, dn.routing_marginals(scen, st, dn.derive(scen, st)).blocked)
     return h
+
+
+def _solves_digest(dn, cases, each):
+    """One digest over the solve digests of `cases`, and their number."""
+    total = hashlib.sha256()
+    count = 0
+    for label, scen, start, kwargs in cases:
+        h = _digest_solve(dn, scen, start, kwargs)
+        total.update(h.digest())
+        count += 1
+        if each:
+            print(f"{h.hexdigest()[:16]}  {label}")
+    return total, count
 
 
 def reference_cases(helpers):
@@ -217,14 +250,7 @@ def main(argv=None):
     import duplexnet.scenario_io
     import helpers
 
-    total = hashlib.sha256()
-    count = 0
-    for label, scen, start, kwargs in _solves(dn, helpers):
-        h = _digest_solve(dn, scen, start, kwargs)
-        total.update(h.digest())
-        count += 1
-        if args.each:
-            print(f"{h.hexdigest()[:16]}  {label}")
+    total, count = _solves_digest(dn, _solves(dn, helpers), args.each)
     print(f"{total.hexdigest()}  ({count} solves, duplexnet from {Path(dn.__file__).parent})")
     h, events = _spectrum_digest(dn, helpers)
     print(f"{h.hexdigest()}  (spectrum: 2 plans, {events} join/leave events)")
@@ -239,6 +265,8 @@ def main(argv=None):
     print(f"{total.hexdigest()}  ({count} reference solves)")
     h, count = _scenario_digest(dn)
     print(f"{h.hexdigest()}  (scenario files: {count} loaded)")
+    total, count = _solves_digest(dn, _wide_solves(dn, helpers), args.each)
+    print(f"{total.hexdigest()}  (wide blocks: {count} solves)")
 
 
 if __name__ == "__main__":

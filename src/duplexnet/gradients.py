@@ -13,9 +13,9 @@ nodes:
 * ``delta_rho``: combines those messages with the transmitter's own-entry
   terms.  This form is exact when each node-band power-share group sums
   to one (the constraint set), which is all the optimizer needs; the
-  unconditional derivative is ``delta_rho_direct``, computed here from
-  the interference model as an independent reference, and the two agree
-  on the constraint set to rounding error.
+  unconditional derivative is :func:`duplexnet.oracle.delta_rho_direct`,
+  an independent reference computed from the interference model, and the
+  two agree on the constraint set to rounding error.
 
 Per-entry power shares (eta), per-link band shares (mu), and routing
 fractions (phi) have unconditionally exact gradients.  Routing marginals
@@ -64,40 +64,6 @@ def delta_rho(scenario: NetworkScenario, state: ControlState, derived: DerivedSt
     return derived.gradient("rho")
 
 
-def delta_rho_direct(
-    scenario: NetworkScenario, state: ControlState, derived: DerivedState
-) -> np.ndarray:
-    """Unconditional partial derivative of total cost in rho.
-
-    Differentiates the interference model directly without assuming the
-    share groups are normalized; used to cross-check delta_rho.
-    """
-    lay = scenario.layout
-    d_x = derived.derivatives[0]
-    g_e = scenario.gains[lay.ent_band, lay.ent_tx, lay.ent_rx]
-    inn = derived.physical.interference
-    x = derived.physical.sinr
-    npow = derived.physical.node_band_power
-    s = np.zeros((lay.n, lay.band_count))
-    np.add.at(s, (lay.ent_tx, lay.ent_band), state.eta)
-    out = np.zeros((lay.n, lay.band_count))
-    cross_term = d_x * (-x) / inn
-    for q in range(lay.band_count):
-        on_band = np.flatnonzero(lay.ent_band == q)
-        if on_band.size == 0:
-            continue
-        rx = lay.ent_rx[on_band]
-        tx = lay.ent_tx[on_band]
-        t = cross_term[on_band]
-        # all-pairs accumulation, then remove each entry's own transmitter
-        out[:, q] += scenario.gains[q][:, rx] @ t
-        np.subtract.at(out[:, q], tx, scenario.gains[q, tx, rx] * t)
-        own_num = inn[on_band] - g_e[on_band] * npow[tx, q] * (s[tx, q] - state.eta[on_band])
-        own = d_x[on_band] * g_e[on_band] * state.eta[on_band] * own_num / inn[on_band] ** 2
-        np.add.at(out[:, q], tx, own)
-    return scenario.power_budget[:, None] * out
-
-
 @dataclass(frozen=True)
 class RoutingMarginals:
     """Session-indexed routing derivatives and admissibility sets."""
@@ -124,15 +90,13 @@ def routing_marginals(
     """
     lay = scenario.layout
     n_sessions = len(scenario.sessions)
-    node_marginal = np.zeros((n_sessions, lay.n))
     blocked = np.zeros((n_sessions, lay.n_links), dtype=bool)
     for w in range(n_sessions):
-        node_marginal[w] = derived.session_marginals(w)[0]
         for i, out in enumerate(lay.out_links):
             if out:
                 blocked[w, list(out)] = True if i == lay.dest[w] else derived.blocked(w, i)
     return RoutingMarginals(
-        node_marginal=node_marginal,
+        node_marginal=derived.node_marginals,
         delta_phi=derived.delta_phi,
         overflow_grad=derived.gradient("phi_w"),
         blocked=blocked,

@@ -60,7 +60,8 @@ another below 8 terms, 8 accumulators combined pairwise from 8, halves
 above 128) and running sums one after another as np.cumsum does.  The
 slope stays one np.dot: BLAS may fuse and reorder its products, and a
 sequential float sum differs from it in the last bit on a share of
-blocks.
+blocks.  The step's domain is finite: :func:`project_scaled` rejects a
+NaN or infinite target or weight, so a bad curvature fails loudly.
 
 Stationarity is measured by :func:`optimality_residuals`: within every
 active group the marginals of used coordinates must agree, unused
@@ -107,18 +108,20 @@ def project_scaled(target, weights, constraint: str = "sum_to_one", fixed=None):
     rounding; one pass spreads that leftover over the support in
     proportion to 1 / w, the direction the multiplier itself moves it.
 
-    The work runs in Python floats (see the module docstring), each step
-    as numpy runs it on arrays: max(0, v) keeps -0.0 and NaN as np.maximum
-    does, the sort is stable with NaN breakpoints last, and a division by
-    zero gives inf or NaN, so the result, non-finite inputs included, is
-    bit for bit that of the same steps on arrays.  `target` and `weights`
-    may be arrays or lists of floats; the result is an array.
+    The domain is finite: a NaN or infinite target or weight, or a weight
+    <= 0, raises ValueError.  The work runs in Python floats (see the
+    module docstring), each step as numpy runs it on arrays: max(0, v)
+    keeps -0.0 and NaN as np.maximum does, and the sort is stable, so the
+    result is bit for bit that of the same steps on arrays, and so is the
+    IndexError raised when extreme finite inputs overflow the breakpoints.
+    `target` and `weights` may be arrays or lists of floats; the result is
+    an array.
     """
     y, w = _as_list(target), _as_list(weights)
     if len(w) != len(y) or fixed is not None and len(fixed) != len(y):
         raise ValueError("target, weights and fixed must have one entry per coordinate")
-    if any(v <= 0.0 for v in w):
-        raise ValueError("projection weights must be positive")
+    if not all(map(math.isfinite, y)) or not all(0.0 < v < math.inf for v in w):
+        raise ValueError("projection targets must be finite and weights positive and finite")
     if constraint == "box":
         return np.array([0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in y], dtype=float)
     if constraint not in ("sum_to_one", "sum_at_most_one"):
@@ -138,10 +141,10 @@ def project_scaled(target, weights, constraint: str = "sum_to_one", fixed=None):
     # breakpoint still lies above lam_k is the crossing segment
     lam = None
     head = inv_head = 0.0
-    for k in sorted(range(len(brk)), key=lambda j: (brk[j] == brk[j], brk[j]), reverse=True):
+    for k in sorted(range(len(brk)), key=brk.__getitem__, reverse=True):
         head += yf[k]
         inv_head += 1.0 / wf[k]
-        lam_k = _quotient(head - 1.0, inv_head)
+        lam_k = (head - 1.0) / inv_head
         if brk[k] > lam_k:
             lam = lam_k
     if lam is None:
@@ -151,7 +154,7 @@ def project_scaled(target, weights, constraint: str = "sum_to_one", fixed=None):
     inv = [1.0 / wf[k] for k in support]
     leftover, inv_total = 1.0 - _sum(zf), _sum(inv)
     for k, v in zip(support, inv):
-        moved = zf[k] + _quotient(leftover * v, inv_total)
+        moved = zf[k] + leftover * v / inv_total
         zf[k] = 0.0 if moved < 0.0 else moved
     return _placed(zf, free, len(y))
 
@@ -169,15 +172,6 @@ def _placed(values, free, n):
     for k, v in zip(free, values):
         z[k] = v
     return np.array(z, dtype=float)
-
-
-def _quotient(a: float, b: float) -> float:
-    """a / b, with a zero b giving a signed infinity or NaN as numpy's division does."""
-    if b:
-        return a / b
-    if a != a or not a:
-        return math.nan
-    return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
 def _sum(values) -> float:
@@ -334,10 +328,7 @@ def _update_run(scenario, state, run, steps, derived):
     proposed = len(points) - points.count(None)
     if not proposed:
         return state, derived, [_Move(derived.total, False, 0, step) for step in steps], 0
-    joint = state.copy()
-    for block, point in zip(run, points):
-        if point is not None:
-            getattr(joint, kind)[block.key] = point[0]
+    joint = state.moved(kind, [(block.key, point[0]) for block, point in zip(run, points) if point is not None])
     priced = derive(scenario, joint, parent=derived, changed=kind)
     evaluations = 1
     if proposed > 1:
@@ -375,9 +366,7 @@ def _update_run(scenario, state, run, steps, derived):
                 moves.append(_Move(cost, False, halving, step))
                 break
             z, slope = point
-            trial = state.copy()
-            for taken_key, taken_z in [*taken, (block.key, z)]:
-                getattr(trial, kind)[taken_key] = taken_z
+            trial = state.moved(kind, [*taken, (block.key, z)])
             evaluated = derive(scenario, trial, parent=derived, changed=kind)
             evaluations += 1
             if _accepts(evaluated.total, cost, slope):
@@ -393,9 +382,7 @@ def _update_run(scenario, state, run, steps, derived):
     if first_tries:
         return joint, priced, moves, evaluations
     if latest is None:
-        final = state.copy()
-        for key, z in taken:
-            getattr(final, kind)[key] = z
+        final = state.moved(kind, taken)
         latest = final, derive(scenario, final, parent=derived, changed=kind)
         evaluations += 1
     return *latest, moves, evaluations
@@ -634,7 +621,12 @@ def solve(
     nonincreasing across every block update.  Raises StalledStepError if
     a whole sweep moves nothing while the residual is still above tol;
     returns converged=False when the sweep budget runs out first.
+    max_sweeps must be an integer >= 0 and tol a finite number >= 0.
     """
+    if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, (int, np.integer)) or max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be an integer >= 0, got {max_sweeps!r}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if order not in ("round_robin", "random"):
         raise ValueError(f"unknown order {order!r}")
     rng = np.random.default_rng(seed)
@@ -646,7 +638,7 @@ def solve(
         raise ValueError("solve needs a finite-cost initial state")
     runs = _runs(table, range(len(table)))
     trace, visited, evaluations = [], [], 0
-    for sweep in range(max(max_sweeps, 0) + 1):  # sweep 0 is the start
+    for sweep in range(max_sweeps + 1):  # sweep 0 is the start
         if sweep:
             if order == "random":
                 visit = list(range(len(table)))

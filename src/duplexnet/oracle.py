@@ -8,6 +8,9 @@ It refuses to run when the state is too close to a cost barrier for the
 differences to be trustworthy, and it skips coordinates lying within a
 margin of a constraint boundary (one-sided conventions apply there).
 
+``delta_rho_direct`` differentiates the cost in rho straight from the
+interference model, off the constraint set too.
+
 ``reference_solve_small`` minimizes the same objective with none of the
 package's analytic machinery: it parameterizes by raw per-entry transmit
 powers, per-session simple-path flows, and per-link band shares, prices
@@ -42,7 +45,7 @@ import numpy as np
 
 from . import kernels
 from .coloring import TooLargeError
-from .scenario import ControlState, NetworkScenario, derive, uniform_state
+from .scenario import ControlState, DerivedState, NetworkScenario, derive, uniform_state
 
 
 class BoundaryTooCloseError(RuntimeError):
@@ -180,9 +183,7 @@ def finite_diff_check(scenario: NetworkScenario, state: ControlState) -> CheckRe
                 continue
 
             def cost_at(value, kind=kind, idx=idx):
-                moved = state.copy()
-                getattr(moved, kind)[idx] = value
-                return derive(scenario, moved, parent=derived, changed=kind).total
+                return derive(scenario, state.moved(kind, [(idx, value)]), parent=derived, changed=kind).total
 
             # the first step stays within a quarter of the distance to zero;
             # an estimate that is not finite fails the check
@@ -191,6 +192,40 @@ def finite_diff_check(scenario: NetworkScenario, state: ControlState) -> CheckRe
             checked += 1
         families[kind] = FamilyReport(worst, checked, skipped)
     return CheckReport(families=families)
+
+
+def delta_rho_direct(scenario: NetworkScenario, state: ControlState, derived: DerivedState) -> np.ndarray:
+    """Unconditional partial derivative of total cost in rho.
+
+    Differentiates the interference model directly, without assuming that
+    the (node, band) share groups sum to one; it cross-checks the
+    message-passing form that ``DerivedState.gradient("rho")`` keeps,
+    which is exact on the constraint set only.
+    """
+    lay = scenario.layout
+    d_x = derived.derivatives[0]
+    g_e = scenario.gains[lay.ent_band, lay.ent_tx, lay.ent_rx]
+    inn = derived.physical.interference
+    x = derived.physical.sinr
+    npow = derived.physical.node_band_power
+    s = np.zeros((lay.n, lay.band_count))
+    np.add.at(s, (lay.ent_tx, lay.ent_band), state.eta)
+    out = np.zeros((lay.n, lay.band_count))
+    cross_term = d_x * (-x) / inn
+    for q in range(lay.band_count):
+        on_band = np.flatnonzero(lay.ent_band == q)
+        if on_band.size == 0:
+            continue
+        rx = lay.ent_rx[on_band]
+        tx = lay.ent_tx[on_band]
+        t = cross_term[on_band]
+        # all-pairs accumulation, then remove each entry's own transmitter
+        out[:, q] += scenario.gains[q][:, rx] @ t
+        np.subtract.at(out[:, q], tx, scenario.gains[q, tx, rx] * t)
+        own_num = inn[on_band] - g_e[on_band] * npow[tx, q] * (s[tx, q] - state.eta[on_band])
+        own = d_x[on_band] * g_e[on_band] * state.eta[on_band] * own_num / inn[on_band] ** 2
+        np.add.at(out[:, q], tx, own)
+    return scenario.power_budget[:, None] * out
 
 
 # ---------------------------------------------------------------------------

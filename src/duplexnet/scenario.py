@@ -349,6 +349,14 @@ class ControlState:
             mu=self.mu.copy(),
         )
 
+    def moved(self, kind: str, moves) -> "ControlState":
+        """A copy with getattr(copy, kind)[key] = value applied for each
+        (key, value) of `moves`, in order; this state stays as it is."""
+        out = self.copy()
+        for key, value in moves:
+            getattr(out, kind)[key] = value
+        return out
+
 
 def uniform_state(scenario: NetworkScenario, power: float = 1.0, overflow: float = 0.0) -> ControlState:
     """Even splits everywhere; routing follows shortest-hop DAGs.
@@ -479,14 +487,14 @@ class PhysicalTerms:
 
 @dataclass(frozen=True)
 class FlowTerms:
-    """Per-session and per-entry flows of one routing pattern.
+    """Per-session inflows and per-link and per-entry flows of one routing
+    pattern; link_flow adds each session's flow on a link in session order.
 
     orders[w] and adjacency[w] are session w's topological order and its
     positive-fraction adjacency, as :func:`_session_topo_order` returns them.
     """
 
     inflow: np.ndarray
-    session_flow: np.ndarray
     link_flow: np.ndarray
     band_flow: np.ndarray
     overflow: np.ndarray
@@ -500,7 +508,8 @@ class DerivedState:
 
     Everything below the costs is computed on first use and kept: the
     per-entry link-cost derivatives, the per-link marginals, the power
-    messages, each session's node marginals, and for every ControlState
+    messages, the node marginals (:attr:`node_marginals`), each session's
+    parent lists (:attr:`parents`), and for every ControlState
     array its whole-network gradient (:meth:`gradient`) and diagonal
     curvature (:meth:`curvature`), shaped like the array.  Block updates,
     residuals and checks all slice these.  A zero fraction or flow times
@@ -557,38 +566,38 @@ class DerivedState:
         np.add.at(msg, (lay.ent_rx, lay.ent_band), term)
         return msg
 
-    def session_marginals(self, w: int):
-        """Node marginals of session w and the reverse of its positive-fraction adjacency.
-
-        marg[i] is the fraction-weighted sum over i's positive outgoing links
-        of the link marginal plus the head's marginal; the destination is 0.
-        parents[u] lists the tails of u's positive incoming links.
-        """
-        got = self._sessions[w]
-        if got is None:
-            lay = self.scenario.layout
+    @cached_property
+    def node_marginals(self) -> np.ndarray:
+        """Per (session, node): the cost of one more unit of the session's
+        traffic at the node, the fraction-weighted sum over the node's
+        positive outgoing links of the link marginal plus the head's
+        marginal, in reverse topological order; 0 at the destination."""
+        lay = self.scenario.layout
+        link_marginal = self.link_marginals
+        marg = np.zeros((len(self.scenario.sessions), lay.n))
+        for w, (order, adj) in enumerate(zip(self.flows.orders, self.flows.adjacency)):
             d = int(lay.dest[w])
-            adj = self.flows.adjacency[w]
             phi = self.state.phi[w]
-            link_marginal = self.link_marginals
-            marg = np.zeros(lay.n)
-            for v in reversed(self.flows.orders[w]):
+            row = marg[w]
+            for v in reversed(order):
                 if v == d:
                     continue
                 acc = 0.0
                 for u, li in adj[v]:
-                    acc += phi[li] * (link_marginal[li] + marg[u])
-                marg[v] = acc
-            parents = [[] for _ in adj]
-            for v, out in enumerate(adj):
-                for u, _ in out:
-                    parents[u].append(v)
-            got = self._sessions[w] = (marg, parents)
-        return got
+                    acc += phi[li] * (link_marginal[li] + row[u])
+                row[v] = acc
+        return marg
 
     @cached_property
-    def _sessions(self) -> list:
-        return [None] * len(self.scenario.sessions)
+    def parents(self) -> tuple:
+        """Per session, the reverse of its positive-fraction adjacency:
+        parents[w][u] lists the tails of u's positive incoming links."""
+        out = tuple([[] for _ in adj] for adj in self.flows.adjacency)
+        for parents, adj in zip(out, self.flows.adjacency):
+            for v, links in enumerate(adj):
+                for u, _ in links:
+                    parents[u].append(v)
+        return out
 
     def blocked(self, w: int, i: int) -> np.ndarray:
         """Mask over node i's out-links (`layout.out_links[i]`): True where
@@ -600,7 +609,7 @@ class DerivedState:
         # only a zero fraction can be blocked: with none, skip the search
         if all(phi[li] != 0.0 for li in out):
             return np.zeros(len(out), dtype=bool)
-        upstream = _upstream_nodes(self.session_marginals(w)[1], i)
+        upstream = _upstream_nodes(self.parents[w], i)
         return np.array([phi[li] == 0.0 and lay.links[li][1] in upstream for li in out], dtype=bool)
 
     def gradient(self, kind: str) -> np.ndarray:
@@ -660,7 +669,7 @@ class DerivedState:
 
         The gradient's message-passing form is exact where each (node, band)
         share group sums to one, the constraint set; off it,
-        :func:`duplexnet.gradients.delta_rho_direct` is the derivative.
+        :func:`duplexnet.oracle.delta_rho_direct` is the derivative.
         """
         lay = self.scenario.layout
         cell = lay.ent_tx * lay.band_count + lay.ent_band
@@ -676,11 +685,7 @@ class DerivedState:
     def delta_phi(self) -> np.ndarray:
         """Per (session, link): the link's marginal plus the session's node
         marginal at the link's head, defined for every link."""
-        lay = self.scenario.layout
-        marg = np.zeros((len(self.scenario.sessions), lay.n))
-        for w in range(marg.shape[0]):
-            marg[w] = self.session_marginals(w)[0]
-        return self.link_marginals + marg[:, lay.link_ends[1]]
+        return self.link_marginals + self.node_marginals[:, self.scenario.layout.link_ends[1]]
 
     @cached_property
     def _phi_family(self):
@@ -707,7 +712,7 @@ class DerivedState:
         curv = np.empty(len(self.scenario.sessions))
         for w, sess in enumerate(self.scenario.sessions):
             slope = sess.utility.overflow_derivative(over[w], sess.demand)
-            grad[w] = sess.demand * (slope - self.session_marginals(w)[0][origin[w]])
+            grad[w] = sess.demand * (slope - self.node_marginals[w, origin[w]])
             curv[w] = sess.utility.overflow_curvature(over[w], sess.demand)
         return grad, curv
 
@@ -724,8 +729,8 @@ def group_sums(values: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray
 
 def _upstream_nodes(parents, node: int) -> set:
     """Nodes from which `node` is reachable along positive fractions, itself
-    included; `parents` is the reverse adjacency of
-    :meth:`DerivedState.session_marginals`."""
+    included; `parents` is one session's reverse adjacency
+    (:attr:`DerivedState.parents`)."""
     seen = {node}
     stack = [node]
     while stack:
@@ -784,7 +789,7 @@ def evaluate_flows(scenario: NetworkScenario, state: ControlState) -> FlowTerms:
     lay = scenario.layout
     n_sessions = len(scenario.sessions)
     inflow = np.zeros((n_sessions, lay.n))
-    session_flow = np.zeros((n_sessions, lay.n_links))
+    link_flow = np.zeros(lay.n_links)
     overflow = np.empty(n_sessions)
     orders, adjacency = [], []
     for w, sess in enumerate(scenario.sessions):
@@ -793,7 +798,6 @@ def evaluate_flows(scenario: NetworkScenario, state: ControlState) -> FlowTerms:
         orders.append(order)
         adjacency.append(adj)
         phi = state.phi[w]
-        flow = session_flow[w]
         t = inflow[w]
         t[lay.origin[w]] = sess.demand * (1.0 - state.phi_w[w])
         for v in order:
@@ -802,13 +806,11 @@ def evaluate_flows(scenario: NetworkScenario, state: ControlState) -> FlowTerms:
                 continue
             for u, li in adj[v]:
                 f = ti * phi[li]
-                flow[li] += f
+                link_flow[li] += f
                 t[u] += f
         overflow[w] = sess.demand * state.phi_w[w]
-    link_flow = session_flow.sum(axis=0)
     return FlowTerms(
         inflow=inflow,
-        session_flow=session_flow,
         link_flow=link_flow,
         band_flow=_band_flow(lay, state.mu, link_flow),
         overflow=overflow,

@@ -115,12 +115,15 @@ def churn(rng, g, alloc, pos, radius, events):
 
 
 def _pathloss_gains(pos, band_count, scale=None):
-    n = len(pos)
-    base = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                base[a, b] = max(float(np.hypot(*(pos[a] - pos[b]))), 1e-3) ** -3.5
+    """Gains distance ** -3.5 between distinct nodes (distances floored at
+    1e-3), zero on the diagonal, times scale[q] on band q."""
+    pos = np.asarray(pos, dtype=float)
+    diff = pos[:, None, :] - pos[None, :, :]
+    dist = np.maximum(np.hypot(diff[..., 0], diff[..., 1]), 1e-3)
+    # the power is taken per float as ** takes it: numpy's vectorized power
+    # may differ from it in the last bit, which would change every draw
+    base = np.array([d**-3.5 for d in dist.ravel().tolist()]).reshape(dist.shape)
+    np.fill_diagonal(base, 0.0)
     if scale is None:
         scale = np.ones(band_count)
     return np.asarray(scale)[:, None, None] * base[None, :, :]
@@ -322,12 +325,10 @@ def random_scenario(rng, n_nodes=None, band_count=None, n_sessions=None):
         gains = scale[:, None, None] * _pathloss_gains(pos, 1)[0][None, :, :]
         noise = np.full((q, n), 1e-3)
         w = int(n_sessions if n_sessions is not None else rng.integers(1, 4))
-        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-        idx = rng.choice(len(pairs), size=w, replace=False)
+        idx = rng.choice(n * (n - 1), size=w, replace=False)
         sessions = tuple(
             Session(
-                pairs[k][0],
-                pairs[k][1],
+                *_ordered_pair(int(k), n),
                 float(rng.uniform(0.15, 0.45)),
                 Utility("log", float(rng.uniform(0.8, 1.5))),
             )
@@ -348,6 +349,13 @@ def random_scenario(rng, n_nodes=None, band_count=None, n_sessions=None):
     raise RuntimeError("could not draw a scenario")
 
 
+def _ordered_pair(k, n):
+    """The k-th of the n * (n - 1) ordered pairs (a, b) of distinct nodes,
+    listed by a, then by b."""
+    a, r = divmod(k, n - 1)
+    return a, r + (r >= a)
+
+
 def grid_scenario(rng, side=4, n_sessions=2):
     """side x side grid with unit spacing, positions jittered by up to 0.15.
 
@@ -361,14 +369,12 @@ def grid_scenario(rng, side=4, n_sessions=2):
     g = build_graph(und + [(b, a) for a, b in und])
     q = min_subband_count(g.max_degree() + 1)
     lattice = np.array([[x, y] for y in range(side) for x in range(side)], dtype=float)
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     for _ in range(50):
         pos = lattice + rng.uniform(-0.15, 0.15, lattice.shape)
-        idx = rng.choice(len(pairs), size=n_sessions, replace=False)
+        idx = rng.choice(n * (n - 1), size=n_sessions, replace=False)
         sessions = tuple(
             Session(
-                pairs[k][0],
-                pairs[k][1],
+                *_ordered_pair(int(k), n),
                 float(rng.uniform(0.2, 0.4)),
                 Utility("log", float(rng.uniform(2.0, 3.0))),
             )

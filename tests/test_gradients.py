@@ -6,12 +6,11 @@ import pytest
 from duplexnet.gradients import (
     delta_mu,
     delta_rho,
-    delta_rho_direct,
     gradient_bundle,
     power_messages,
     routing_marginals,
 )
-from duplexnet.oracle import finite_diff_check
+from duplexnet.oracle import delta_rho_direct, finite_diff_check
 from duplexnet.scenario import derive, uniform_state
 
 from helpers import hub_scenario, line3_scenario, random_interior_state

@@ -221,25 +221,33 @@ def test_project_scaled_equals_the_array_projection_bit_for_bit():
         assert _outcome(project_scaled, y.tolist(), w.tolist(), constraint, fixed=lists) == want, f"trial {trial}"
 
 
-def test_project_scaled_keeps_the_array_outcome_on_non_finite_input():
-    # NaN or infinite targets and weights, signed zeros and extremes give
-    # the array projection's result, NaNs included, or its error
-    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e308, -1e308, 5e-324]
+def test_project_scaled_rejects_non_finite_input_and_matches_the_array_code_on_finite_extremes():
+    # a NaN or infinite target or weight is an error; signed zeros and
+    # finite extremes give the array projection's result, or its error
     rng = np.random.default_rng(44)
     errors = set()
     for trial in range(1200):
         n = int(rng.integers(1, 12))
         y, w = _random_block(rng, n)
+        specials = [np.nan, np.inf, -np.inf] if trial % 2 else [-0.0, 0.0, 1e308, -1e308, 5e-324]
         for _ in range(int(rng.integers(1, 3))):
             (y if rng.random() < 0.5 else w)[rng.integers(n)] = specials[rng.integers(len(specials))]
         constraint = ("sum_to_one", "sum_at_most_one", "box")[trial % 3]
         fixed = rng.random(n) < 0.3 if trial % 4 >= 2 else None
+        got = _outcome(project_scaled, y, w, constraint, fixed=fixed)
+        if trial % 2:
+            assert got is ValueError, f"trial {trial}"
+            continue
         with np.errstate(all="ignore"):
             want = _outcome(numpy_projection, y, w, constraint, fixed=fixed)
-        assert _outcome(project_scaled, y, w, constraint, fixed=fixed) == want, f"trial {trial}"
+        assert got == want, f"trial {trial}"
         if isinstance(want, type):
             errors.add(want)
     assert errors == {ValueError, IndexError}
+    with pytest.raises(ValueError, match="finite"):
+        project_scaled([0.5, 0.5], [math.nan, 1.0])
+    with pytest.raises(ValueError, match="positive"):
+        project_scaled([2.0, 0.5], [math.inf, 1.0])
 
 
 def test_block_sums_add_in_numpy_order():
@@ -385,11 +393,8 @@ def test_trial_evaluation_reuses_terms_bit_for_bit():
                 for array in optimizer.CONSTRAINT:
                     _assert_bitwise(reused.gradient(array), fresh.gradient(array), f"{what}: {array} gradient")
                     _assert_bitwise(reused.curvature(array), fresh.curvature(array), f"{what}: {array} curvature")
-                for w in range(len(scen.sessions)):
-                    marg, parents = reused.session_marginals(w)
-                    want_marg, want_parents = fresh.session_marginals(w)
-                    _assert_bitwise(marg, want_marg, f"{what}: session {w}")
-                    assert parents == want_parents, f"{what}: session {w}"
+                _assert_bitwise(reused.node_marginals, fresh.node_marginals, f"{what}: node marginals")
+                assert reused.parents == fresh.parents, f"{what}: parents"
                 blocked = gradient_bundle(scen, trial, reused).routing.blocked
                 assert np.array_equal(blocked, _reachability_blocked(scen, trial)), what
     assert all(tried.values()), tried
@@ -545,6 +550,34 @@ def test_solve_rejects_infinite_start():
     st.rho[:, :] = 0.0
     with pytest.raises(ValueError, match="finite-cost initial state"):
         solve(line3, st)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(max_sweeps=-3),
+        dict(max_sweeps=True),
+        dict(max_sweeps=2.0),
+        dict(tol=math.nan),
+        dict(tol=math.inf),
+        dict(tol=-1e-9),
+    ],
+    ids=["negative-sweeps", "bool-sweeps", "float-sweeps", "nan-tol", "inf-tol", "negative-tol"],
+)
+def test_solve_rejects_a_bad_sweep_budget_or_tolerance(kwargs):
+    line3 = line3_scenario()
+    with pytest.raises(ValueError, match="max_sweeps" if "max_sweeps" in kwargs else "tol"):
+        solve(line3, uniform_state(line3, 0.9, 0.1), **kwargs)
+
+
+def test_solve_takes_no_sweep_or_a_zero_tolerance():
+    line3 = line3_scenario()
+    start = uniform_state(line3, 0.9, 0.1)
+    res = solve(line3, start, max_sweeps=0)
+    assert res.sweeps == 0 and len(res.trace) == 1
+    assert res.cost == total_cost(line3, start)
+    res = solve(line3, start, max_sweeps=np.int64(2), tol=0.0)
+    assert res.sweeps == 2 and res.converged == (res.residual == 0.0)
 
 
 def test_solve_rejects_unknown_order():

@@ -32,7 +32,14 @@ from duplexnet.scenario import (
 )
 from duplexnet.subband import allocate_subbands
 
-from helpers import line3_scenario, path_graph, random_interior_state, random_scenario, square_scenario
+from helpers import (
+    grid_scenario,
+    line3_scenario,
+    path_graph,
+    random_interior_state,
+    random_scenario,
+    square_scenario,
+)
 
 
 def test_utility_validation():
@@ -345,6 +352,43 @@ def test_flow_conservation():
             admitted = (1.0 - st.phi_w[w]) * sess.demand
             dest = lay.dest[w]
             assert flows.inflow[w, dest] == pytest.approx(admitted, rel=1e-12)
+
+
+def test_link_flow_adds_the_sessions_in_order():
+    # one addition per session and link, in session order: the same bits
+    # as summing a sessions x links matrix of per-session flows over axis 0
+    rng = np.random.default_rng(35)
+    order_matters = 0
+    for trial in range(4):
+        scen = grid_scenario(rng, 4, 10)
+        lay = scen.layout
+        tails = lay.link_ends[0]
+        for st in (uniform_state(scen), random_interior_state(scen, rng)):
+            flows = evaluate_flows(scen, st)
+            per_session = np.where(st.phi > 0.0, flows.inflow[:, tails] * st.phi, 0.0)
+            per_session[tails[None, :] == lay.dest[:, None]] = 0.0
+            want = per_session.sum(axis=0)
+            assert flows.link_flow.tobytes() == want.tobytes(), f"trial {trial}"
+            order_matters += not np.array_equal(per_session[::-1].sum(axis=0), want)
+    # the draws are ones where adding the sessions in reverse changes bits
+    assert order_matters > 0
+
+
+def test_moved_copies_and_leaves_the_source_untouched():
+    line3 = line3_scenario()
+    st = uniform_state(line3, 0.9, 0.1)
+    before = {name: getattr(st, name).copy() for name in ("rho", "eta", "phi", "phi_w", "mu")}
+    moved = st.moved("rho", [((0, 0), 0.25), ((0, 0), 0.5), ((1, slice(None)), 0.0)])
+    for name, want in before.items():
+        assert np.array_equal(getattr(st, name), want), name
+        if name != "rho":
+            assert np.array_equal(getattr(moved, name), want), name
+            assert getattr(moved, name) is not getattr(st, name), name
+    want = before["rho"].copy()
+    want[0, 0] = 0.5  # the moves apply in order, the later one last
+    want[1, :] = 0.0
+    assert np.array_equal(moved.rho, want)
+    assert np.array_equal(st.moved("mu", []).mu, st.mu)
 
 
 def test_routing_cycle_detection():

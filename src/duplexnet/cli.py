@@ -15,14 +15,17 @@ Subcommands:
   converged.
 
 Exit codes: 0 success, 1 a check or convergence failure, 2 bad input.
-The solve flags are bad input when the scenario file's optimizer section
-would reject the same values, and the other number flags when the file
+An ``--out`` or ``--trace`` file is opened before the work starts, and is
+bad input when it cannot be opened for writing.  The solve flags are bad
+input when the scenario file's optimizer section would reject the same
+values, and the other number flags when the file
 would reject the same value in a field of its kind (``_FLAG_RULES``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .coloring import min_subband_count
@@ -79,64 +82,77 @@ def _load(args, out, flags=(), checked=()):
     return loaded
 
 
+def _output(args, key, out):
+    """A context giving the file the flag `key` names, opened for writing, or
+    None without one; None after printing why the file cannot be opened."""
+    path = getattr(args, key)
+    try:
+        return open(path, "w") if path else contextlib.nullcontext()
+    except OSError as exc:
+        print(f"{_flag(key)}: cannot write {path}: {exc.strerror or exc}", file=out)
+        return None
+
+
 def _cmd_spectrum(args, out) -> int:
     loaded = _load(args, out, checked=("seed",))
-    if loaded is None:
+    sink = None if loaded is None else _output(args, "out", out)
+    if sink is None:
         return 2
-    scen = loaded.scenario
-    g = scen.graph
-    alloc = scen.allocation
-    if args.seed is not None:
-        # rerun the protocol with the override instead of the file's allocation
-        alloc = allocate_subbands(g, alloc.band_count, seed=args.seed)
-    stats = interference_stats(g)
-    protocol_bound = min_subband_count(g.max_degree() + 1)
-    lines = []
-    lines.append(f"bands: {alloc.band_count}")
-    lines.append(
-        f"interference-graph bound {stats.max_degree + 1} vs protocol bound {protocol_bound}"
-    )
-    for node in g.nodes:
-        bands = ",".join(str(b) for b in alloc.outgoing_bands(node))
-        lines.append(f"node {node}: bands {bands}")
-    for i, j in sorted(g.links, key=lambda lk: (str(lk[0]), str(lk[1]))):
-        bands = ",".join(str(b) for b in alloc.bands_of(i, j))
-        lines.append(f"link {i}->{j}: bands {bands}")
-    report = check_allocation(g, alloc)
-    lines.append(f"duplexing check: {'ok' if report.ok else 'FAILED'}")
-    if not report.ok:
-        for lk in report.coverage_violations:
-            lines.append(f"  uncovered link {lk[0]}->{lk[1]}")
-        for node, band in report.duplexing_violations:
-            lines.append(f"  node {node} transmits and receives on band {band}")
-    text = "\n".join(lines) + "\n"
-    out.write(text)
-    if args.out:
-        with open(args.out, "w") as fh:
+    with sink as fh:
+        scen = loaded.scenario
+        g = scen.graph
+        alloc = scen.allocation
+        if args.seed is not None:
+            # rerun the protocol with the override instead of the file's allocation
+            alloc = allocate_subbands(g, alloc.band_count, seed=args.seed)
+        stats = interference_stats(g)
+        protocol_bound = min_subband_count(g.max_degree() + 1)
+        lines = []
+        lines.append(f"bands: {alloc.band_count}")
+        lines.append(
+            f"interference-graph bound {stats.max_degree + 1} vs protocol bound {protocol_bound}"
+        )
+        for node in g.nodes:
+            bands = ",".join(str(b) for b in alloc.outgoing_bands(node))
+            lines.append(f"node {node}: bands {bands}")
+        for i, j in sorted(g.links, key=lambda lk: (str(lk[0]), str(lk[1]))):
+            bands = ",".join(str(b) for b in alloc.bands_of(i, j))
+            lines.append(f"link {i}->{j}: bands {bands}")
+        report = check_allocation(g, alloc)
+        lines.append(f"duplexing check: {'ok' if report.ok else 'FAILED'}")
+        if not report.ok:
+            for lk in report.coverage_violations:
+                lines.append(f"  uncovered link {lk[0]}->{lk[1]}")
+            for node, band in report.duplexing_violations:
+                lines.append(f"  node {node} transmits and receives on band {band}")
+        text = "\n".join(lines) + "\n"
+        out.write(text)
+        if fh is not None:
             fh.write(text)
     return 0 if report.ok else 1
 
 
 def _cmd_optimize(args, out) -> int:
     loaded = _load(args, out, ("max_sweeps", "tol", "order", "seed"))
-    if loaded is None:
+    sink = None if loaded is None else _output(args, "trace", out)
+    if sink is None:
         return 2
     scen = loaded.scenario
     opts = loaded.optimizer
     state = _start(loaded)
     start = derive(scen, state).total
     print(f"initial cost: {_fmt(start)}", file=out)
-    try:
-        result = solve(scen, state, max_sweeps=opts.get("max_sweeps", 200), tol=opts.get("tol", 1e-4),
-                       order=opts.get("order", "round_robin"), seed=opts.get("seed"))
-    except StalledStepError as exc:
-        print(f"stalled: {exc}", file=out)
-        return 1
-    except ValueError as exc:
-        print(f"cannot start solver: {exc}", file=out)
-        return 1
-    if args.trace:
-        with open(args.trace, "w") as fh:
+    with sink as fh:
+        try:
+            result = solve(scen, state, max_sweeps=opts.get("max_sweeps", 200), tol=opts.get("tol", 1e-4),
+                           order=opts.get("order", "round_robin"), seed=opts.get("seed"))
+        except StalledStepError as exc:
+            print(f"stalled: {exc}", file=out)
+            return 1
+        except ValueError as exc:
+            print(f"cannot start solver: {exc}", file=out)
+            return 1
+        if fh is not None:
             fh.write("sweep,cost,residual,max_step,evaluations\n")
             for row in result.trace:
                 fh.write(

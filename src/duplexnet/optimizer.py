@@ -7,17 +7,17 @@ form separate blocks whose feasible sets are simplexes, capped simplexes,
 or boxes.  A block update takes a diagonally scaled gradient step, projects
 back onto the block's feasible set, and backtracks until the new cost
 satisfies a sufficient-decrease test; total cost therefore never increases.
-The blocks are the rows of one table, :func:`blocks`, built once per
-scenario: each names a ControlState array and an index into it.  The
-updates walk that table; the residuals reduce over the same blocks laid
-end to end (:attr:`~duplexnet.scenario.Layout.segments`), one array pass
-per block family.
-
-One load rule, :func:`group_load`, serves both: a link without flow (mu),
-a (node, band) without power (eta) and a node without inflow of the
-session (phi) carry no load.  Such a block's gradient is exactly zero, so
-an update leaves it untouched without computing anything, and its
-residual is zero.
+The blocks are built once per scenario
+(:attr:`~duplexnet.scenario.Layout.blocks`): each names a ControlState
+array and its coordinates' flat positions in it.  The updates walk them;
+the residuals reduce over the same blocks laid end to end
+(:attr:`~duplexnet.scenario.Layout.segments`), one array pass per block
+family.  Every rule that depends on the family (its feasible set, whether
+its blocks move as runs, its load, its marginal, its fixed coordinates)
+is read from its row of :data:`~duplexnet.scenario.FAMILIES`; no code
+here tests which family a block belongs to.  A block whose group carries
+no load has a gradient of exactly zero, so an update leaves it untouched
+without computing anything, and its residual is zero.
 
 Separable blocks move as one run.  A band-split (mu) move on a link
 changes only the band flows of that link's entries, and a power-share
@@ -78,7 +78,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scenario import Block, ControlState, DerivedState, NetworkScenario, derive, group_sums, summed_cost
+from .scenario import (
+    FAMILIES, Block, ControlState, DerivedState, NetworkScenario, derive, group_sums, summed_cost, validate_state
+)
 
 
 class StalledStepError(RuntimeError):
@@ -213,57 +215,23 @@ MAX_HALVINGS = 50
 GROW = 2.0
 MAX_STEP = 1.0
 
-# a move of one of these blocks changes the link cost of its own entries
-# only, so consecutive blocks of one such kind move as one run
-SEPARABLE = ("mu", "eta")
-
-CONSTRAINT = {
-    "mu": "sum_to_one",
-    "eta": "sum_to_one",
-    "rho": "sum_at_most_one",
-    "phi": "sum_to_one",
-    "phi_w": "box",
-}
-
-
-def blocks(scenario: NetworkScenario) -> tuple:
-    """Every block of the sweep, in the canonical order; see :attr:`Layout.blocks`,
-    which builds the table once per scenario."""
-    return scenario.layout.blocks
-
-
-def group_load(derived: DerivedState, kind: str):
-    """The load each group of block kind `kind` carries, as an array that a
-    block's `group` indexes: link flow (mu), (node, band) power (eta) and
-    session inflow at a node (phi); None for rho and phi_w, whose blocks
-    always count.  A group whose load is <= 0 carries none: its block's
-    gradient slice is exactly zero, so the block cannot move."""
-    if kind == "mu":
-        return derived.flows.link_flow
-    if kind == "eta":
-        return derived.physical.node_band_power
-    if kind == "phi":
-        return derived.flows.inflow
-    return None
-
-
 def _block_move(scenario, state, block, derived):
     """Gradient, curvature and fixed mask of one block.
 
     The gradient and curvature are slices of the whole-network arrays the
-    evaluation keeps; a routing row's fixed mask marks the links whose
-    raise from zero would close a cycle.
+    evaluation keeps; the fixed mask is the family's (None without one).
     """
-    fixed = derived.blocked(*block.group) if block.kind == "phi" else None
-    return derived.gradient(block.kind)[block.key], derived.curvature(block.kind)[block.key], fixed
+    fixed = FAMILIES[block.kind].fixed
+    fixed = None if fixed is None else fixed(derived, block.group)
+    return derived.gradient(block.kind).ravel()[block.key], derived.curvature(block.kind).ravel()[block.key], fixed
 
 
 def _search(scenario, state, block, derived):
     """(current point, gradient, weights, fixed mask) of one block at
     `derived`, or None when the block cannot move: its group carries no
     load, its gradient is zero, or all its coordinates are fixed."""
-    load = group_load(derived, block.kind)
-    if load is not None and load[block.group] <= 0:
+    load = FAMILIES[block.kind].load
+    if load is not None and load(derived)[block.group] <= 0:
         return None
     grad, curv, fixed = _block_move(scenario, state, block, derived)
     grad = grad.tolist()
@@ -274,7 +242,7 @@ def _search(scenario, state, block, derived):
     if fixed is not None and all(fixed) or not any(grad):
         return None
     weights = [SAFETY * (FLOOR if c < FLOOR else c) for c in curv.tolist()]
-    return getattr(state, block.kind)[block.key].tolist(), grad, weights, fixed
+    return getattr(state, block.kind).ravel()[block.key].tolist(), grad, weights, fixed
 
 
 def _trial_point(search, constraint, step):
@@ -307,8 +275,8 @@ class _Move(NamedTuple):
 def _update_run(scenario, state, run, steps, derived):
     """Update the blocks of `run` one after another, block k from steps[k].
 
-    `run` is one block, or several blocks of one separable kind (mu or eta;
-    see the module docstring); `derived` is the evaluation of `state`.
+    `run` is one block, or several blocks of one separable family (see the
+    module docstring); `derived` is the evaluation of `state`.
     Returns the final state, its evaluation, one _Move per block and the
     number of evaluations made.  Every block's first trial point comes from
     `derived`, and one evaluation prices them all.  The sufficient-decrease
@@ -319,7 +287,7 @@ def _update_run(scenario, state, run, steps, derived):
     state the blocks before it left.
     """
     kind = run[0].kind
-    constraint = CONSTRAINT[kind]
+    constraint = FAMILIES[kind].constraint
     searches, points = [], []
     for block, step in zip(run, steps):
         search = _search(scenario, state, block, derived)
@@ -413,7 +381,7 @@ def update_block(
     point is accepted only when finite and satisfying the
     sufficient-decrease test; otherwise the step is halved, and after
     MAX_HALVINGS the block is left untouched.  A block whose group carries
-    no load (:func:`group_load`, the rule the residuals share) has a zero
+    no load (its family's `load`, the rule the residuals share) has a zero
     gradient and is left untouched before anything is computed; so is one
     whose projected step is not a descent direction.  A `derived` passed in
     must be the evaluation of `state`; it saves the one evaluation that is
@@ -487,7 +455,7 @@ def optimality_residuals(scenario: NetworkScenario, state: ControlState, derived
     marginals must vanish and unused ones must be nonnegative; with a
     tight budget the used marginals must agree on a common nonpositive
     value that no unused one undercuts.  Overflow scalars follow box
-    sign conditions.  Groups that carry no load (:func:`group_load`: an
+    sign conditions.  Groups that carry no load (the family's `load`: an
     unloaded link, an unpowered share group, a node without session
     traffic) cannot affect the cost and count zero.  Each family is one
     pass of segment reductions over its blocks laid end to end.
@@ -496,32 +464,25 @@ def optimality_residuals(scenario: NetworkScenario, state: ControlState, derived
         derived = derive(scenario, state)
     if not math.isfinite(derived.total):
         raise ValueError("residuals need a finite-cost state")
-    marginal = {
-        "eta": derived.eta_delta,
-        "rho": derived.gradient("rho"),
-        "mu": derived.gradient("mu"),
-        "phi": derived.delta_phi,
-        "phi_w": derived.gradient("phi_w"),
-    }
-    worst = dict.fromkeys(CONSTRAINT, 0.0)
+    worst = dict.fromkeys(FAMILIES, 0.0)
     for kind, seg in scenario.layout.segments.items():
-        vals = marginal[kind].ravel()[seg.index]
+        family = FAMILIES[kind]
+        vals = family.marginal(derived).ravel()[seg.index]
         cur = getattr(state, kind).ravel()[seg.index]
         used = cur > SUPPORT_TOL
-        constraint = CONSTRAINT[kind]
-        if constraint == "sum_to_one":
-            unloaded = group_load(derived, kind)[tuple(seg.groups.T)] <= 0
+        if family.constraint == "sum_to_one":
+            unloaded = family.load(derived)[tuple(seg.groups.T)] <= 0
             unused = ~used
-            if kind == "phi":
+            if family.fixed is not None:
                 bounds = np.append(seg.starts, seg.index.size)
                 for k in np.flatnonzero(~unloaded):
-                    unused[bounds[k] : bounds[k + 1]] &= ~derived.blocked(*seg.groups[k].tolist())
+                    unused[bounds[k] : bounds[k + 1]] &= ~family.fixed(derived, seg.groups[k].tolist())
             witness = _segment_min(vals, used, seg.starts)
             spread = _gaps(_segment_max(vals, used, seg.starts), witness)
             viol = np.maximum(0.0, _gaps(witness, _segment_min(vals, unused, seg.starts)))
             res = np.maximum(spread, viol)
             res[unloaded | ~np.logical_or.reduceat(used, seg.starts)] = 0.0
-        elif constraint == "sum_at_most_one":
+        elif family.constraint == "sum_at_most_one":
             row = np.repeat(np.arange(seg.starts.size), np.diff(seg.starts, append=seg.index.size))
             tight = group_sums(cur, row, seg.starts.size) >= 1.0 - SLACK_TOL
             low = _segment_min(vals, used, seg.starts)
@@ -564,12 +525,12 @@ class SolveResult:
 
 
 def _runs(table, visit) -> list:
-    """The visit order cut into runs: maximal stretches of consecutive mu
-    blocks or of consecutive eta blocks, and every other block alone."""
+    """The visit order cut into runs: maximal stretches of consecutive
+    blocks of one separable family, and every other block alone."""
     runs = []
     for k in visit:
         kind = table[k].kind
-        if runs and kind in SEPARABLE and table[runs[-1][-1]].kind == kind:
+        if runs and FAMILIES[kind].separable and table[runs[-1][-1]].kind == kind:
             runs[-1].append(k)
         else:
             runs.append([k])
@@ -621,7 +582,9 @@ def solve(
     nonincreasing across every block update.  Raises StalledStepError if
     a whole sweep moves nothing while the residual is still above tol;
     returns converged=False when the sweep budget runs out first.
-    max_sweeps must be an integer >= 0 and tol a finite number >= 0.
+    max_sweeps must be an integer >= 0 and tol a finite number >= 0.  The
+    start must lie in the constraint set (:func:`validate_state` finds no
+    problem, whose first one the ValueError names) and have a finite cost.
     """
     if isinstance(max_sweeps, bool) or not isinstance(max_sweeps, (int, np.integer)) or max_sweeps < 0:
         raise ValueError(f"max_sweeps must be an integer >= 0, got {max_sweeps!r}")
@@ -629,8 +592,11 @@ def solve(
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if order not in ("round_robin", "random"):
         raise ValueError(f"unknown order {order!r}")
+    problems = validate_state(scenario, state)
+    if problems:
+        raise ValueError(f"solve needs a start inside the constraint set: {problems[0]}")
     rng = np.random.default_rng(seed)
-    table = blocks(scenario)
+    table = scenario.layout.blocks
     steps = [1.0] * len(table)
     state = state.copy()
     derived = derive(scenario, state)

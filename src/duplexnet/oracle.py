@@ -171,11 +171,11 @@ def finite_diff_check(scenario: NetworkScenario, state: ControlState) -> CheckRe
     }
     families = {}
     for kind, mask in candidates.items():
-        values = getattr(state, kind)
-        analytic = derived.gradient(kind)
+        values = getattr(state, kind).ravel()
+        analytic = derived.gradient(kind).ravel()
         worst = 0.0
         checked = skipped = 0
-        for idx in zip(*np.nonzero(mask)):
+        for idx in np.flatnonzero(mask).tolist():
             v = values[idx]
             # phi_w is the one array with an upper bound, 1
             if v < MARGIN or (kind == "phi_w" and v > 1.0 - MARGIN):

@@ -166,11 +166,11 @@ class Layout:
                 out.append(Block("eta", entries, (i, q)))
         for i in range(self.n):
             if np.any(self.rho_mask[i]):
-                out.append(Block("rho", (i, np.flatnonzero(self.rho_mask[i])), i))
+                out.append(Block("rho", i * self.band_count + np.flatnonzero(self.rho_mask[i]), i))
         for w, d in enumerate(self.dest.tolist()):
             for i in range(self.n):
                 if i != d and len(self.out_links[i]) > 1:
-                    out.append(Block("phi", (w, np.array(self.out_links[i], dtype=np.int64)), (w, i)))
+                    out.append(Block("phi", w * self.n_links + np.array(self.out_links[i], dtype=np.int64), (w, i)))
             out.append(Block("phi_w", np.array([w]), w))
         return tuple(out)
 
@@ -178,24 +178,14 @@ class Layout:
     def segments(self) -> dict:
         """Per block kind that has blocks, its blocks of :attr:`blocks` laid
         end to end; see :class:`Segments`."""
-        sessions = self.dest.size
-        shapes = {
-            "mu": (self.n_entries,),
-            "eta": (self.n_entries,),
-            "rho": self.rho_mask.shape,
-            "phi": (sessions, self.n_links),
-            "phi_w": (sessions,),
-        }
+        by_kind = {}
+        for b in self.blocks:
+            by_kind.setdefault(b.kind, []).append(b)
         out = {}
-        for kind, shape in shapes.items():
-            table = [b for b in self.blocks if b.kind == kind]
-            if not table:
-                continue
-            flat = np.arange(math.prod(shape), dtype=np.int64).reshape(shape)
-            index = [flat[b.key] for b in table]
-            sizes = np.array([ix.size for ix in index], dtype=np.int64)
+        for kind, table in by_kind.items():
+            sizes = np.array([b.key.size for b in table], dtype=np.int64)
             out[kind] = Segments(
-                index=np.concatenate(index),
+                index=np.concatenate([b.key for b in table]),
                 starts=np.cumsum(sizes) - sizes,
                 groups=np.array([b.group for b in table], dtype=np.int64).reshape(len(table), -1),
             )
@@ -205,9 +195,8 @@ class Layout:
 class Segments(NamedTuple):
     """The blocks of one kind laid end to end, for reductions over all of them.
 
-    `index` holds the blocks' coordinates as flat positions in the raveled
-    ControlState array, block k's run starting at starts[k]; groups[k]
-    holds block k's group as a row of indices.
+    `index` holds the blocks' keys one after another, block k's starting
+    at starts[k]; groups[k] holds block k's group as a row of indices.
     """
 
     index: np.ndarray
@@ -216,16 +205,53 @@ class Segments(NamedTuple):
 
 
 class Block(NamedTuple):
-    """One constraint group: `getattr(state, kind)[key]` are its coordinates.
+    """One constraint group: `key` holds its coordinates as flat positions
+    in the raveled ControlState array `kind`.
 
-    `kind` names the ControlState array; `group` names the group: the
-    link (mu), (node, band) (eta), the node (rho), (session, node) (phi)
-    or the session (phi_w).
+    `group` names the group: the link (mu), (node, band) (eta), the node
+    (rho), (session, node) (phi) or the session (phi_w).
     """
 
     kind: str
-    key: object
+    key: np.ndarray
     group: object
+
+
+class Family(NamedTuple):
+    """The rules the blocks of one ControlState array share.
+
+    `constraint` is the feasible set :func:`duplexnet.optimizer.project_scaled`
+    projects a block onto.  `feeds` is what a state that differs only in
+    this array needs recomputed (:func:`derive`): the physical terms, the
+    per-entry band flows alone, or the flows.  `separable` blocks change the
+    link cost of their own entries only, so consecutive ones move as one
+    run.  `load(derived)`, when given, is the load a block's group indexes:
+    a group whose load is <= 0 carries none, its block's gradient is
+    exactly zero and its residual is zero.  `marginal(derived)` is what the
+    optimality conditions compare, shaped like the array.  `fixed(derived,
+    group)`, when given, masks the block's coordinates pinned at zero.
+    """
+
+    constraint: str
+    feeds: str
+    separable: bool
+    load: object
+    marginal: object
+    fixed: object
+
+
+# one row per ControlState array, in its field order: a link without flow
+# (mu), a (node, band) without power (eta) and a node without inflow of the
+# session (phi) carry no load; a routing row fixes the links closing a cycle
+FAMILIES = {
+    "rho": Family("sum_at_most_one", "physical", False, None, lambda d: d.gradient("rho"), None),
+    "eta": Family("sum_to_one", "physical", True, lambda d: d.physical.node_band_power, lambda d: d.eta_delta, None),
+    "phi": Family(
+        "sum_to_one", "flows", False, lambda d: d.flows.inflow, lambda d: d.delta_phi, lambda d, g: d.blocked(*g)
+    ),
+    "phi_w": Family("box", "flows", False, None, lambda d: d.gradient("phi_w"), None),
+    "mu": Family("sum_to_one", "band_flow", True, lambda d: d.flows.link_flow, lambda d: d.gradient("mu"), None),
+}
 
 
 @dataclass(eq=False)
@@ -341,20 +367,16 @@ class ControlState:
     mu: np.ndarray
 
     def copy(self) -> "ControlState":
-        return ControlState(
-            rho=self.rho.copy(),
-            eta=self.eta.copy(),
-            phi=self.phi.copy(),
-            phi_w=self.phi_w.copy(),
-            mu=self.mu.copy(),
-        )
+        return ControlState(self.rho.copy(), self.eta.copy(), self.phi.copy(), self.phi_w.copy(), self.mu.copy())
 
     def moved(self, kind: str, moves) -> "ControlState":
-        """A copy with getattr(copy, kind)[key] = value applied for each
-        (key, value) of `moves`, in order; this state stays as it is."""
+        """A copy with `value` written at the flat positions `key` of its
+        array `kind` for each (key, value) of `moves`, in order; this state
+        stays as it is."""
         out = self.copy()
         for key, value in moves:
-            getattr(out, kind)[key] = value
+            # a copy is C-contiguous, so ravel() is a view of it
+            getattr(out, kind).ravel()[key] = value
         return out
 
 
@@ -431,7 +453,7 @@ def validate_state(scenario: NetworkScenario, state: ControlState) -> list:
         return ["eta/mu shape mismatch"]
     if state.phi.shape != (len(scenario.sessions), lay.n_links):
         return [f"phi shape {state.phi.shape} != {(len(scenario.sessions), lay.n_links)}"]
-    for name in ("rho", "eta", "phi", "phi_w", "mu"):
+    for name in FAMILIES:
         if not np.all(np.isfinite(getattr(state, name))):
             bad.append(f"non-finite {name} entry")
     off = ~lay.rho_mask & (np.abs(state.rho) > ATOL)
@@ -823,11 +845,6 @@ def _band_flow(lay: Layout, mu: np.ndarray, link_flow: np.ndarray) -> np.ndarray
     return mu * link_flow[lay.ent_link]
 
 
-# what each ControlState array feeds: rho and eta only the physical terms,
-# mu only the per-entry band flows, phi and phi_w only the flows
-_FEEDS = {"rho": "physical", "eta": "physical", "mu": "band_flow", "phi": "flows", "phi_w": "flows"}
-
-
 def derive(
     scenario: NetworkScenario,
     state: ControlState,
@@ -845,8 +862,8 @@ def derive(
     """
     if parent is None:
         feeds = None
-    elif changed in _FEEDS:
-        feeds = _FEEDS[changed]
+    elif changed in FAMILIES:
+        feeds = FAMILIES[changed].feeds
     else:
         raise ValueError(f"unknown ControlState array {changed!r}")
     phys = parent.physical if feeds in ("band_flow", "flows") else evaluate_physical(scenario, state)

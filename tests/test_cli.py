@@ -45,6 +45,23 @@ def test_spectrum_out_file(tmp_path):
     assert target.read_text() == text
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["spectrum", "--out"], "--out"),
+        (["optimize", "--trace"], "--trace"),
+    ],
+)
+def test_an_unwritable_output_file_is_an_input_error_before_the_work(tmp_path, argv, flag):
+    target = tmp_path / "missing" / "out.txt"
+    code, text = run([argv[0], "--scenario", str(SCENARIOS / "line3.json"), argv[1], str(target)])
+    assert code == 2
+    assert text.startswith(f"{flag}: cannot write {target}")
+    # the message is all that was printed: no plan, no solve
+    assert len(text.splitlines()) == 1
+    assert not target.parent.exists()
+
+
 def test_spectrum_seed_override():
     _, default = run(["spectrum", "--scenario", str(SCENARIOS / "line3.json")])
     code, seeded = run(["spectrum", "--scenario", str(SCENARIOS / "line3.json"),

@@ -17,19 +17,16 @@ from scipy.optimize import minimize
 from duplexnet import kernels, optimizer
 from duplexnet.gradients import gradient_bundle
 from duplexnet.optimizer import (
-    CONSTRAINT,
     SLACK_TOL,
     SUPPORT_TOL,
     Residuals,
     StalledStepError,
-    blocks,
-    group_load,
     optimality_residuals,
     project_scaled,
     solve,
     update_block,
 )
-from duplexnet.scenario import ControlState, derive, total_cost, uniform_state, validate_state
+from duplexnet.scenario import FAMILIES, ControlState, derive, total_cost, uniform_state, validate_state
 
 from helpers import (
     complete_graph,
@@ -42,6 +39,9 @@ from helpers import (
     square_scenario,
     three_node_scenario,
 )
+
+
+SEPARABLE = [kind for kind, family in FAMILIES.items() if family.separable]
 
 
 def test_project_scaled_hand_cases():
@@ -306,10 +306,10 @@ def test_routing_blocked_matches_reachability():
             der = derive(scen, st)
             want = _reachability_blocked(scen, st)
             assert np.array_equal(gradient_bundle(scen, st, der).routing.blocked, want), f"scenario {k}, {name} state"
-            for block in blocks(scen):
+            for block in scen.layout.blocks:
                 _, _, fixed = optimizer._block_move(scen, st, block, der)
                 if block.kind == "phi":
-                    assert np.array_equal(fixed, want[block.key]), f"scenario {k}, {name} state, {block}"
+                    assert np.array_equal(fixed, want.ravel()[block.key]), f"scenario {k}, {name} state, {block}"
                 else:
                     assert fixed is None
 
@@ -317,7 +317,7 @@ def test_routing_blocked_matches_reachability():
 def _trial(state, block, rng):
     """`state` with `block` moved inside its feasible set, its support kept
     (so no routing cycle appears), or None when the block cannot move so."""
-    cur = getattr(state, block.kind)[block.key]
+    cur = getattr(state, block.kind).ravel()[block.key]
     if block.kind == "phi_w":
         z = 0.9 * cur + 0.05
     else:
@@ -326,9 +326,7 @@ def _trial(state, block, rng):
             return None
         z = 0.8 * cur
         z[used] += 0.2 * cur.sum() * rng.dirichlet(np.ones(used.sum()))
-    trial = state.copy()
-    getattr(trial, block.kind)[block.key] = z
-    return trial
+    return state.moved(block.kind, [(block.key, z)])
 
 
 def _assert_bitwise(got, want, what):
@@ -342,7 +340,7 @@ def test_trial_evaluation_reuses_terms_bit_for_bit():
     rng = np.random.default_rng(71)
     pick = np.random.default_rng(72)
     scenarios = [line3_scenario()] + [random_scenario(rng) for _ in range(4)] + [grid_scenario(rng, 4, 2)]
-    tried = dict.fromkeys(optimizer.CONSTRAINT, 0)
+    tried = dict.fromkeys(FAMILIES, 0)
     loaded_mu = 0
     for k, scen in enumerate(scenarios):
         cost = scen.cost
@@ -354,11 +352,11 @@ def test_trial_evaluation_reuses_terms_bit_for_bit():
         }
         for name, st in states.items():
             parent = derive(scen, st)
-            for kind in optimizer.CONSTRAINT:
+            for kind in FAMILIES:
                 # one trial per kind, on a loaded block where there is one
-                movable = [b for b in blocks(scen) if b.kind == kind and _trial(st, b, pick) is not None]
-                load = group_load(parent, kind)
-                loaded = [b for b in movable if load is None or load[b.group] > 0]
+                movable = [b for b in scen.layout.blocks if b.kind == kind and _trial(st, b, pick) is not None]
+                load = FAMILIES[kind].load
+                loaded = [b for b in movable if load is None or load(parent)[b.group] > 0]
                 pool = loaded or movable
                 if not pool:
                     continue
@@ -390,7 +388,7 @@ def test_trial_evaluation_reuses_terms_bit_for_bit():
                     _assert_bitwise(got, ref, f"{what}: derivatives")
                 for name in ("power_messages", "link_marginals", "eta_delta", "delta_phi"):
                     _assert_bitwise(getattr(reused, name), getattr(fresh, name), f"{what}: {name}")
-                for array in optimizer.CONSTRAINT:
+                for array in FAMILIES:
                     _assert_bitwise(reused.gradient(array), fresh.gradient(array), f"{what}: {array} gradient")
                     _assert_bitwise(reused.curvature(array), fresh.curvature(array), f"{what}: {array} curvature")
                 _assert_bitwise(reused.node_marginals, fresh.node_marginals, f"{what}: node marginals")
@@ -428,18 +426,18 @@ def test_blocks_partition_the_coordinates():
         lay = scen.layout
         want = _expected_cover(scen)
         owners = {kind: np.zeros(mask.shape, dtype=int) for kind, mask in want.items()}
-        for block in blocks(scen):
-            np.add.at(owners[block.kind], block.key, 1)
-            # the group names the coordinates the key selects
+        for block in scen.layout.blocks:
+            np.add.at(owners[block.kind].ravel(), block.key, 1)
+            # the group names the coordinates the key selects, as flat positions
             if block.kind == "mu":
                 assert np.all(lay.ent_link[block.key] == block.group)
             elif block.kind == "eta":
                 assert np.array_equal(block.key, lay.node_band_entries[block.group])
             elif block.kind == "rho":
-                assert block.key[0] == block.group
+                assert np.all(block.key // lay.band_count == block.group)
             elif block.kind == "phi":
                 w, i = block.group
-                assert block.key[0] == w and np.array_equal(block.key[1], lay.out_links[i])
+                assert np.array_equal(block.key, w * lay.n_links + np.array(lay.out_links[i]))
             else:
                 assert np.array_equal(block.key, [block.group])
         for kind, mask in want.items():
@@ -490,7 +488,7 @@ def test_update_block_at_optimal_vertex_does_not_evaluate(monkeypatch):
     st = uniform_state(line3, 0.9, 0.1)
     st.eta[line3.layout.node_band_entries[(1, 1)]] = [0.0, 1.0]
     der = derive(line3, st)
-    block = next(b for b in blocks(line3) if b.kind == "eta" and b.group == (1, 1))
+    block = next(b for b in line3.layout.blocks if b.kind == "eta" and b.group == (1, 1))
     calls = _count_derive(monkeypatch)
     out = update_block(line3, st, block, derived=der)
     assert not out.moved
@@ -505,7 +503,7 @@ def test_update_block_never_increases_cost():
     for trial in range(5):
         st = random_interior_state(line3, rng)
         cost0 = total_cost(line3, st)
-        for block in blocks(line3):
+        for block in line3.layout.blocks:
             out = update_block(line3, st, block)
             assert out.cost <= cost0 + 1e-12, f"trial {trial} block {block}"
             assert validate_state(line3, out.state) == []
@@ -550,6 +548,25 @@ def test_solve_rejects_infinite_start():
     st.rho[:, :] = 0.0
     with pytest.raises(ValueError, match="finite-cost initial state"):
         solve(line3, st)
+
+
+@pytest.mark.parametrize(
+    "array, factor, problem",
+    [
+        # every node's power fractions sum to 1.8
+        ("rho", 2.0, "power fractions sum to 1.8 > 1"),
+        # half of each routing row's traffic is gone
+        ("phi", 0.5, "fractions at node .* sum to 0.5 != 1"),
+    ],
+)
+def test_solve_rejects_a_start_outside_the_constraint_set(array, factor, problem):
+    line3 = line3_scenario()
+    st = uniform_state(line3, 0.9, 0.1)
+    getattr(st, array)[...] *= factor
+    assert math.isfinite(total_cost(line3, st))
+    with pytest.raises(ValueError, match=f"constraint set: .*{problem}") as info:
+        solve(line3, st)
+    assert str(info.value).endswith(validate_state(line3, st)[0])
 
 
 @pytest.mark.parametrize(
@@ -649,12 +666,12 @@ def test_unloaded_blocks_are_skipped_without_computing(sweep_states, monkeypatch
     skipped = dict.fromkeys(("mu", "eta", "phi"), 0)
     for label, scen, st in sweep_states:
         der = derive(scen, st)
-        for block in blocks(scen):
-            load = group_load(der, block.kind)
-            if load is None or load[block.group] > 0:
+        for block in scen.layout.blocks:
+            load = FAMILIES[block.kind].load
+            if load is None or load(der)[block.group] > 0:
                 continue
             what = f"{label}, {block}"
-            assert not np.any(der.gradient(block.kind)[block.key]), what
+            assert not np.any(der.gradient(block.kind).ravel()[block.key]), what
             out = update_block(scen, st, block, step=0.25, derived=der)
             assert (out.moved, out.halvings, out.step, out.cost) == (False, 0, 0.25, der.total), what
             assert out.state is st and out.derived is der, what
@@ -668,7 +685,7 @@ def _sweep_block_by_block(scenario, state, visits):
     order in turn, steps carried as solve carries them.  Returns the state
     and evaluation after each sweep and (block, cost, moved, halvings,
     step) per update."""
-    table = blocks(scenario)
+    table = scenario.layout.blocks
     steps = [1.0] * len(table)
     derived = derive(scenario, state)
     ends, log = [], []
@@ -687,7 +704,7 @@ def _sweep_by_runs(scenario, state, visits, runs_seen):
     """The same sweeps by solve's own sweep, each visit order cut into runs
     as solve cuts it; runs_seen[kind] counts the runs of more than one
     block."""
-    table = blocks(scenario)
+    table = scenario.layout.blocks
     steps = [1.0] * len(table)
     derived = derive(scenario, state)
     ends, log = [], []
@@ -703,7 +720,7 @@ def _sweep_by_runs(scenario, state, visits, runs_seen):
 
 
 def _visits(scenario, order, sweeps=2):
-    count = len(blocks(scenario))
+    count = len(scenario.layout.blocks)
     rng = np.random.default_rng(17)
     out = []
     for _ in range(sweeps):
@@ -724,7 +741,7 @@ def _assert_same_sweeps(scenario, state, order, what, runs_seen, sweeps=2):
         for a, b in ((got[1], want[1]), (got[4], want[4])):
             assert float(a).hex() == float(b).hex(), f"{what}, block {want[0]}"
     for sweep, ((st, der), (want_st, want_der)) in enumerate(zip(got_ends, want_ends)):
-        for kind in CONSTRAINT:
+        for kind in FAMILIES:
             _assert_bitwise(getattr(st, kind), getattr(want_st, kind), f"{what}, sweep {sweep}: {kind}")
             _assert_bitwise(getattr(der.state, kind), getattr(st, kind), f"{what}, sweep {sweep}: {kind}")
         _assert_bitwise(der.link_cost, want_der.link_cost, f"{what}, sweep {sweep}: link cost")
@@ -751,17 +768,17 @@ def test_separable_runs_match_the_block_by_block_sweep(run_states):
     # a mu or eta block changes the link cost of its own entries only, so a
     # run of them priced by one evaluation and replayed in block order is,
     # bit for bit, the sequential update of its blocks
-    runs_seen = dict.fromkeys(optimizer.SEPARABLE, 0)
+    runs_seen = dict.fromkeys(SEPARABLE, 0)
     moved_in_runs = solved = 0
     for label, scen, st in run_states:
         for order in ("round_robin", "random"):
             what = f"{label}, {order}"
             log, states = _assert_same_sweeps(scen, st, order, what, runs_seen)
-            moved_in_runs += sum(entry[2] for entry in log if blocks(scen)[entry[0]].kind in optimizer.SEPARABLE)
+            moved_in_runs += sum(entry[2] for entry in log if scen.layout.blocks[entry[0]].kind in SEPARABLE)
             # solve cuts its visit orders (seeded as _visits seeds them) the
             # same way; it stops early where the residual reaches zero
             res = solve(scen, st, max_sweeps=2, tol=0.0, order=order, seed=17)
-            for kind in CONSTRAINT:
+            for kind in FAMILIES:
                 _assert_bitwise(getattr(res.state, kind), getattr(states[res.sweeps], kind), f"{what}: solve's {kind}")
             solved += res.sweeps == 2
     assert all(runs_seen.values()), runs_seen
@@ -777,8 +794,8 @@ def test_step_cap_is_read_where_solve_and_the_block_by_block_sweep_read_it(run_s
     res = solve(scen, st, max_sweeps=2, tol=0.0)
     ends, log = _sweep_block_by_block(scen, st, _visits(scen, "round_robin"))
     assert res.sweeps == 2 and max(entry[4] for entry in log if entry[2]) > 1.0
-    assert any(not np.array_equal(getattr(res.state, kind), getattr(capped.state, kind)) for kind in CONSTRAINT)
-    for kind in CONSTRAINT:
+    assert any(not np.array_equal(getattr(res.state, kind), getattr(capped.state, kind)) for kind in FAMILIES)
+    for kind in FAMILIES:
         _assert_bitwise(getattr(res.state, kind), getattr(ends[-1][0], kind), f"{label}, cap 16: {kind}")
 
 
@@ -794,14 +811,14 @@ def test_rejections_inside_a_run_match_the_block_by_block_sweep(run_states, monk
         return totals[-1]
 
     monkeypatch.setattr(optimizer, "summed_cost", recording)
-    runs_seen = dict.fromkeys(optimizer.SEPARABLE, 0)
+    runs_seen = dict.fromkeys(SEPARABLE, 0)
     halved = 0
     for label, scen, st in run_states:
         if "two sweeps" in label:
             continue
-        table = blocks(scen)
+        table = scen.layout.blocks
         log, _ = _assert_same_sweeps(scen, st, "round_robin", label, runs_seen)
-        halved += sum(1 for k, _, _, halvings, _ in log if halvings and table[k].kind in optimizer.SEPARABLE)
+        halved += sum(1 for k, _, _, halvings, _ in log if halvings and table[k].kind in SEPARABLE)
     assert halved > 0
     assert any(math.isinf(t) for t in totals)
     # a bar above the linear prediction: only blocks along which the cost
@@ -814,10 +831,10 @@ def test_rejections_inside_a_run_match_the_block_by_block_sweep(run_states, monk
         monkeypatch.setattr(optimizer, "ARMIJO", armijo)
         for label, scen, st in run_states:
             if label in ("line3, even split", "grid 4x4, even split", "grid 5x5, interior"):
-                table = blocks(scen)
+                table = scen.layout.blocks
                 what = f"{label}, ARMIJO {armijo}"
                 log, _ = _assert_same_sweeps(scen, st, "round_robin", what, runs_seen, sweeps=1)
-                log = [entry for entry in log if table[entry[0]].kind in optimizer.SEPARABLE]
+                log = [entry for entry in log if table[entry[0]].kind in SEPARABLE]
                 ends |= {halvings for _, _, moved, halvings, _ in log if not moved}
                 gave_up = [i for i, (_, _, moved, halvings, _) in enumerate(log) if not moved and halvings]
                 mixed += bool(gave_up) and any(moved for _, _, moved, _, _ in log[gave_up[0] :])
@@ -861,15 +878,15 @@ def _loop_residuals(scenario, state, derived):
         "mu": derived.flows.link_flow,
         "phi": derived.flows.inflow,
     }
-    worst = dict.fromkeys(CONSTRAINT, 0.0)
-    for block in blocks(scenario):
+    worst = dict.fromkeys(FAMILIES, 0.0)
+    for block in scenario.layout.blocks:
         kind, key = block.kind, block.key
         if kind in load and load[kind][block.group] <= 0:
             continue
-        vals = marginal[kind][key]
-        cur = getattr(state, kind)[key]
+        vals = marginal[kind].ravel()[key]
+        cur = getattr(state, kind).ravel()[key]
         used = cur > SUPPORT_TOL
-        constraint = CONSTRAINT[kind]
+        constraint = FAMILIES[kind].constraint
         if constraint == "sum_to_one":
             res = _simplex_residual(vals, used, excluded=derived.blocked(*block.group) if kind == "phi" else None)
         elif constraint == "sum_at_most_one":

@@ -7,14 +7,18 @@ against symbolic differentiation at random interior points.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 
 from duplexnet import kernels
 from duplexnet.scenario import (
     CAPACITY_SPAN,
+    FAMILIES,
     FLOW_FRACTION_MAX,
     ControlState,
     CostParams,
@@ -375,20 +379,80 @@ def test_link_flow_adds_the_sessions_in_order():
 
 
 def test_moved_copies_and_leaves_the_source_untouched():
+    # moved writes flat positions: k of a 2-D array is (k // columns, k % columns)
     line3 = line3_scenario()
     st = uniform_state(line3, 0.9, 0.1)
+    bands, links = st.rho.shape[1], st.phi.shape[1]
+    w = st.phi.shape[0] - 1
     before = {name: getattr(st, name).copy() for name in ("rho", "eta", "phi", "phi_w", "mu")}
-    moved = st.moved("rho", [((0, 0), 0.25), ((0, 0), 0.5), ((1, slice(None)), 0.0)])
+    moved = st.moved("rho", [(0, 0.25), (np.array([0]), 0.5), (bands + np.arange(bands), 0.0)])
+    routed = st.moved("phi", [(w * links + np.array([links - 1, 0]), np.array([0.75, 0.125]))])
     for name, want in before.items():
         assert np.array_equal(getattr(st, name), want), name
-        if name != "rho":
-            assert np.array_equal(getattr(moved, name), want), name
-            assert getattr(moved, name) is not getattr(st, name), name
+        for copy, array in ((moved, "rho"), (routed, "phi")):
+            if name != array:
+                assert np.array_equal(getattr(copy, name), want), name
+                assert getattr(copy, name) is not getattr(st, name), name
     want = before["rho"].copy()
     want[0, 0] = 0.5  # the moves apply in order, the later one last
     want[1, :] = 0.0
     assert np.array_equal(moved.rho, want)
+    want = before["phi"].copy()
+    want[w, [links - 1, 0]] = [0.75, 0.125]
+    assert np.array_equal(routed.phi, want)
     assert np.array_equal(st.moved("mu", []).mu, st.mu)
+
+
+def test_the_family_table_has_one_row_per_control_array():
+    assert list(FAMILIES) == [f.name for f in fields(ControlState)]
+
+
+def test_segments_lay_the_block_keys_end_to_end():
+    rng = np.random.default_rng(83)
+    for scen in [line3_scenario(), square_scenario(), random_scenario(rng), grid_scenario(rng, 4, 2)]:
+        lay = scen.layout
+        kinds = {b.kind for b in lay.blocks}
+        assert set(lay.segments) == kinds
+        for kind, seg in lay.segments.items():
+            table = [b for b in lay.blocks if b.kind == kind]
+            assert np.array_equal(seg.index, np.concatenate([b.key for b in table])), kind
+            assert np.array_equal(seg.starts, np.cumsum([0] + [b.key.size for b in table])[:-1]), kind
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    seed=hs.integers(0, 2**32 - 1),
+    grid=hs.booleans(),
+    kind=hs.sampled_from(list(FAMILIES)),
+    data=hs.data(),
+)
+def test_a_moved_block_derived_from_its_parent_equals_a_fresh_derive(seed, grid, kind, data):
+    # derive(parent=..., changed=kind) recomputes only what the family's row
+    # says the array feeds; the rest must be what a fresh evaluation finds.
+    # Only grids hold links on several bands, and so mu blocks
+    rng = np.random.default_rng(seed)
+    scen = grid_scenario(rng, 3, 2) if grid else random_scenario(rng)
+    state = random_interior_state(scen, rng)
+    table = [b for b in scen.layout.blocks if b.kind == kind]
+    assume(table)
+    block = table[data.draw(hs.integers(0, len(table) - 1))]
+    values = data.draw(hs.lists(hs.floats(0.0, 1.0), min_size=block.key.size, max_size=block.key.size))
+    # new values on the block's support only, so that no routing cycle appears
+    cur = getattr(state, kind).ravel()[block.key]
+    moved = state.moved(kind, [(block.key, np.where(cur > 0.0, values, 0.0))])
+    reused = derive(scen, moved, parent=derive(scen, state), changed=kind)
+    fresh = derive(scen, moved)
+    for terms in ("physical", "flows"):
+        for f in fields(getattr(fresh, terms)):
+            got, want = getattr(getattr(reused, terms), f.name), getattr(getattr(fresh, terms), f.name)
+            assert got == want if f.name in ("orders", "adjacency") else _same_bits(got, want), f"{terms}.{f.name}"
+    for name in ("link_cost", "overflow_cost", "total"):
+        assert _same_bits(getattr(reused, name), getattr(fresh, name)), name
 
 
 def test_routing_cycle_detection():

@@ -24,9 +24,8 @@ already there.  The scenarios come from tests/helpers.py of this tree:
 
 Per workload it records counts that do not depend on the machine (sweeps,
 converged solves, block updates, those that did not move and those that
-reached `_block_move` at all, `derive`, `evaluate_physical` and
-`evaluate_flows` calls per block update, and `blocks()` calls and the
-distinct block tables they returned) and the wall seconds per sweep of
+reached `_block_move` at all, and `derive`, `evaluate_physical` and
+`evaluate_flows` calls per block update) and the wall seconds per sweep of
 the updates and of `_block_move`, per block kind, of
 `optimality_residuals` and of the whole solve, and the share of solve
 time spent in updates that moved nothing.  Updates are counted block by
@@ -94,9 +93,6 @@ class _Counters:
         self.updates = 0
         self.moves = 0
         self.residuals_s = 0.0
-        self.blocks_calls = 0
-        # every table blocks() returned, kept alive so that ids stay unique
-        self.tables = {}
         self.unmoved = 0
         self.unmoved_s = 0.0
         self._undo = []
@@ -106,7 +102,6 @@ class _Counters:
         self._patch(opt, "_update_run", self._running(opt._update_run))
         self._patch(opt, "_block_move", self._timing(opt._block_move))
         self._patch(opt, "optimality_residuals", self._residuals(opt.optimality_residuals))
-        self._patch(opt, "blocks", self._tables(opt.blocks))
 
     def _patch(self, mod, name, fn):
         self._undo.append((mod, name, getattr(mod, name)))
@@ -156,15 +151,6 @@ class _Counters:
 
         return wrapper
 
-    def _tables(self, fn):
-        def wrapper(scenario):
-            out = fn(scenario)
-            self.blocks_calls += 1
-            self.tables[id(out)] = out
-            return out
-
-        return wrapper
-
     def close(self):
         for mod, name, fn in reversed(self._undo):
             setattr(mod, name, fn)
@@ -199,8 +185,6 @@ def _run(dn, cases):
         "derive_calls": counters.calls["derive"],
         "evaluate_physical_calls": counters.calls["evaluate_physical"],
         "evaluate_flows_calls": counters.calls["evaluate_flows"],
-        "blocks_calls": counters.blocks_calls,
-        "distinct_block_tables": len(counters.tables),
     }
     for name in ("derive", "evaluate_physical", "evaluate_flows"):
         counts[f"{name}_per_update"] = round(counters.calls[name] / max(1, updates), 4)

@@ -23,13 +23,10 @@ from .graph import (
 from .coloring import (
     ColorSetFamily,
     InfeasibleFamilyError,
-    LinkColoring,
-    MatchingNotFoundError,
     TooLargeError,
     assign_link_colors,
     brute_force_min_colors,
     check_color_sets,
-    equalize_family,
     family_from_coloring,
     min_subband_count,
 )

@@ -55,6 +55,7 @@ def _flag(key):
 # file reads a value of its kind by (see scenario_io.read_values)
 _FLAG_RULES = {
     "grad_tol": ("positive", {}),
+    "grid": ("count", {"least": 1}),
     "restarts": ("count", {"least": 1}),
     "sweeps": ("count", {"least": 1}),
     "seed": ("count", {}),
@@ -166,10 +167,7 @@ def _cmd_optimize(args, out) -> int:
 
 
 def _cmd_check(args, out) -> int:
-    if args.grid < 1:
-        print(f"--grid must be at least 1, got {args.grid}", file=out)
-        return 2
-    loaded = _load(args, out, checked=("grad_tol",))
+    loaded = _load(args, out, checked=("grad_tol", "grid"))
     if loaded is None:
         return 2
     scen = loaded.scenario

@@ -32,10 +32,6 @@ class InfeasibleFamilyError(ValueError):
     """The color-set family violates a feasibility condition."""
 
 
-class MatchingNotFoundError(RuntimeError):
-    """A layer matching guaranteed to exist could not be found (a bug)."""
-
-
 class TooLargeError(ValueError):
     """Instance exceeds the size cap of an exhaustive routine."""
 
@@ -92,14 +88,6 @@ class ColorSetFamily:
 
 
 @dataclass(frozen=True)
-class LinkColoring:
-    """Per-link color masks (bands each directed link may use)."""
-
-    universe_size: int
-    masks: dict[tuple[int, int], int]
-
-
-@dataclass(frozen=True)
 class FamilyCheck:
     """Feasibility report for a color-set family on a graph."""
 
@@ -132,8 +120,8 @@ def check_color_sets(g: ConnectivityGraph, family: ColorSetFamily) -> FamilyChec
     )
 
 
-def assign_link_colors(g: ConnectivityGraph, family: ColorSetFamily) -> LinkColoring:
-    """Color every directed link with OC_i \\ OC_j.
+def assign_link_colors(g: ConnectivityGraph, family: ColorSetFamily) -> dict[tuple[int, int], int]:
+    """Color every directed link with OC_i \\ OC_j, as a mask per link.
 
     Raises InfeasibleFamilyError when the family fails either feasibility
     condition.
@@ -144,8 +132,7 @@ def assign_link_colors(g: ConnectivityGraph, family: ColorSetFamily) -> LinkColo
             f"family infeasible: empty differences {check.missing_difference}, "
             f"uncovered {check.uncovered}"
         )
-    masks = {(i, j): family.masks[i] & ~family.masks[j] for i, j in g.links}
-    return LinkColoring(family.universe_size, masks)
+    return {(i, j): family.masks[i] & ~family.masks[j] for i, j in g.links}
 
 
 def _repair_condition_two(g: ConnectivityGraph, masks: dict[int, int]) -> dict[int, int]:
@@ -197,84 +184,6 @@ def family_from_coloring(
     fam = ColorSetFamily(q, repaired)
     assert check_color_sets(g, fam).feasible
     return fam
-
-
-def _match_layer(values: list[int], universe_size: int, grow: bool) -> dict[int, int]:
-    """Injectively map each distinct mask to a superset (grow) or subset one
-    size away.  Existence is guaranteed inside the central layers; a failure
-    raises MatchingNotFoundError.
-    """
-    candidates: list[list[int]] = []
-    index: dict[int, int] = {}
-    by_index: list[int] = []
-    for m in values:
-        opts = []
-        if grow:
-            for c in range(universe_size):
-                if not m & (1 << c):
-                    opts.append(m | (1 << c))
-        else:
-            for c in colors_from_mask(m):
-                opts.append(m & ~(1 << c))
-        candidates.append(opts)
-        for o in opts:
-            if o not in index:
-                index[o] = len(index)
-                by_index.append(o)
-    matched_of: list[int] = [-1] * len(index)
-
-    def augment(v: int, seen: list[bool]) -> bool:
-        for o in candidates[v]:
-            k = index[o]
-            if seen[k]:
-                continue
-            seen[k] = True
-            if matched_of[k] < 0 or augment(matched_of[k], seen):
-                matched_of[k] = v
-                return True
-        return False
-
-    for v in range(len(values)):
-        if not augment(v, [False] * len(index)):
-            raise MatchingNotFoundError(
-                f"no complete layer matching for {len(values)} sets over {universe_size} colors"
-            )
-    return {values[v]: by_index[k] for k, v in enumerate(matched_of) if v >= 0}
-
-
-def equalize_family(
-    masks: Sequence[int],
-    universe_size: int,
-    links: Iterable[tuple[int, int]],
-) -> list[int]:
-    """Equalize all set cardinalities to floor(universe_size/2).
-
-    masks is node-indexed; links are index pairs that must keep mutual
-    non-containment.  Each round replaces every set of extreme cardinality
-    by a matched set one step closer to the central layer, keeping equal
-    sets equal and distinct sets distinct, and never leaving the universe.
-    """
-    links = list(links)
-    out = list(masks)
-    half = universe_size // 2
-    for a, b in links:
-        if out[a] & ~out[b] == 0 or out[b] & ~out[a] == 0:
-            raise ValueError(f"input sets at link ({a}, {b}) are not mutually non-containing")
-    while True:
-        sizes = [m.bit_count() for m in out]
-        lo, hi = min(sizes), max(sizes)
-        if lo == hi == half:
-            break
-        if hi > half:
-            layer = sorted({m for m in out if m.bit_count() == hi})
-            replace = _match_layer(layer, universe_size, grow=False)
-        else:
-            layer = sorted({m for m in out if m.bit_count() == lo})
-            replace = _match_layer(layer, universe_size, grow=True)
-        out = [replace.get(m, m) for m in out]
-    for a, b in links:
-        assert out[a] & ~out[b] and out[b] & ~out[a]
-    return out
 
 
 BRUTE_FORCE_MAX_NODES = 6

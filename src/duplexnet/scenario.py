@@ -367,7 +367,8 @@ class ControlState:
     mu: np.ndarray
 
     def copy(self) -> "ControlState":
-        return ControlState(self.rho.copy(), self.eta.copy(), self.phi.copy(), self.phi_w.copy(), self.mu.copy())
+        """A float64 copy, so a start held in integers moves by fractions."""
+        return ControlState(**{name: getattr(self, name).astype(np.float64, order="C") for name in FAMILIES})
 
     def moved(self, kind: str, moves) -> "ControlState":
         """A copy with `value` written at the flat positions `key` of its
@@ -453,6 +454,8 @@ def validate_state(scenario: NetworkScenario, state: ControlState) -> list:
         return ["eta/mu shape mismatch"]
     if state.phi.shape != (len(scenario.sessions), lay.n_links):
         return [f"phi shape {state.phi.shape} != {(len(scenario.sessions), lay.n_links)}"]
+    if state.phi_w.shape != (len(scenario.sessions),):
+        return [f"phi_w shape {state.phi_w.shape} != {(len(scenario.sessions),)}"]
     for name in FAMILIES:
         if not np.all(np.isfinite(getattr(state, name))):
             bad.append(f"non-finite {name} entry")

@@ -208,15 +208,13 @@ def allocate_subbands(
         counts = _occurrence_counts(band_count, done)
         outgoing[nodes[i]], path = _choose_set(band_count, counts, done, rng)
         fallbacks = _tally(fallbacks, path)
-    fam = ColorSetFamily(band_count, outgoing)
-    coloring = assign_link_colors(g, fam)
-    return SpectrumAllocation(band_count, outgoing, coloring.masks, fallbacks)
+    link_bands = assign_link_colors(g, ColorSetFamily(band_count, outgoing))
+    return SpectrumAllocation(band_count, outgoing, link_bands, fallbacks)
 
 
 def allocation_from_family(g: ConnectivityGraph, family: ColorSetFamily) -> SpectrumAllocation:
     """Allocation induced by any feasible color-set family."""
-    coloring = assign_link_colors(g, family)
-    return SpectrumAllocation(family.universe_size, dict(family.masks), coloring.masks)
+    return SpectrumAllocation(family.universe_size, dict(family.masks), assign_link_colors(g, family))
 
 
 def check_allocation(g: ConnectivityGraph, alloc: SpectrumAllocation) -> AllocationCheck:

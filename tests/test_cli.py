@@ -139,7 +139,7 @@ def test_check_rejects_an_empty_grid():
     for grid in ("0", "-3"):
         code, text = run(["check", "--scenario", str(SCENARIOS / "line3.json"), "--grid", grid])
         assert code == 2
-        assert text == f"--grid must be at least 1, got {grid}\n"
+        assert text == f"command line: 1 problem(s)\n  - --grid: expected an integer in [1, inf], got {grid}\n"
 
 
 def test_oracle_line3_agreement():

@@ -550,6 +550,20 @@ def test_solve_rejects_infinite_start():
         solve(line3, st)
 
 
+def test_solve_from_an_integer_start_matches_its_float_equal():
+    # trials must not be truncated into the start's integer arrays
+    sq = square_scenario()
+    ints, floats = uniform_state(sq, 0.9, 0.1), uniform_state(sq, 0.9, 0.1)
+    ints.phi_w = np.zeros(2, dtype=int)
+    floats.phi_w = np.zeros(2)
+    a, b = solve(sq, ints), solve(sq, floats)
+    assert a.converged and b.converged
+    assert (a.cost, a.sweeps) == (b.cost, b.sweeps)
+    for name in FAMILIES:
+        assert getattr(a.state, name).dtype == np.float64
+        assert np.array_equal(getattr(a.state, name), getattr(b.state, name)), name
+
+
 @pytest.mark.parametrize(
     "array, factor, problem",
     [

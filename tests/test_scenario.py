@@ -336,6 +336,15 @@ def test_validate_state_reports_violations():
     assert any("eta" in m for m in validate_state(line3, bad))
 
 
+@pytest.mark.parametrize("phi_w", [[0.1, 0.2], []])
+def test_validate_state_reports_a_wrong_phi_w_shape(phi_w):
+    # line3 has one session, so phi_w holds exactly one entry
+    line3 = line3_scenario()
+    bad = uniform_state(line3, 0.9, 0.1)
+    bad.phi_w = np.array(phi_w)
+    assert validate_state(line3, bad) == [f"phi_w shape {(len(phi_w),)} != (1,)"]
+
+
 @pytest.mark.parametrize("name", ["rho", "eta", "phi", "phi_w", "mu"])
 def test_validate_state_reports_non_finite_entries(name):
     # every bound and sum test is false for NaN, so NaN needs its own check

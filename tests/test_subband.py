@@ -254,7 +254,7 @@ def test_frontier_matches_rescan_reference(graph_seed):
         ref = _rescan_allocate(g, q, **kwargs)
         # same sets, settled in the same order
         assert list(alloc.outgoing.items()) == list(ref.items()), kwargs
-        masks = assign_link_colors(g, ColorSetFamily(q, ref)).masks
+        masks = assign_link_colors(g, ColorSetFamily(q, ref))
         assert list(alloc.link_bands.items()) == list(masks.items()), kwargs
 
 

@@ -154,10 +154,11 @@ def _cmd_optimize(args, out) -> int:
             print(f"cannot start solver: {exc}", file=out)
             return 1
         if fh is not None:
-            fh.write("sweep,cost,residual,max_step,evaluations\n")
+            fh.write("sweep,cost,residual,max_step,evaluations,visited\n")
             for row in result.trace:
                 fh.write(
-                    f"{row.sweep},{_fmt(row.cost)},{_fmt(row.residual)},{_fmt(row.max_step)},{row.evaluations}\n"
+                    f"{row.sweep},{_fmt(row.cost)},{_fmt(row.residual)},{_fmt(row.max_step)},"
+                    f"{row.evaluations},{row.visited}\n"
                 )
     print(f"final cost: {_fmt(result.cost)}", file=out)
     print(f"residual: {_fmt(result.residual)}", file=out)

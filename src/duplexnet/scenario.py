@@ -179,15 +179,17 @@ class Layout:
         """Per block kind that has blocks, its blocks of :attr:`blocks` laid
         end to end; see :class:`Segments`."""
         by_kind = {}
-        for b in self.blocks:
-            by_kind.setdefault(b.kind, []).append(b)
+        for k, b in enumerate(self.blocks):
+            by_kind.setdefault(b.kind, []).append(k)
         out = {}
-        for kind, table in by_kind.items():
+        for kind, positions in by_kind.items():
+            table = [self.blocks[k] for k in positions]
             sizes = np.array([b.key.size for b in table], dtype=np.int64)
             out[kind] = Segments(
                 index=np.concatenate([b.key for b in table]),
                 starts=np.cumsum(sizes) - sizes,
                 groups=np.array([b.group for b in table], dtype=np.int64).reshape(len(table), -1),
+                positions=np.array(positions, dtype=np.int64),
             )
         return out
 
@@ -196,12 +198,14 @@ class Segments(NamedTuple):
     """The blocks of one kind laid end to end, for reductions over all of them.
 
     `index` holds the blocks' keys one after another, block k's starting
-    at starts[k]; groups[k] holds block k's group as a row of indices.
+    at starts[k]; groups[k] holds block k's group as a row of indices, and
+    positions[k] its position in :attr:`Layout.blocks`.
     """
 
     index: np.ndarray
     starts: np.ndarray
     groups: np.ndarray
+    positions: np.ndarray
 
 
 class Block(NamedTuple):
@@ -444,7 +448,11 @@ ATOL = 1e-9
 
 
 def validate_state(scenario: NetworkScenario, state: ControlState) -> list:
-    """Constraint violations as human-readable strings; empty means valid."""
+    """Constraint violations as human-readable strings; empty means valid.
+
+    Every group's sum (power rows, power-share groups, band splits and
+    routing rows) comes from one :func:`group_sums` pass per array.
+    """
     lay = scenario.layout
     g = scenario.graph
     bad = []
@@ -464,32 +472,36 @@ def validate_state(scenario: NetworkScenario, state: ControlState) -> list:
         bad.append(f"rho[{g.nodes[i]}, band {q}] nonzero outside the band set")
     if np.any(state.rho < -ATOL):
         bad.append("negative rho entry")
+    bands = lay.band_count
+    tot = group_sums(state.rho.ravel(), np.repeat(np.arange(lay.n), bands), lay.n).tolist()
     for i in range(lay.n):
-        tot = float(state.rho[i].sum())
-        if tot > 1 + ATOL:
-            bad.append(f"node {g.nodes[i]} power fractions sum to {tot:.6g} > 1")
-    for (i, q), entries in sorted(lay.node_band_entries.items()):
-        tot = float(state.eta[entries].sum())
-        if abs(tot - 1) > ATOL * max(10, entries.size):
-            bad.append(f"eta over node {g.nodes[i]} band {q} sums to {tot:.6g} != 1")
+        if tot[i] > 1 + ATOL:
+            bad.append(f"node {g.nodes[i]} power fractions sum to {tot[i]:.6g} > 1")
+    # a (node, band) group's number is node * bands + band, so numbers
+    # ascend in the sorted order of node_band_entries
+    group = lay.ent_tx * bands + lay.ent_band
+    tot = group_sums(state.eta, group, lay.n * bands)
+    size = np.bincount(group, minlength=lay.n * bands)
+    for k in np.flatnonzero((size > 0) & (np.abs(tot - 1) > ATOL * np.maximum(10, size))).tolist():
+        bad.append(f"eta over node {g.nodes[k // bands]} band {k % bands} sums to {tot[k]:.6g} != 1")
     if np.any(state.eta < -ATOL):
         bad.append("negative eta entry")
-    for li, sl in enumerate(lay.link_slices):
-        tot = float(state.mu[sl].sum())
-        if abs(tot - 1) > ATOL * 10:
-            i, j = lay.links[li]
-            bad.append(f"mu over link ({g.nodes[i]}, {g.nodes[j]}) sums to {tot:.6g} != 1")
+    tot = group_sums(state.mu, lay.ent_link, lay.n_links)
+    for li in np.flatnonzero(np.abs(tot - 1) > ATOL * 10).tolist():
+        i, j = lay.links[li]
+        bad.append(f"mu over link ({g.nodes[i]}, {g.nodes[j]}) sums to {tot[li]:.6g} != 1")
     if np.any(state.mu < -ATOL):
         bad.append("negative mu entry")
     if np.any(state.phi < -ATOL):
         bad.append("negative phi entry")
     if np.any((state.phi_w < -ATOL) | (state.phi_w > 1 + ATOL)):
         bad.append("phi_w outside [0, 1]")
-    for w in range(len(scenario.sessions)):
+    sessions = len(scenario.sessions)
+    rows = (np.arange(sessions)[:, None] * lay.n + lay.link_ends[0]).ravel()
+    row_sums = group_sums(state.phi.ravel(), rows, sessions * lay.n).reshape(sessions, lay.n).tolist()
+    for w in range(sessions):
         d = int(lay.dest[w])
-        for i in range(lay.n):
-            row = [state.phi[w, li] for li in lay.out_links[i]]
-            tot = float(sum(row))
+        for i, tot in enumerate(row_sums[w]):
             if i == d:
                 if tot > ATOL:
                     bad.append(f"session {w} routes out of its destination")

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from duplexnet.cli import main
+from duplexnet.cli import _start, main
+from duplexnet.optimizer import solve
+from duplexnet.scenario_io import load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -90,10 +92,15 @@ def test_optimize_trace_is_reproducible(tmp_path):
         assert code == 0
     assert t1.read_bytes() == t2.read_bytes()
     header, *rows = t1.read_text().splitlines()
-    assert header == "sweep,cost,residual,max_step,evaluations"
+    assert header == "sweep,cost,residual,max_step,evaluations,visited"
     # the start's evaluation is counted in no row; every sweep evaluates
     evaluations = [int(row.split(",")[4]) for row in rows]
     assert evaluations[0] == 0 and min(evaluations[1:]) > 0
+    # the visited column is the library solve's, from the same start
+    loaded = load_scenario(SCENARIOS / "line3.json")
+    res = solve(loaded.scenario, _start(loaded), max_sweeps=400, tol=1e-4, order="random", seed=11)
+    assert [int(row.split(",")[5]) for row in rows] == [row.visited for row in res.trace]
+    assert res.trace[0].visited == 0 and min(row.visited for row in res.trace[1:]) > 0
 
 
 def test_optimize_budget_exhaustion_exit_code():

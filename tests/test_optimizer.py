@@ -694,41 +694,59 @@ def test_unloaded_blocks_are_skipped_without_computing(sweep_states, monkeypatch
     assert all(skipped.values()), skipped
 
 
-def _sweep_block_by_block(scenario, state, visits):
-    """The per-block sweep loop: update_block on every block of each visit
-    order in turn, steps carried as solve carries them.  Returns the state
-    and evaluation after each sweep and (block, cost, moved, halvings,
-    step) per update."""
+def _passes(scenario, state, derived, visit, tol):
+    """The passes a sweep from `state` makes over the visit order `visit`:
+    the blocks whose residual exceeds REST * tol, in visit order, and,
+    when those are not all the blocks, every block, which the sweep walks
+    only if the first pass moved nothing."""
+    rest = optimality_residuals(scenario, state, derived).blocks
+    active = [k for k in visit if rest[k] > optimizer.REST * tol]
+    return [active] if len(active) == len(visit) else [active, visit]
+
+
+def _sweep_block_by_block(scenario, state, visits, tol):
+    """The per-block sweep loop: update_block on every block each visit
+    order hands over under the skip rule, steps carried as solve carries
+    them.  Returns the state and evaluation after each sweep and (block,
+    cost, moved, halvings, step) per update."""
     table = scenario.layout.blocks
     steps = [1.0] * len(table)
     derived = derive(scenario, state)
     ends, log = [], []
     for visit in visits:
-        for k in visit:
-            out = update_block(scenario, state, table[k], step=steps[k], derived=derived)
-            state, derived = out.state, out.derived
-            log.append((k, out.cost, out.moved, out.halvings, out.step))
-            if out.moved:
-                steps[k] = optimizer._next_step(out.step)
+        for chosen in _passes(scenario, state, derived, visit, tol):
+            moved = False
+            for k in chosen:
+                out = update_block(scenario, state, table[k], step=steps[k], derived=derived)
+                state, derived = out.state, out.derived
+                log.append((k, out.cost, out.moved, out.halvings, out.step))
+                if out.moved:
+                    steps[k] = optimizer._next_step(out.step)
+                    moved = True
+            if moved:
+                break
         ends.append((state, derived))
     return ends, log
 
 
-def _sweep_by_runs(scenario, state, visits, runs_seen):
-    """The same sweeps by solve's own sweep, each visit order cut into runs
-    as solve cuts it; runs_seen[kind] counts the runs of more than one
+def _sweep_by_runs(scenario, state, visits, tol, runs_seen):
+    """The same sweeps by solve's own sweep, each pass cut into runs as
+    solve cuts it; runs_seen[kind] counts the runs of more than one
     block."""
     table = scenario.layout.blocks
     steps = [1.0] * len(table)
     derived = derive(scenario, state)
     ends, log = [], []
     for visit in visits:
-        runs = optimizer._runs(table, visit)
-        for run in runs:
-            if len(run) > 1:
-                runs_seen[table[run[0]].kind] += 1
-        state, derived, visited, _ = optimizer._sweep(scenario, state, derived, table, runs, steps)
-        log.extend((k, move.cost, move.moved, move.halvings, move.step) for k, move in visited)
+        for chosen in _passes(scenario, state, derived, visit, tol):
+            runs = optimizer._runs(table, chosen)
+            for run in runs:
+                if len(run) > 1:
+                    runs_seen[table[run[0]].kind] += 1
+            state, derived, visited, _ = optimizer._sweep(scenario, state, derived, table, runs, steps)
+            log.extend((k, move.cost, move.moved, move.halvings, move.step) for k, move in visited)
+            if any(move.moved for _, move in visited):
+                break
         ends.append((state, derived))
     return ends, log
 
@@ -745,10 +763,10 @@ def _visits(scenario, order, sweeps=2):
     return out
 
 
-def _assert_same_sweeps(scenario, state, order, what, runs_seen, sweeps=2):
+def _assert_same_sweeps(scenario, state, order, what, runs_seen, sweeps=2, tol=0.0):
     visits = _visits(scenario, order, sweeps)
-    want_ends, want_log = _sweep_block_by_block(scenario, state, visits)
-    got_ends, got_log = _sweep_by_runs(scenario, state, visits, runs_seen)
+    want_ends, want_log = _sweep_block_by_block(scenario, state, visits, tol)
+    got_ends, got_log = _sweep_by_runs(scenario, state, visits, tol, runs_seen)
     assert len(got_log) == len(want_log), what
     for got, want in zip(got_log, want_log):
         assert got[0] == want[0] and got[2:4] == want[2:4], f"{what}, block {want[0]}"
@@ -781,36 +799,80 @@ def run_states(sweep_states):
 def test_separable_runs_match_the_block_by_block_sweep(run_states):
     # a mu or eta block changes the link cost of its own entries only, so a
     # run of them priced by one evaluation and replayed in block order is,
-    # bit for bit, the sequential update of its blocks
+    # bit for bit, the sequential update of its blocks; at a zero tolerance
+    # a sweep skips only blocks at exact rest, at 1e-4 it skips many more
     runs_seen = dict.fromkeys(SEPARABLE, 0)
-    moved_in_runs = solved = 0
+    moved_in_runs = solved = skipped = 0
     for label, scen, st in run_states:
         for order in ("round_robin", "random"):
-            what = f"{label}, {order}"
-            log, states = _assert_same_sweeps(scen, st, order, what, runs_seen)
-            moved_in_runs += sum(entry[2] for entry in log if scen.layout.blocks[entry[0]].kind in SEPARABLE)
-            # solve cuts its visit orders (seeded as _visits seeds them) the
-            # same way; it stops early where the residual reaches zero
-            res = solve(scen, st, max_sweeps=2, tol=0.0, order=order, seed=17)
-            for kind in FAMILIES:
-                _assert_bitwise(getattr(res.state, kind), getattr(states[res.sweeps], kind), f"{what}: solve's {kind}")
-            solved += res.sweeps == 2
+            for tol in (0.0, 1e-4):
+                what = f"{label}, {order}, tol {tol}"
+                log, states = _assert_same_sweeps(scen, st, order, what, runs_seen, tol=tol)
+                moved_in_runs += sum(entry[2] for entry in log if scen.layout.blocks[entry[0]].kind in SEPARABLE)
+                # solve cuts its visit orders (seeded as _visits seeds them)
+                # the same way; it stops early where the residual reaches tol
+                res = solve(scen, st, max_sweeps=2, tol=tol, order=order, seed=17)
+                for kind in FAMILIES:
+                    _assert_bitwise(
+                        getattr(res.state, kind), getattr(states[res.sweeps], kind), f"{what}: solve's {kind}"
+                    )
+                if res.sweeps == 2:
+                    solved += 1
+                    assert sum(row.visited for row in res.trace) == len(log), what
+                    skipped += len(log) < 2 * len(scen.layout.blocks)
     assert all(runs_seen.values()), runs_seen
-    assert moved_in_runs > 0 and solved > 0
+    assert moved_in_runs > 0 and solved > 0 and skipped > 0
 
 
 def test_step_cap_is_read_where_solve_and_the_block_by_block_sweep_read_it(run_states, monkeypatch):
-    # the step rule has one home: raising its cap changes solve's steps and
-    # the reference loop's alike, so they still end in the same state
+    # the step rule has one home: the default cap, above a cap of 1, changes
+    # solve's steps and the reference loop's alike, so they still end in the
+    # same state
     label, scen, st = next(case for case in run_states if case[0] == "square, even split")
+    monkeypatch.setattr(optimizer, "MAX_STEP", 1.0)
     capped = solve(scen, st, max_sweeps=2, tol=0.0)
-    monkeypatch.setattr(optimizer, "MAX_STEP", 16.0)
+    monkeypatch.undo()
+    assert optimizer.MAX_STEP > 1.0
     res = solve(scen, st, max_sweeps=2, tol=0.0)
-    ends, log = _sweep_block_by_block(scen, st, _visits(scen, "round_robin"))
+    ends, log = _sweep_block_by_block(scen, st, _visits(scen, "round_robin"), 0.0)
     assert res.sweeps == 2 and max(entry[4] for entry in log if entry[2]) > 1.0
     assert any(not np.array_equal(getattr(res.state, kind), getattr(capped.state, kind)) for kind in FAMILIES)
     for kind in FAMILIES:
-        _assert_bitwise(getattr(res.state, kind), getattr(ends[-1][0], kind), f"{label}, cap 16: {kind}")
+        _assert_bitwise(getattr(res.state, kind), getattr(ends[-1][0], kind), f"{label}, default cap: {kind}")
+
+
+def test_a_restricted_sweep_that_moves_nothing_goes_on_to_every_block(monkeypatch):
+    passes = []
+    real_sweep = optimizer._sweep
+
+    def recording(scenario, state, derived, table, runs, steps):
+        out = real_sweep(scenario, state, derived, table, runs, steps)
+        passes.append(([k for run in runs for k in run], any(move.moved for _, move in out[2])))
+        return out
+
+    monkeypatch.setattr(optimizer, "_sweep", recording)
+    # the square's even split holds blocks at rest next to blocks far from it
+    square = square_scenario()
+    start = uniform_state(square, 0.9, 0.1)
+    table = square.layout.blocks
+    rest = optimality_residuals(square, start).blocks
+    assert 0 < np.count_nonzero(rest > optimizer.REST * 1e-4) < len(table)
+    # an unattainable sufficient-decrease bar moves nothing: the stall is
+    # raised only after the first sweep has visited every block
+    monkeypatch.setattr(optimizer, "ARMIJO", 1e6)
+    with pytest.raises(StalledStepError):
+        solve(square, start, max_sweeps=5, tol=1e-4)
+    assert [len(blocks) for blocks, _ in passes] == [np.count_nonzero(rest > optimizer.REST * 1e-4), len(table)]
+    assert passes[1][0] == list(range(len(table))) and not passes[0][1] and not passes[1][1]
+    # with no block above the bar, every sweep's first pass is empty and
+    # the full pass makes the solve: it converges, visiting every block
+    monkeypatch.setattr(optimizer, "ARMIJO", 1e-4)
+    monkeypatch.setattr(optimizer, "REST", 1e300)
+    passes.clear()
+    res = solve(square, start, max_sweeps=400, tol=1e-4)
+    assert res.converged
+    assert [len(blocks) for blocks, _ in passes] == [0, len(table)] * res.sweeps
+    assert [row.visited for row in res.trace] == [0] + [len(table)] * res.sweeps
 
 
 def test_rejections_inside_a_run_match_the_block_by_block_sweep(run_states, monkeypatch):
@@ -879,7 +941,8 @@ def _simplex_residual(vals, used, excluded=None):
 
 
 def _loop_residuals(scenario, state, derived):
-    """optimality_residuals block by block: the reference for its array form."""
+    """optimality_residuals block by block: the reference for its array form,
+    per block and per family."""
     marginal = {
         "eta": derived.eta_delta,
         "rho": derived.gradient("rho"),
@@ -893,7 +956,8 @@ def _loop_residuals(scenario, state, derived):
         "phi": derived.flows.inflow,
     }
     worst = dict.fromkeys(FAMILIES, 0.0)
-    for block in scenario.layout.blocks:
+    per_block = np.zeros(len(scenario.layout.blocks))
+    for k, block in enumerate(scenario.layout.blocks):
         kind, key = block.kind, block.key
         if kind in load and load[kind][block.group] <= 0:
             continue
@@ -921,8 +985,11 @@ def _loop_residuals(scenario, state, derived):
                 res = max(0.0, g)
             else:
                 res = abs(g)
+        per_block[k] = res
         worst[kind] = max(worst[kind], res)
-    return Residuals(eta=worst["eta"], rho=worst["rho"], mu=worst["mu"], phi=worst["phi"], overflow=worst["phi_w"])
+    return Residuals(
+        eta=worst["eta"], rho=worst["rho"], mu=worst["mu"], phi=worst["phi"], overflow=worst["phi_w"], blocks=per_block
+    )
 
 
 def _link(scenario, tail, head):
@@ -987,7 +1054,7 @@ def _edge_states():
 
 
 def test_residuals_equal_the_per_block_loop(sweep_states):
-    families = [f.name for f in fields(Residuals)]
+    families = [f.name for f in fields(Residuals) if f.name != "blocks"]
     for label, scen, st in sweep_states + _edge_states():
         der = derive(scen, st)
         got = optimality_residuals(scen, st, der)
@@ -995,3 +1062,6 @@ def test_residuals_equal_the_per_block_loop(sweep_states):
         for name in families:
             assert getattr(got, name) == getattr(want, name), f"{label}: {name}"
             assert float(getattr(got, name)).hex() == float(getattr(want, name)).hex(), f"{label}: {name}"
+        assert got.blocks.shape == (len(scen.layout.blocks),), label
+        for k, (a, b) in enumerate(zip(got.blocks.tolist(), want.blocks.tolist())):
+            assert a.hex() == b.hex(), f"{label}: block {k} ({scen.layout.blocks[k].kind})"

@@ -24,18 +24,25 @@ already there.  The scenarios come from tests/helpers.py of this tree:
 
 Per workload it records counts that do not depend on the machine (sweeps,
 converged solves, block updates, those that did not move and those that
-reached `_block_move` at all, and `derive`, `evaluate_physical` and
-`evaluate_flows` calls per block update) and the wall seconds per sweep of
-the updates and of `_block_move`, per block kind, of
-`optimality_residuals` and of the whole solve, and the share of solve
-time spent in updates that moved nothing.  Updates are counted block by
-block in `_update_run`, which updates one block or a run of separable
-ones.  An update's time is that of the call: a run's time goes to its
-kind as a whole, and counts as unmoved only when none of its blocks
-moved.
-For the reference runs it records the evaluations of each run, which do
-not depend on the machine either, and the wall seconds of each run and of
-all of them.  Each tree runs REPEATS times; its counts must repeat
+reached `_block_move` at all, `derive`, `evaluate_physical` and
+`evaluate_flows` calls per block update, the final costs and the sessions
+rejected outright at the end) and the wall seconds per sweep of the
+updates and of `_block_move`, per block kind, of `optimality_residuals`
+and of the whole solve, and the share of solve time spent in updates that
+moved nothing.  Block updates are the blocks each sweep handed to an
+update, read from the solve trace (`TraceRow.visited`).  Where a trace
+has no such column (a tree from before it) or a solve stalled (it leaves
+no trace), they are counted block by block in `_update_run`, which
+updates one block or a run of separable ones.  Updates that did
+not move are counted there too.  An update's time is that of the call: a
+run's time goes to its kind as a whole, and counts as unmoved only when
+none of its blocks moved.
+For the reference runs it records the evaluations and final cost of each
+run, which do not depend on the machine either, and the wall seconds of
+each run and of all of them; next to them, the solver's sweeps, block
+updates, converged count and final cost from the even split on the same
+scenarios (at most 400 sweeps to `tol=1e-4`), and the seconds of those
+solves.  Each tree runs REPEATS times; its counts must repeat
 exactly, and the counts that differ between trees are printed.  Each
 timing is stored as its median over the repeats (median_timings) next to
 its least and greatest (min_timings, max_timings), so that a before/after
@@ -156,9 +163,17 @@ class _Counters:
             setattr(mod, name, fn)
 
 
-def _run(dn, cases):
-    """One pass over a workload: (counts, timings)."""
-    sweeps = converged = stalled = 0
+# a session whose overflow fraction ends this close to 1 is rejected outright
+REJECTED = 1.0 - 1e-6
+
+
+def _solve_all(dn, cases):
+    """Solve each case under a fresh _Counters: ({sweeps, converged and
+    stalled solves, the blocks the sweeps visited, final costs (None where
+    a solve stalled), the sessions rejected outright}, the counters, the
+    wall seconds)."""
+    out = dict(sweeps=0, converged=0, stalled=0, visits=0, costs=[], rejected_sessions=0)
+    traced = True  # whether every trace counted its visits
     counters = _Counters(dn)
     t0 = time.perf_counter()
     try:
@@ -166,19 +181,35 @@ def _run(dn, cases):
             try:
                 res = dn.solve(scen, start, **kwargs)
             except dn.StalledStepError:
-                stalled += 1
+                out["stalled"] += 1
+                out["costs"].append(None)
                 continue
-            sweeps += res.sweeps
-            converged += res.converged
+            out["sweeps"] += res.sweeps
+            out["converged"] += res.converged
+            traced = traced and hasattr(res.trace[0], "visited")
+            out["visits"] += sum(getattr(row, "visited", 0) for row in res.trace)
+            out["costs"].append(res.cost)
+            out["rejected_sessions"] += int((res.state.phi_w >= REJECTED).sum())
     finally:
         wall = time.perf_counter() - t0
         counters.close()
-    updates = counters.updates
+    if not traced or out["stalled"]:
+        out["visits"] = counters.updates
+    return out, counters, wall
+
+
+def _run(dn, cases):
+    """One pass over a workload: (counts, timings)."""
+    solved, counters, wall = _solve_all(dn, cases)
+    sweeps = solved["sweeps"]
+    updates = solved["visits"]
     counts = {
         "solves": len(cases),
-        "converged": converged,
-        "stalled": stalled,
+        "converged": solved["converged"],
+        "stalled": solved["stalled"],
         "sweeps": sweeps,
+        "rejected_sessions": solved["rejected_sessions"],
+        "final_costs": solved["costs"],
         "block_updates": updates,
         "unmoved_updates": counters.unmoved,
         "block_moves": counters.moves,
@@ -199,16 +230,28 @@ def _run(dn, cases):
 
 
 def _run_reference(dn, cases):
-    """One pass over the reference runs: (counts, timings)."""
-    counts = {"solves": len(cases), "evaluations": {}}
+    """One pass over the reference runs, and the solver's on the same
+    scenarios: (counts, timings)."""
+    counts = {"solves": len(cases), "evaluations": {}, "final_costs": {}}
     timings = {}
     for label, scen, kwargs in cases:
         t0 = time.perf_counter()
         ref = dn.reference_solve_small(scen, **kwargs)
         timings[f"{label} s"] = time.perf_counter() - t0
         counts["evaluations"][label] = ref.evaluations
+        counts["final_costs"][label] = ref.cost
     counts["evaluations_total"] = sum(counts["evaluations"].values())
     timings["solve_s"] = sum(timings.values())
+    solves = [(scen, dn.uniform_state(scen, 0.9, 0.1), dict(max_sweeps=400, tol=1e-4)) for _, scen, _ in cases]
+    solved, _, timings["solver_s"] = _solve_all(dn, solves)
+    counts["solver"] = {
+        "converged": solved["converged"],
+        "stalled": solved["stalled"],
+        "sweeps": solved["sweeps"],
+        "block_updates": solved["visits"],
+        "rejected_sessions": solved["rejected_sessions"],
+        "final_costs": dict(zip(counts["final_costs"], solved["costs"])),
+    }
     return counts, timings
 
 

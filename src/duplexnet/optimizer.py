@@ -77,8 +77,10 @@ or none, so skipping it saves its whole update.  This is the greedy
 (Gauss-Southwell) choice of blocks, which beats cyclic order (Nutini et
 al. 2015) and keeps block-coordinate descent convergent (Tseng & Yun
 2009).  When the visited blocks move nothing, the same sweep goes on to
-visit every block, and only a full pass that moves nothing stalls the
-solve.  A moved block's next step doubles, up to MAX_STEP = 16.
+the blocks it skipped, and only a sweep that has tried every block and
+moved none stalls the solve.  A moved block's next step doubles, up to
+MAX_STEP = 16, when its first trial was accepted; after a halving it
+keeps the accepted step.
 """
 
 from __future__ import annotations
@@ -216,8 +218,8 @@ def _sum(values) -> float:
 # the diagonal scaling is SAFETY times the curvature estimate, floored at
 # FLOOR; a trial is accepted when it beats the linear prediction times
 # ARMIJO, else the step shrinks by SHRINK, at most MAX_HALVINGS times.  A
-# moved block's next step is its accepted step times GROW, capped at
-# MAX_STEP (:func:`_next_step`).
+# block moved by its first trial next tries its step times GROW, capped at
+# MAX_STEP; one moved after a halving keeps its step (:func:`_next_step`).
 SAFETY = 2.0
 FLOOR = 1e-6
 ARMIJO = 1e-4
@@ -562,9 +564,11 @@ def _runs(table, visit) -> list:
     return runs
 
 
-def _next_step(step: float) -> float:
-    """The step a block tries next after moving with `step`."""
-    return min(MAX_STEP, step * GROW)
+def _next_step(step: float, halvings: int) -> float:
+    """The step a block tries next after moving with `step`, reached
+    after `halvings` rejected trials: it grows only when the first trial
+    was accepted, so a step that was just rejected is not tried again."""
+    return step if halvings else min(MAX_STEP, step * GROW)
 
 
 def _sweep(scenario, state, derived, table, runs, steps):
@@ -588,7 +592,7 @@ def _sweep(scenario, state, derived, table, runs, steps):
         for k, move in zip(run, moves):
             visited.append((k, move))
             if move.moved:
-                steps[k] = _next_step(move.step)
+                steps[k] = _next_step(move.step, move.halvings)
     return state, derived, visited, evaluations
 
 
@@ -606,8 +610,8 @@ def solve(
     REST * tol, in the canonical order ("round_robin") or reshuffled each
     sweep with the given seed ("random"; the whole order is shuffled and
     then filtered).  When those blocks move nothing, the same sweep goes on
-    to visit every block.  Cost is nonincreasing across every block
-    update.  Raises StalledStepError if that full pass moves nothing while
+    to the blocks it skipped.  Cost is nonincreasing across every block
+    update.  Raises StalledStepError if those move nothing either while
     the residual is still above tol; returns converged=False when the
     sweep budget runs out first.  max_sweeps must be an integer >= 0 and
     tol a finite number >= 0.  The start must lie in the constraint set
@@ -639,8 +643,9 @@ def solve(
             moving = (res.blocks > REST * tol).tolist()
             active = [k for k in visit if moving[k]]
             state, derived, visited, evaluations = _sweep(scenario, state, derived, table, _runs(table, active), steps)
-            if len(active) < len(visit) and not any(move.moved for _, move in visited):
-                state, derived, more, made = _sweep(scenario, state, derived, table, _runs(table, visit), steps)
+            skipped = [k for k in visit if not moving[k]]
+            if skipped and not any(move.moved for _, move in visited):
+                state, derived, more, made = _sweep(scenario, state, derived, table, _runs(table, skipped), steps)
                 visited, evaluations = visited + more, evaluations + made
         res = optimality_residuals(scenario, state, derived)
         taken = [move.step for _, move in visited if move.moved]

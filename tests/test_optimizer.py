@@ -697,11 +697,12 @@ def test_unloaded_blocks_are_skipped_without_computing(sweep_states, monkeypatch
 def _passes(scenario, state, derived, visit, tol):
     """The passes a sweep from `state` makes over the visit order `visit`:
     the blocks whose residual exceeds REST * tol, in visit order, and,
-    when those are not all the blocks, every block, which the sweep walks
-    only if the first pass moved nothing."""
+    when some were skipped, the skipped ones, which the sweep walks only
+    if the first pass moved nothing."""
     rest = optimality_residuals(scenario, state, derived).blocks
     active = [k for k in visit if rest[k] > optimizer.REST * tol]
-    return [active] if len(active) == len(visit) else [active, visit]
+    skipped = [k for k in visit if rest[k] <= optimizer.REST * tol]
+    return [active, skipped] if skipped else [active]
 
 
 def _sweep_block_by_block(scenario, state, visits, tol):
@@ -721,7 +722,7 @@ def _sweep_block_by_block(scenario, state, visits, tol):
                 state, derived = out.state, out.derived
                 log.append((k, out.cost, out.moved, out.halvings, out.step))
                 if out.moved:
-                    steps[k] = optimizer._next_step(out.step)
+                    steps[k] = optimizer._next_step(out.step, out.halvings)
                     moved = True
             if moved:
                 break
@@ -841,7 +842,7 @@ def test_step_cap_is_read_where_solve_and_the_block_by_block_sweep_read_it(run_s
         _assert_bitwise(getattr(res.state, kind), getattr(ends[-1][0], kind), f"{label}, default cap: {kind}")
 
 
-def test_a_restricted_sweep_that_moves_nothing_goes_on_to_every_block(monkeypatch):
+def test_a_restricted_sweep_that_moves_nothing_goes_on_to_the_blocks_it_skipped(monkeypatch):
     passes = []
     real_sweep = optimizer._sweep
 
@@ -858,12 +859,15 @@ def test_a_restricted_sweep_that_moves_nothing_goes_on_to_every_block(monkeypatc
     rest = optimality_residuals(square, start).blocks
     assert 0 < np.count_nonzero(rest > optimizer.REST * 1e-4) < len(table)
     # an unattainable sufficient-decrease bar moves nothing: the stall is
-    # raised only after the first sweep has visited every block
+    # raised only after the first sweep has gone on to the blocks it
+    # skipped, so that every block has been tried once
     monkeypatch.setattr(optimizer, "ARMIJO", 1e6)
     with pytest.raises(StalledStepError):
         solve(square, start, max_sweeps=5, tol=1e-4)
-    assert [len(blocks) for blocks, _ in passes] == [np.count_nonzero(rest > optimizer.REST * 1e-4), len(table)]
-    assert passes[1][0] == list(range(len(table))) and not passes[0][1] and not passes[1][1]
+    active = np.flatnonzero(rest > optimizer.REST * 1e-4).tolist()
+    skipped = np.flatnonzero(rest <= optimizer.REST * 1e-4).tolist()
+    assert [blocks for blocks, _ in passes] == [active, skipped]
+    assert not passes[0][1] and not passes[1][1]
     # with no block above the bar, every sweep's first pass is empty and
     # the full pass makes the solve: it converges, visiting every block
     monkeypatch.setattr(optimizer, "ARMIJO", 1e-4)
@@ -873,6 +877,38 @@ def test_a_restricted_sweep_that_moves_nothing_goes_on_to_every_block(monkeypatc
     assert res.converged
     assert [len(blocks) for blocks, _ in passes] == [0, len(table)] * res.sweeps
     assert [row.visited for row in res.trace] == [0] + [len(table)] * res.sweeps
+
+
+# Final costs of solves to tol=1e-4 from the even split, with MAX_STEP 16
+# and the skip rule.  The step cap decides which stationary point some
+# solves reach: at MAX_STEP 1, visiting every block, scenario 10 of the
+# first corpus ended at 0.534035 with its session rejected, scenario 14
+# 2e-5 higher, and grids 1, 2 and 3 at 0.108717, 0.076944 and 0.071686.
+# A change that moves a solve to another stationary point fails here and
+# names the solve.
+BASINS = {
+    "random_scenario, default_rng(402)": (
+        0.581969864, 0.340526555, 0.0994049973, 0.19134312, 0.0968141398,
+        0.145683052, 0.133343079, 0.395761052, 0.207506089, 0.359827314,
+        0.58598264, 0.016359867, 0.0113617594, 0.0492491355, 0.388037651,
+        0.0241158489, 0.181064914, 0.130754488, 0.188800707, 0.18996408,
+    ),
+    "grid_scenario 4x4, default_rng([11, 2])": (0.0633166769, 0.109112002, 0.0768556584, 0.115733821),
+}
+
+
+def test_solves_end_in_the_pinned_basins():
+    rng = np.random.default_rng(402)
+    corpora = {
+        "random_scenario, default_rng(402)": [random_scenario(rng) for _ in range(20)],
+    }
+    rng = np.random.default_rng([11, 2])
+    corpora["grid_scenario 4x4, default_rng([11, 2])"] = [grid_scenario(rng, 4, 2) for _ in range(4)]
+    for label, scenarios in corpora.items():
+        for k, (scen, pinned) in enumerate(zip(scenarios, BASINS[label], strict=True)):
+            res = solve(scen, uniform_state(scen, 0.9, 0.1), max_sweeps=400, tol=1e-4)
+            assert res.converged, f"{label}, solve {k}"
+            assert res.cost == pytest.approx(pinned, rel=1e-6), f"{label}, solve {k}"
 
 
 def test_rejections_inside_a_run_match_the_block_by_block_sweep(run_states, monkeypatch):

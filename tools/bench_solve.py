@@ -29,14 +29,13 @@ reached `_block_move` at all, `derive`, `evaluate_physical` and
 rejected outright at the end) and the wall seconds per sweep of the
 updates and of `_block_move`, per block kind, of `optimality_residuals`
 and of the whole solve, and the share of solve time spent in updates that
-moved nothing.  Block updates are the blocks each sweep handed to an
-update, read from the solve trace (`TraceRow.visited`).  Where a trace
-has no such column (a tree from before it) or a solve stalled (it leaves
-no trace), they are counted block by block in `_update_run`, which
-updates one block or a run of separable ones.  Updates that did
-not move are counted there too.  An update's time is that of the call: a
-run's time goes to its kind as a whole, and counts as unmoved only when
-none of its blocks moved.
+moved nothing.  Block updates, and those that did not move, are counted
+block by block in `_update_run`, which updates one block or a run of
+separable ones; every update of a solve passes through it, so the count
+equals the sum of the trace's `visited` column, and it holds as well for
+a tree from before that column and for a solve that stalls.  An update's
+time is that of the call: a run's time goes to its kind as a whole, and
+counts as unmoved only when none of its blocks moved.
 For the reference runs it records the evaluations and final cost of each
 run, which do not depend on the machine either, and the wall seconds of
 each run and of all of them; next to them, the solver's sweeps, block
@@ -169,11 +168,9 @@ REJECTED = 1.0 - 1e-6
 
 def _solve_all(dn, cases):
     """Solve each case under a fresh _Counters: ({sweeps, converged and
-    stalled solves, the blocks the sweeps visited, final costs (None where
-    a solve stalled), the sessions rejected outright}, the counters, the
-    wall seconds)."""
-    out = dict(sweeps=0, converged=0, stalled=0, visits=0, costs=[], rejected_sessions=0)
-    traced = True  # whether every trace counted its visits
+    stalled solves, final costs (None where a solve stalled), the sessions
+    rejected outright}, the counters, the wall seconds)."""
+    out = dict(sweeps=0, converged=0, stalled=0, costs=[], rejected_sessions=0)
     counters = _Counters(dn)
     t0 = time.perf_counter()
     try:
@@ -186,15 +183,11 @@ def _solve_all(dn, cases):
                 continue
             out["sweeps"] += res.sweeps
             out["converged"] += res.converged
-            traced = traced and hasattr(res.trace[0], "visited")
-            out["visits"] += sum(getattr(row, "visited", 0) for row in res.trace)
             out["costs"].append(res.cost)
             out["rejected_sessions"] += int((res.state.phi_w >= REJECTED).sum())
     finally:
         wall = time.perf_counter() - t0
         counters.close()
-    if not traced or out["stalled"]:
-        out["visits"] = counters.updates
     return out, counters, wall
 
 
@@ -202,7 +195,7 @@ def _run(dn, cases):
     """One pass over a workload: (counts, timings)."""
     solved, counters, wall = _solve_all(dn, cases)
     sweeps = solved["sweeps"]
-    updates = solved["visits"]
+    updates = counters.updates
     counts = {
         "solves": len(cases),
         "converged": solved["converged"],
@@ -243,12 +236,12 @@ def _run_reference(dn, cases):
     counts["evaluations_total"] = sum(counts["evaluations"].values())
     timings["solve_s"] = sum(timings.values())
     solves = [(scen, dn.uniform_state(scen, 0.9, 0.1), dict(max_sweeps=400, tol=1e-4)) for _, scen, _ in cases]
-    solved, _, timings["solver_s"] = _solve_all(dn, solves)
+    solved, counters, timings["solver_s"] = _solve_all(dn, solves)
     counts["solver"] = {
         "converged": solved["converged"],
         "stalled": solved["stalled"],
         "sweeps": solved["sweeps"],
-        "block_updates": solved["visits"],
+        "block_updates": counters.updates,
         "rejected_sessions": solved["rejected_sessions"],
         "final_costs": dict(zip(counts["final_costs"], solved["costs"])),
     }

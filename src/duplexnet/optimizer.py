@@ -233,11 +233,11 @@ REST = 0.1
 def _block_move(scenario, state, block, derived):
     """Gradient, curvature and fixed mask of one block.
 
-    The gradient and curvature are slices of the whole-network arrays the
-    evaluation keeps; the fixed mask is the family's (None without one).
+    The gradient, curvature and fixed mask are slices of the whole-network
+    arrays the evaluation keeps; a family without a fixed mask gives None.
     """
     fixed = FAMILIES[block.kind].fixed
-    fixed = None if fixed is None else fixed(derived, block.group)
+    fixed = None if fixed is None else fixed(derived).ravel()[block.key]
     return derived.gradient(block.kind).ravel()[block.key], derived.curvature(block.kind).ravel()[block.key], fixed
 
 
@@ -427,9 +427,9 @@ def update_block(
 
 
 def _gaps(a, b):
-    """a - b elementwise, with equal infinities giving a zero gap."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.where(a == b, 0.0, a - b)
+    """a - b elementwise, with equal infinities giving a zero gap; the
+    caller silences the invalid and overflowing differences."""
+    return np.where(a == b, 0.0, a - b)
 
 
 def _segment_min(values, mask, starts):
@@ -479,6 +479,7 @@ def optimality_residuals(scenario: NetworkScenario, state: ControlState, derived
     traffic) cannot affect the cost and count zero.  Each family is one
     pass of segment reductions over its blocks laid end to end, which
     leaves one residual per block; a family's residual is their maximum.
+    A routing row's blocked links come from the evaluation's cycle mask.
     """
     if derived is None:
         derived = derive(scenario, state)
@@ -486,41 +487,43 @@ def optimality_residuals(scenario: NetworkScenario, state: ControlState, derived
         raise ValueError("residuals need a finite-cost state")
     worst = dict.fromkeys(FAMILIES, 0.0)
     per_block = np.zeros(len(scenario.layout.blocks))
-    for kind, seg in scenario.layout.segments.items():
-        family = FAMILIES[kind]
-        vals = family.marginal(derived).ravel()[seg.index]
-        cur = getattr(state, kind).ravel()[seg.index]
-        used = cur > SUPPORT_TOL
-        if family.constraint == "sum_to_one":
-            unloaded = family.load(derived)[tuple(seg.groups.T)] <= 0
-            unused = ~used
-            if family.fixed is not None:
-                bounds = np.append(seg.starts, seg.index.size)
-                for k in np.flatnonzero(~unloaded):
-                    unused[bounds[k] : bounds[k + 1]] &= ~family.fixed(derived, seg.groups[k].tolist())
-            witness = _segment_min(vals, used, seg.starts)
-            spread = _gaps(_segment_max(vals, used, seg.starts), witness)
-            viol = np.maximum(0.0, _gaps(witness, _segment_min(vals, unused, seg.starts)))
-            res = np.maximum(spread, viol)
-            res[unloaded | ~np.logical_or.reduceat(used, seg.starts)] = 0.0
-        elif family.constraint == "sum_at_most_one":
-            row = np.repeat(np.arange(seg.starts.size), np.diff(seg.starts, append=seg.index.size))
-            tight = group_sums(cur, row, seg.starts.size) >= 1.0 - SLACK_TOL
-            low = _segment_min(vals, used, seg.starts)
-            high = _segment_max(vals, used, seg.starts)
-            # without a used coordinate, low = inf and high = -inf leave 0
-            witness = np.where(tight, np.minimum(0.0, low), 0.0)
-            res = np.maximum(np.maximum(_gaps(high, witness), _gaps(witness, low)), 0.0)
-            res = np.maximum(res, _gaps(witness, _segment_min(vals, ~used, seg.starts)))
-        else:
-            res = np.where(
-                cur <= SUPPORT_TOL,
-                np.maximum(0.0, -vals),
-                np.where(cur >= 1.0 - SUPPORT_TOL, np.maximum(0.0, vals), np.abs(vals)),
-            )
-            res = np.maximum.reduceat(res, seg.starts)
-        per_block[seg.positions] = res
-        worst[kind] = max(0.0, float(res.max()))
+    segments = scenario.layout.segments
+    # the marginals first, so that the errstate below silences only the
+    # reductions' differences of infinities, not a marginal's own warnings
+    marginals = {kind: FAMILIES[kind].marginal(derived).ravel()[seg.index] for kind, seg in segments.items()}
+    with np.errstate(invalid="ignore", over="ignore"):
+        for kind, seg in segments.items():
+            family = FAMILIES[kind]
+            vals = marginals[kind]
+            cur = getattr(state, kind).ravel()[seg.index]
+            used = cur > SUPPORT_TOL
+            if family.constraint == "sum_to_one":
+                unloaded = family.load(derived).ravel()[seg.group_ids] <= 0
+                unused = ~used
+                if family.fixed is not None:
+                    unused &= ~family.fixed(derived).ravel()[seg.index]
+                witness = _segment_min(vals, used, seg.starts)
+                spread = _gaps(_segment_max(vals, used, seg.starts), witness)
+                viol = np.maximum(0.0, _gaps(witness, _segment_min(vals, unused, seg.starts)))
+                res = np.maximum(spread, viol)
+                res[unloaded | ~np.logical_or.reduceat(used, seg.starts)] = 0.0
+            elif family.constraint == "sum_at_most_one":
+                tight = group_sums(cur, seg.rows, seg.starts.size) >= 1.0 - SLACK_TOL
+                low = _segment_min(vals, used, seg.starts)
+                high = _segment_max(vals, used, seg.starts)
+                # without a used coordinate, low = inf and high = -inf leave 0
+                witness = np.where(tight, np.minimum(0.0, low), 0.0)
+                res = np.maximum(np.maximum(_gaps(high, witness), _gaps(witness, low)), 0.0)
+                res = np.maximum(res, _gaps(witness, _segment_min(vals, ~used, seg.starts)))
+            else:
+                res = np.where(
+                    cur <= SUPPORT_TOL,
+                    np.maximum(0.0, -vals),
+                    np.where(cur >= 1.0 - SUPPORT_TOL, np.maximum(0.0, vals), np.abs(vals)),
+                )
+                res = np.maximum.reduceat(res, seg.starts)
+            per_block[seg.positions] = res
+            worst[kind] = max(0.0, float(res.max()))
     return Residuals(
         eta=worst["eta"], rho=worst["rho"], mu=worst["mu"], phi=worst["phi"], overflow=worst["phi_w"], blocks=per_block
     )

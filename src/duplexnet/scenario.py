@@ -118,6 +118,10 @@ class Layout:
 
     Entries are the active (link, band) pairs, grouped by link and ordered
     by band within a link, so a link's entries form one contiguous slice.
+    tx_cell[e] and rx_cell[e] are entry e's (tx, band) and (rx, band)
+    positions in a raveled [n, bands] array, heard_cell[e] its (band, rx)
+    position in a raveled [bands, n] one; ent_gain and ent_noise are each
+    entry's own link gain and its receiver's noise on its band.
     """
 
     links: tuple
@@ -125,6 +129,11 @@ class Layout:
     ent_rx: np.ndarray
     ent_band: np.ndarray
     ent_link: np.ndarray
+    tx_cell: np.ndarray
+    rx_cell: np.ndarray
+    heard_cell: np.ndarray
+    ent_gain: np.ndarray
+    ent_noise: np.ndarray
     link_slices: tuple
     out_links: tuple
     node_band_entries: dict
@@ -181,15 +190,27 @@ class Layout:
         by_kind = {}
         for k, b in enumerate(self.blocks):
             by_kind.setdefault(b.kind, []).append(k)
+        sessions = self.dest.size
+        # the shape a kind's groups index: its family's load, or for rho and
+        # phi_w (no load) the rows of the array
+        shapes = {
+            "mu": (self.n_links,),
+            "eta": (self.n, self.band_count),
+            "rho": (self.n,),
+            "phi": (sessions, self.n),
+            "phi_w": (sessions,),
+        }
         out = {}
         for kind, positions in by_kind.items():
             table = [self.blocks[k] for k in positions]
             sizes = np.array([b.key.size for b in table], dtype=np.int64)
+            groups = np.array([b.group for b in table], dtype=np.int64).reshape(len(table), -1)
             out[kind] = Segments(
                 index=np.concatenate([b.key for b in table]),
                 starts=np.cumsum(sizes) - sizes,
-                groups=np.array([b.group for b in table], dtype=np.int64).reshape(len(table), -1),
                 positions=np.array(positions, dtype=np.int64),
+                rows=np.repeat(np.arange(len(table)), sizes),
+                group_ids=np.ravel_multi_index(tuple(groups.T), shapes[kind]),
             )
         return out
 
@@ -198,14 +219,17 @@ class Segments(NamedTuple):
     """The blocks of one kind laid end to end, for reductions over all of them.
 
     `index` holds the blocks' keys one after another, block k's starting
-    at starts[k]; groups[k] holds block k's group as a row of indices, and
-    positions[k] its position in :attr:`Layout.blocks`.
+    at starts[k], and rows[c] the block that coordinate c of `index`
+    belongs to; group_ids[k] is block k's group as a position in the
+    raveled array its family's load is, and positions[k] block k's
+    position in :attr:`Layout.blocks`.
     """
 
     index: np.ndarray
     starts: np.ndarray
-    groups: np.ndarray
     positions: np.ndarray
+    rows: np.ndarray
+    group_ids: np.ndarray
 
 
 class Block(NamedTuple):
@@ -232,8 +256,8 @@ class Family(NamedTuple):
     run.  `load(derived)`, when given, is the load a block's group indexes:
     a group whose load is <= 0 carries none, its block's gradient is
     exactly zero and its residual is zero.  `marginal(derived)` is what the
-    optimality conditions compare, shaped like the array.  `fixed(derived,
-    group)`, when given, masks the block's coordinates pinned at zero.
+    optimality conditions compare, shaped like the array.  `fixed(derived)`,
+    when given, masks the coordinates pinned at zero, shaped like the array.
     """
 
     constraint: str
@@ -251,7 +275,7 @@ FAMILIES = {
     "rho": Family("sum_at_most_one", "physical", False, None, lambda d: d.gradient("rho"), None),
     "eta": Family("sum_to_one", "physical", True, lambda d: d.physical.node_band_power, lambda d: d.eta_delta, None),
     "phi": Family(
-        "sum_to_one", "flows", False, lambda d: d.flows.inflow, lambda d: d.delta_phi, lambda d, g: d.blocked(*g)
+        "sum_to_one", "flows", False, lambda d: d.flows.inflow, lambda d: d.delta_phi, lambda d: d.cycle_mask
     ),
     "phi_w": Family("box", "flows", False, None, lambda d: d.gradient("phi_w"), None),
     "mu": Family("sum_to_one", "band_flow", True, lambda d: d.flows.link_flow, lambda d: d.gradient("mu"), None),
@@ -336,12 +360,20 @@ class NetworkScenario:
                     rho_mask[i, q] = True
         origin = np.array([g.index(s.origin) for s in self.sessions], dtype=np.int64)
         dest = np.array([g.index(s.dest) for s in self.sessions], dtype=np.int64)
+        ent_tx, ent_rx, ent_band = (np.array(v, dtype=np.int64) for v in (ent_tx, ent_rx, ent_band))
+        bands = self.allocation.band_count
+        heard_cell = ent_band * g.n + ent_rx
         return Layout(
             links=links,
-            ent_tx=np.array(ent_tx, dtype=np.int64),
-            ent_rx=np.array(ent_rx, dtype=np.int64),
-            ent_band=np.array(ent_band, dtype=np.int64),
+            ent_tx=ent_tx,
+            ent_rx=ent_rx,
+            ent_band=ent_band,
             ent_link=np.array(ent_link, dtype=np.int64),
+            tx_cell=ent_tx * bands + ent_band,
+            rx_cell=ent_rx * bands + ent_band,
+            heard_cell=heard_cell,
+            ent_gain=self.gains[ent_band, ent_tx, ent_rx],
+            ent_noise=self.noise.ravel()[heard_cell],
             link_slices=tuple(link_slices),
             out_links=tuple(map(tuple, out_links)),
             node_band_entries=node_band_entries,
@@ -545,8 +577,8 @@ class DerivedState:
 
     Everything below the costs is computed on first use and kept: the
     per-entry link-cost derivatives, the per-link marginals, the power
-    messages, the node marginals (:attr:`node_marginals`), each session's
-    parent lists (:attr:`parents`), and for every ControlState
+    messages, the node marginals (:attr:`node_marginals`), the routing
+    cycle mask (:attr:`cycle_mask`), and for every ControlState
     array its whole-network gradient (:meth:`gradient`) and diagonal
     curvature (:meth:`curvature`), shaped like the array.  Block updates,
     residuals and checks all slice these.  A zero fraction or flow times
@@ -578,11 +610,9 @@ class DerivedState:
         lay = self.scenario.layout
         mu = self.state.mu
         used = np.flatnonzero(mu != 0.0)
-        out = np.zeros(lay.n_links)
         # entries accumulate in index order; zero shares are skipped so an
         # infinite d_f on an unused band stays inert
-        np.add.at(out, lay.ent_link[used], mu[used] * self.derivatives[1][used])
-        return out
+        return np.bincount(lay.ent_link[used], weights=mu[used] * self.derivatives[1][used], minlength=lay.n_links)
 
     @cached_property
     def power_messages(self) -> np.ndarray:
@@ -593,15 +623,12 @@ class DerivedState:
         """
         lay = self.scenario.layout
         d_x = self.derivatives[0]
-        g = self._entry_gain
         p = self.physical.power
         x = self.physical.sinr
-        term = np.zeros_like(p)
-        active = (p > 0) & (d_x != 0)
-        term[active] = d_x[active] * (-(x[active] ** 2)) / (g[active] * p[active])
-        msg = np.zeros((lay.n, lay.band_count))
-        np.add.at(msg, (lay.ent_rx, lay.ent_band), term)
-        return msg
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = np.where((p > 0) & (d_x != 0), d_x * -(x**2) / (lay.ent_gain * p), 0.0)
+        size = lay.n * lay.band_count
+        return np.bincount(lay.rx_cell, weights=term, minlength=size).reshape(lay.n, lay.band_count)
 
     @cached_property
     def node_marginals(self) -> np.ndarray:
@@ -610,12 +637,12 @@ class DerivedState:
         positive outgoing links of the link marginal plus the head's
         marginal, in reverse topological order; 0 at the destination."""
         lay = self.scenario.layout
-        link_marginal = self.link_marginals
-        marg = np.zeros((len(self.scenario.sessions), lay.n))
-        for w, (order, adj) in enumerate(zip(self.flows.orders, self.flows.adjacency)):
-            d = int(lay.dest[w])
-            phi = self.state.phi[w]
-            row = marg[w]
+        link_marginal = self.link_marginals.tolist()
+        rows = []
+        # Python floats: the same operations as on numpy scalars, bit for bit
+        sessions = zip(lay.dest.tolist(), self.state.phi.tolist(), self.flows.orders, self.flows.adjacency)
+        for d, phi, order, adj in sessions:
+            row = [0.0] * lay.n
             for v in reversed(order):
                 if v == d:
                     continue
@@ -623,31 +650,40 @@ class DerivedState:
                 for u, li in adj[v]:
                     acc += phi[li] * (link_marginal[li] + row[u])
                 row[v] = acc
-        return marg
+            rows.append(row)
+        return np.array(rows, dtype=np.float64).reshape(len(self.scenario.sessions), lay.n)
 
     @cached_property
-    def parents(self) -> tuple:
-        """Per session, the reverse of its positive-fraction adjacency:
-        parents[w][u] lists the tails of u's positive incoming links."""
-        out = tuple([[] for _ in adj] for adj in self.flows.adjacency)
-        for parents, adj in zip(out, self.flows.adjacency):
-            for v, links in enumerate(adj):
-                for u, _ in links:
-                    parents[u].append(v)
-        return out
+    def cycle_mask(self) -> np.ndarray:
+        """Per (session, link): True where phi[w, l] is zero and raising it
+        would close a routing cycle, since the link's tail is reachable from
+        its head through positive fractions.
+
+        One pass per session that has a zero fraction, in reverse
+        topological order, gives each node the set of nodes it reaches
+        (itself included) as a Python-int bitset: its own bit or'ed with
+        the sets of its positive out-links' heads.
+        """
+        lay = self.scenario.layout
+        mask = np.zeros(self.state.phi.shape, dtype=bool)
+        for w, (phi, order, adj) in enumerate(zip(self.state.phi, self.flows.orders, self.flows.adjacency)):
+            zero = np.flatnonzero(phi == 0.0).tolist()
+            if not zero:
+                continue
+            reach = [0] * lay.n
+            for v in reversed(order):
+                bits = 1 << v
+                for u, _ in adj[v]:
+                    bits |= reach[u]
+                reach[v] = bits
+            ends = [lay.links[li] for li in zero]
+            mask[w, zero] = [reach[j] >> i & 1 for i, j in ends]
+        return mask
 
     def blocked(self, w: int, i: int) -> np.ndarray:
-        """Mask over node i's out-links (`layout.out_links[i]`): True where
-        phi[w, l] is zero and raising it would close a routing cycle, since
-        the link's head reaches i through positive fractions."""
-        lay = self.scenario.layout
-        phi = self.state.phi[w]
-        out = lay.out_links[i]
-        # only a zero fraction can be blocked: with none, skip the search
-        if all(phi[li] != 0.0 for li in out):
-            return np.zeros(len(out), dtype=bool)
-        upstream = _upstream_nodes(self.parents[w], i)
-        return np.array([phi[li] == 0.0 and lay.links[li][1] in upstream for li in out], dtype=bool)
+        """Mask over node i's out-links (`layout.out_links[i]`): session w's
+        row of :attr:`cycle_mask` there."""
+        return self.cycle_mask[w, list(self.scenario.layout.out_links[i])]
 
     def gradient(self, kind: str) -> np.ndarray:
         """Partial derivatives of total cost in the ControlState array `kind`."""
@@ -658,11 +694,6 @@ class DerivedState:
         scale its block steps: second derivatives of the link and overflow
         costs, without cross-interference terms."""
         return getattr(self, f"_{kind}_family")[1]
-
-    @cached_property
-    def _entry_gain(self) -> np.ndarray:
-        lay = self.scenario.layout
-        return self.scenario.gains[lay.ent_band, lay.ent_tx, lay.ent_rx]
 
     @cached_property
     def _mu_family(self):
@@ -679,7 +710,7 @@ class DerivedState:
         """Per-entry marginal d_x * g * (1 + x) / interference, which the
         optimality conditions compare within a (node, band) group."""
         x = self.physical.sinr
-        return self.derivatives[0] * self._entry_gain * (1.0 + x) / self.physical.interference
+        return self.derivatives[0] * self.scenario.layout.ent_gain * (1.0 + x) / self.physical.interference
 
     @cached_property
     def _eta_family(self):
@@ -689,14 +720,14 @@ class DerivedState:
         lay = self.scenario.layout
         d_x, _, d_xx, _ = self.derivatives
         inn = self.physical.interference
-        psi = d_x * self._entry_gain * self.physical.sinr / inn
-        cell = lay.ent_tx * lay.band_count + lay.ent_band
+        psi = d_x * lay.ent_gain * self.physical.sinr / inn
+        cell = lay.tx_cell
         group = group_sums(psi, cell, lay.n * lay.band_count)[cell]
-        base = self.physical.node_band_power[lay.ent_tx, lay.ent_band]
+        base = self.physical.node_band_power.ravel()[cell]
         grad = np.zeros(lay.n_entries)
         on = base != 0.0
         grad[on] = base[on] * (self.eta_delta[on] - group[on])
-        return grad, d_xx * (self._entry_gain * base / inn) ** 2
+        return grad, d_xx * (lay.ent_gain * base / inn) ** 2
 
     @cached_property
     def _rho_family(self):
@@ -709,14 +740,13 @@ class DerivedState:
         :func:`duplexnet.oracle.delta_rho_direct` is the derivative.
         """
         lay = self.scenario.layout
-        cell = lay.ent_tx * lay.band_count + lay.ent_band
+        size = lay.n * lay.band_count
         cross = np.einsum("qin,nq->iq", self.scenario.gains, self.power_messages)
-        own = np.zeros((lay.n, lay.band_count))
-        np.add.at(own, (lay.ent_tx, lay.ent_band), self.eta_delta * self.state.eta)
-        scale = self._entry_gain * self.scenario.power_budget[lay.ent_tx] * self.state.eta
+        own = np.bincount(lay.tx_cell, weights=self.eta_delta * self.state.eta, minlength=size)
+        scale = lay.ent_gain * self.scenario.power_budget[lay.ent_tx] * self.state.eta
         share = self.derivatives[2] * (scale / self.physical.interference) ** 2
-        curv = group_sums(share, cell, lay.n * lay.band_count).reshape(lay.n, lay.band_count)
-        return self.scenario.power_budget[:, None] * (cross + own), curv
+        curv = group_sums(share, lay.tx_cell, size).reshape(lay.n, lay.band_count)
+        return self.scenario.power_budget[:, None] * (cross + own.reshape(lay.n, lay.band_count)), curv
 
     @cached_property
     def delta_phi(self) -> np.ndarray:
@@ -764,31 +794,17 @@ def group_sums(values: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray
     return out
 
 
-def _upstream_nodes(parents, node: int) -> set:
-    """Nodes from which `node` is reachable along positive fractions, itself
-    included; `parents` is one session's reverse adjacency
-    (:attr:`DerivedState.parents`)."""
-    seen = {node}
-    stack = [node]
-    while stack:
-        for p in parents[stack.pop()]:
-            if p not in seen:
-                seen.add(p)
-                stack.append(p)
-    return seen
-
-
 def evaluate_physical(scenario: NetworkScenario, state: ControlState) -> PhysicalTerms:
     lay = scenario.layout
     npow, power, interference, sinr = kernels.physical_terms(
         scenario.gains,
-        scenario.noise,
         scenario.power_budget,
         np.ascontiguousarray(state.rho),
-        lay.ent_tx,
-        lay.ent_rx,
-        lay.ent_band,
         np.ascontiguousarray(state.eta),
+        lay.ent_gain,
+        lay.ent_noise,
+        lay.tx_cell,
+        lay.heard_cell,
     )
     return PhysicalTerms(node_band_power=npow, power=power, interference=interference, sinr=sinr)
 
@@ -825,18 +841,20 @@ def _session_topo_order(lay: Layout, phi_row: np.ndarray, dest: int, session: in
 def evaluate_flows(scenario: NetworkScenario, state: ControlState) -> FlowTerms:
     lay = scenario.layout
     n_sessions = len(scenario.sessions)
-    inflow = np.zeros((n_sessions, lay.n))
-    link_flow = np.zeros(lay.n_links)
-    overflow = np.empty(n_sessions)
+    inflow = []
+    link_flow = [0.0] * lay.n_links
+    overflow = []
     orders, adjacency = [], []
-    for w, sess in enumerate(scenario.sessions):
-        d = int(lay.dest[w])
+    # Python floats: the same operations as on numpy scalars, bit for bit
+    phi_w = state.phi_w.tolist()
+    for w, (sess, d, origin, phi) in enumerate(
+        zip(scenario.sessions, lay.dest.tolist(), lay.origin.tolist(), state.phi.tolist())
+    ):
         order, adj = _session_topo_order(lay, state.phi[w], d, w)
         orders.append(order)
         adjacency.append(adj)
-        phi = state.phi[w]
-        t = inflow[w]
-        t[lay.origin[w]] = sess.demand * (1.0 - state.phi_w[w])
+        t = [0.0] * lay.n
+        t[origin] = sess.demand * (1.0 - phi_w[w])
         for v in order:
             ti = t[v]
             if ti == 0.0:
@@ -845,12 +863,14 @@ def evaluate_flows(scenario: NetworkScenario, state: ControlState) -> FlowTerms:
                 f = ti * phi[li]
                 link_flow[li] += f
                 t[u] += f
-        overflow[w] = sess.demand * state.phi_w[w]
+        inflow.append(t)
+        overflow.append(sess.demand * phi_w[w])
+    link_flow = np.array(link_flow, dtype=np.float64)
     return FlowTerms(
-        inflow=inflow,
+        inflow=np.array(inflow, dtype=np.float64).reshape(n_sessions, lay.n),
         link_flow=link_flow,
         band_flow=_band_flow(lay, state.mu, link_flow),
-        overflow=overflow,
+        overflow=np.array(overflow, dtype=np.float64),
         orders=tuple(orders),
         adjacency=tuple(adjacency),
     )
@@ -889,12 +909,12 @@ def derive(
     else:
         flows = evaluate_flows(scenario, state)
     link_cost = kernels.link_cost_terms(phys.sinr, flows.band_flow, scenario.cost.bandwidth, scenario.cost.gain_factor)
-    over = np.array(
-        [
-            sess.utility.overflow_cost(flows.overflow[w], sess.demand)
-            for w, sess in enumerate(scenario.sessions)
-        ]
-    )
+    if feeds in ("physical", "band_flow"):
+        # the overflow is that of the parent's flows
+        over = parent.overflow_cost
+    else:
+        rejected = flows.overflow.tolist()
+        over = np.array([sess.utility.overflow_cost(r, sess.demand) for sess, r in zip(scenario.sessions, rejected)])
     return DerivedState(
         scenario=scenario,
         state=state,

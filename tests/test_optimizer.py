@@ -314,6 +314,71 @@ def test_routing_blocked_matches_reachability():
                     assert fixed is None
 
 
+def _upstream_blocked(scenario, state):
+    """The cycle mask by one upstream search per routing block: for node i
+    of session w, the nodes that reach i through positive fractions (links
+    out of the destination left out), and an out-link of i at zero
+    fraction is blocked when its head is one of them."""
+    lay = scenario.layout
+    mask = np.zeros(state.phi.shape, dtype=bool)
+    for w in range(len(scenario.sessions)):
+        d = int(lay.dest[w])
+        parents = [[] for _ in range(lay.n)]
+        for li, (i, j) in enumerate(lay.links):
+            if i != d and state.phi[w, li] > 0:
+                parents[j].append(i)
+        for i in range(lay.n):
+            upstream, stack = {i}, [i]
+            while stack:
+                for p in parents[stack.pop()]:
+                    if p not in upstream:
+                        upstream.add(p)
+                        stack.append(p)
+            for li in lay.out_links[i]:
+                mask[w, li] = state.phi[w, li] == 0.0 and lay.links[li][1] in upstream
+    return mask
+
+
+def _random_acyclic_routing(scenario, state, rng):
+    """`state` with every session's routing drawn at random: nodes get a
+    random rank, the destination the last, and each node splits its
+    traffic over a random nonempty subset of its links to higher ranks.
+    The positive fractions are acyclic, and zero fractions point both ways."""
+    lay = scenario.layout
+    phi = np.zeros_like(state.phi)
+    for w, d in enumerate(lay.dest.tolist()):
+        rank = rng.permutation(lay.n)
+        rank[d] = lay.n
+        for i in range(lay.n):
+            ahead = [li for li in lay.out_links[i] if i != d and rank[lay.links[li][1]] > rank[i]]
+            if not ahead:
+                continue
+            pick = [li for li in ahead if rng.random() < 0.6] or [ahead[int(rng.integers(len(ahead)))]]
+            phi[w, pick] = rng.dirichlet(np.ones(len(pick)))
+    return ControlState(rho=state.rho, eta=state.eta, phi=phi, phi_w=state.phi_w, mu=state.mu)
+
+
+def test_cycle_mask_equals_an_upstream_search_per_block():
+    # the one reachability pass per session against a search from every
+    # node, on random acyclic routings of random scenarios and grids
+    rng = np.random.default_rng(73)
+    scenarios = [random_scenario(rng) for _ in range(8)] + [grid_scenario(rng, 4, 2), grid_scenario(rng, 5, 3)]
+    blocked = 0
+    for k, scen in enumerate(scenarios):
+        lay = scen.layout
+        base = uniform_state(scen, 0.9, 0.1)
+        for draw in range(4):
+            st = _random_acyclic_routing(scen, base, rng)
+            der = derive(scen, st)
+            want = _upstream_blocked(scen, st)
+            assert der.cycle_mask.dtype == bool and np.array_equal(der.cycle_mask, want), f"scenario {k}, draw {draw}"
+            for w in range(len(scen.sessions)):
+                for i, out in enumerate(lay.out_links):
+                    assert np.array_equal(der.blocked(w, i), want[w, list(out)]), f"scenario {k}, draw {draw}, {w, i}"
+            blocked += int(want.sum())
+    assert blocked > 0
+
+
 def _trial(state, block, rng):
     """`state` with `block` moved inside its feasible set, its support kept
     (so no routing cycle appears), or None when the block cannot move so."""
@@ -392,7 +457,7 @@ def test_trial_evaluation_reuses_terms_bit_for_bit():
                     _assert_bitwise(reused.gradient(array), fresh.gradient(array), f"{what}: {array} gradient")
                     _assert_bitwise(reused.curvature(array), fresh.curvature(array), f"{what}: {array} curvature")
                 _assert_bitwise(reused.node_marginals, fresh.node_marginals, f"{what}: node marginals")
-                assert reused.parents == fresh.parents, f"{what}: parents"
+                _assert_bitwise(reused.cycle_mask, fresh.cycle_mask, f"{what}: cycle mask")
                 blocked = gradient_bundle(scen, trial, reused).routing.blocked
                 assert np.array_equal(blocked, _reachability_blocked(scen, trial)), what
     assert all(tried.values()), tried

@@ -530,6 +530,14 @@ def test_segments_lay_the_block_keys_end_to_end():
             table = [b for b in lay.blocks if b.kind == kind]
             assert np.array_equal(seg.index, np.concatenate([b.key for b in table])), kind
             assert np.array_equal(seg.starts, np.cumsum([0] + [b.key.size for b in table])[:-1]), kind
+            assert np.array_equal(seg.rows, np.concatenate([[k] * b.key.size for k, b in enumerate(table)])), kind
+            # a group id addresses the group's cell of the family's load, or
+            # of the array for a family without one (rho, phi_w)
+            load = FAMILIES[kind].load
+            start = uniform_state(scen)
+            shape = getattr(start, kind).shape[:1] if load is None else load(derive(scen, start)).shape
+            cells = np.arange(math.prod(shape)).reshape(shape)
+            assert np.array_equal(seg.group_ids, [cells[b.group] for b in table]), kind
 
 
 def _same_bits(got, want):

@@ -16,6 +16,8 @@ from itertools import chain, groupby
 from operator import itemgetter
 from typing import Iterable, Iterator
 
+from .persistent import DELETE, PersistentMap
+
 
 class GraphValidationError(ValueError):
     """Raised when an edge list does not describe a valid connectivity graph."""
@@ -40,24 +42,31 @@ class ConnectivityGraph:
     """Immutable link-symmetric directed graph with dense internal indices.
 
     Each node's row holds its outgoing links (node, neighbor), keyed by node
-    id and ascending by neighbor; rows are shared between the graphs of a
-    join/leave sequence, each event copying the dict and rewriting the rows
-    it touches.  Nodes are held in ascending id order, so internal indices,
-    `links` and `adjacency` come out as build_graph makes them; the
-    protocol's draw order relies on it.  The internal-index views are built
-    on first use.  Connectivity is cached once known: build_graph proves
-    it, and an event keeps it where it can tell locally.
+    id and ascending by neighbor, in a PersistentMap: the graphs of a
+    join/leave sequence share one dict of rows, and an event writes only the
+    rows of its node and that node's neighbors.  An event so costs O(degree)
+    and leaves the graph it came from reading as before; an older graph
+    pays for a copy of the rows when it is read again.  Nodes are held in
+    ascending id order, so internal indices, `links` and `adjacency` come
+    out as build_graph makes them; the protocol's draw order relies on it.
+    `nodes` and the internal-index views are built on first use.  The
+    maximum degree comes from a count of nodes per degree, which an event
+    adjusts.  Connectivity is cached once known: build_graph proves it, and
+    an event keeps it where it can tell locally.
     """
 
-    def __init__(self, nodes: tuple, rows: dict[int, tuple[tuple[int, int], ...]]):
-        self.nodes = nodes
+    def __init__(self, rows: PersistentMap):
         self._rows = rows
         self._connected: bool | None = None
         self._comps: list[frozenset[int]] | None = None
 
     @cached_property
+    def nodes(self) -> tuple:
+        return tuple(sorted(self._rows))
+
+    @cached_property
     def links(self) -> tuple[tuple[int, int], ...]:
-        return tuple(chain.from_iterable(map(self._rows.__getitem__, self.nodes)))
+        return tuple(chain.from_iterable(map(self._rows.read().__getitem__, self.nodes)))
 
     @cached_property
     def _index(self) -> dict[int, int]:
@@ -65,16 +74,21 @@ class ConnectivityGraph:
 
     @cached_property
     def _adj(self) -> tuple[tuple[int, ...], ...]:
-        index = self._index.__getitem__
-        return tuple(tuple(map(index, map(_second, self._rows[v]))) for v in self.nodes)
+        index, rows = self._index.__getitem__, self._rows.read()
+        return tuple(tuple(map(index, map(_second, rows[v]))) for v in self.nodes)
 
     @cached_property
-    def _max_degree(self) -> int:
-        return max(map(len, self._rows.values()))
+    def _degree_counts(self) -> list[int]:
+        """How many nodes have each degree, up to the maximum degree."""
+        degrees = list(map(len, self._rows.values()))
+        counts = [0] * (max(degrees) + 1)
+        for d in degrees:
+            counts[d] += 1
+        return counts
 
     @property
     def n(self) -> int:
-        return len(self.nodes)
+        return len(self._rows)
 
     def __contains__(self, node: int) -> bool:
         return node in self._rows
@@ -93,10 +107,10 @@ class ConnectivityGraph:
         return len(self._rows[node])
 
     def degrees(self) -> list[int]:
-        return list(map(len, map(self._rows.__getitem__, self.nodes)))
+        return list(map(len, map(self._rows.read().__getitem__, self.nodes)))
 
     def max_degree(self) -> int:
-        return self._max_degree
+        return len(self._degree_counts) - 1
 
     def internal_links(self) -> Iterator[tuple[int, int]]:
         for i in range(self.n):
@@ -112,12 +126,13 @@ class ConnectivityGraph:
         """Connected components as sets of external node ids, in the order
         of their lowest id; a fresh list on every call."""
         if self._comps is None:
-            self._comps = [frozenset(self.nodes)] if self._connected else self._search_components()
+            self._comps = [frozenset(self._rows)] if self._connected else self._search_components()
             self._connected = len(self._comps) == 1
         return list(self._comps)
 
     def _search_components(self) -> list[frozenset[int]]:
         """Connected components by a search over the whole graph."""
+        rows = self._rows.read()
         seen: set[int] = set()
         comps = []
         for s in self.nodes:
@@ -126,7 +141,7 @@ class ConnectivityGraph:
             stack, comp = [s], {s}
             seen.add(s)
             while stack:
-                for _, v in self._rows[stack.pop()]:
+                for _, v in rows[stack.pop()]:
                     if v not in seen:
                         seen.add(v)
                         comp.add(v)
@@ -162,8 +177,8 @@ def build_graph(edges: Iterable[tuple[int, int]], *, require_connected: bool = T
     # occurrence, and scattered objects slow every later pass over the links
     one = dict(zip(nodes, nodes))
     links = tuple([(one[i], one[j]) for i, j in sorted(edge_set)])
-    g = ConnectivityGraph(nodes, {v: tuple(row) for v, row in groupby(links, _first)})
-    g.links = links
+    g = ConnectivityGraph(PersistentMap({v: tuple(row) for v, row in groupby(links, _first)}))
+    g.nodes, g.links = nodes, links
     if require_connected and not g.connected():
         raise NotConnectedError(f"graph has {len(g.components())} components")
     return g
@@ -199,6 +214,25 @@ def _reaches_all(rows: dict, targets: list[int]) -> bool:
     return not left
 
 
+def _edited(g: ConnectivityGraph, changes: list) -> ConnectivityGraph:
+    """`g` with `changes`, (node, row or DELETE) pairs, written to its rows;
+    its degree counts move with them."""
+    rows = g._rows.read()
+    counts = g._degree_counts.copy()
+    for node, row in changes:
+        old, new = len(rows.get(node, ())), 0 if row is DELETE else len(row)
+        if old:
+            counts[old] -= 1
+        if new:
+            counts.extend([0] * (new + 1 - len(counts)))
+            counts[new] += 1
+    while not counts[-1]:
+        counts.pop()
+    out = ConnectivityGraph(g._rows.updated(changes))
+    out._degree_counts = counts
+    return out
+
+
 def _without_node(g: ConnectivityGraph, node: int) -> ConnectivityGraph | None:
     """The graph left when `node` goes, without the nodes it leaves linkless.
 
@@ -208,22 +242,18 @@ def _without_node(g: ConnectivityGraph, node: int) -> ConnectivityGraph | None:
     keep a link still reach one another: every path through `node` ran
     between two of them.
     """
-    rows = g._rows.copy()  # a clone even after deletions, unlike dict()
-    nodes = _drop(g.nodes, node)
-    kept = []
-    for _, u in rows.pop(node):
+    rows = g._rows.read()
+    changes, kept = [(node, DELETE)], []
+    for _, u in rows[node]:
         row = _drop(rows[u], (u, node))
+        changes.append((u, row or DELETE))
         if row:
-            rows[u] = row
             kept.append(u)
-        else:
-            del rows[u]
-            nodes = _drop(nodes, u)
-    if not rows:
+    if len(changes) - len(kept) == len(rows):  # every row goes
         return None
-    out = ConnectivityGraph(nodes, rows)
+    out = _edited(g, changes)
     if g._connected:
-        out._connected = _reaches_all(rows, kept)
+        out._connected = _reaches_all(out._rows.read(), kept)
     return out
 
 
@@ -235,12 +265,11 @@ def _with_node(g: ConnectivityGraph, node: int, neighbors: Iterable[int]) -> Con
     check.  Only the rows of `node` and its neighbors change, and a
     connected graph stays connected.
     """
-    rows = g._rows.copy()
+    rows = g._rows.read()
     new = sorted(neighbors)
-    rows[node] = tuple((node, u) for u in new)
-    for u in new:
-        rows[u] = _insert(rows[u], (u, node))
-    out = ConnectivityGraph(_insert(g.nodes, node), rows)
+    changes = [(node, tuple((node, u) for u in new))]
+    changes += [(u, _insert(rows[u], (u, node))) for u in new]
+    out = _edited(g, changes)
     if g._connected:
         out._connected = True
     return out

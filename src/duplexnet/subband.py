@@ -14,9 +14,10 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .coloring import (
     ColorSetFamily,
@@ -26,6 +27,7 @@ from .coloring import (
     min_subband_count,
 )
 from .graph import ConnectivityGraph, NotConnectedError, _with_node, _without_node
+from .persistent import DELETE, PersistentMap
 
 
 class InsufficientBandsError(ValueError):
@@ -38,11 +40,15 @@ class DegreeBudgetExceededError(ValueError):
 
 @dataclass(frozen=True)
 class SpectrumAllocation:
-    """Outgoing band sets per node and band masks per directed link."""
+    """Outgoing band sets per node and band masks per directed link.
+
+    A plan holds dicts; the allocations after join/leave events hold
+    versions of one PersistentMap, which read as dicts do.
+    """
 
     band_count: int
-    outgoing: dict[int, int]
-    link_bands: dict[tuple[int, int], int]
+    outgoing: Mapping[int, int]
+    link_bands: Mapping[tuple[int, int], int]
     # (swap repairs, subset enumerations) among the selections behind this
     # allocation: a plan's own, plus one per join since; not part of equality
     fallbacks: tuple[int, int] = field(default=(0, 0), compare=False)
@@ -80,7 +86,15 @@ class TopologyResult:
     graph: ConnectivityGraph | None
     allocation: SpectrumAllocation
     disconnected: bool
-    components: tuple[frozenset[int], ...]
+    # the leaver's neighbors that kept no link, each a component of its own
+    isolated: tuple[int, ...] = ()
+
+    @cached_property
+    def components(self) -> tuple[frozenset[int], ...]:
+        """The graph's components, in the order of their lowest id, then
+        the isolated nodes; computed on first access."""
+        comps = [] if self.graph is None else self.graph.components()
+        return tuple(comps + [frozenset((v,)) for v in self.isolated])
 
 
 def _band_preference(
@@ -254,26 +268,27 @@ def apply_topology_change(
     feasible and a disconnection is reported, not raised.  Joining runs the
     protocol's selection step for the new node against its already-settled
     neighbors; it requires at most max_degree(old graph) neighbors.
+
+    `g` and `alloc` read as before.  The result shares their rows and band
+    maps (see PersistentMap) and writes only the node's row and outgoing
+    set, its neighbors' rows and its 2·deg links, so an event on the newest
+    graph and allocation costs O(degree) whatever the network's size.  An
+    event on older ones, or on a plan's dicts, first copies them once.
     """
     if isinstance(change, Leave):
         if change.node not in g:
             raise ValueError(f"unknown node {change.node}")
         node, neighbors = change.node, g.neighbors(change.node)
         new_g = _without_node(g, node)
-        # delete in place; dict.copy, unlike dict(), still clones the table
-        # of a dict that has had a few deletions
-        outgoing = alloc.outgoing.copy()
-        del outgoing[node]
-        link_bands = alloc.link_bands.copy()
-        for u in neighbors:
-            del link_bands[(node, u)], link_bands[(u, node)]
+        outgoing = PersistentMap.of(alloc.outgoing).updated([(node, DELETE)])
+        link_bands = PersistentMap.of(alloc.link_bands).updated(
+            entry for u in neighbors for entry in (((node, u), DELETE), ((u, node), DELETE))
+        )
         new_alloc = SpectrumAllocation(alloc.band_count, outgoing, link_bands, alloc.fallbacks)
         if new_g is None:
-            comps = tuple(frozenset((v,)) for v in g.nodes if v != node)
-            return TopologyResult(None, new_alloc, len(comps) > 1, comps)
-        comps = new_g.components()
-        comps += [frozenset((v,)) for v in neighbors if v not in new_g]
-        return TopologyResult(new_g, new_alloc, len(comps) > 1, tuple(comps))
+            return TopologyResult(None, new_alloc, len(neighbors) > 1, neighbors)
+        isolated = tuple(v for v in neighbors if v not in new_g)
+        return TopologyResult(new_g, new_alloc, bool(isolated) or not new_g.connected(), isolated)
 
     if isinstance(change, Join):
         node, neighbors = change.node, tuple(change.neighbors)
@@ -290,23 +305,20 @@ def apply_topology_change(
             raise DegreeBudgetExceededError(
                 f"{len(neighbors)} neighbors exceeds the old maximum degree {g.max_degree()}"
             )
+        new_g = _with_node(g, node, neighbors)
+        if not new_g.connected():
+            raise NotConnectedError(f"graph has {len(new_g.components())} components")
         rng = random.Random(seed) if seed is not None else None
         done = [alloc.outgoing[u] for u in neighbors]
         counts = _occurrence_counts(alloc.band_count, done)
         oc, path = _choose_set(alloc.band_count, counts, done, rng)
-        outgoing = alloc.outgoing.copy()
-        outgoing[node] = oc
-        link_bands = alloc.link_bands.copy()
-        for u in neighbors:
-            link_bands[(node, u)] = oc & ~alloc.outgoing[u]
-            link_bands[(u, node)] = alloc.outgoing[u] & ~oc
-        new_g = _with_node(g, node, neighbors)
-        comps = new_g.components()
-        if len(comps) > 1:
-            raise NotConnectedError(f"graph has {len(comps)} components")
+        outgoing = PersistentMap.of(alloc.outgoing).updated([(node, oc)])
+        link_bands = PersistentMap.of(alloc.link_bands).updated(
+            entry for u, m in zip(neighbors, done) for entry in (((node, u), oc & ~m), ((u, node), m & ~oc))
+        )
         new_alloc = SpectrumAllocation(
             alloc.band_count, outgoing, link_bands, _tally(alloc.fallbacks, path)
         )
-        return TopologyResult(new_g, new_alloc, False, tuple(comps))
+        return TopologyResult(new_g, new_alloc, False)
 
     raise TypeError(f"unsupported change {change!r}")

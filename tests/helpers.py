@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from duplexnet import (
+    ConnectivityGraph,
     CostParams,
     Join,
     Leave,
@@ -112,6 +113,20 @@ def churn(rng, g, alloc, pos, radius, events):
             if isinstance(event, Join):
                 pos[event.node] = at
             g, alloc = res.graph, res.allocation
+
+
+def count_searches(monkeypatch):
+    """The graphs on which a full connected-component search runs, from
+    now on; tools/bench_spectrum.py counts them through the same hook."""
+    searched = []
+    search = ConnectivityGraph._search_components
+
+    def counting(self):
+        searched.append(self)
+        return search(self)
+
+    monkeypatch.setattr(ConnectivityGraph, "_search_components", counting)
+    return searched
 
 
 def _pathloss_gains(pos, band_count, scale=None):

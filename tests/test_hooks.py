@@ -1,9 +1,12 @@
-"""The package names that the benchmark's tracer and tools/bench_solve.py rebind.
+"""The package names that the benchmark's tracer and the tools/ benchmarks rebind.
 
 A traced benchmark run wraps every function that perfbench/tracing.py lists
 in LAYERS, and tools/bench_solve.py rebinds a few private solver functions
-to count and time them; either raises at start when a name is gone.  These
-tests catch a rename here instead.  They only read perfbench/.
+to count and time them; either raises at start when a name is gone.
+tools/bench_spectrum.py counts full component searches by rebinding
+`ConnectivityGraph._search_components`, and would count 0 if the searches
+went elsewhere.  These tests catch a rename here instead.  They only read
+perfbench/.
 """
 
 import importlib
@@ -11,10 +14,10 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from duplexnet import optimizer, scenario
+from duplexnet import build_graph, optimizer, scenario
 from duplexnet.scenario import derive
 
-from helpers import line3_scenario
+from helpers import count_searches, line3_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,3 +56,11 @@ def test_the_hooks_bench_solve_patches_keep_their_shape():
     out = optimizer._update_run(scen, state, [block], [1.0], der)
     assert [type(move.moved) for move in out[2]] == [bool]
     assert len(optimizer._block_move(scen, state, block, der)) == 3
+
+
+def test_components_searches_through_the_hook_bench_spectrum_patches(monkeypatch):
+    searched = count_searches(monkeypatch)
+    # connectivity unknown: build_graph proves it only when asked to
+    g = build_graph([(0, 1), (1, 0), (2, 3), (3, 2)], require_connected=False)
+    assert g.components() == [frozenset({0, 1}), frozenset({2, 3})]
+    assert searched == [g]

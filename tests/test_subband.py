@@ -4,9 +4,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from duplexnet.coloring import ColorSetFamily, assign_link_colors, mask_from_colors, min_subband_count
-from duplexnet.graph import ConnectivityGraph, NotConnectedError, build_graph
+from duplexnet.graph import NotConnectedError, build_graph
 from duplexnet.subband import (
     DegreeBudgetExceededError,
     InsufficientBandsError,
@@ -20,7 +22,14 @@ from duplexnet.subband import (
     check_allocation,
 )
 
-from helpers import churn, complete_graph, path_graph, random_connected_graph, random_geometric_graph
+from helpers import (
+    churn,
+    complete_graph,
+    count_searches,
+    path_graph,
+    random_connected_graph,
+    random_geometric_graph,
+)
 
 
 def test_path3_deterministic_trace():
@@ -345,25 +354,12 @@ def test_leave_disconnecting_then_join_raises():
     assert joined.components == (frozenset({10, 20, 35, 40, 50, 60}),)
 
 
-def _count_searches(monkeypatch):
-    """The graphs on which a full connected-component search runs."""
-    searched = []
-    search = ConnectivityGraph._search_components
-
-    def counting(self):
-        searched.append(self)
-        return search(self)
-
-    monkeypatch.setattr(ConnectivityGraph, "_search_components", counting)
-    return searched
-
-
 def test_local_events_search_no_components(monkeypatch):
     # ring 0..5: build_graph proves it connected, before the count starts
     und = [(k, (k + 1) % 6) for k in range(6)]
     g = build_graph(und + [(b, a) for a, b in und])
     alloc = allocate_subbands(g, 3)
-    searched = _count_searches(monkeypatch)
+    searched = count_searches(monkeypatch)
     joined = apply_topology_change(g, alloc, Join(10, (0, 3)), seed=1)
     assert joined.components == (frozenset({0, 1, 2, 3, 4, 5, 10}),)
     # node 1 is no cut vertex: its neighbors 0 and 2 still meet through 5, 4, 3
@@ -391,8 +387,104 @@ def test_leave_builds_no_link_list():
 def test_cut_vertex_leave_searches_once(monkeypatch):
     g = path_graph(5)
     alloc = allocate_subbands(g, 3)
-    searched = _count_searches(monkeypatch)
+    searched = count_searches(monkeypatch)
     res = apply_topology_change(g, alloc, Leave(2))
     assert res.components == (frozenset({0, 1}), frozenset({3, 4}))
     assert res.disconnected and not res.graph.connected()
     assert searched == [res.graph]
+
+
+def _circulant(n):
+    """n nodes on a ring, each linked to the next two."""
+    und = [(k, (k + d) % n) for k in range(n) for d in (1, 2)]
+    return build_graph(und + [(b, a) for a, b in und])
+
+
+@pytest.mark.parametrize("n", [100, 3000])
+def test_an_event_writes_only_its_node_and_links(n):
+    # counted, not timed.  The first event copies the plan's dicts; after
+    # it, an event on the newest graph and allocation writes 1 + deg rows,
+    # one outgoing set and 2·deg link entries into the tables it shares
+    # with them, and they keep only the undo record of those entries
+    g = _circulant(n)
+    alloc = allocate_subbands(g, min_subband_count(g.max_degree() + 1))
+    res = apply_topology_change(g, alloc, Join(n, (0, n // 2)), seed=1)
+    for change in (Join(n + 1, (1, 2, n)), Leave(n // 2)):
+        g, alloc = res.graph, res.allocation
+        maps = (g._rows, alloc.outgoing, alloc.link_bands)
+        tables = [m.read() for m in maps]
+        res = apply_topology_change(g, alloc, change, seed=2)
+        deg = len(change.neighbors) if isinstance(change, Join) else 5
+        assert [len(m._undo) for m in maps] == [1 + deg, 1, 2 * deg]
+        assert [m._table for m in maps] == [None] * 3
+        new = (res.graph._rows, res.allocation.outgoing, res.allocation.link_bands)
+        assert all(m.read() is t for m, t in zip(new, tables))
+        assert not {"nodes", "links", "_index", "_adj"} & set(vars(res.graph))
+        # and both versions still read right
+        assert g.degree(n // 2) == 5 and check_allocation(g, alloc).ok
+        assert check_allocation(res.graph, res.allocation).ok
+        _assert_matches_rebuild(g, change, res)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(seed=hs.integers(0, 2**32 - 1), data=hs.data())
+def test_join_leave_sequences_match_rebuild_and_keep_every_version(seed, data):
+    # each event starts mostly from the newest version and sometimes from
+    # an older one, which branches the sequence; every result must equal
+    # build_graph of its edge list and pass check_allocation, and at the
+    # end every version must still read as it did when it was returned
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, n=int(rng.integers(3, 10)))
+    alloc = allocate_subbands(g, min_subband_count(g.max_degree() + 1), seed=seed % 1000)
+    versions = [(g, alloc, build_graph(g.links), dict(alloc.outgoing), dict(alloc.link_bands))]
+    for _ in range(data.draw(hs.integers(1, 12), label="events")):
+        back = data.draw(hs.integers(0, min(2, len(versions) - 1)), label="back")
+        g, alloc, ref, outgoing, link_bands = versions[-1 - back]
+        # the event is drawn from the reference, so that g stays unread
+        if data.draw(hs.booleans(), label="join"):
+            node = data.draw(hs.sampled_from([v for v in range(40) if v not in ref]), label="node")
+            nbrs = data.draw(
+                hs.lists(hs.sampled_from(ref.nodes), min_size=1, max_size=ref.max_degree(), unique=True),
+                label="neighbors",
+            )
+            change = Join(node, tuple(nbrs))
+        else:
+            change = Leave(data.draw(hs.sampled_from(ref.nodes), label="leaver"))
+        want = _rebuilt(ref, change)
+        try:
+            res = apply_topology_change(g, alloc, change, seed=int(rng.integers(2**31)))
+        except NotConnectedError:
+            assert isinstance(change, Join) and not want.connected()
+            continue
+        leave = isinstance(change, Leave)
+        keys = set(outgoing) - {change.node} if leave else set(outgoing) | {change.node}
+        assert set(res.allocation.outgoing) == keys
+        # entries away from the node are the input's
+        assert {k: m for k, m in res.allocation.link_bands.items() if change.node not in k} == {
+            k: m for k, m in link_bands.items() if change.node not in k
+        }
+        assert {v: m for v, m in res.allocation.outgoing.items() if v != change.node} == {
+            v: m for v, m in outgoing.items() if v != change.node
+        }
+        # the leaver's neighbors that kept no link
+        lone = [frozenset((v,)) for v in ref.neighbors(change.node) if want is None or v not in want] if leave else []
+        if want is None:
+            assert res.graph is None and res.components == tuple(lone)
+            assert res.disconnected == (len(lone) > 1)
+            continue
+        got = res.graph
+        assert got.connected() == want.connected()
+        assert got.nodes == want.nodes and got.links == want.links
+        assert got.degrees() == want.degrees() and got.max_degree() == want.max_degree()
+        assert got.components() == want.components()
+        assert res.components == tuple(want.components() + lone)
+        assert res.disconnected == (len(res.components) > 1)
+        assert set(res.allocation.link_bands) == set(want.links)
+        assert check_allocation(got, res.allocation).ok
+        versions.append((got, res.allocation, want, dict(res.allocation.outgoing), dict(res.allocation.link_bands)))
+    for g, alloc, ref, outgoing, link_bands in versions:
+        assert g.n == ref.n and all(v in g for v in ref.nodes)
+        assert [g.neighbors(v) for v in ref.nodes] == [ref.neighbors(v) for v in ref.nodes]
+        assert g.degrees() == ref.degrees() and g.max_degree() == ref.max_degree()
+        assert dict(alloc.outgoing) == outgoing and dict(alloc.link_bands) == link_bands
+        assert check_allocation(g, alloc).ok

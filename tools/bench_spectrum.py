@@ -20,10 +20,14 @@ Per workload it records counts that do not depend on the machine (nodes,
 links, joins, leaves, full connected-component searches per event, and a
 digest of every event's allocation, its dicts sorted by key, graph and
 components, which must match between trees that give the same outputs) and the wall milliseconds
-of `allocate_subbands`, of `check_allocation` on the plan, and per join
-and per leave of `apply_topology_change`.  Each workload runs REPEATS
-times; the counts must repeat exactly and the timings are the medians over
-the repeats.
+of `allocate_subbands`, of `check_allocation` on the plan, and of
+`apply_topology_change` per join and per leave: the mean, the median and
+the largest, so that a one-off cost, such as the first event copying the
+plan's dicts, shows as one.  Each workload runs REPEATS times; the counts
+must repeat exactly and the timings are the medians over the repeats.
+Each run also stores how much every timing grows from rgg_1000 to
+rgg_10000 (`growth_10000_over_1000`, a ratio), which is 1 for work that
+does not depend on the network's size and about 10 for work linear in it.
 """
 
 from __future__ import annotations
@@ -80,16 +84,14 @@ def _run(dn, g, bands, plan_seed, events, event_seeds):
     if not report.ok:
         raise RuntimeError("the plan fails its own check")
     digest = hashlib.sha256()
-    spent = {"Join": 0.0, "Leave": 0.0}
-    seen = {"Join": 0, "Leave": 0}
+    spent = {"Join": [], "Leave": []}
     searches = [0]
     undo = _count_searches(dn.ConnectivityGraph, searches)
     try:
         for ev, seed in zip(events, event_seeds):
             s0 = time.perf_counter()
             res = dn.apply_topology_change(g, alloc, ev, seed=seed)
-            spent[type(ev).__name__] += time.perf_counter() - s0
-            seen[type(ev).__name__] += 1
+            spent[type(ev).__name__].append(1e3 * (time.perf_counter() - s0))
             g, alloc = res.graph, res.allocation
             digest.update(repr((ev, sorted(alloc.outgoing.items()), sorted(alloc.link_bands.items()))).encode())
             digest.update(repr((g.nodes, g.links, [sorted(c) for c in res.components], res.disconnected)).encode())
@@ -99,17 +101,20 @@ def _run(dn, g, bands, plan_seed, events, event_seeds):
         "nodes": g.n,
         "links": len(g.links),
         "bands": bands,
-        "joins": seen["Join"],
-        "leaves": seen["Leave"],
+        "joins": len(spent["Join"]),
+        "leaves": len(spent["Leave"]),
         "component_searches_per_event": round(searches[0] / len(events), 4),
         "events_digest": digest.hexdigest()[:16],
     }
     timings = {
         "plan_ms": 1e3 * (t1 - t0),
         "check_ms": 1e3 * (t2 - t1),
-        "join_ms_per_event": 1e3 * spent["Join"] / max(1, seen["Join"]),
-        "leave_ms_per_event": 1e3 * spent["Leave"] / max(1, seen["Leave"]),
     }
+    for kind, ms in spent.items():
+        name = kind.lower()
+        timings[f"{name}_ms_per_event"] = statistics.mean(ms)
+        timings[f"{name}_ms_median"] = statistics.median(ms)
+        timings[f"{name}_ms_max"] = max(ms)
     return counts, timings
 
 
@@ -132,6 +137,9 @@ def main(argv=None):
         timings = {k: round(statistics.median(t[k] for _, t in runs), 4) for k in runs[0][1]}
         result[name] = {"counts": counts, "median_timings": timings}
         print(f"{args.label} {name}: {json.dumps(result[name])}")
+    small, large = (result[name]["median_timings"] for name in WORKLOADS)
+    growth = {k: round(large[k] / small[k], 2) for k in small}
+    print(f"{args.label} growth from rgg_1000 to rgg_10000: {json.dumps(growth)}")
     data = json.loads(OUT.read_text()) if OUT.exists() else {}
     data["about"] = (
         "tools/bench_spectrum.py: fixed-seed plans and join/leave churn on perfbench's random geometric "
@@ -145,6 +153,7 @@ def main(argv=None):
             "processor": platform.processor() or platform.machine(),
         },
         "workloads": result,
+        "growth_10000_over_1000": growth,
     }
     OUT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(f"wrote {OUT.name} [{args.label}]")

@@ -13,7 +13,8 @@ materializes its own dict once: a copy of the newest version's, with the undo
 records between the two applied newest first, O(n + changes since).  That
 reader pays for it, and `updated` on an older version likewise copies once.
 A version holds no link to the versions before it, so those are freed when
-nothing else refers to them.
+nothing else refers to them; an older version that is kept keeps the undo
+records of every version after it until it is read.
 
 The views and iterators of a version are those of the dict it reads, and
 `updated` hands that dict on: a view taken before an `updated` of its

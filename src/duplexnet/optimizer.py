@@ -630,7 +630,9 @@ def solve(
     problems = validate_state(scenario, state)
     if problems:
         raise ValueError(f"solve needs a start inside the constraint set: {problems[0]}")
-    rng = np.random.default_rng(seed)
+    # only the shuffle draws from the generator, so a round-robin solve
+    # builds none
+    rng = np.random.default_rng(seed) if order == "random" else None
     table = scenario.layout.blocks
     steps = [1.0] * len(table)
     state = state.copy()

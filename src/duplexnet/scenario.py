@@ -20,7 +20,8 @@ loaded entry with F >= C or C <= 0 costs +inf.
 
 Because the halves are independent, a state that differs from an
 evaluated one in a single array is evaluated by recomputing only the half
-that array feeds (only the per-entry band flows, for mu); :func:`derive`
+that array feeds (only the per-entry band flows, for mu, and only the
+sessions whose routing rows changed, for phi and phi_w); :func:`derive`
 takes the rest from the earlier evaluation.
 """
 
@@ -121,7 +122,8 @@ class Layout:
     tx_cell[e] and rx_cell[e] are entry e's (tx, band) and (rx, band)
     positions in a raveled [n, bands] array, heard_cell[e] its (band, rx)
     position in a raveled [bands, n] one; ent_gain and ent_noise are each
-    entry's own link gain and its receiver's noise on its band.
+    entry's own link gain and its receiver's noise on its band, and
+    ent_gain_budget is ent_gain times the transmitter's power budget.
     """
 
     links: tuple
@@ -134,6 +136,7 @@ class Layout:
     heard_cell: np.ndarray
     ent_gain: np.ndarray
     ent_noise: np.ndarray
+    ent_gain_budget: np.ndarray
     link_slices: tuple
     out_links: tuple
     node_band_entries: dict
@@ -156,6 +159,18 @@ class Layout:
     @property
     def n_entries(self) -> int:
         return self.ent_tx.shape[0]
+
+    @cached_property
+    def wide_tx_cells(self) -> tuple:
+        """The (tx, band) cells of 8 or more entries, as :func:`wide_groups`
+        gives them for tx_cell."""
+        return wide_groups(self.tx_cell, self.n * self.band_count)
+
+    @cached_property
+    def wide_links(self) -> tuple:
+        """The links of 8 or more entries, as :func:`wide_groups` gives them
+        for ent_link."""
+        return wide_groups(self.ent_link, self.n_links)
 
     @cached_property
     def link_ends(self):
@@ -363,6 +378,7 @@ class NetworkScenario:
         ent_tx, ent_rx, ent_band = (np.array(v, dtype=np.int64) for v in (ent_tx, ent_rx, ent_band))
         bands = self.allocation.band_count
         heard_cell = ent_band * g.n + ent_rx
+        ent_gain = self.gains[ent_band, ent_tx, ent_rx]
         return Layout(
             links=links,
             ent_tx=ent_tx,
@@ -372,8 +388,9 @@ class NetworkScenario:
             tx_cell=ent_tx * bands + ent_band,
             rx_cell=ent_rx * bands + ent_band,
             heard_cell=heard_cell,
-            ent_gain=self.gains[ent_band, ent_tx, ent_rx],
+            ent_gain=ent_gain,
             ent_noise=self.noise.ravel()[heard_cell],
+            ent_gain_budget=ent_gain * self.power_budget[ent_tx],
             link_slices=tuple(link_slices),
             out_links=tuple(map(tuple, out_links)),
             node_band_entries=node_band_entries,
@@ -509,16 +526,15 @@ def validate_state(scenario: NetworkScenario, state: ControlState) -> list:
     for i in range(lay.n):
         if tot[i] > 1 + ATOL:
             bad.append(f"node {g.nodes[i]} power fractions sum to {tot[i]:.6g} > 1")
-    # a (node, band) group's number is node * bands + band, so numbers
-    # ascend in the sorted order of node_band_entries
-    group = lay.ent_tx * bands + lay.ent_band
-    tot = group_sums(state.eta, group, lay.n * bands)
-    size = np.bincount(group, minlength=lay.n * bands)
+    # a (node, band) group's number, its tx_cell, is node * bands + band,
+    # so numbers ascend in the sorted order of node_band_entries
+    tot = group_sums(state.eta, lay.tx_cell, lay.n * bands, lay.wide_tx_cells)
+    size = np.bincount(lay.tx_cell, minlength=lay.n * bands)
     for k in np.flatnonzero((size > 0) & (np.abs(tot - 1) > ATOL * np.maximum(10, size))).tolist():
         bad.append(f"eta over node {g.nodes[k // bands]} band {k % bands} sums to {tot[k]:.6g} != 1")
     if np.any(state.eta < -ATOL):
         bad.append("negative eta entry")
-    tot = group_sums(state.mu, lay.ent_link, lay.n_links)
+    tot = group_sums(state.mu, lay.ent_link, lay.n_links, lay.wide_links)
     for li in np.flatnonzero(np.abs(tot - 1) > ATOL * 10).tolist():
         i, j = lay.links[li]
         bad.append(f"mu over link ({g.nodes[i]}, {g.nodes[j]}) sums to {tot[li]:.6g} != 1")
@@ -548,22 +564,38 @@ def validate_state(scenario: NetworkScenario, state: ControlState) -> list:
 
 @dataclass(frozen=True)
 class PhysicalTerms:
+    """The per-(node, band) power and the per-entry power, interference,
+    SINR and capacity bandwidth * ln(gain_factor * SINR) of one power
+    allocation; the capacity is -inf where the SINR is <= 0
+    (:func:`kernels.capacity`).  The link cost and its derivatives all read
+    this capacity, so an evaluation takes the log once, and a trial that
+    leaves the physical terms to its parent takes none."""
+
     node_band_power: np.ndarray
     power: np.ndarray
     interference: np.ndarray
     sinr: np.ndarray
+    capacity: np.ndarray
 
 
 @dataclass(frozen=True)
 class FlowTerms:
-    """Per-session inflows and per-link and per-entry flows of one routing
-    pattern; link_flow adds each session's flow on a link in session order.
+    """Per-session inflows and flows and per-link and per-entry flows of one
+    routing pattern.
 
-    orders[w] and adjacency[w] are session w's topological order and its
-    positive-fraction adjacency, as :func:`_session_topo_order` returns them.
+    session_flow[w, l] is session w's flow on link l, 0.0 where the session
+    puts none; each session routes on a link at most once, so link_flow,
+    their sum in session order from 0.0, equals adding each session's flow
+    straight onto the link.  orders[w] and adjacency[w] are session w's
+    topological order and its positive-fraction adjacency, as
+    :func:`_session_topo_order` returns them.  A session's row of inflow
+    and session_flow, its order and its adjacency depend on its own row of
+    phi and phi_w alone, so :func:`evaluate_flows` takes them from an
+    earlier evaluation for every session whose rows did not change.
     """
 
     inflow: np.ndarray
+    session_flow: np.ndarray
     link_flow: np.ndarray
     band_flow: np.ndarray
     overflow: np.ndarray
@@ -571,20 +603,45 @@ class FlowTerms:
     adjacency: tuple
 
 
+class _lazy:
+    """A property computed on first read and kept in the instance's
+    __dict__, where later reads find it without calling the descriptor.
+    functools.cached_property does the same but, before Python 3.12, takes
+    a lock on every first read; an evaluation is used by one thread."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class DerivedState:
     """The evaluation of `state` on `scenario`: its terms, costs and gradients.
 
-    Everything below the costs is computed on first use and kept: the
-    per-entry link-cost derivatives, the per-link marginals, the power
+    Everything below the costs is computed on first use and kept, each
+    from the terms it reads: the SINR pair of link-cost derivatives
+    (:attr:`signal_derivatives`, which the power messages, eta and rho
+    read) and the flow pair (:attr:`flow_derivatives`, which the link
+    marginals, mu and routing read), the per-link marginals, the power
     messages, the node marginals (:attr:`node_marginals`), the routing
-    cycle mask (:attr:`cycle_mask`), and for every ControlState
-    array its whole-network gradient (:meth:`gradient`) and diagonal
-    curvature (:meth:`curvature`), shaped like the array.  Block updates,
-    residuals and checks all slice these.  A zero fraction or flow times
-    an infinite marginal (an unloaded entry with nonpositive capacity has
-    an infinite d_f) is taken to be zero, so such coordinates stay inert.
-    The evaluation holds `state` itself, not a copy, so the state must not
+    cycle mask (:attr:`cycle_mask`), and for every ControlState array its
+    whole-network gradient (:meth:`gradient`) and, apart from it, its
+    diagonal curvature (:meth:`curvature`), shaped like the array.  So a
+    block builds its own family's terms only, and the residuals, which
+    read marginals, build no curvature.  Block updates, residuals and
+    checks all slice these.  A zero fraction or flow times an infinite
+    marginal (an unloaded entry with nonpositive capacity has an infinite
+    d_f) is taken to be zero, so such coordinates stay inert.  The
+    evaluation holds `state` itself, not a copy, so the state must not
     change while the evaluation is in use.
     """
 
@@ -596,15 +653,26 @@ class DerivedState:
     overflow_cost: np.ndarray
     total: float
 
-    @cached_property
-    def derivatives(self):
-        """Per-entry (d_x, d_f, d_xx, d_ff); see :func:`kernels.link_cost_derivatives`."""
-        cost = self.scenario.cost
-        return kernels.link_cost_derivatives(
-            self.physical.sinr, self.flows.band_flow, cost.bandwidth, cost.gain_factor
+    @_lazy
+    def signal_derivatives(self):
+        """Per-entry (d_x, d_xx); see :func:`kernels.signal_derivatives`."""
+        return kernels.signal_derivatives(
+            self.physical.sinr, self.flows.band_flow, self.physical.capacity, self.scenario.cost.bandwidth
         )
 
-    @cached_property
+    @_lazy
+    def flow_derivatives(self):
+        """Per-entry (d_f, d_ff); see :func:`kernels.flow_derivatives`."""
+        return kernels.flow_derivatives(self.flows.band_flow, self.physical.capacity)
+
+    @_lazy
+    def derivatives(self):
+        """Per-entry (d_x, d_f, d_xx, d_ff), the two pairs as
+        :func:`kernels.link_cost_derivatives` orders them."""
+        (d_x, d_xx), (d_f, d_ff) = self.signal_derivatives, self.flow_derivatives
+        return d_x, d_f, d_xx, d_ff
+
+    @_lazy
     def link_marginals(self) -> np.ndarray:
         """Per-link marginal cost of flow: the mu-weighted d_f of its entries."""
         lay = self.scenario.layout
@@ -612,9 +680,10 @@ class DerivedState:
         used = np.flatnonzero(mu != 0.0)
         # entries accumulate in index order; zero shares are skipped so an
         # infinite d_f on an unused band stays inert
-        return np.bincount(lay.ent_link[used], weights=mu[used] * self.derivatives[1][used], minlength=lay.n_links)
+        d_f = self.flow_derivatives[0]
+        return np.bincount(lay.ent_link[used], weights=mu[used] * d_f[used], minlength=lay.n_links)
 
-    @cached_property
+    @_lazy
     def power_messages(self) -> np.ndarray:
         """Marginal cost of unit interference power, per (node, band).
 
@@ -622,7 +691,7 @@ class DerivedState:
         message on its band; unloaded or unpowered entries contribute zero.
         """
         lay = self.scenario.layout
-        d_x = self.derivatives[0]
+        d_x = self.signal_derivatives[0]
         p = self.physical.power
         x = self.physical.sinr
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -630,7 +699,7 @@ class DerivedState:
         size = lay.n * lay.band_count
         return np.bincount(lay.rx_cell, weights=term, minlength=size).reshape(lay.n, lay.band_count)
 
-    @cached_property
+    @_lazy
     def node_marginals(self) -> np.ndarray:
         """Per (session, node): the cost of one more unit of the session's
         traffic at the node, the fraction-weighted sum over the node's
@@ -653,7 +722,7 @@ class DerivedState:
             rows.append(row)
         return np.array(rows, dtype=np.float64).reshape(len(self.scenario.sessions), lay.n)
 
-    @cached_property
+    @_lazy
     def cycle_mask(self) -> np.ndarray:
         """Per (session, link): True where phi[w, l] is zero and raising it
         would close a routing cycle, since the link's tail is reachable from
@@ -687,111 +756,146 @@ class DerivedState:
 
     def gradient(self, kind: str) -> np.ndarray:
         """Partial derivatives of total cost in the ControlState array `kind`."""
-        return getattr(self, f"_{kind}_family")[0]
+        return getattr(self, f"_{kind}_gradient")
 
     def curvature(self, kind: str) -> np.ndarray:
         """Diagonal curvature estimates in the ControlState array `kind`, which
         scale its block steps: second derivatives of the link and overflow
         costs, without cross-interference terms."""
-        return getattr(self, f"_{kind}_family")[1]
+        return getattr(self, f"_{kind}_curvature")
 
-    @cached_property
-    def _mu_family(self):
-        """Link flow times d_f, zero on unloaded links; d_ff times flow squared."""
+    @_lazy
+    def _mu_gradient(self):
+        """Link flow times d_f, zero on unloaded links."""
         lay = self.scenario.layout
         flow = self.flows.link_flow[lay.ent_link]
         grad = np.zeros(lay.n_entries)
         loaded = flow > 0
-        grad[loaded] = flow[loaded] * self.derivatives[1][loaded]
-        return grad, self.derivatives[3] * flow * flow
+        grad[loaded] = flow[loaded] * self.flow_derivatives[0][loaded]
+        return grad
 
-    @cached_property
+    @_lazy
+    def _mu_curvature(self):
+        """d_ff times link flow squared."""
+        flow = self.flows.link_flow[self.scenario.layout.ent_link]
+        return self.flow_derivatives[1] * flow * flow
+
+    @_lazy
     def eta_delta(self) -> np.ndarray:
         """Per-entry marginal d_x * g * (1 + x) / interference, which the
         optimality conditions compare within a (node, band) group."""
         x = self.physical.sinr
-        return self.derivatives[0] * self.scenario.layout.ent_gain * (1.0 + x) / self.physical.interference
+        return self.signal_derivatives[0] * self.scenario.layout.ent_gain * (1.0 + x) / self.physical.interference
 
-    @cached_property
-    def _eta_family(self):
+    @_lazy
+    def _eta_gradient(self):
         """node_band_power * (eta_delta minus the (node, band) group's sum of
-        d_x * g * x / interference), zero in unpowered groups; d_xx times
-        (g * node_band_power / interference) squared."""
+        d_x * g * x / interference), zero in unpowered groups."""
         lay = self.scenario.layout
-        d_x, _, d_xx, _ = self.derivatives
-        inn = self.physical.interference
-        psi = d_x * lay.ent_gain * self.physical.sinr / inn
+        psi = self.signal_derivatives[0] * lay.ent_gain * self.physical.sinr / self.physical.interference
         cell = lay.tx_cell
-        group = group_sums(psi, cell, lay.n * lay.band_count)[cell]
+        group = group_sums(psi, cell, lay.n * lay.band_count, lay.wide_tx_cells)[cell]
         base = self.physical.node_band_power.ravel()[cell]
         grad = np.zeros(lay.n_entries)
         on = base != 0.0
         grad[on] = base[on] * (self.eta_delta[on] - group[on])
-        return grad, d_xx * (lay.ent_gain * base / inn) ** 2
+        return grad
 
-    @cached_property
-    def _rho_family(self):
+    @_lazy
+    def _eta_curvature(self):
+        """d_xx times (g * node_band_power / interference) squared."""
+        lay = self.scenario.layout
+        base = self.physical.node_band_power.ravel()[lay.tx_cell]
+        return self.signal_derivatives[1] * (lay.ent_gain * base / self.physical.interference) ** 2
+
+    @_lazy
+    def _rho_gradient(self):
         """budget_i * (sum_n gains[q, i, n] * msg[n, q] + sum over i's band-q
-        entries of eta_delta * eta), per (node, band); the (node, band)
-        group's sum of d_xx times (g * budget * eta / interference) squared.
+        entries of eta_delta * eta), per (node, band).
 
-        The gradient's message-passing form is exact where each (node, band)
-        share group sums to one, the constraint set; off it,
+        The message-passing form is exact where each (node, band) share
+        group sums to one, the constraint set; off it,
         :func:`duplexnet.oracle.delta_rho_direct` is the derivative.
         """
         lay = self.scenario.layout
-        size = lay.n * lay.band_count
         cross = np.einsum("qin,nq->iq", self.scenario.gains, self.power_messages)
-        own = np.bincount(lay.tx_cell, weights=self.eta_delta * self.state.eta, minlength=size)
-        scale = lay.ent_gain * self.scenario.power_budget[lay.ent_tx] * self.state.eta
-        share = self.derivatives[2] * (scale / self.physical.interference) ** 2
-        curv = group_sums(share, lay.tx_cell, size).reshape(lay.n, lay.band_count)
-        return self.scenario.power_budget[:, None] * (cross + own.reshape(lay.n, lay.band_count)), curv
+        own = np.bincount(lay.tx_cell, weights=self.eta_delta * self.state.eta, minlength=lay.n * lay.band_count)
+        return self.scenario.power_budget[:, None] * (cross + own.reshape(lay.n, lay.band_count))
 
-    @cached_property
+    @_lazy
+    def _rho_curvature(self):
+        """The (node, band) group's sum of d_xx times
+        (g * budget * eta / interference) squared."""
+        lay = self.scenario.layout
+        share = self.signal_derivatives[1] * (lay.ent_gain_budget * self.state.eta / self.physical.interference) ** 2
+        return group_sums(share, lay.tx_cell, lay.n * lay.band_count, lay.wide_tx_cells).reshape(
+            lay.n, lay.band_count
+        )
+
+    @_lazy
     def delta_phi(self) -> np.ndarray:
         """Per (session, link): the link's marginal plus the session's node
         marginal at the link's head, defined for every link."""
         return self.link_marginals + self.node_marginals[:, self.scenario.layout.link_ends[1]]
 
-    @cached_property
-    def _phi_family(self):
+    @_lazy
+    def _phi_gradient(self):
         """Inflow t at the link's tail times delta_phi, zero without inflow or
-        out of the destination even where delta_phi is infinite; t squared
-        times the link's sum of mu squared times d_ff."""
+        out of the destination even where delta_phi is infinite."""
         lay = self.scenario.layout
         tails = lay.link_ends[0]
         t = self.flows.inflow[:, tails]
         grad = np.zeros_like(t)
         live = (t > 0.0) & (tails != lay.dest[:, None])
         grad[live] = t[live] * self.delta_phi[live]
-        mu = self.state.mu
-        per_link = group_sums(mu * mu * self.derivatives[3], lay.ent_link, lay.n_links)
-        return grad, t * t * per_link
+        return grad
 
-    @cached_property
-    def _phi_w_family(self):
+    @_lazy
+    def _phi_curvature(self):
+        """Inflow at the link's tail squared times the link's sum of mu
+        squared times d_ff."""
+        lay = self.scenario.layout
+        t = self.flows.inflow[:, lay.link_ends[0]]
+        mu = self.state.mu
+        per_link = group_sums(mu * mu * self.flow_derivatives[1], lay.ent_link, lay.n_links, lay.wide_links)
+        return t * t * per_link
+
+    @_lazy
+    def _phi_w_gradient(self):
         """Demand-scaled overflow marginal minus the origin's node marginal,
-        per session; the overflow cost's second derivative."""
+        per session."""
         origin = self.scenario.layout.origin
         over = self.flows.overflow
         grad = np.empty(len(self.scenario.sessions))
-        curv = np.empty(len(self.scenario.sessions))
         for w, sess in enumerate(self.scenario.sessions):
             slope = sess.utility.overflow_derivative(over[w], sess.demand)
             grad[w] = sess.demand * (slope - self.node_marginals[w, origin[w]])
-            curv[w] = sess.utility.overflow_curvature(over[w], sess.demand)
-        return grad, curv
+        return grad
+
+    @_lazy
+    def _phi_w_curvature(self):
+        """The overflow cost's second derivative, per session."""
+        over = self.flows.overflow
+        sessions = self.scenario.sessions
+        return np.array([sess.utility.overflow_curvature(over[w], sess.demand) for w, sess in enumerate(sessions)])
 
 
-def group_sums(values: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray:
+def group_sums(values: np.ndarray, groups: np.ndarray, count: int, wide=None) -> np.ndarray:
     """Per-group sums of `values`, each equal to np.sum over the group's
     values in index order.  bincount adds in order, as np.sum does below 8
-    terms; from 8 terms on np.sum adds pairwise, so it sums those groups."""
+    terms; from 8 terms on np.sum adds pairwise, so it sums those groups.
+    `wide` may give those groups, as :func:`wide_groups` finds them for
+    `groups`, to save finding them again."""
     out = np.bincount(groups, weights=values, minlength=count)
-    for g in np.flatnonzero(np.bincount(groups, minlength=count) >= 8):
-        out[g] = np.sum(values[groups == g])
+    for g, members in wide_groups(groups, count) if wide is None else wide:
+        out[g] = np.sum(values[members])
     return out
+
+
+def wide_groups(groups: np.ndarray, count: int) -> tuple:
+    """(group, its positions in `groups`) for every group of 8 or more."""
+    sizes = np.bincount(groups, minlength=count)
+    return tuple((g, np.flatnonzero(groups == g)) for g in np.flatnonzero(sizes >= 8).tolist())
 
 
 def evaluate_physical(scenario: NetworkScenario, state: ControlState) -> PhysicalTerms:
@@ -806,7 +910,8 @@ def evaluate_physical(scenario: NetworkScenario, state: ControlState) -> Physica
         lay.tx_cell,
         lay.heard_cell,
     )
-    return PhysicalTerms(node_band_power=npow, power=power, interference=interference, sinr=sinr)
+    cap = kernels.capacity(sinr, scenario.cost.bandwidth, scenario.cost.gain_factor)
+    return PhysicalTerms(node_band_power=npow, power=power, interference=interference, sinr=sinr, capacity=cap)
 
 
 def _session_topo_order(lay: Layout, phi_row: np.ndarray, dest: int, session: int):
@@ -838,39 +943,61 @@ def _session_topo_order(lay: Layout, phi_row: np.ndarray, dest: int, session: in
     return order, adj
 
 
-def evaluate_flows(scenario: NetworkScenario, state: ControlState) -> FlowTerms:
+def evaluate_flows(scenario: NetworkScenario, state: ControlState, parent: DerivedState = None) -> FlowTerms:
+    """Route every session's admitted traffic through its positive fractions.
+
+    Given `parent`, the evaluation of a state with other routing rows,
+    only the sessions whose row of phi or phi_w differs from its state's
+    are routed again, and a session whose phi row is the same keeps its
+    order and adjacency; the rest comes from `parent.flows`.  The sessions
+    are found by comparing the rows, so any number may differ, and one
+    whose fractions close a cycle raises as a fresh evaluation would.
+    """
     lay = scenario.layout
-    n_sessions = len(scenario.sessions)
-    inflow = []
-    link_flow = [0.0] * lay.n_links
-    overflow = []
-    orders, adjacency = [], []
+    sessions = len(scenario.sessions)
+    if parent is None:
+        reordered = rerouted = range(sessions)
+        inflow, session_flow = [None] * sessions, [None] * sessions
+        orders, adjacency = [None] * sessions, [None] * sessions
+    else:
+        old = parent.flows
+        phi_moved = (state.phi != parent.state.phi).any(axis=1)
+        reordered = set(np.flatnonzero(phi_moved).tolist())
+        rerouted = np.flatnonzero(phi_moved | (state.phi_w != parent.state.phi_w)).tolist()
+        inflow, session_flow = list(old.inflow), list(old.session_flow)
+        orders, adjacency = list(old.orders), list(old.adjacency)
     # Python floats: the same operations as on numpy scalars, bit for bit
     phi_w = state.phi_w.tolist()
-    for w, (sess, d, origin, phi) in enumerate(
-        zip(scenario.sessions, lay.dest.tolist(), lay.origin.tolist(), state.phi.tolist())
-    ):
-        order, adj = _session_topo_order(lay, state.phi[w], d, w)
-        orders.append(order)
-        adjacency.append(adj)
+    demand = [sess.demand for sess in scenario.sessions]
+    dest, origin = lay.dest.tolist(), lay.origin.tolist()
+    for w in rerouted:
+        if w in reordered:
+            orders[w], adjacency[w] = _session_topo_order(lay, state.phi[w], dest[w], w)
+        phi = state.phi[w].tolist()
+        adj = adjacency[w]
         t = [0.0] * lay.n
-        t[origin] = sess.demand * (1.0 - phi_w[w])
-        for v in order:
+        t[origin[w]] = demand[w] * (1.0 - phi_w[w])
+        flow = [0.0] * lay.n_links
+        for v in orders[w]:
             ti = t[v]
             if ti == 0.0:
                 continue
             for u, li in adj[v]:
-                f = ti * phi[li]
-                link_flow[li] += f
+                f = flow[li] = ti * phi[li]
                 t[u] += f
-        inflow.append(t)
-        overflow.append(sess.demand * phi_w[w])
-    link_flow = np.array(link_flow, dtype=np.float64)
+        inflow[w], session_flow[w] = t, flow
+    session_flow = np.array(session_flow, dtype=np.float64).reshape(sessions, lay.n_links)
+    # x + 0.0 is x (and the sum starts from 0.0, so it is never -0.0): the
+    # links a session puts no flow on are added unchanged
+    link_flow = np.zeros(lay.n_links)
+    for row in session_flow:
+        link_flow += row
     return FlowTerms(
-        inflow=np.array(inflow, dtype=np.float64).reshape(n_sessions, lay.n),
+        inflow=np.array(inflow, dtype=np.float64).reshape(sessions, lay.n),
+        session_flow=session_flow,
         link_flow=link_flow,
         band_flow=_band_flow(lay, state.mu, link_flow),
-        overflow=np.array(overflow, dtype=np.float64),
+        overflow=np.array([d * r for d, r in zip(demand, phi_w)], dtype=np.float64),
         orders=tuple(orders),
         adjacency=tuple(adjacency),
     )
@@ -891,9 +1018,10 @@ def derive(
 
     `parent` may be the evaluation of a state that differs from `state`
     only in the ControlState array named `changed`; the terms that array
-    does not feed are then taken from `parent` instead of recomputed.
-    Either way every array of the result is, bit for bit, that of a
-    fresh evaluation.
+    does not feed are then taken from `parent` instead of recomputed, and
+    of the flows only the sessions whose routing rows changed are routed
+    again (:func:`evaluate_flows`).  Either way every array of the result
+    is, bit for bit, that of a fresh evaluation.
     """
     if parent is None:
         feeds = None
@@ -907,10 +1035,9 @@ def derive(
     elif feeds == "band_flow":
         flows = replace(parent.flows, band_flow=_band_flow(scenario.layout, state.mu, parent.flows.link_flow))
     else:
-        flows = evaluate_flows(scenario, state)
-    link_cost = kernels.link_cost_terms(phys.sinr, flows.band_flow, scenario.cost.bandwidth, scenario.cost.gain_factor)
-    if feeds in ("physical", "band_flow"):
-        # the overflow is that of the parent's flows
+        flows = evaluate_flows(scenario, state, parent)
+    link_cost = kernels.link_cost_terms(phys.capacity, flows.band_flow)
+    if parent is not None and flows.overflow.tobytes() == parent.flows.overflow.tobytes():
         over = parent.overflow_cost
     else:
         rejected = flows.overflow.tolist()

@@ -1,10 +1,12 @@
 """Numeric kernels: interference model and link-cost derivatives."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
-from duplexnet import derive, kernels, uniform_state
+from duplexnet import derive, kernels, optimizer, uniform_state
+from duplexnet.scenario import DerivedState
 
 from helpers import grid_scenario, random_interior_state, random_scenario
 
@@ -130,7 +132,7 @@ def _link_cost_outputs(sinr, flow, r, k, masked):
         )
     return (
         kernels.capacity(sinr, r, k),
-        kernels.link_cost_terms(sinr, flow, r, k),
+        kernels.link_cost_terms(kernels.capacity(sinr, r, k), flow),
         *kernels.link_cost_derivatives(sinr, flow, r, k),
         kernels.link_cost_cross(sinr, flow, r, k),
     )
@@ -195,6 +197,93 @@ def test_whole_array_kernels_equal_the_masked_forms_bit_for_bit():
                 want = _link_cost_outputs(xs, fs, cost.bandwidth, cost.gain_factor, masked=True)
                 for name, a, b in zip(OUTPUTS, got, want):
                     _assert_same_bits(a, b, f"scenario {n}, {label}: {name}")
+
+
+def test_capacity_fed_kernels_equal_the_masked_forms_bit_for_bit():
+    # the link cost and the two derivative pairs read the capacity that the
+    # physical terms keep, not the SINR: on every edge entry they must be
+    # what the masked forms compute from the SINR
+    for r, k in ((1.0, 50.0), (2.5, 3.0), (0.7, 1e4)):
+        x, f = _edge_entries(r, k)
+        cap = kernels.capacity(x, r, k)
+        d_x, d_f, d_xx, d_ff = _masked_link_cost_derivatives(x, f, r, k)
+        got = (
+            kernels.link_cost_terms(cap, f),
+            *kernels.signal_derivatives(x, f, cap, r),
+            *kernels.flow_derivatives(f, cap),
+        )
+        want = (_masked_link_cost_terms(x, f, r, k), d_x, d_xx, d_f, d_ff)
+        for name, a, b in zip(("cost", "d_x", "d_xx", "d_f", "d_ff"), got, want):
+            _assert_same_bits(a, b, f"edge entries, r={r}, k={k}: {name}")
+
+
+def _counting(monkeypatch, module, name):
+    """Count the calls of module.name from here on; returns the count list."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def _computed(derived):
+    """The terms the evaluation has computed on demand so far."""
+    return set(vars(derived)) - {f.name for f in fields(DerivedState)}
+
+
+def test_a_rho_block_after_a_rho_move_prices_only_its_own_terms(monkeypatch):
+    # after an accepted rho move, the next rho block reads the SINR pair of
+    # derivatives and its own curvature: no log, no flow pair, no other
+    # family's curvature
+    rng = np.random.default_rng(93)
+    scen = grid_scenario(rng, 4, 2)
+    state = uniform_state(scen, 0.9, 0.1)
+    rho_blocks = [b for b in scen.layout.blocks if b.kind == "rho"]
+    derived = derive(scen, state)
+    for block, after in zip(rho_blocks, rho_blocks[1:]):
+        out = optimizer.update_block(scen, state, block, derived=derived)
+        state, derived = out.state, out.derived
+        if out.moved:
+            break
+    assert out.moved
+    logs = _counting(monkeypatch, kernels, "capacity")
+    flow_pairs = _counting(monkeypatch, kernels, "flow_derivatives")
+    signal_pairs = _counting(monkeypatch, kernels, "signal_derivatives")
+    assert optimizer._search(scen, state, after, derived) is not None
+    assert logs == [] and flow_pairs == []
+    assert signal_pairs == ["signal_derivatives"]
+    assert _computed(derived) == {"signal_derivatives", "power_messages", "eta_delta", "_rho_gradient", "_rho_curvature"}
+
+
+def test_flow_trials_take_no_log(monkeypatch):
+    # mu, phi and phi_w trials keep their parent's physical terms, capacity included
+    rng = np.random.default_rng(94)
+    scen = grid_scenario(rng, 4, 2)
+    state = random_interior_state(scen, rng)
+    parent = derive(scen, state)
+    logs = _counting(monkeypatch, kernels, "capacity")
+    for kind in ("mu", "phi", "phi_w"):
+        trial = derive(scen, state.moved(kind, []), parent=parent, changed=kind)
+        assert trial.physical is parent.physical, kind
+    assert logs == []
+
+
+def test_residuals_compute_no_curvature():
+    rng = np.random.default_rng(95)
+    for scen in (grid_scenario(rng, 4, 2), random_scenario(rng)):
+        for state in (uniform_state(scen, 0.9, 0.1), random_interior_state(scen, rng)):
+            derived = derive(scen, state)
+            optimizer.optimality_residuals(scen, state, derived)
+            # only the marginals the optimality conditions compare, and what they read
+            assert _computed(derived) <= {
+                "signal_derivatives", "flow_derivatives", "power_messages", "eta_delta", "link_marginals",
+                "node_marginals", "delta_phi", "cycle_mask", "_rho_gradient", "_mu_gradient", "_phi_w_gradient",
+            }
+            assert "_rho_gradient" in _computed(derived)
 
 
 def test_bincount_equals_add_at_on_the_layout_scatters():

@@ -576,6 +576,67 @@ def test_a_moved_block_derived_from_its_parent_equals_a_fresh_derive(seed, grid,
         assert _same_bits(getattr(reused, name), getattr(fresh, name)), name
 
 
+def _same_flows(got, want):
+    """The FlowTerms fields that differ between `got` and `want`."""
+    differ = []
+    for f in fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if not (a == b if f.name in ("orders", "adjacency") else _same_bits(a, b)):
+            differ.append(f.name)
+    return differ
+
+
+def _closing_link(derived, w):
+    """A zero-fraction link of session w whose raising closes a routing cycle, or None."""
+    closing = np.flatnonzero(derived.cycle_mask[w])
+    return int(closing[0]) if closing.size else None
+
+
+def test_flows_reroute_only_the_changed_sessions_bit_for_bit():
+    # derive(parent, changed="phi"|"phi_w") routes again only the sessions
+    # whose rows differ from the parent's state and takes the others from
+    # the parent; every FlowTerms field must still be a fresh evaluation's
+    rng = np.random.default_rng(36)
+    cases = dict.fromkeys(("two phi rows", "phi_w", "no move", "cycle"), 0)
+    for trial in range(6):
+        scen = grid_scenario(rng, 3 + trial % 2, 3)
+        state = random_interior_state(scen, rng)
+        parent = derive(scen, state)
+        links = scen.layout.n_links
+        rows = sorted(rng.choice(3, size=2, replace=False).tolist())
+        # new fractions on the rows' support only, so that no cycle appears
+        scale = np.where(state.phi[rows] > 0.0, rng.uniform(0.5, 1.5, (2, links)), 0.0)
+        keys = np.concatenate([w * links + np.arange(links) for w in rows])
+        moves = {
+            "two phi rows": ("phi", state.moved("phi", [(keys, (state.phi[rows] * scale).ravel())])),
+            "phi_w": ("phi_w", state.moved("phi_w", [(np.array([rows[1]]), rng.uniform(0.0, 1.0))])),
+            "no move": ("phi", state.moved("phi", [])),
+        }
+        for label, (kind, moved) in moves.items():
+            reused = derive(scen, moved, parent=parent, changed=kind)
+            fresh = derive(scen, moved)
+            assert not _same_flows(reused.flows, fresh.flows), (trial, label, _same_flows(reused.flows, fresh.flows))
+            for name in ("link_cost", "overflow_cost", "total"):
+                assert _same_bits(getattr(reused, name), getattr(fresh, name)), (trial, label, name)
+            cases[label] += 1
+        # close a cycle in every session that has a link to close one: a
+        # fresh evaluation names the first, and so must the reuse
+        closing = [(w, _closing_link(parent, w)) for w in range(3)]
+        closing = [(w, li) for w, li in closing if li is not None]
+        if not closing:
+            continue
+        cyclic = state.moved("phi", [(np.array([w * links + li]), 0.5) for w, li in closing])
+        with pytest.raises(CycleDetectedError) as fresh_error:
+            derive(scen, cyclic)
+        with pytest.raises(CycleDetectedError) as reused_error:
+            derive(scen, cyclic, parent=parent, changed="phi")
+        assert fresh_error.value.session == closing[0][0]
+        assert reused_error.value.session == fresh_error.value.session
+        assert reused_error.value.nodes == fresh_error.value.nodes
+        cases["cycle"] += 1
+    assert all(cases.values()), cases
+
+
 def test_routing_cycle_detection():
     line3 = line3_scenario()
     st = uniform_state(line3, 0.9, 0.1)
@@ -590,12 +651,12 @@ def test_routing_cycle_detection():
 def test_barrier_precedence():
     # a band with no capacity costs nothing while idle but is infeasible
     # the moment it carries flow
-    from duplexnet.kernels import link_cost_terms
+    from duplexnet.kernels import capacity, link_cost_terms
     from duplexnet.scenario import summed_cost
 
     sinr = np.array([1e-3, 1e-3, 10.0, 10.0])
     flow = np.array([0.0, 0.2, 0.0, 5.0])
-    cost = link_cost_terms(sinr, flow, 1.0, 50.0)
+    cost = link_cost_terms(capacity(sinr, 1.0, 50.0), flow)
     total = summed_cost(cost, flow, np.zeros(0))
     assert cost[0] == 0.0
     assert cost[1] == math.inf

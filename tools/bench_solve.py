@@ -28,8 +28,9 @@ reached `_block_move` at all, `derive`, `evaluate_physical` and
 `evaluate_flows` calls per block update, the final costs and the sessions
 rejected outright at the end) and the wall seconds per sweep of the
 updates and of `_block_move`, per block kind, of `optimality_residuals`
-and of the whole solve, and the share of solve time spent in updates that
-moved nothing.  Block updates, and those that did not move, are counted
+and of the whole solve, the seconds per block update of `_block_move` and
+of the solver's `derive` calls, and the share of solve time spent in
+updates that moved nothing.  Block updates, and those that did not move, are counted
 block by block in `_update_run`, which updates one block or a run of
 separable ones; every update of a solve passes through it, so the count
 equals the sum of the trace's `visited` column, and it holds as well for
@@ -94,6 +95,7 @@ class _Counters:
 
     def __init__(self, dn):
         self.calls = dict.fromkeys(("derive", "evaluate_physical", "evaluate_flows"), 0)
+        self.call_s = dict.fromkeys(self.calls, 0.0)
         self.move_s = dict.fromkeys(KINDS, 0.0)
         self.update_s = dict.fromkeys(KINDS, 0.0)
         self.updates = 0
@@ -116,7 +118,10 @@ class _Counters:
     def _counting(self, name, fn):
         def wrapper(*args, **kwargs):
             self.calls[name] += 1
-            return fn(*args, **kwargs)
+            t0 = time.perf_counter()
+            out = fn(*args, **kwargs)
+            self.call_s[name] += time.perf_counter() - t0
+            return out
 
         return wrapper
 
@@ -215,6 +220,8 @@ def _run(dn, cases):
     timings = {f"block_move_{k}_s_per_sweep": counters.move_s[k] / max(1, sweeps) for k in KINDS}
     timings.update({f"update_{k}_s_per_sweep": counters.update_s[k] / max(1, sweeps) for k in KINDS})
     timings["block_move_s_per_sweep"] = sum(counters.move_s.values()) / max(1, sweeps)
+    timings["block_move_s_per_update"] = sum(counters.move_s.values()) / max(1, updates)
+    timings["derive_s_per_update"] = counters.call_s["derive"] / max(1, updates)
     timings["residuals_s_per_sweep"] = counters.residuals_s / max(1, sweeps)
     timings["solve_s_per_sweep"] = wall / max(1, sweeps)
     timings["solve_s"] = wall

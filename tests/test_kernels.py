@@ -256,7 +256,8 @@ def test_a_rho_block_after_a_rho_move_prices_only_its_own_terms(monkeypatch):
     assert optimizer._search(scen, state, after, derived) is not None
     assert logs == [] and flow_pairs == []
     assert signal_pairs == ["signal_derivatives"]
-    assert _computed(derived) == {"signal_derivatives", "power_messages", "eta_delta", "_rho_gradient", "_rho_curvature"}
+    rho_terms = {"signal_derivatives", "power_messages", "eta_delta", "_rho_gradient", "_rho_curvature"}
+    assert _computed(derived) == rho_terms
 
 
 def test_flow_trials_take_no_log(monkeypatch):

@@ -89,17 +89,11 @@ def routing_marginals(
     positive fractions) or when the link leaves the destination.
     """
     lay = scenario.layout
-    n_sessions = len(scenario.sessions)
-    blocked = np.zeros((n_sessions, lay.n_links), dtype=bool)
-    for w in range(n_sessions):
-        for i, out in enumerate(lay.out_links):
-            if out:
-                blocked[w, list(out)] = True if i == lay.dest[w] else derived.blocked(w, i)
     return RoutingMarginals(
         node_marginal=derived.node_marginals,
         delta_phi=derived.delta_phi,
         overflow_grad=derived.gradient("phi_w"),
-        blocked=blocked,
+        blocked=derived.cycle_mask | (lay.link_ends[0] == lay.dest[:, None]),
         link_marginal=derived.link_marginals,
     )
 
@@ -125,7 +119,6 @@ def gradient_bundle(scenario: NetworkScenario, state: ControlState, derived: Der
     """All block gradients at one state, sharing intermediate terms."""
     if not math.isfinite(derived.total):
         raise ValueError("gradients need a finite-cost state")
-    d_x, d_f, _, _ = derived.derivatives
     eta_d, eta_g = delta_eta(scenario, state, derived)
     return GradientBundle(
         messages=power_messages(scenario, derived),
@@ -134,6 +127,6 @@ def gradient_bundle(scenario: NetworkScenario, state: ControlState, derived: Der
         rho_grad=delta_rho(scenario, state, derived),
         routing=routing_marginals(scenario, state, derived),
         mu_grad=delta_mu(scenario, state, derived),
-        d_x=d_x,
-        d_f=d_f,
+        d_x=derived.signal_derivatives[0],
+        d_f=derived.flow_derivatives[0],
     )

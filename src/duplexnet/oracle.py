@@ -43,7 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .coloring import TooLargeError
 from .scenario import ControlState, DerivedState, NetworkScenario, derive, uniform_state
 
@@ -73,10 +72,10 @@ class CheckReport:
         return sum(f.checked for f in self.families.values())
 
 
-def _require_headroom(scenario, derived):
+def _require_headroom(derived):
     x = derived.physical.sinr
     f = derived.flows.band_flow
-    cap = kernels.capacity(x, scenario.cost.bandwidth, scenario.cost.gain_factor)
+    cap = derived.physical.capacity
     for e in range(f.shape[0]):
         if f[e] <= 0:
             continue
@@ -158,7 +157,7 @@ def finite_diff_check(scenario: NetworkScenario, state: ControlState) -> CheckRe
     derived = derive(scenario, state)
     if not math.isfinite(derived.total):
         raise ValueError("finite differences need a finite-cost state")
-    _require_headroom(scenario, derived)
+    _require_headroom(derived)
     lay = scenario.layout
     # the coordinates of each array that have a partial of their own:
     # rho only on outgoing bands, phi only off the destination's links
@@ -203,8 +202,8 @@ def delta_rho_direct(scenario: NetworkScenario, state: ControlState, derived: De
     which is exact on the constraint set only.
     """
     lay = scenario.layout
-    d_x = derived.derivatives[0]
-    g_e = scenario.gains[lay.ent_band, lay.ent_tx, lay.ent_rx]
+    d_x = derived.signal_derivatives[0]
+    g_e = lay.ent_gain
     inn = derived.physical.interference
     x = derived.physical.sinr
     npow = derived.physical.node_band_power

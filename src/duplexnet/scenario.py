@@ -447,19 +447,9 @@ def uniform_state(scenario: NetworkScenario, power: float = 1.0, overflow: float
         raise ValueError("power and overflow must lie in [0, 1]")
     lay = scenario.layout
     g = scenario.graph
-    rho = np.zeros((lay.n, lay.band_count))
-    for i in range(lay.n):
-        bands = np.flatnonzero(lay.rho_mask[i])
-        if bands.size:
-            rho[i, bands] = power / bands.size
-    eta = np.zeros(lay.n_entries)
-    for entries in lay.node_band_entries.values():
-        eta[entries] = 1.0 / entries.size
-    mu = np.zeros(lay.n_entries)
-    for sl in lay.link_slices:
-        width = sl.stop - sl.start
-        if width:
-            mu[sl] = 1.0 / width
+    rho = lay.rho_mask * (power / np.maximum(lay.rho_mask.sum(axis=1, keepdims=True), 1))
+    eta = 1.0 / np.bincount(lay.tx_cell, minlength=lay.n * lay.band_count)[lay.tx_cell]
+    mu = 1.0 / np.bincount(lay.ent_link, minlength=lay.n_links)[lay.ent_link]
     phi = np.zeros((len(scenario.sessions), lay.n_links))
     for w in range(len(scenario.sessions)):
         d = int(lay.dest[w])
@@ -666,13 +656,6 @@ class DerivedState:
         return kernels.flow_derivatives(self.flows.band_flow, self.physical.capacity)
 
     @_lazy
-    def derivatives(self):
-        """Per-entry (d_x, d_f, d_xx, d_ff), the two pairs as
-        :func:`kernels.link_cost_derivatives` orders them."""
-        (d_x, d_xx), (d_f, d_ff) = self.signal_derivatives, self.flow_derivatives
-        return d_x, d_f, d_xx, d_ff
-
-    @_lazy
     def link_marginals(self) -> np.ndarray:
         """Per-link marginal cost of flow: the mu-weighted d_f of its entries."""
         lay = self.scenario.layout
@@ -748,11 +731,6 @@ class DerivedState:
             ends = [lay.links[li] for li in zero]
             mask[w, zero] = [reach[j] >> i & 1 for i, j in ends]
         return mask
-
-    def blocked(self, w: int, i: int) -> np.ndarray:
-        """Mask over node i's out-links (`layout.out_links[i]`): session w's
-        row of :attr:`cycle_mask` there."""
-        return self.cycle_mask[w, list(self.scenario.layout.out_links[i])]
 
     def gradient(self, kind: str) -> np.ndarray:
         """Partial derivatives of total cost in the ControlState array `kind`."""

@@ -114,7 +114,7 @@ def test_group_sums_add_as_per_group_loops():
     assert max(e.size for e in lay.node_band_entries.values()) > 8
     st = uniform_state(hub, 0.9, 0.1)
     der = derive(hub, st)
-    d_x, _, d_xx, _ = der.derivatives
+    d_x, d_xx = der.signal_derivatives
     g = hub.gains[lay.ent_band, lay.ent_tx, lay.ent_rx]
     inn = der.physical.interference
     eta_grad = np.zeros(lay.n_entries)

@@ -374,7 +374,8 @@ def test_cycle_mask_equals_an_upstream_search_per_block():
             assert der.cycle_mask.dtype == bool and np.array_equal(der.cycle_mask, want), f"scenario {k}, draw {draw}"
             for w in range(len(scen.sessions)):
                 for i, out in enumerate(lay.out_links):
-                    assert np.array_equal(der.blocked(w, i), want[w, list(out)]), f"scenario {k}, draw {draw}, {w, i}"
+                    got = der.cycle_mask[w, list(out)]
+                    assert np.array_equal(got, want[w, list(out)]), f"scenario {k}, draw {draw}, {w, i}"
             blocked += int(want.sum())
     assert blocked > 0
 
@@ -449,7 +450,8 @@ def test_trial_evaluation_reuses_terms_bit_for_bit():
                 want = kernels.link_cost_derivatives(
                     fresh.physical.sinr, fresh.flows.band_flow, cost.bandwidth, cost.gain_factor
                 )
-                for got, ref in zip(reused.derivatives, want):
+                (d_x, d_xx), (d_f, d_ff) = reused.signal_derivatives, reused.flow_derivatives
+                for got, ref in zip((d_x, d_f, d_xx, d_ff), want):
                     _assert_bitwise(got, ref, f"{what}: derivatives")
                 for name in ("power_messages", "link_marginals", "eta_delta", "delta_phi"):
                     _assert_bitwise(getattr(reused, name), getattr(fresh, name), f"{what}: {name}")
@@ -1067,7 +1069,7 @@ def _loop_residuals(scenario, state, derived):
         used = cur > SUPPORT_TOL
         constraint = FAMILIES[kind].constraint
         if constraint == "sum_to_one":
-            res = _simplex_residual(vals, used, excluded=derived.blocked(*block.group) if kind == "phi" else None)
+            res = _simplex_residual(vals, used, excluded=derived.cycle_mask.ravel()[key] if kind == "phi" else None)
         elif constraint == "sum_at_most_one":
             tight = float(cur.sum()) >= 1.0 - SLACK_TOL
             witness = 0.0
@@ -1114,7 +1116,7 @@ def _edge_states():
     st.phi[0, _link(tri, 0, 2)] = 1.0
     st.phi[0, [_link(tri, 1, 0), _link(tri, 1, 2)]] = [0.1, 0.9]
     der = derive(tri, st)
-    assert der.flows.inflow[0, 1] == 0.0 and der.blocked(0, 0).tolist() == [True, False]
+    assert der.flows.inflow[0, 1] == 0.0 and der.cycle_mask[0, list(tri.layout.out_links[0])].tolist() == [True, False]
     marg = der.delta_phi[0]
     assert marg[_link(tri, 1, 0)] != marg[_link(tri, 1, 2)]
     assert marg[_link(tri, 0, 1)] < marg[_link(tri, 0, 2)]

@@ -39,6 +39,7 @@ from duplexnet.subband import allocate_subbands
 from helpers import (
     fan_scenario,
     grid_scenario,
+    hub_scenario,
     line3_scenario,
     path_graph,
     random_interior_state,
@@ -312,6 +313,39 @@ def test_uniform_state_is_valid():
     for i in range(line3.layout.n):
         assert st.rho[i].sum() == pytest.approx(0.9)
         assert np.all(st.rho[i][~line3.layout.rho_mask[i]] == 0.0)
+
+
+def _loop_even_split(scenario, power):
+    """rho, eta and mu of the even split, one node, group and link at a
+    time: the reference for uniform_state's array form."""
+    lay = scenario.layout
+    rho = np.zeros((lay.n, lay.band_count))
+    for i in range(lay.n):
+        bands = np.flatnonzero(lay.rho_mask[i])
+        if bands.size:
+            rho[i, bands] = power / bands.size
+    eta = np.zeros(lay.n_entries)
+    for entries in lay.node_band_entries.values():
+        eta[entries] = 1.0 / entries.size
+    mu = np.zeros(lay.n_entries)
+    for sl in lay.link_slices:
+        width = sl.stop - sl.start
+        if width:
+            mu[sl] = 1.0 / width
+    return rho, eta, mu
+
+
+def test_even_split_equals_the_per_group_loops_bit_for_bit():
+    rng = np.random.default_rng(75)
+    scenarios = [line3_scenario(), hub_scenario(), square_scenario()]
+    scenarios += [random_scenario(rng) for _ in range(6)] + [grid_scenario(rng, 4, 2), grid_scenario(rng, 5, 3)]
+    for k, scen in enumerate(scenarios):
+        for power in (0.0, 0.05, 0.9, 1.0):
+            st = uniform_state(scen, power, 0.1)
+            for name, want in zip(("rho", "eta", "mu"), _loop_even_split(scen, power)):
+                got = getattr(st, name)
+                assert got.dtype == want.dtype and got.shape == want.shape, f"scenario {k}, {name}"
+                assert got.tobytes() == want.tobytes(), f"scenario {k}, power {power}, {name}"
 
 
 def test_validate_state_reports_violations():

@@ -6,7 +6,9 @@ keeps, the whole-network partial derivative of total cost in each
 ControlState array, the marginals the optimality conditions compare, and
 the terms they share.  The functions here return those stored arrays
 under the names a distributed implementation would exchange between
-nodes:
+nodes; nothing in the package calls them, and the one array they build
+is the routing ``blocked`` mask, the evaluation's cycle mask with the
+destination's out-links added:
 
 * ``power_messages``: per (receiver, band) marginal cost of one unit of
   extra interference power, accumulated from the receiver's entries.

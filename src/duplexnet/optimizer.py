@@ -54,14 +54,11 @@ A block step runs in Python floats.  A block has a handful of
 coordinates, so :func:`_search` reads its point, gradient and curvature
 once as lists, and the scaled step, the projection and the move are
 plain float arithmetic instead of dozens of numpy calls on tiny arrays.
-Each operation is the one numpy ran, in numpy's order, so every output is
-bit for bit the same: sums add as np.sum adds (:func:`_sum`: one after
-another below 8 terms, 8 accumulators combined pairwise from 8, halves
-above 128) and running sums one after another as np.cumsum does.  The
-slope stays one np.dot: BLAS may fuse and reorder its products, and a
-sequential float sum differs from it in the last bit on a share of
-blocks.  The step's domain is finite: :func:`project_scaled` rejects a
-NaN or infinite target or weight, so a bad curvature fails loudly.
+The projection's sums are exactly rounded (math.fsum), so no summation
+order enters them, and its running sums add one after another.  The
+slope is one np.dot.  The step's domain is finite: :func:`project_scaled`
+rejects a NaN or infinite target or weight, so a bad curvature fails
+loudly.
 
 Stationarity is measured by :func:`optimality_residuals`: within every
 active group the marginals of used coordinates must agree, unused
@@ -125,12 +122,13 @@ def project_scaled(target, weights, constraint: str = "sum_to_one", fixed=None):
 
     The domain is finite: a NaN or infinite target or weight, or a weight
     <= 0, raises ValueError.  The work runs in Python floats (see the
-    module docstring), each step as numpy runs it on arrays: max(0, v)
-    keeps -0.0 and NaN as np.maximum does, and the sort is stable, so the
-    result is bit for bit that of the same steps on arrays, and so is the
-    IndexError raised when extreme finite inputs overflow the breakpoints.
-    `target` and `weights` may be arrays or lists of floats; the result is
-    an array.
+    module docstring): max(0, v) keeps -0.0 and NaN as np.maximum does,
+    the sort is stable, and the three sums (the clipped target's, the
+    projected point's and the support's 1 / w) are math.fsum's exactly
+    rounded ones.  Extreme finite inputs such as +-1e308 can still fail:
+    IndexError when they overflow the breakpoints, OverflowError when
+    one of the sums overflows.  `target` and `weights` may be arrays or
+    lists of floats; the result is an array.
     """
     y, w = _as_list(target), _as_list(weights)
     if len(w) != len(y) or fixed is not None and len(fixed) != len(y):
@@ -149,7 +147,7 @@ def project_scaled(target, weights, constraint: str = "sum_to_one", fixed=None):
             raise ValueError("cannot satisfy sum_to_one with all coordinates fixed")
         return np.zeros(len(y))
     plain = [0.0 if v < 0.0 else v for v in yf]
-    if constraint == "sum_at_most_one" and _sum(plain) <= 1.0:
+    if constraint == "sum_at_most_one" and math.fsum(plain) <= 1.0:
         return _placed(plain, free, len(y))
     brk = [a * b for a, b in zip(yf, wf)]
     # lam_k keeps the k largest breakpoints active; the last k whose own
@@ -167,7 +165,7 @@ def project_scaled(target, weights, constraint: str = "sum_to_one", fixed=None):
     zf = [0.0 if v < 0.0 else v for v in (a - lam / b for a, b in zip(yf, wf))]
     support = [k for k, v in enumerate(zf) if v > 0.0]
     inv = [1.0 / wf[k] for k in support]
-    leftover, inv_total = 1.0 - _sum(zf), _sum(inv)
+    leftover, inv_total = 1.0 - math.fsum(zf), math.fsum(inv)
     for k, v in zip(support, inv):
         moved = zf[k] + leftover * v / inv_total
         zf[k] = 0.0 if moved < 0.0 else moved
@@ -187,32 +185,6 @@ def _placed(values, free, n):
     for k, v in zip(free, values):
         z[k] = v
     return np.array(z, dtype=float)
-
-
-def _sum(values) -> float:
-    """The sum of a list of floats, added in the order np.sum adds them, so
-    equal bit for bit: below 8 terms one after another from 0.0; from 8 to
-    128 terms into 8 accumulators, combined pairwise ((0+1)+(2+3)) +
-    ((4+5)+(6+7)) and then the leftover terms one after another; above 128
-    terms the two halves (the first a multiple of 8 long) summed so and
-    added.  The sum starts from 0.0, so it never returns -0.0, as np.sum
-    does not."""
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _sum(values[:half]) + _sum(values[half:])
-    total = 0.0
-    tail = values
-    if n >= 8:
-        acc = values[:8]
-        for start in range(8, n - n % 8, 8):
-            for j in range(8):
-                acc[j] += values[start + j]
-        total += ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        tail = values[n - n % 8 :]
-    for v in tail:
-        total += v
-    return total
 
 
 # the diagonal scaling is SAFETY times the curvature estimate, floored at

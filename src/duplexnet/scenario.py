@@ -628,9 +628,10 @@ class DerivedState:
     diagonal curvature (:meth:`curvature`), shaped like the array.  So a
     block builds its own family's terms only, and the residuals, which
     read marginals, build no curvature.  Block updates, residuals and
-    checks all slice these.  A zero fraction or flow times an infinite
-    marginal (an unloaded entry with nonpositive capacity has an infinite
-    d_f) is taken to be zero, so such coordinates stay inert.  The
+    checks all slice these; a routing block's fixed coordinates are its
+    slice of :attr:`cycle_mask`.  A zero fraction or flow times an
+    infinite marginal (an unloaded entry with nonpositive capacity has an
+    infinite d_f) is taken to be zero, so such coordinates stay inert.  The
     evaluation holds `state` itself, not a copy, so the state must not
     change while the evaluation is in use.
     """

@@ -152,8 +152,9 @@ def test_project_scaled_stays_on_simplex_across_weight_decades():
 
 
 def numpy_projection(target, weights, constraint="sum_to_one", fixed=None):
-    """project_scaled as it was written on numpy arrays, kept as the
-    reference that the float version must equal bit for bit."""
+    """project_scaled as it was written on numpy arrays, its three sums
+    exactly rounded as the float version takes them, kept as the reference
+    that the float version must equal bit for bit."""
     y = np.asarray(target, dtype=float)
     w = np.asarray(weights, dtype=float)
     if np.any(w <= 0):
@@ -169,7 +170,7 @@ def numpy_projection(target, weights, constraint="sum_to_one", fixed=None):
             raise ValueError("cannot satisfy sum_to_one with all coordinates fixed")
         return z
     plain = np.maximum(0.0, yf)
-    if constraint == "sum_at_most_one" and plain.sum() <= 1.0:
+    if constraint == "sum_at_most_one" and math.fsum(plain) <= 1.0:
         z[free] = plain
         return z
     brk = yf * wf
@@ -179,7 +180,7 @@ def numpy_projection(target, weights, constraint="sum_to_one", fixed=None):
     zf = np.maximum(0.0, yf - lam / wf)
     support = zf > 0.0
     inv = 1.0 / wf[support]
-    zf[support] = np.maximum(0.0, zf[support] + (1.0 - zf.sum()) * inv / inv.sum())
+    zf[support] = np.maximum(0.0, zf[support] + (1.0 - math.fsum(zf)) * inv / math.fsum(inv))
     z[free] = zf
     return z
 
@@ -189,7 +190,7 @@ def _outcome(project, *args, **kwargs):
     type of the error it raises."""
     try:
         z = project(*args, **kwargs)
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, OverflowError) as exc:
         return type(exc)
     nan = np.isnan(z)
     return z.dtype, z.shape, nan.tobytes(), np.where(nan, 0.0, z).tobytes()
@@ -223,7 +224,8 @@ def test_project_scaled_equals_the_array_projection_bit_for_bit():
 
 def test_project_scaled_rejects_non_finite_input_and_matches_the_array_code_on_finite_extremes():
     # a NaN or infinite target or weight is an error; signed zeros and
-    # finite extremes give the array projection's result, or its error
+    # finite extremes give the array projection's result, or its error,
+    # OverflowError where an exact sum of finite extremes overflows
     rng = np.random.default_rng(44)
     errors = set()
     for trial in range(1200):
@@ -243,22 +245,11 @@ def test_project_scaled_rejects_non_finite_input_and_matches_the_array_code_on_f
         assert got == want, f"trial {trial}"
         if isinstance(want, type):
             errors.add(want)
-    assert errors == {ValueError, IndexError}
+    assert errors == {ValueError, IndexError, OverflowError}
     with pytest.raises(ValueError, match="finite"):
         project_scaled([0.5, 0.5], [math.nan, 1.0])
     with pytest.raises(ValueError, match="positive"):
         project_scaled([2.0, 0.5], [math.inf, 1.0])
-
-
-def test_block_sums_add_in_numpy_order():
-    # sequential below 8 terms, 8 accumulators to 128, halves above: equal
-    # to np.sum bit for bit, where a plain running sum is not
-    rng = np.random.default_rng(45)
-    for n in range(1, 301):
-        for _ in range(4):
-            x = rng.normal(size=n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
-            assert optimizer._sum(x.tolist()) == np.sum(x), f"{n} terms"
-        assert math.copysign(1.0, optimizer._sum([-0.0] * n)) == math.copysign(1.0, np.sum(np.full(n, -0.0)))
 
 
 def _reachability_blocked(scenario, state):
@@ -365,17 +356,12 @@ def test_cycle_mask_equals_an_upstream_search_per_block():
     scenarios = [random_scenario(rng) for _ in range(8)] + [grid_scenario(rng, 4, 2), grid_scenario(rng, 5, 3)]
     blocked = 0
     for k, scen in enumerate(scenarios):
-        lay = scen.layout
         base = uniform_state(scen, 0.9, 0.1)
         for draw in range(4):
             st = _random_acyclic_routing(scen, base, rng)
             der = derive(scen, st)
             want = _upstream_blocked(scen, st)
             assert der.cycle_mask.dtype == bool and np.array_equal(der.cycle_mask, want), f"scenario {k}, draw {draw}"
-            for w in range(len(scen.sessions)):
-                for i, out in enumerate(lay.out_links):
-                    got = der.cycle_mask[w, list(out)]
-                    assert np.array_equal(got, want[w, list(out)]), f"scenario {k}, draw {draw}, {w, i}"
             blocked += int(want.sum())
     assert blocked > 0
 

@@ -38,10 +38,10 @@ gains, noise and budgets, its sessions and cost, and the optimizer dict.
 
 A fifth digest, "wide blocks", covers solves as the first does, on
 scenarios whose eta and phi blocks hold 8 or more coordinates, the size
-from which the projection's sums add pairwise as np.sum does: a hub with 9
-leaves and fans of 9, 10 and 11 relays between two ends
-(tests/helpers.py), each descended for at most 4 sweeps from the even
-split, from a random interior start and in random block order.
+from which `group_sums` sums a group with np.sum (its wide branch) instead
+of bincount: a hub with 9 leaves and fans of 9, 10 and 11 relays between
+two ends (tests/helpers.py), each descended for at most 4 sweeps from the
+even split, from a random interior start and in random block order.
 """
 
 from __future__ import annotations

@@ -96,43 +96,58 @@ class FamilyCheck:
     uncovered: dict[int, tuple[int, ...]]  # node -> colors of OC_i in every neighbor set
 
 
-def check_color_sets(g: ConnectivityGraph, family: ColorSetFamily) -> FamilyCheck:
-    """Check feasibility conditions (i) and (ii) and report every violation."""
+def _checked_bands(g: ConnectivityGraph, family: ColorSetFamily) -> tuple[FamilyCheck, list[int]]:
+    """The feasibility report and OC_i \\ OC_j for every link, in `g.links` order.
+
+    One pass over the dense adjacency, which lists each node's neighbors in
+    `g.links` order, with the masks in a list by internal index: a row's
+    differences give condition (i) and its running AND condition (ii).
+    """
     family.validate()
-    for node in g.nodes:
-        if node not in family.masks:
-            raise ValueError(f"family does not cover node {node}")
-    missing = []
+    nodes = g.nodes
+    masks = list(map(family.masks.get, nodes))
+    if None in masks:
+        raise ValueError(f"family does not cover node {nodes[masks.index(None)]}")
+    bands: list[int] = []
     uncovered = {}
-    for i, j in g.links:
-        if family.masks[i] & ~family.masks[j] == 0:
-            missing.append((i, j))
-    for i in g.nodes:
-        common = family.masks[i]
-        for j in g.neighbors(i):
-            common &= family.masks[j]
+    for node, m, row in zip(nodes, masks, g._adj):
+        common = m
+        for j in row:
+            other = masks[j]
+            bands.append(m & ~other)
+            common &= other
         if common:
-            uncovered[i] = colors_from_mask(common)
-    return FamilyCheck(
-        feasible=not missing and not uncovered,
-        missing_difference=tuple(missing),
-        uncovered=uncovered,
-    )
+            uncovered[node] = colors_from_mask(common)
+    missing = () if all(bands) else tuple(lk for lk, b in zip(g.links, bands) if not b)
+    check = FamilyCheck(feasible=not missing and not uncovered, missing_difference=missing, uncovered=uncovered)
+    return check, bands
+
+
+def check_color_sets(g: ConnectivityGraph, family: ColorSetFamily) -> FamilyCheck:
+    """Check feasibility conditions (i) and (ii) and report every violation.
+
+    Violations of (i) come in `g.links` order and uncovered nodes in
+    `g.nodes` order; a ValueError names the first node of `g.nodes` that
+    the family leaves out.  One pass over the dense adjacency.
+    """
+    return _checked_bands(g, family)[0]
 
 
 def assign_link_colors(g: ConnectivityGraph, family: ColorSetFamily) -> dict[tuple[int, int], int]:
-    """Color every directed link with OC_i \\ OC_j, as a mask per link.
+    """Color every directed link with OC_i \\ OC_j, as a mask per link, in
+    `g.links` order.
 
     Raises InfeasibleFamilyError when the family fails either feasibility
-    condition.
+    condition; the masks come from the same pass over the dense adjacency
+    as the check.
     """
-    check = check_color_sets(g, family)
+    check, bands = _checked_bands(g, family)
     if not check.feasible:
         raise InfeasibleFamilyError(
             f"family infeasible: empty differences {check.missing_difference}, "
             f"uncovered {check.uncovered}"
         )
-    return {(i, j): family.masks[i] & ~family.masks[j] for i, j in g.links}
+    return dict(zip(g.links, bands))
 
 
 def _repair_condition_two(g: ConnectivityGraph, masks: dict[int, int]) -> dict[int, int]:

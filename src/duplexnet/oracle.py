@@ -628,8 +628,12 @@ class _Search:
         ends = (a,) if c.kind in ("p", "f") else (a, b)
         pl, fl, sh = self.pl, self.fl, self.sh
         if c.kind in ("p", "pt"):
+            cells = {(prob.ent_tx[e], prob.ent_band[e]) for e in ends}
+            # a power move prices again only the loaded entries of its bands
+            if not any(self.on_band[q] for _, q in cells):
+                return None
             pl = arr = pl.copy()
-            scope = {"cells": {(prob.ent_tx[e], prob.ent_band[e]) for e in ends}}
+            scope = {"cells": cells}
         elif c.kind in ("f", "ft"):
             fl = arr = fl.copy()
             scope = {"links": {li for k in ends for li in prob.flow_paths[k]}, "sessions": (c.session,)}

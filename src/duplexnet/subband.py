@@ -104,7 +104,10 @@ def _band_preference(
     tie = list(range(band_count))
     if rng is not None:
         rng.shuffle(tie)
-    return sorted(range(band_count), key=lambda b: (counts[b], tie[b]))
+    # tie values lie in range(band_count), so these keys order as the pairs
+    # (counts[b], tie[b]) do
+    keys = [c * band_count + t for c, t in zip(counts, tie)]
+    return sorted(range(band_count), key=keys.__getitem__)
 
 
 def _choose_set(
@@ -152,10 +155,18 @@ def _tally(fallbacks: tuple[int, int], path: str) -> tuple[int, int]:
     return swaps + (path == "swap"), enumerations + (path == "enumerate")
 
 
-def _occurrence_counts(band_count: int, masks: Iterable[int]) -> list[int]:
+class _BandsOf(dict):
+    """The bands of each mask looked up, each worked out on its first lookup."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        bands = self[mask] = colors_from_mask(mask)
+        return bands
+
+
+def _occurrence_counts(band_count: int, masks: Iterable[int], bands_of: _BandsOf) -> list[int]:
     counts = [0] * band_count
     for m in masks:
-        for b in colors_from_mask(m):
+        for b in bands_of[m]:
             counts[b] += 1
     return counts
 
@@ -196,16 +207,20 @@ def allocate_subbands(
         outgoing[first] = (1 << half) - 1
     else:
         outgoing[first] = mask_from_colors(rng.sample(range(band_count), half))
-    nodes = g.nodes
+    nodes, adj = g.nodes, g._adj
     # the frontier holds, ascending, the internal indices of the unsettled
-    # nodes next to a settled one; `seen` marks settled and frontier nodes
+    # nodes next to a settled one; `seen` marks settled and frontier nodes,
+    # and `settled` holds the settled masks by internal index, None elsewhere
     frontier: list[int] = []
     seen = [False] * g.n
+    settled: list[int | None] = [None] * g.n
+    bands_of = _BandsOf()
     fallbacks = (0, 0)
     i = g.index(first)
     seen[i] = True
+    settled[i] = outgoing[first]
     while True:
-        for j in g.adjacency(i):
+        for j in adj[i]:
             if not seen[j]:
                 seen[j] = True
                 insort(frontier, j)
@@ -218,10 +233,12 @@ def allocate_subbands(
             )
         i = frontier[0] if rng is None else rng.choice(frontier)
         del frontier[bisect_left(frontier, i)]
-        done = [outgoing[nodes[j]] for j in g.adjacency(i) if nodes[j] in outgoing]
-        counts = _occurrence_counts(band_count, done)
-        outgoing[nodes[i]], path = _choose_set(band_count, counts, done, rng)
-        fallbacks = _tally(fallbacks, path)
+        done = [m for m in map(settled.__getitem__, adj[i]) if m is not None]
+        counts = _occurrence_counts(band_count, done, bands_of)
+        settled[i], path = _choose_set(band_count, counts, done, rng)
+        outgoing[nodes[i]] = settled[i]
+        if path != "greedy":
+            fallbacks = _tally(fallbacks, path)
     link_bands = assign_link_colors(g, ColorSetFamily(band_count, outgoing))
     return SpectrumAllocation(band_count, outgoing, link_bands, fallbacks)
 
@@ -235,22 +252,32 @@ def check_allocation(g: ConnectivityGraph, alloc: SpectrumAllocation) -> Allocat
     """Verify coverage (every link has a band) and the duplexing constraint.
 
     Only the graph's links count; other `link_bands` keys are ignored.
+    Uncovered links come in `g.links` order and clashes sorted by band,
+    then node.  One pass over the dense adjacency, which lists each node's
+    neighbors in `g.links` order, ORs the transmit and receive masks into
+    lists by internal index.
     """
     bands = alloc.link_bands
     coverage = []
-    transmit = dict.fromkeys(g.nodes, 0)
-    receive = dict.fromkeys(g.nodes, 0)
-    for lk in g.links:
-        m = bands.get(lk, 0)
-        if not m:
-            coverage.append(lk)
-        i, j = lk
-        transmit[i] |= m
-        receive[j] |= m
-    duplexing = []
-    for node, m in transmit.items():
-        for b in colors_from_mask(m & receive[node]):
-            duplexing.append((node, b))
+    transmit = []
+    receive = [0] * g.n
+    links = iter(g.links)
+    for row in g._adj:
+        sent = 0
+        # zip takes from `row` first, so it leaves the next row's links
+        for j, lk in zip(row, links):
+            m = bands.get(lk, 0)
+            if not m:
+                coverage.append(lk)
+            sent |= m
+            receive[j] |= m
+        transmit.append(sent)
+    duplexing = [
+        (node, b)
+        for node, sent, got in zip(g.nodes, transmit, receive)
+        if sent & got
+        for b in colors_from_mask(sent & got)
+    ]
     duplexing.sort(key=itemgetter(1, 0))
     return AllocationCheck(tuple(coverage), tuple(duplexing))
 
@@ -310,7 +337,7 @@ def apply_topology_change(
             raise NotConnectedError(f"graph has {len(new_g.components())} components")
         rng = random.Random(seed) if seed is not None else None
         done = [alloc.outgoing[u] for u in neighbors]
-        counts = _occurrence_counts(alloc.band_count, done)
+        counts = _occurrence_counts(alloc.band_count, done, _BandsOf())
         oc, path = _choose_set(alloc.band_count, counts, done, rng)
         outgoing = PersistentMap.of(alloc.outgoing).updated([(node, oc)])
         link_bands = PersistentMap.of(alloc.link_bands).updated(

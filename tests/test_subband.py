@@ -7,16 +7,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from duplexnet.coloring import ColorSetFamily, assign_link_colors, mask_from_colors, min_subband_count
-from duplexnet.graph import NotConnectedError, build_graph
+from duplexnet.coloring import (
+    ColorSetFamily,
+    FamilyCheck,
+    InfeasibleFamilyError,
+    assign_link_colors,
+    check_color_sets,
+    colors_from_mask,
+    family_from_coloring,
+    mask_from_colors,
+    min_subband_count,
+)
+from duplexnet.graph import NotConnectedError, build_graph, greedy_coloring
 from duplexnet.subband import (
+    AllocationCheck,
     DegreeBudgetExceededError,
     InsufficientBandsError,
     Join,
     Leave,
     SpectrumAllocation,
     _choose_set,
-    _occurrence_counts,
     allocate_subbands,
     apply_topology_change,
     check_allocation,
@@ -156,6 +166,135 @@ def test_check_allocation_matches_per_band_sets():
         assert (rep.coverage_violations, rep.duplexing_violations) == _per_band_check(g, alloc)
 
 
+def _loop_check_color_sets(g, family):
+    """check_color_sets as first written: masks looked up by node id, a
+    pass over the links for (i), then one over the nodes for (ii)."""
+    family.validate()
+    for node in g.nodes:
+        if node not in family.masks:
+            raise ValueError(f"family does not cover node {node}")
+    missing = [(i, j) for i, j in g.links if family.masks[i] & ~family.masks[j] == 0]
+    uncovered = {}
+    for i in g.nodes:
+        common = family.masks[i]
+        for j in g.neighbors(i):
+            common &= family.masks[j]
+        if common:
+            uncovered[i] = colors_from_mask(common)
+    return FamilyCheck(not missing and not uncovered, tuple(missing), uncovered)
+
+
+def _loop_assign_link_colors(g, family):
+    """assign_link_colors as first written: the check, then a third pass."""
+    check = _loop_check_color_sets(g, family)
+    if not check.feasible:
+        raise InfeasibleFamilyError(
+            f"family infeasible: empty differences {check.missing_difference}, "
+            f"uncovered {check.uncovered}"
+        )
+    return {(i, j): family.masks[i] & ~family.masks[j] for i, j in g.links}
+
+
+def _loop_check_allocation(g, alloc):
+    """check_allocation as first written: transmit and receive masks in
+    dicts by node id."""
+    coverage = []
+    transmit = dict.fromkeys(g.nodes, 0)
+    receive = dict.fromkeys(g.nodes, 0)
+    for lk in g.links:
+        m = alloc.link_bands.get(lk, 0)
+        if not m:
+            coverage.append(lk)
+        i, j = lk
+        transmit[i] |= m
+        receive[j] |= m
+    duplexing = [(node, b) for node, m in transmit.items() for b in colors_from_mask(m & receive[node])]
+    duplexing.sort(key=lambda nb: (nb[1], nb[0]))
+    return AllocationCheck(tuple(coverage), tuple(duplexing))
+
+
+def _outcome(fn, *args):
+    """A call's result as its repr, so that the order of a dict counts, or
+    its error's type and message."""
+    try:
+        return repr(fn(*args))
+    except ValueError as err:
+        return type(err), str(err)
+
+
+def _drawn_family(data, rnd, g):
+    """(universe, masks by node id): a feasible family with its colors
+    permuted, or random masks, then a few edits that may break (i) or
+    (ii), leave a node out, or use a color outside the universe."""
+    if data.draw(hs.booleans(), label="random masks"):
+        q = data.draw(hs.sampled_from([1, 2, 3, 5, 64]), label="universe")
+        masks = {v: rnd.getrandbits(q) for v in g.nodes}
+    else:
+        q = data.draw(hs.sampled_from([None, 64]), label="universe")
+        fam = family_from_coloring(g, greedy_coloring(g), universe_size=q)
+        q = fam.universe_size
+        perm = rnd.sample(range(q), q)
+        masks = {v: mask_from_colors(perm[c] for c in colors_from_mask(m)) for v, m in fam.masks.items()}
+    edits = ["copy a neighbor", "share a color", "flip a bit", "empty", "leave out", "outside", "extra key"]
+    for edit in data.draw(hs.lists(hs.sampled_from(edits), max_size=3), label="edits"):
+        v = rnd.choice(g.nodes)
+        u = rnd.choice(g.neighbors(v))
+        if v not in masks or u not in masks:
+            continue
+        if edit == "copy a neighbor":
+            masks[v] = masks[u]
+        elif edit == "share a color" and masks[v]:
+            c = rnd.choice(colors_from_mask(masks[v]))
+            for w in g.neighbors(v):
+                if w in masks:
+                    masks[w] |= 1 << c
+        elif edit == "flip a bit":
+            masks[v] ^= 1 << rnd.randrange(q)
+        elif edit == "empty":
+            masks[v] = 0
+        elif edit == "leave out":
+            del masks[v]
+        elif edit == "outside":
+            masks[v] |= 1 << q
+        elif edit == "extra key":
+            masks[max(g.nodes) + 1] = rnd.getrandbits(q)
+    # a family's masks come in any order, not only the graph's
+    order = list(masks)
+    rnd.shuffle(order)
+    return q, {v: masks[v] for v in order}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(seed=hs.integers(0, 2**32 - 1), data=hs.data())
+def test_checks_match_the_per_link_loops(seed, data):
+    # the one-pass checks give the reports, their order and the errors of
+    # the loops they replaced, on families and allocations that break
+    # conditions (i) and (ii), miss links or nodes, or use bit 63
+    rng = np.random.default_rng(seed)
+    rnd = random.Random(seed)
+    base = random_connected_graph(rng, n=int(rng.integers(2, 13)))
+    ids = sorted(rnd.sample(range(-40, 400), base.n))
+    rnd.shuffle(ids)
+    g = build_graph([(ids[i], ids[j]) for i, j in base.links])
+    q, masks = _drawn_family(data, rnd, g)
+    family = ColorSetFamily(q, masks)
+    assert _outcome(check_color_sets, g, family) == _outcome(_loop_check_color_sets, g, family)
+    assert _outcome(assign_link_colors, g, family) == _outcome(_loop_assign_link_colors, g, family)
+    # link bands from the family where it has both ends, then some left
+    # out, emptied or redrawn, and keys that are not links
+    bands = {(i, j): masks[i] & ~masks[j] for i, j in g.links if i in masks and j in masks}
+    for lk in rnd.sample(g.links, min(len(g.links), data.draw(hs.integers(0, 6), label="edited links"))):
+        bands[lk] = rnd.choice([None, 0, rnd.getrandbits(q), rnd.getrandbits(q)])
+        if bands[lk] is None:
+            del bands[lk]
+    for _ in range(data.draw(hs.integers(0, 2), label="other keys")):
+        v = rnd.choice(g.nodes)
+        w = rnd.choice([u for u in g.nodes + (max(g.nodes) + 1,) if u != v and u not in g.neighbors(v)] or [v])
+        bands[(v, w)] = rnd.getrandbits(q)
+    alloc = SpectrumAllocation(q, masks, bands)
+    assert _outcome(check_allocation, g, alloc) == _outcome(_loop_check_allocation, g, alloc)
+
+
 def test_leave_keeps_survivors_untouched():
     g = complete_graph(4)
     alloc = allocate_subbands(g, 4)
@@ -247,7 +386,7 @@ def _rescan_allocate(g, band_count, seed=None, first_node=None):
         )
         v = eligible[0] if rng is None else rng.choice(eligible)
         done = [outgoing[u] for u in g.neighbors(v) if u in outgoing]
-        counts = _occurrence_counts(band_count, done)
+        counts = [sum(m >> b & 1 for m in done) for b in range(band_count)]
         outgoing[v] = _choose_set(band_count, counts, done, rng)[0]
     return outgoing
 

@@ -25,8 +25,9 @@ already there.  The scenarios come from tests/helpers.py of this tree:
 Per workload it records counts that do not depend on the machine (sweeps,
 converged solves, block updates, those that did not move and those that
 reached `_block_move` at all, `derive`, `evaluate_physical` and
-`evaluate_flows` calls per block update, the final costs and the sessions
-rejected outright at the end) and the wall seconds per sweep of the
+`evaluate_flows` calls per block update, and the sessions rejected
+outright at the end), apart from them the final costs, and the wall
+seconds per sweep of the
 updates and of `_block_move`, per block kind, of `optimality_residuals`
 and of the whole solve, the seconds per block update of `_block_move` and
 of the solver's `derive` calls, and the share of solve time spent in
@@ -37,13 +38,15 @@ equals the sum of the trace's `visited` column, and it holds as well for
 a tree from before that column and for a solve that stalls.  An update's
 time is that of the call: a run's time goes to its kind as a whole, and
 counts as unmoved only when none of its blocks moved.
-For the reference runs it records the evaluations and final cost of each
-run, which do not depend on the machine either, and the wall seconds of
+For the reference runs it records the evaluations of each run, which do
+not depend on the machine either, its final cost, and the wall seconds of
 each run and of all of them; next to them, the solver's sweeps, block
-updates, converged count and final cost from the even split on the same
-scenarios (at most 400 sweeps to `tol=1e-4`), and the seconds of those
-solves.  Each tree runs REPEATS times; its counts must repeat
-exactly, and the counts that differ between trees are printed.  Each
+updates and converged count from the even split on the same scenarios (at
+most 400 sweeps to `tol=1e-4`), its final costs, and the seconds of those
+solves.  Each tree runs REPEATS times; its counts and final costs must
+repeat exactly.  Between trees, the counts that differ are printed, and on
+a line of its own the largest relative move of a final cost, so that a
+move in the last bits of a cost is not read as a changed count.  Each
 timing is stored as its median over the repeats (median_timings) next to
 its least and greatest (min_timings, max_timings), so that a before/after
 gap can be read against the spread of one tree's repeats.
@@ -197,7 +200,7 @@ def _solve_all(dn, cases):
 
 
 def _run(dn, cases):
-    """One pass over a workload: (counts, timings)."""
+    """One pass over a workload: (counts, final costs, timings)."""
     solved, counters, wall = _solve_all(dn, cases)
     sweeps = solved["sweeps"]
     updates = counters.updates
@@ -207,7 +210,6 @@ def _run(dn, cases):
         "stalled": solved["stalled"],
         "sweeps": sweeps,
         "rejected_sessions": solved["rejected_sessions"],
-        "final_costs": solved["costs"],
         "block_updates": updates,
         "unmoved_updates": counters.unmoved,
         "block_moves": counters.moves,
@@ -226,20 +228,21 @@ def _run(dn, cases):
     timings["solve_s_per_sweep"] = wall / max(1, sweeps)
     timings["solve_s"] = wall
     timings["unmoved_update_share"] = counters.unmoved_s / wall
-    return counts, timings
+    return counts, solved["costs"], timings
 
 
 def _run_reference(dn, cases):
     """One pass over the reference runs, and the solver's on the same
-    scenarios: (counts, timings)."""
-    counts = {"solves": len(cases), "evaluations": {}, "final_costs": {}}
+    scenarios: (counts, final costs, timings)."""
+    counts = {"solves": len(cases), "evaluations": {}}
+    costs = {"reference": {}}
     timings = {}
     for label, scen, kwargs in cases:
         t0 = time.perf_counter()
         ref = dn.reference_solve_small(scen, **kwargs)
         timings[f"{label} s"] = time.perf_counter() - t0
         counts["evaluations"][label] = ref.evaluations
-        counts["final_costs"][label] = ref.cost
+        costs["reference"][label] = ref.cost
     counts["evaluations_total"] = sum(counts["evaluations"].values())
     timings["solve_s"] = sum(timings.values())
     solves = [(scen, dn.uniform_state(scen, 0.9, 0.1), dict(max_sweeps=400, tol=1e-4)) for _, scen, _ in cases]
@@ -250,14 +253,14 @@ def _run_reference(dn, cases):
         "sweeps": solved["sweeps"],
         "block_updates": counters.updates,
         "rejected_sessions": solved["rejected_sessions"],
-        "final_costs": dict(zip(counts["final_costs"], solved["costs"])),
     }
-    return counts, timings
+    costs["solver"] = dict(zip(costs["reference"], solved["costs"]))
+    return counts, costs, timings
 
 
 def _measure(src):
     """One repeat of every workload on the duplexnet package in `src`,
-    each after an untimed pass: {workload: (counts, timings)}."""
+    each after an untimed pass: {workload: (counts, final costs, timings)}."""
     sys.path[:0] = [src, str(ROOT / "tests")]
     import duplexnet as dn
     import helpers
@@ -269,6 +272,20 @@ def _measure(src):
         run(dn, cases)
         out[name] = run(dn, cases)
     return out
+
+
+def _cost_list(costs):
+    """The final costs of a workload as one list, in a fixed order."""
+    if isinstance(costs, dict):
+        return [c for key in sorted(costs) for c in _cost_list(costs[key])]
+    return costs if isinstance(costs, list) else [costs]
+
+
+def _largest_move(before, after):
+    """The largest relative move from the costs `before` to `after`, over
+    the solves that ended in both; stalls show among the counts."""
+    pairs = [(a, b) for a, b in zip(before, after) if a is not None and b is not None]
+    return max((abs(b - a) / (abs(a) or 1.0) for a, b in pairs), default=0.0)
 
 
 def _tree(arg):
@@ -312,11 +329,13 @@ def main(argv=None):
     for label, reps in runs.items():
         result = {}
         for name in reps[0]:
-            counts = reps[0][name][0]
-            if any(rep[name][0] != counts for rep in reps):
-                raise RuntimeError(f"{label} {name}: counts differ between repeats: {[rep[name][0] for rep in reps]}")
-            result[name] = {"counts": counts}
-            timings = [rep[name][1] for rep in reps]
+            counts, costs = reps[0][name][:2]
+            if any(rep[name][:2] != (counts, costs) for rep in reps):
+                raise RuntimeError(
+                    f"{label} {name}: counts or final costs differ between repeats: {[rep[name][:2] for rep in reps]}"
+                )
+            result[name] = {"counts": counts, "final_costs": costs}
+            timings = [rep[name][2] for rep in reps]
             for stat, fn in (("median", statistics.median), ("min", min), ("max", max)):
                 result[name][f"{stat}_timings"] = {k: round(fn(t[k] for t in timings), 6) for k in timings[0]}
             print(f"{label} {name}: {json.dumps(result[name])}")
@@ -327,6 +346,9 @@ def main(argv=None):
         differ = sorted(k for k in counts[0] if any(c.get(k) != counts[0][k] for c in counts[1:]))
         if len(labels) > 1:
             print(f"{name}: counts that differ between {', '.join(labels)}: {', '.join(differ) or 'none'}")
+            first, *rest = (_cost_list(runs[label][0][name][1]) for label in labels)
+            move = max(_largest_move(first, other) for other in rest)
+            print(f"{name}: largest relative move of a final cost from {labels[0]}: {move:.3g}")
     OUT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     print(f"wrote {OUT.name} [{', '.join(labels)}]")
 

@@ -17,9 +17,11 @@ non-cut vertices (`churn_events`), applied one after another:
 * rgg_10000: 10000 nodes, 40 events (`default_rng(702)`).
 
 Per workload it records counts that do not depend on the machine (nodes,
-links, joins, leaves, full connected-component searches per event, and a
-digest of every event's allocation, its dicts sorted by key, graph and
-components, which must match between trees that give the same outputs) and the wall milliseconds
+links, joins, leaves, the plan's selection fallbacks, that is its swap
+repairs and subset enumerations, full connected-component searches per
+event, and a digest of every event's allocation, its dicts sorted by key,
+graph and components, which must match between trees that give the same
+outputs) and the wall milliseconds
 of `allocate_subbands`, of `check_allocation` on the plan, and of
 `apply_topology_change` per join and per leave: the mean, the median and
 the largest, so that a one-off cost, such as the first event copying the
@@ -83,6 +85,7 @@ def _run(dn, g, bands, plan_seed, events, event_seeds):
     t2 = time.perf_counter()
     if not report.ok:
         raise RuntimeError("the plan fails its own check")
+    plan_fallbacks = alloc.fallbacks
     digest = hashlib.sha256()
     spent = {"Join": [], "Leave": []}
     searches = [0]
@@ -103,6 +106,7 @@ def _run(dn, g, bands, plan_seed, events, event_seeds):
         "bands": bands,
         "joins": len(spent["Join"]),
         "leaves": len(spent["Leave"]),
+        "plan_fallbacks": dict(zip(("swaps", "enumerations"), plan_fallbacks)),
         "component_searches_per_event": round(searches[0] / len(events), 4),
         "events_digest": digest.hexdigest()[:16],
     }

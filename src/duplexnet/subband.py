@@ -186,6 +186,12 @@ def allocate_subbands(
     the eligible ones in ascending id order.  Raises InsufficientBandsError
     when band_count is below min_subband_count(max_degree + 1), and
     NotConnectedError when some node cannot be reached from the first.
+
+    A selection reads its settled neighbors' masks from a list by internal
+    index along the dense adjacency, and each distinct mask's bands are
+    worked out once per call; the link bands come from assign_link_colors'
+    single pass.  A seeded run draws, in this order, the first node (unless
+    given), its set, and then per selection the next node and its band ties.
     """
     need = min_subband_count(g.max_degree() + 1)
     if band_count < need:

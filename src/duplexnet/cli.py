@@ -133,8 +133,12 @@ def _cmd_spectrum(args, out) -> int:
     return 0 if report.ok else 1
 
 
+# the solve options `optimize` reads from its flags or the file; solve keeps its defaults for the rest
+_SOLVE_OPTIONS = ("max_sweeps", "tol", "order", "seed")
+
+
 def _cmd_optimize(args, out) -> int:
-    loaded = _load(args, out, ("max_sweeps", "tol", "order", "seed"))
+    loaded = _load(args, out, _SOLVE_OPTIONS)
     sink = None if loaded is None else _output(args, "trace", out)
     if sink is None:
         return 2
@@ -145,8 +149,7 @@ def _cmd_optimize(args, out) -> int:
     print(f"initial cost: {_fmt(start)}", file=out)
     with sink as fh:
         try:
-            result = solve(scen, state, max_sweeps=opts.get("max_sweeps", 200), tol=opts.get("tol", 1e-4),
-                           order=opts.get("order", "round_robin"), seed=opts.get("seed"))
+            result = solve(scen, state, **{key: opts[key] for key in _SOLVE_OPTIONS if key in opts})
         except StalledStepError as exc:
             print(f"stalled: {exc}", file=out)
             return 1

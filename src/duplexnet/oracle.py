@@ -18,9 +18,10 @@ links with its own scalar code instead of :mod:`duplexnet.kernels`, and
 runs a derivative-free cyclic coordinate search: each scalar coordinate
 (one power, one path flow, or a pairwise transfer inside a budget/simplex
 group) is minimized by a grid scan plus golden-section refinement on raw
-cost values, restarted from several random interior points.  Deliberately
-brute force and only for tiny instances; it reads no gradient, so it
-checks the solver by cost values alone.
+cost values, restarted from several random points.  Each start is drawn
+inside the constraint set and every move keeps to it, so the search has
+no projection.  Deliberately brute force and only for tiny instances; it
+reads no gradient, so it checks the solver by cost values alone.
 
 There is one pricing.  ``_OracleProblem.price`` works on plain Python
 floats with every sum in one fixed order: each band's node powers, each
@@ -73,15 +74,11 @@ class CheckReport:
 
 
 def _require_headroom(derived):
-    x = derived.physical.sinr
     f = derived.flows.band_flow
     cap = derived.physical.capacity
     for e in range(f.shape[0]):
-        if f[e] <= 0:
-            continue
-        if x[e] <= 0:
-            raise BoundaryTooCloseError(f"entry {e} carries flow with no sinr")
-        if not f[e] <= (1.0 - HEADROOM) * cap[e]:
+        # a loaded entry needs headroom; an infinite cost was refused before
+        if f[e] > 0 and not f[e] <= (1.0 - HEADROOM) * cap[e]:
             raise BoundaryTooCloseError(
                 f"entry {e}: flow {f[e]:.6g} within {HEADROOM:.0%} of capacity {cap[e]:.6g}"
             )
@@ -309,24 +306,6 @@ def _simple_paths(lay, origin, dest):
     return out
 
 
-def _project_budget(p, budget):
-    """Project onto {p >= 0, sum p <= budget} (euclidean)."""
-    q = np.maximum(0.0, p)
-    if q.sum() <= budget:
-        return q
-    # the projection then lies on the face sum p = budget
-    return budget * _project_simplex(p / budget)
-
-
-def _project_simplex(v):
-    """Project onto {v >= 0, sum v = 1} (euclidean)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho_idx = np.nonzero(u * np.arange(1, len(v) + 1) > (css - 1.0))[0][-1]
-    theta = (css[rho_idx] - 1.0) / (rho_idx + 1.0)
-    return np.maximum(0.0, v - theta)
-
-
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -393,8 +372,6 @@ class _OracleProblem:
         self.paths = [
             _simple_paths(lay, int(lay.origin[w]), int(lay.dest[w])) for w in range(len(scen.sessions))
         ]
-        if any(not ps for ps in self.paths):
-            raise ValueError("a session has no path to its destination")
         self.n_power = lay.n_entries
         self.n_flow = sum(len(ps) for ps in self.paths)
         # the pricing reads plain Python numbers: scalar arithmetic on them
@@ -466,25 +443,6 @@ class _OracleProblem:
     def evaluate(self, vec) -> float:
         *_, terms, overs = self.price(*(part.tolist() for part in self.split(vec)))
         return _total(terms) + _total(overs)
-
-    def project(self, vec):
-        scen = self.scenario
-        lay = scen.layout
-        p, flows, shares = self.split(vec)
-        p = p.copy()
-        for i, idx in enumerate(self.node_entries):
-            if idx.size:
-                p[idx] = _project_budget(p[idx], scen.power_budget[i])
-        flows = flows.copy()
-        for sess, ks in zip(scen.sessions, self.session_flows):
-            flows[ks.start : ks.stop] = _project_budget(flows[ks.start : ks.stop], sess.demand)
-        shares = shares.copy()
-        for sl in lay.link_slices:
-            if sl.stop - sl.start == 1:
-                shares[sl.start] = 1.0
-            elif sl.stop > sl.start:
-                shares[sl.start : sl.stop] = _project_simplex(shares[sl.start : sl.stop])
-        return np.concatenate([p, flows, shares])
 
 
 @dataclass(frozen=True)
@@ -692,8 +650,6 @@ class _Search:
         coords = self.coords
         if freeze_power:
             coords = [c for c in coords if c.kind not in ("p", "pt")]
-        if not coords:
-            return
         stall = 0
         for _ in range(sweeps):
             before = self.cost
@@ -721,6 +677,10 @@ def reference_solve_small(
     affordable.  freeze_power keeps transmit powers at their initial value
     so closed-form toy problems in flow variables can be checked in
     isolation.  Raises ValueError when restarts or sweeps is below 1.
+
+    Each restart draws its start inside the constraint set (a node spends
+    under 0.95 of its budget, a session routes at most 0.3 of its demand)
+    and shrinks its path flows while the start's cost is infinite.
     """
     if restarts < 1 or sweeps < 1:
         raise ValueError(f"restarts and sweeps must be at least 1, got {restarts} and {sweeps}")
@@ -732,7 +692,6 @@ def reference_solve_small(
     if lay.band_count > MAX_BANDS:
         raise TooLargeError(f"{lay.band_count} bands > {MAX_BANDS}")
     problem = _OracleProblem(scenario)
-    paths = problem.paths
     rng = np.random.default_rng(seed)
     best_vec = None
     best_cost = math.inf
@@ -741,27 +700,25 @@ def reference_solve_small(
     for _ in range(restarts):
         p0 = np.empty(lay.n_entries)
         for i, idx in enumerate(problem.node_entries):
-            if idx.size == 0:
-                continue
             raw = rng.uniform(0.2, 1.0, idx.size)
             p0[idx] = scenario.power_budget[i] * rng.uniform(0.3, 0.95) * raw / raw.sum()
         f0 = np.concatenate(
             [
-                np.full(len(ps), 0.3 * scenario.sessions[w].demand / max(1, len(ps)))
+                np.full(len(ps), 0.3 * scenario.sessions[w].demand / len(ps))
                 * rng.uniform(0.5, 1.0, len(ps))
-                for w, ps in enumerate(paths)
+                for w, ps in enumerate(problem.paths)
             ]
         )
         s0 = np.empty(lay.n_entries)
         for sl in lay.link_slices:
             raw = rng.uniform(0.5, 1.0, sl.stop - sl.start)
             s0[sl.start : sl.stop] = raw / raw.sum()
-        search = _Search(problem, problem.project(np.concatenate([p0, f0, s0])))
+        search = _Search(problem, np.concatenate([p0, f0, s0]))
         shrinks = 0
         while not math.isfinite(search.cost) and shrinks < 10:
             # admitted flow too aggressive for the sampled powers; back off
             f0 = f0 * 0.2 if shrinks < 9 else np.zeros_like(f0)
-            search.vec = problem.project(np.concatenate([p0, f0, s0]))
+            search.vec = np.concatenate([p0, f0, s0])
             search.refresh()
             shrinks += 1
         search.run(rng, sweeps, freeze_power)

@@ -457,10 +457,8 @@ def uniform_state(scenario: NetworkScenario, power: float = 1.0, overflow: float
         for i in range(lay.n):
             if i == d:
                 continue
-            # BFS layering guarantees a hop-decreasing neighbor on connected graphs
+            # on a connected graph, BFS layering gives every node a hop-decreasing link
             forward = [li for li in lay.out_links[i] if dist[lay.links[li][1]] < dist[i]]
-            if not forward:
-                raise ValueError(f"node {g.nodes[i]} has no hop-decreasing link")
             for li in forward:
                 phi[w, li] = 1.0 / len(forward)
     phi_w = np.full(len(scenario.sessions), float(overflow))

@@ -118,16 +118,26 @@ def test_optimize_rejects_unparseable(tmp_path):
     assert "missing required section" in text
 
 
-def test_optimize_unstartable_scenario(tmp_path):
-    # demand far beyond any capacity makes the even-split start infinite
+@pytest.mark.parametrize(
+    "command, failure",
+    [
+        ("optimize", "cannot start solver"),
+        ("oracle", "cannot start solver: solve needs a finite-cost initial state"),
+        ("check", "gradient check: FAIL (finite differences need a finite-cost state)"),
+    ],
+    ids=("optimize", "oracle", "check"),
+)
+def test_optimize_unstartable_scenario(tmp_path, command, failure):
+    # demand far beyond any capacity makes the even-split start infinite:
+    # each command that starts from it says so and exits 1
     doc = json.loads((SCENARIOS / "line3.json").read_text())
     doc["sessions"][0]["demand"] = 1e6
     doc["optimizer"]["overflow"] = 0.0
     p = tmp_path / "huge.json"
     p.write_text(json.dumps(doc))
-    code, text = run(["optimize", "--scenario", str(p)])
+    code, text = run([command, "--scenario", str(p)])
     assert code == 1
-    assert "cannot start solver" in text
+    assert failure in text
 
 
 def test_check_line3_reports_honest_curvature_failure():

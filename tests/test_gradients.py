@@ -1,5 +1,7 @@
 """Analytic gradients against finite differences and hand recursions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,18 @@ from duplexnet.gradients import (
     routing_marginals,
 )
 from duplexnet.oracle import delta_rho_direct, finite_diff_check
-from duplexnet.scenario import derive, uniform_state
+from duplexnet.scenario import Utility, derive, uniform_state
 
 from helpers import hub_scenario, line3_scenario, random_interior_state
 
 
-def test_finite_differences_on_interior_states():
+@pytest.mark.parametrize("utility", ["log", "linear"])
+def test_finite_differences_on_interior_states(utility):
+    # the overflow cost's slope and curvature have one branch per utility
+    # kind; phi_w, the one array they feed, is checked on every draw
     line3 = line3_scenario()
+    sessions = [dataclasses.replace(s, utility=Utility(utility, s.utility.weight)) for s in line3.sessions]
+    line3 = dataclasses.replace(line3, sessions=sessions)
     rng = np.random.default_rng(61)
     for trial in range(10):
         st = random_interior_state(line3, rng)
@@ -25,6 +32,13 @@ def test_finite_differences_on_interior_states():
         assert rep.worst <= 1e-5, f"trial {trial}: worst {rep.worst:.3e}"
         assert rep.total_checked > 0
         assert set(rep.families) == {"rho", "eta", "mu", "phi", "phi_w"}
+        assert rep.families["phi_w"].checked == len(sessions)
+        # phi_w's curvature is the slope of its overflow marginal
+        curvature = derive(line3, st).curvature("phi_w")
+        for w, sess in enumerate(sessions):
+            up, down = (sess.demand * sess.utility.overflow_derivative((st.phi_w[w] + h) * sess.demand, sess.demand)
+                        for h in (1e-6, -1e-6))
+            assert curvature[w] == pytest.approx((up - down) / 2e-6, rel=1e-6, abs=1e-9)
 
 
 def test_delta_rho_forms_agree():

@@ -6,7 +6,9 @@ A deliberate fault injection makes sure the agreement test would catch a
 biased evaluator rather than silently passing.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from duplexnet.scenario import (
 )
 from duplexnet.subband import SpectrumAllocation, allocate_subbands
 
+import helpers
 from helpers import (
     line3_scenario,
     line5_scenario,
@@ -40,6 +43,16 @@ from helpers import (
     random_scenario,
     square_scenario,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _reference_cases():
+    """The seeded reference runs that tools/fingerprint.py digests."""
+    spec = importlib.util.spec_from_file_location("fingerprint", ROOT / "tools" / "fingerprint.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return list(module.reference_cases(helpers))
 
 
 def test_reference_matches_solver_on_line():
@@ -90,6 +103,34 @@ def _two_band_line3():
     )
 
 
+def _point_inside(problem, rng):
+    """A random point of the constraint set: each node's powers and each
+    session's path flows scaled under their budget and demand, each link's
+    shares over their sum."""
+    scen = problem.scenario
+    vec = rng.uniform(0.05, 0.4, 2 * problem.n_power + problem.n_flow)
+    p, flows, shares = problem.split(vec)
+    for idx, budget in zip(problem.node_entries, scen.power_budget):
+        p[idx] *= rng.uniform(0.3, 0.95) * budget / p[idx].sum()
+    for ks, sess in zip(problem.session_flows, scen.sessions):
+        flows[ks.start : ks.stop] *= rng.uniform(0.3, 0.95) * sess.demand / flows[ks.start : ks.stop].sum()
+    for sl in scen.layout.link_slices:
+        shares[sl] /= shares[sl].sum()
+    return vec
+
+
+def _assert_inside(problem, vec):
+    scen = problem.scenario
+    p, flows, shares = problem.split(vec)
+    assert p.min() >= 0.0 and flows.min() >= 0.0 and shares.min() > 0.0
+    for idx, budget in zip(problem.node_entries, scen.power_budget):
+        assert p[idx].sum() <= budget
+    for ks, sess in zip(problem.session_flows, scen.sessions):
+        assert flows[ks.start : ks.stop].sum() <= sess.demand
+    for sl in scen.layout.link_slices:
+        assert abs(math.fsum(shares[sl]) - 1.0) <= 4 * np.finfo(float).eps, shares[sl]
+
+
 def test_every_section_equals_evaluate_of_the_moved_vector():
     # a section prices again only what its move changes; at every point
     # it must give exactly evaluate of the vector minimize_coord would set
@@ -102,7 +143,7 @@ def test_every_section_equals_evaluate_of_the_moved_vector():
         problem = oracle_mod._OracleProblem(scen)
         for _ in range(2):
             # a random point: a power and a band share per entry, a flow per path
-            vec = problem.project(rng.uniform(0.05, 0.4, 2 * problem.n_power + problem.n_flow))
+            vec = _point_inside(problem, rng)
             search = oracle_mod._Search(problem, vec)
             for c in search.coords:
                 built = search._section(c)
@@ -147,31 +188,65 @@ def test_agreement_test_catches_biased_evaluator(monkeypatch):
 
 def test_reference_prices_each_start_and_each_accepted_move_once(monkeypatch):
     # a move is accepted at its section value, so the one full pricing of
-    # a point is the refresh that keeps its pieces; every start (a
-    # projected random point) and every accepted move is priced once
-    calls = dict.fromkeys(("price", "project", "accepted"), 0)
-    real = {name: getattr(oracle_mod._OracleProblem, name) for name in ("price", "project")}
+    # a point is the refresh that keeps its pieces; every start (a search
+    # begun at a random point) and every accepted move is priced once
+    calls = dict.fromkeys(("price", "start", "accepted"), 0)
+    real_price = oracle_mod._OracleProblem.price
+    real_init = oracle_mod._Search.__init__
     real_minimize = oracle_mod._Search.minimize_coord
 
-    def counting(name):
-        def wrapper(*args):
-            calls[name] += 1
-            return real[name](*args)
+    def price(self, *args):
+        calls["price"] += 1
+        return real_price(self, *args)
 
-        return wrapper
+    def init(self, problem, vec):
+        calls["start"] += 1
+        real_init(self, problem, vec)
 
     def minimize_coord(self, c):
         moved = real_minimize(self, c)
         calls["accepted"] += moved
         return moved
 
-    for name in real:
-        monkeypatch.setattr(oracle_mod._OracleProblem, name, counting(name))
+    monkeypatch.setattr(oracle_mod._OracleProblem, "price", price)
+    monkeypatch.setattr(oracle_mod._Search, "__init__", init)
     monkeypatch.setattr(oracle_mod._Search, "minimize_coord", minimize_coord)
     ref = reference_solve_small(square_scenario(), seed=0, restarts=3, sweeps=8)
-    assert calls["project"] == 3 and calls["accepted"] > 0, calls
-    assert calls["price"] == calls["project"] + calls["accepted"], calls
+    assert calls["start"] == 3 and calls["accepted"] > 0, calls
+    assert calls["price"] == calls["start"] + calls["accepted"], calls
     assert ref.evaluations > calls["price"]
+
+
+def test_every_start_the_search_draws_lies_in_the_constraint_set(monkeypatch):
+    # the search has no projection: each restart draws its powers under
+    # the budgets, its path flows under the demands and its shares over
+    # their sums, and the shrink loop only scales flows down; a start is
+    # every point priced before the sweeps begin
+    starts = []
+    real_refresh = oracle_mod._Search.refresh
+    real_run = oracle_mod._Search.run
+
+    def refresh(self):
+        if not getattr(self, "running", False):
+            starts.append((self.problem, self.vec.copy()))
+        real_refresh(self)
+
+    def run(self, *args):
+        self.running = True
+        real_run(self, *args)
+
+    monkeypatch.setattr(oracle_mod._Search, "refresh", refresh)
+    monkeypatch.setattr(oracle_mod._Search, "run", run)
+    runs = [(scen, kwargs) for _, scen, kwargs in _reference_cases()]
+    runs.append((_two_band_line3(), dict(restarts=4, sweeps=4)))
+    rng = np.random.default_rng(72)
+    for k in range(6):
+        runs.append((random_scenario(rng, 4, 2 + k % 2, 1 + k % 2), dict(seed=k, restarts=3, sweeps=4)))
+    for scen, kwargs in runs:
+        reference_solve_small(scen, **kwargs)
+    assert len(starts) >= sum(kwargs.get("restarts", 5) for _, kwargs in runs)
+    for problem, vec in starts:
+        _assert_inside(problem, vec)
 
 
 def test_freeze_power_reduces_to_scalar_problem():

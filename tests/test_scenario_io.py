@@ -191,6 +191,35 @@ MALFORMED = [
     pytest.param(with_value(("channel", "gains"), {"b->c": NAN}), "channel.gains['b->c']", id="NaN gain"),
     pytest.param(with_value(("optimizer",), {"tol": 1e-4}).replace('"tol": 0.0001', '"tol": 0.0001, "tol": 0.01'),
                  "'tol'", id="duplicate key"),
+    pytest.param(json.dumps([]), "top level", id="top level not an object"),
+    pytest.param(with_value(("graph",), ["a", "b"]), "graph: expected an object", id="graph not an object"),
+    pytest.param(with_value(("channel",), []), "channel: expected an object", id="channel not an object"),
+    pytest.param(with_value(("sessions", 0, "utility"), "log"), "sessions[0].utility: expected an object",
+                 id="utility not an object"),
+    pytest.param(with_value(("cost",), 2.0), "cost: expected an object", id="cost not an object"),
+    pytest.param(with_value(("optimizer",), [1]), "optimizer: expected an object", id="optimizer not an object"),
+    pytest.param(with_value(("optimizer",), {"power": 1.5}), "optimizer.power", id="power above 1"),
+    pytest.param(with_value(("optimizer",), {"order": "sideways"}), "optimizer.order", id="unknown order"),
+    pytest.param(with_value(("channel", "gains"), [1]), "channel.gains: expected a mapping", id="gains not a mapping"),
+    pytest.param(with_value(("graph", "positions"), [[0.0, 0.0]]), "graph.positions: expected a mapping",
+                 id="positions not a mapping"),
+    pytest.param(with_value(("power", "budget"), {"a": 1.0, "c": 1.0}), "power.budget: missing nodes ['b']",
+                 id="per-node mapping missing a node"),
+    pytest.param(with_value(("graph", "nodes"), ["a", "b", "c", "b"]), "graph.nodes: duplicate", id="duplicate node"),
+    pytest.param(with_value(("graph", "edges"), [["a", "b", "c"]]), "graph.edges", id="edge not a pair"),
+    pytest.param(with_value(("graph", "edges"), [["a", "b"], ["b", "c"], ["c", "c"]]), "graph: self loop",
+                 id="self-loop"),
+    pytest.param(with_value(("spectrum", "bands"), 0), "spectrum.bands", id="no bands"),
+    pytest.param(with_value(("spectrum",), {"seed": 1}), "spectrum: missing required key 'bands'",
+                 id="bands missing"),
+    pytest.param(with_value(("spectrum",), {"bands": 2, "outgoing": {"a": [0], "b": [2], "c": [0]}}),
+                 "spectrum.outgoing['b']", id="outgoing band out of range"),
+    pytest.param(with_value(("channel", "band_scale"), [1.0, 2.0]), "channel.band_scale", id="band_scale too short"),
+    pytest.param(with_value(("sessions",), []), "sessions: expected a nonempty list", id="no sessions"),
+    pytest.param(with_value(("sessions", 0), {"origin": "a", "dest": "c"}),
+                 "sessions[0]: missing required key 'demand'", id="session without demand"),
+    pytest.param(with_value(("sessions", 0, "dest"), "a"), "sessions[0]: session origin equals destination",
+                 id="origin is dest"),
 ]
 
 

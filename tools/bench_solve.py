@@ -295,37 +295,68 @@ def _tree(arg):
     return label, str(Path(src).resolve())
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def parse_trees(argv, description, out):
+    """{label: src} from LABEL=SRC arguments; `out` names the file the labels key."""
+    ap = argparse.ArgumentParser(description=description)
     ap.add_argument(
         "trees",
         nargs="+",
         type=_tree,
         metavar="LABEL=SRC",
-        help="a key in BENCH_solve.json and the directory holding that tree's duplexnet package",
+        help=f"a key in {out} and the directory holding that tree's duplexnet package",
     )
-    trees = dict(ap.parse_args(argv).trees)
+    return dict(ap.parse_args(argv).trees)
+
+
+def alternate(measure, trees, repeats):
+    """{label: [measure(src) of each repeat]} for the trees {label: src}.
+
+    The trees take turns repeat by repeat, first in the order given and
+    then reversed, so that they share the machine's state.  One worker,
+    replaced after every task, gives each call a fresh interpreter.
+    """
     runs = {label: [] for label in trees}
-    # one worker, replaced after every task: each repeat gets a fresh interpreter
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(1, mp_context=spawn, max_tasks_per_child=1) as pool:
-        for rep in range(REPEATS):
+        for rep in range(repeats):
             order = list(trees) if rep % 2 == 0 else list(reversed(trees))
             for label in order:
-                runs[label].append(pool.submit(_measure, trees[label]).result())
-                print(f"repeat {rep + 1}/{REPEATS}: {label}", flush=True)
+                runs[label].append(pool.submit(measure, trees[label]).result())
+                print(f"repeat {rep + 1}/{repeats}: {label}", flush=True)
+    return runs
+
+
+def machine():
+    """What a run measured on."""
+    return {
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "processor": platform.processor() or platform.machine(),
+    }
+
+
+def timing_stats(timings, digits):
+    """Each timing's median, min and max over the repeats' dicts `timings`,
+    rounded to `digits`, under median_timings, min_timings and max_timings."""
+    stats = (("median", statistics.median), ("min", min), ("max", max))
+    return {f"{stat}_timings": {k: round(fn(t[k] for t in timings), digits) for k in timings[0]} for stat, fn in stats}
+
+
+def differing(counts):
+    """The keys whose values differ between the dicts `counts`, sorted."""
+    return sorted(k for k in counts[0] if any(c.get(k) != counts[0][k] for c in counts[1:]))
+
+
+def main(argv=None):
+    trees = parse_trees(argv, __doc__.splitlines()[0], OUT.name)
+    runs = alternate(_measure, trees, REPEATS)
     data = json.loads(OUT.read_text()) if OUT.exists() else {}
     data["about"] = (
         "tools/bench_solve.py: fixed-seed solver workloads; counts are machine-independent, "
         f"timings are wall-clock medians over {REPEATS} repeats, with their min and max; "
         "the trees of one invocation alternate repeat by repeat, each repeat in a fresh interpreter"
     )
-    machine = {
-        "cpus": os.cpu_count(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "processor": platform.processor() or platform.machine(),
-    }
     for label, reps in runs.items():
         result = {}
         for name in reps[0]:
@@ -335,15 +366,12 @@ def main(argv=None):
                     f"{label} {name}: counts or final costs differ between repeats: {[rep[name][:2] for rep in reps]}"
                 )
             result[name] = {"counts": counts, "final_costs": costs}
-            timings = [rep[name][2] for rep in reps]
-            for stat, fn in (("median", statistics.median), ("min", min), ("max", max)):
-                result[name][f"{stat}_timings"] = {k: round(fn(t[k] for t in timings), 6) for k in timings[0]}
+            result[name].update(timing_stats([rep[name][2] for rep in reps], 6))
             print(f"{label} {name}: {json.dumps(result[name])}")
-        data.setdefault("runs", {})[label] = {"machine": machine, "workloads": result}
+        data.setdefault("runs", {})[label] = {"machine": machine(), "workloads": result}
     labels = list(runs)
     for name in runs[labels[0]][0]:
-        counts = [runs[label][0][name][0] for label in labels]
-        differ = sorted(k for k in counts[0] if any(c.get(k) != counts[0][k] for c in counts[1:]))
+        differ = differing([runs[label][0][name][0] for label in labels])
         if len(labels) > 1:
             print(f"{name}: counts that differ between {', '.join(labels)}: {', '.join(differ) or 'none'}")
             first, *rest = (_cost_list(runs[label][0][name][1]) for label in labels)

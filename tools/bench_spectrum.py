@@ -1,14 +1,18 @@
 """Where the spectrum half's time goes: a plan, its check, joins and leaves.
 
-Run it once on each tree to compare, under two labels:
+Give each tree to compare a label and the directory holding its duplexnet
+package:
 
-    python3 tools/bench_spectrum.py --src OTHER/src --label before
-    python3 tools/bench_spectrum.py --label after        # this tree's src/
+    python3 tools/bench_spectrum.py before=OTHER/src after=src
 
-Each run imports duplexnet from --src (default: this tree's src/) and
-stores its figures under --label in BENCH_spectrum.json at the root of this
-tree, keeping the other labels already there.  The inputs come from
-perfbench/inputs.py of this tree, as the spectrum_rgg workload draws them:
+The trees take turns repeat by repeat as in tools/bench_solve.py, whose
+loop this reuses: first in the order given and then reversed, each repeat
+in a fresh interpreter, which imports duplexnet from its tree and runs
+every workload once untimed and then once measured.  So drift of the
+machine falls on both trees alike.  Each label's figures are stored under
+it in BENCH_spectrum.json at the root of this tree, keeping the other
+labels already there.  The inputs come from perfbench/inputs.py of this
+tree, as the spectrum_rgg workload draws them:
 a random geometric graph of mean degree 10 (`random_geometric`), planned
 at the tight band count with a seed, then alternating joins and leaves of
 non-cut vertices (`churn_events`), applied one after another:
@@ -25,26 +29,27 @@ outputs) and the wall milliseconds
 of `allocate_subbands`, of `check_allocation` on the plan, and of
 `apply_topology_change` per join and per leave: the mean, the median and
 the largest, so that a one-off cost, such as the first event copying the
-plan's dicts, shows as one.  Each workload runs REPEATS times; the counts
-must repeat exactly and the timings are the medians over the repeats.
-Each run also stores how much every timing grows from rgg_1000 to
+plan's dicts, shows as one.  Each tree runs REPEATS times; its counts must
+repeat exactly, and between trees the counts that differ are printed.
+Each timing is stored as its median over the repeats (median_timings) next
+to its least and greatest (min_timings, max_timings), so that a
+before/after gap can be read against the spread of one tree's repeats.
+Each label also stores how much every median timing grows from rgg_1000 to
 rgg_10000 (`growth_10000_over_1000`, a ratio), which is 1 for work that
 does not depend on the network's size and about 10 for work linear in it.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import os
-import platform
 import statistics
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+from bench_solve import alternate, differing, machine, parse_trees, timing_stats
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_spectrum.json"
@@ -122,45 +127,50 @@ def _run(dn, g, bands, plan_seed, events, event_seeds):
     return counts, timings
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", default=str(ROOT / "src"), help="directory holding the duplexnet package")
-    ap.add_argument("--label", required=True, help="key of this run in BENCH_spectrum.json, e.g. before or after")
-    args = ap.parse_args(argv)
-    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "perfbench")]
+def _measure(src):
+    """One repeat of every workload on the duplexnet package in `src`,
+    each after an untimed pass: {workload: (counts, timings)}."""
+    sys.path[:0] = [src, str(ROOT / "perfbench")]
     import duplexnet as dn
     import inputs
 
-    result = {}
+    out = {}
     for name, (seed, nodes, events) in WORKLOADS.items():
         case = _inputs(dn, inputs, seed, nodes, events)
-        runs = [_run(dn, *case) for _ in range(REPEATS)]
-        counts = runs[0][0]
-        if any(c != counts for c, _ in runs):
-            raise RuntimeError(f"{name}: counts differ between repeats: {[c for c, _ in runs]}")
-        timings = {k: round(statistics.median(t[k] for _, t in runs), 4) for k in runs[0][1]}
-        result[name] = {"counts": counts, "median_timings": timings}
-        print(f"{args.label} {name}: {json.dumps(result[name])}")
-    small, large = (result[name]["median_timings"] for name in WORKLOADS)
-    growth = {k: round(large[k] / small[k], 2) for k in small}
-    print(f"{args.label} growth from rgg_1000 to rgg_10000: {json.dumps(growth)}")
+        _run(dn, *case)
+        out[name] = _run(dn, *case)
+    return out
+
+
+def main(argv=None):
+    trees = parse_trees(argv, __doc__.splitlines()[0], OUT.name)
+    runs = alternate(_measure, trees, REPEATS)
     data = json.loads(OUT.read_text()) if OUT.exists() else {}
     data["about"] = (
         "tools/bench_spectrum.py: fixed-seed plans and join/leave churn on perfbench's random geometric "
-        f"graphs; counts are machine-independent, timings are wall-clock medians over {REPEATS} repeats"
+        f"graphs; counts are machine-independent, timings are wall-clock medians over {REPEATS} repeats, "
+        "with their min and max; the trees of one invocation alternate repeat by repeat, each repeat in a "
+        "fresh interpreter"
     )
-    data.setdefault("runs", {})[args.label] = {
-        "machine": {
-            "cpus": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "processor": platform.processor() or platform.machine(),
-        },
-        "workloads": result,
-        "growth_10000_over_1000": growth,
-    }
+    for label, reps in runs.items():
+        result = {}
+        for name in WORKLOADS:
+            counts = reps[0][name][0]
+            if any(rep[name][0] != counts for rep in reps):
+                raise RuntimeError(f"{label} {name}: counts differ between repeats: {[rep[name][0] for rep in reps]}")
+            result[name] = {"counts": counts, **timing_stats([rep[name][1] for rep in reps], 4)}
+            print(f"{label} {name}: {json.dumps(result[name])}")
+        small, large = (result[name]["median_timings"] for name in WORKLOADS)
+        growth = {k: round(large[k] / small[k], 2) for k in small}
+        print(f"{label} growth from rgg_1000 to rgg_10000: {json.dumps(growth)}")
+        run = {"machine": machine(), "workloads": result, "growth_10000_over_1000": growth}
+        data.setdefault("runs", {})[label] = run
+    if len(runs) > 1:
+        for name in WORKLOADS:
+            differ = differing([reps[0][name][0] for reps in runs.values()])
+            print(f"{name}: counts that differ between {', '.join(runs)}: {', '.join(differ) or 'none'}")
     OUT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {OUT.name} [{args.label}]")
+    print(f"wrote {OUT.name} [{', '.join(runs)}]")
 
 
 if __name__ == "__main__":

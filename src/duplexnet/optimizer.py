@@ -10,14 +10,15 @@ satisfies a sufficient-decrease test; total cost therefore never increases.
 The blocks are built once per scenario
 (:attr:`~duplexnet.scenario.Layout.blocks`): each names a ControlState
 array and its coordinates' flat positions in it.  The updates walk them;
-the residuals reduce over the same blocks laid end to end
-(:attr:`~duplexnet.scenario.Layout.segments`), one array pass per block
-family.  Every rule that depends on the family (its feasible set, whether
-its blocks move as runs, its load, its marginal, its fixed coordinates)
-is read from its row of :data:`~duplexnet.scenario.FAMILIES`; no code
-here tests which family a block belongs to.  A block whose group carries
-no load has a gradient of exactly zero, so an update leaves it untouched
-without computing anything, and its residual is zero.
+the residuals reduce over the same blocks laid end to end in table order
+(:attr:`~duplexnet.scenario.Layout.segments`), one array pass for all of
+them.  Every rule that depends on the family (its feasible set, whether
+its blocks move as runs, its load, its marginal, its fixed coordinates,
+how a block reads its gradient and curvature) is read from its row of
+:data:`~duplexnet.scenario.FAMILIES`; no code here tests which family a
+block belongs to.  A block whose group carries no load has a gradient
+of exactly zero, so an update leaves it untouched without computing
+anything, and its residual is zero.
 
 Separable blocks move as one run.  A band-split (mu) move on a link
 changes only the band flows of that link's entries, and a power-share
@@ -44,11 +45,14 @@ one visit order run by run; a moved block's next step comes from the one
 step rule, :func:`_next_step`.
 
 This module holds no gradient or curvature formula: a block's gradient
-and diagonal curvature are slices of the whole-network arrays that the
-evaluation (:class:`~duplexnet.scenario.DerivedState`) keeps, and the
-residuals read the same arrays.  The scaling is that curvature times a
-safety factor, with a floor so weights stay positive; the backtracking
-line search makes convergence independent of estimate quality.
+and diagonal curvature come from the evaluation
+(:class:`~duplexnet.scenario.DerivedState`) through its family's `terms`:
+slices of the whole-network arrays the evaluation keeps or, for a routing
+or admission block, its own session's terms, equal to those slices bit
+for bit.  The residuals read the whole-network arrays.  The scaling is
+that curvature times a safety factor, with a floor so weights stay
+positive; the backtracking line search makes convergence independent of
+estimate quality.
 
 A block step runs in Python floats.  A block has a handful of
 coordinates, so :func:`_search` reads its point, gradient and curvature
@@ -203,14 +207,9 @@ MAX_STEP = 16.0
 REST = 0.1
 
 def _block_move(scenario, state, block, derived):
-    """Gradient, curvature and fixed mask of one block.
-
-    The gradient, curvature and fixed mask are slices of the whole-network
-    arrays the evaluation keeps; a family without a fixed mask gives None.
-    """
-    fixed = FAMILIES[block.kind].fixed
-    fixed = None if fixed is None else fixed(derived).ravel()[block.key]
-    return derived.gradient(block.kind).ravel()[block.key], derived.curvature(block.kind).ravel()[block.key], fixed
+    """Gradient, curvature and fixed mask of one block, as its family's
+    `terms` gives them; a family without a fixed mask gives None."""
+    return FAMILIES[block.kind].terms(derived, block)
 
 
 def _search(scenario, state, block, derived):
@@ -435,69 +434,58 @@ class Residuals:
 # on its upper bound), and a power row within SLACK_TOL of 1 is tight
 SUPPORT_TOL = 1e-12
 SLACK_TOL = 1e-9
+# per constraint with a cap, the sum from which a block is at it
+CAPS = {"sum_at_most_one": 1.0 - SLACK_TOL, "box": 1.0 - SUPPORT_TOL}
 
 
 def optimality_residuals(scenario: NetworkScenario, state: ControlState, derived=None) -> Residuals:
     """Stationarity violations per block family; all terms are >= 0.
 
-    Share groups (eta, mu, phi): used coordinates must share the minimal
-    group marginal and no unused coordinate may fall below it; blocked
-    routing links are exempt.  Power rows: with a slack budget the used
-    marginals must vanish and unused ones must be nonnegative; with a
-    tight budget the used marginals must agree on a common nonpositive
-    value that no unused one undercuts.  Overflow scalars follow box
-    sign conditions.  Groups that carry no load (the family's `load`: an
-    unloaded link, an unpowered share group, a node without session
-    traffic) cannot affect the cost and count zero.  Each family is one
-    pass of segment reductions over its blocks laid end to end, which
-    leaves one residual per block; a family's residual is their maximum.
-    A routing row's blocked links come from the evaluation's cycle mask.
+    Every block compares its marginals against a witness: its used
+    coordinates must all equal the witness and no unused one may fall below
+    it.  A share group's (eta, mu, phi) witness is its least used marginal,
+    and its blocked routing links are exempt.  A power row's witness is
+    min(0, least used marginal) when the row is at its cap (its sum is
+    >= 1 - SLACK_TOL) and 0 below it; so is an overflow scalar's, at its cap
+    when it is >= 1 - SUPPORT_TOL.  Share groups that carry no load (the
+    family's `load`: an unloaded link, an unpowered share group, a node
+    without session traffic) cannot affect the cost and count zero, as do
+    share groups without a used coordinate.  All blocks are one pass of
+    segment reductions over :attr:`~duplexnet.scenario.Layout.segments`,
+    which leaves one residual per block; a family's residual is the maximum
+    over its blocks.  A routing row's blocked links come from the
+    evaluation's cycle mask.
     """
     if derived is None:
         derived = derive(scenario, state)
     if not math.isfinite(derived.total):
         raise ValueError("residuals need a finite-cost state")
-    worst = dict.fromkeys(FAMILIES, 0.0)
-    per_block = np.zeros(len(scenario.layout.blocks))
-    segments = scenario.layout.segments
+    seg = scenario.layout.segments
+    # each kind's array and family, in the order the layout concatenates them
+    kinds = [(getattr(state, kind), FAMILIES[kind]) for kind in seg.kinds]
     # the marginals first, so that the errstate below silences only the
     # reductions' differences of infinities, not a marginal's own warnings
-    marginals = {kind: FAMILIES[kind].marginal(derived).ravel()[seg.index] for kind, seg in segments.items()}
+    vals = np.concatenate([f.marginal(derived).ravel() for _, f in kinds])[seg.index]
+    cur = np.concatenate([a.ravel() for a, _ in kinds])[seg.index]
+    fixed = np.concatenate([np.zeros(a.size, bool) if f.fixed is None else f.fixed(derived).ravel() for a, f in kinds])
+    load = np.concatenate([np.ones(len(a)) if f.load is None else f.load(derived).ravel() for a, f in kinds])
+    share = np.array([f.constraint == "sum_to_one" for _, f in kinds])[seg.family]
+    cap = np.array([CAPS.get(f.constraint, math.inf) for _, f in kinds])[seg.family]
+    used = cur > SUPPORT_TOL
     with np.errstate(invalid="ignore", over="ignore"):
-        for kind, seg in segments.items():
-            family = FAMILIES[kind]
-            vals = marginals[kind]
-            cur = getattr(state, kind).ravel()[seg.index]
-            used = cur > SUPPORT_TOL
-            if family.constraint == "sum_to_one":
-                unloaded = family.load(derived).ravel()[seg.group_ids] <= 0
-                unused = ~used
-                if family.fixed is not None:
-                    unused &= ~family.fixed(derived).ravel()[seg.index]
-                witness = _segment_min(vals, used, seg.starts)
-                spread = _gaps(_segment_max(vals, used, seg.starts), witness)
-                viol = np.maximum(0.0, _gaps(witness, _segment_min(vals, unused, seg.starts)))
-                res = np.maximum(spread, viol)
-                res[unloaded | ~np.logical_or.reduceat(used, seg.starts)] = 0.0
-            elif family.constraint == "sum_at_most_one":
-                tight = group_sums(cur, seg.rows, seg.starts.size) >= 1.0 - SLACK_TOL
-                low = _segment_min(vals, used, seg.starts)
-                high = _segment_max(vals, used, seg.starts)
-                # without a used coordinate, low = inf and high = -inf leave 0
-                witness = np.where(tight, np.minimum(0.0, low), 0.0)
-                res = np.maximum(np.maximum(_gaps(high, witness), _gaps(witness, low)), 0.0)
-                res = np.maximum(res, _gaps(witness, _segment_min(vals, ~used, seg.starts)))
-            else:
-                res = np.where(
-                    cur <= SUPPORT_TOL,
-                    np.maximum(0.0, -vals),
-                    np.where(cur >= 1.0 - SUPPORT_TOL, np.maximum(0.0, vals), np.abs(vals)),
-                )
-                res = np.maximum.reduceat(res, seg.starts)
-            per_block[seg.positions] = res
-            worst[kind] = max(0.0, float(res.max()))
+        low = _segment_min(vals, used, seg.starts)
+        high = _segment_max(vals, used, seg.starts)
+        at_cap = group_sums(cur, seg.rows, seg.starts.size, seg.wide) >= cap
+        witness = np.where(share, low, np.where(at_cap, np.minimum(0.0, low), 0.0))
+        # without a used coordinate, low = inf and high = -inf leave 0
+        res = np.maximum(np.maximum(_gaps(high, witness), _gaps(witness, low)), 0.0)
+        res = np.maximum(res, _gaps(witness, _segment_min(vals, ~used & ~fixed[seg.index], seg.starts)))
+    res[(load[seg.group_ids] <= 0) | share & ~np.logical_or.reduceat(used, seg.starts)] = 0.0
+    worst = np.full(len(kinds), -math.inf)
+    np.maximum.at(worst, seg.family, res)
+    worst = dict.fromkeys(FAMILIES, 0.0) | {kind: max(0.0, float(r)) for kind, r in zip(seg.kinds, worst)}
     return Residuals(
-        eta=worst["eta"], rho=worst["rho"], mu=worst["mu"], phi=worst["phi"], overflow=worst["phi_w"], blocks=per_block
+        eta=worst["eta"], rho=worst["rho"], mu=worst["mu"], phi=worst["phi"], overflow=worst["phi_w"], blocks=res
     )
 
 

@@ -28,7 +28,7 @@ takes the rest from the earlier evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -199,51 +199,67 @@ class Layout:
         return tuple(out)
 
     @cached_property
-    def segments(self) -> dict:
-        """Per block kind that has blocks, its blocks of :attr:`blocks` laid
-        end to end; see :class:`Segments`."""
-        by_kind = {}
-        for k, b in enumerate(self.blocks):
-            by_kind.setdefault(b.kind, []).append(k)
+    def segments(self) -> Segments:
+        """Every block of :attr:`blocks` laid end to end, in table order;
+        see :class:`Segments`."""
+        table = self.blocks
         sessions = self.dest.size
-        # the shape a kind's groups index: its family's load, or for rho and
-        # phi_w (no load) the rows of the array
+        # per kind: the size of its array, and the shape its groups index,
+        # its family's load or for rho and phi_w (no load) the array's rows
         shapes = {
-            "mu": (self.n_links,),
-            "eta": (self.n, self.band_count),
-            "rho": (self.n,),
-            "phi": (sessions, self.n),
-            "phi_w": (sessions,),
+            "rho": (self.n * self.band_count, (self.n,)),
+            "eta": (self.n_entries, (self.n, self.band_count)),
+            "phi": (sessions * self.n_links, (sessions, self.n)),
+            "phi_w": (sessions, (sessions,)),
+            "mu": (self.n_entries, (self.n_links,)),
         }
-        out = {}
-        for kind, positions in by_kind.items():
-            table = [self.blocks[k] for k in positions]
-            sizes = np.array([b.key.size for b in table], dtype=np.int64)
-            groups = np.array([b.group for b in table], dtype=np.int64).reshape(len(table), -1)
-            out[kind] = Segments(
-                index=np.concatenate([b.key for b in table]),
-                starts=np.cumsum(sizes) - sizes,
-                positions=np.array(positions, dtype=np.int64),
-                rows=np.repeat(np.arange(len(table)), sizes),
-                group_ids=np.ravel_multi_index(tuple(groups.T), shapes[kind]),
-            )
-        return out
+        present = {b.kind for b in table}
+        kinds = tuple(kind for kind in FAMILIES if kind in present)
+        position = {kind: f for f, kind in enumerate(kinds)}
+        family = np.array([position[b.kind] for b in table], dtype=np.int64)
+        offsets = np.cumsum([0] + [shapes[kind][0] for kind in kinds])
+        cell_offsets = np.cumsum([0] + [math.prod(shapes[kind][1]) for kind in kinds])
+        group_ids = np.empty(len(table), dtype=np.int64)
+        for f, kind in enumerate(kinds):
+            mine = np.flatnonzero(family == f)
+            groups = np.array([table[k].group for k in mine.tolist()], dtype=np.int64).reshape(mine.size, -1)
+            group_ids[mine] = cell_offsets[f] + np.ravel_multi_index(tuple(groups.T), shapes[kind][1])
+        lengths = np.array([b.key.size for b in table], dtype=np.int64)
+        rows = np.repeat(np.arange(len(table)), lengths)
+        return Segments(
+            kinds=kinds,
+            family=family,
+            index=np.concatenate([b.key for b in table]) + np.repeat(offsets[family], lengths),
+            starts=np.cumsum(lengths) - lengths,
+            rows=rows,
+            wide=wide_groups(rows, len(table)),
+            group_ids=group_ids,
+        )
 
 
 class Segments(NamedTuple):
-    """The blocks of one kind laid end to end, for reductions over all of them.
+    """Every block laid end to end in table order, for reductions over all
+    of them at once.
 
-    `index` holds the blocks' keys one after another, block k's starting
-    at starts[k], and rows[c] the block that coordinate c of `index`
-    belongs to; group_ids[k] is block k's group as a position in the
-    raveled array its family's load is, and positions[k] block k's
-    position in :attr:`Layout.blocks`.
+    `kinds` are the block kinds that have blocks, in
+    :data:`FAMILIES` order, and family[k] is block k's kind as a position
+    in it.  `index` holds the blocks' keys one after another, block k's
+    starting at starts[k], each coordinate as its position in the
+    concatenation of the raveled ControlState arrays of `kinds`, in that
+    order; rows[c] is the block that coordinate c of `index` belongs to,
+    and `wide` the blocks of 8 or more coordinates, as :func:`wide_groups`
+    gives them for `rows`.  group_ids[k] is block k's group as a position
+    in the concatenation, in the same order, of each kind's group cells:
+    the cells of its family's load, raveled, or for a family without one
+    the rows of its array.
     """
 
+    kinds: tuple
+    family: np.ndarray
     index: np.ndarray
     starts: np.ndarray
-    positions: np.ndarray
     rows: np.ndarray
+    wide: tuple
     group_ids: np.ndarray
 
 
@@ -260,6 +276,17 @@ class Block(NamedTuple):
     group: object
 
 
+def _sliced(derived, block) -> tuple:
+    """A block's gradient, curvature and fixed mask (None for a family
+    without one) as slices of the evaluation's whole-network arrays."""
+    fixed = FAMILIES[block.kind].fixed
+    return (
+        derived.gradient(block.kind).ravel()[block.key],
+        derived.curvature(block.kind).ravel()[block.key],
+        None if fixed is None else fixed(derived).ravel()[block.key],
+    )
+
+
 class Family(NamedTuple):
     """The rules the blocks of one ControlState array share.
 
@@ -273,6 +300,12 @@ class Family(NamedTuple):
     exactly zero and its residual is zero.  `marginal(derived)` is what the
     optimality conditions compare, shaped like the array.  `fixed(derived)`,
     when given, masks the coordinates pinned at zero, shaped like the array.
+    `terms(derived, block)` is the block's gradient, curvature and fixed
+    mask: by default slices of the whole-network arrays; a routing or
+    admission block reads only its own session's rows, so that it builds
+    no other session's terms.  Either way they equal, bit for bit, the
+    block's slices of :meth:`DerivedState.gradient`,
+    :meth:`DerivedState.curvature` and `fixed`.
     """
 
     constraint: str
@@ -281,6 +314,7 @@ class Family(NamedTuple):
     load: object
     marginal: object
     fixed: object
+    terms: object = _sliced
 
 
 # one row per ControlState array, in its field order: a link without flow
@@ -290,9 +324,17 @@ FAMILIES = {
     "rho": Family("sum_at_most_one", "physical", False, None, lambda d: d.gradient("rho"), None),
     "eta": Family("sum_to_one", "physical", True, lambda d: d.physical.node_band_power, lambda d: d.eta_delta, None),
     "phi": Family(
-        "sum_to_one", "flows", False, lambda d: d.flows.inflow, lambda d: d.delta_phi, lambda d: d.cycle_mask
+        "sum_to_one",
+        "flows",
+        False,
+        lambda d: d.flows.inflow,
+        lambda d: d.delta_phi,
+        lambda d: d.cycle_mask,
+        lambda d, block: d.routing_terms(block),
     ),
-    "phi_w": Family("box", "flows", False, None, lambda d: d.gradient("phi_w"), None),
+    "phi_w": Family(
+        "box", "flows", False, None, lambda d: d.gradient("phi_w"), None, lambda d, block: d.overflow_terms(block)
+    ),
     "mu": Family("sum_to_one", "band_flow", True, lambda d: d.flows.link_flow, lambda d: d.gradient("mu"), None),
 }
 
@@ -424,14 +466,20 @@ class ControlState:
         return ControlState(**{name: getattr(self, name).astype(np.float64, order="C") for name in FAMILIES})
 
     def moved(self, kind: str, moves) -> "ControlState":
-        """A copy with `value` written at the flat positions `key` of its
-        array `kind` for each (key, value) of `moves`, in order; this state
-        stays as it is."""
-        out = self.copy()
+        """A state with `value` written at the flat positions `key` of a
+        float64 copy of its array `kind` for each (key, value) of `moves`,
+        in order; this state stays as it is.
+
+        Only the array `kind` is copied: the new state shares the other four
+        with this one.  No code writes a state's array once the state is
+        built (an evaluation relies on that as well), so sharing is safe;
+        :meth:`copy` gives a state whose arrays may be written."""
+        array = getattr(self, kind).astype(np.float64, order="C")
+        # the copy is C-contiguous, so ravel() is a view of it
+        flat = array.ravel()
         for key, value in moves:
-            # a copy is C-contiguous, so ravel() is a view of it
-            getattr(out, kind).ravel()[key] = value
-        return out
+            flat[key] = value
+        return ControlState(**{**vars(self), kind: array})
 
 
 def uniform_state(scenario: NetworkScenario, power: float = 1.0, overflow: float = 0.0) -> ControlState:
@@ -620,18 +668,26 @@ class DerivedState:
     (:attr:`signal_derivatives`, which the power messages, eta and rho
     read) and the flow pair (:attr:`flow_derivatives`, which the link
     marginals, mu and routing read), the per-link marginals, the power
-    messages, the node marginals (:attr:`node_marginals`), the routing
-    cycle mask (:attr:`cycle_mask`), and for every ControlState array its
-    whole-network gradient (:meth:`gradient`) and, apart from it, its
-    diagonal curvature (:meth:`curvature`), shaped like the array.  So a
-    block builds its own family's terms only, and the residuals, which
-    read marginals, build no curvature.  Block updates, residuals and
-    checks all slice these; a routing block's fixed coordinates are its
-    slice of :attr:`cycle_mask`.  A zero fraction or flow times an
-    infinite marginal (an unloaded entry with nonpositive capacity has an
-    infinite d_f) is taken to be zero, so such coordinates stay inert.  The
-    evaluation holds `state` itself, not a copy, so the state must not
-    change while the evaluation is in use.
+    messages, and for every ControlState array its whole-network gradient
+    (:meth:`gradient`) and, apart from it, its diagonal curvature
+    (:meth:`curvature`), shaped like the array.  So a block builds its own
+    family's terms only, and the residuals, which read marginals, build no
+    curvature.
+
+    The routing terms are per session.  A session's row of node marginals
+    (:meth:`node_marginal_row`) and of the cycle mask (:meth:`cycle_row`)
+    are each built on first use and kept; a routing or admission block
+    computes its delta, gradient and curvature on its own links from them
+    (:meth:`routing_terms`, :meth:`overflow_terms`), so a block builds no
+    other session's rows.  The whole-network arrays that the residuals and
+    checks read (:attr:`node_marginals`, :attr:`cycle_mask`,
+    :attr:`delta_phi`, and the phi and phi_w gradients and curvatures) are
+    those rows stacked in session order, from the same formulas.
+
+    A zero fraction or flow times an infinite marginal (an unloaded entry
+    with nonpositive capacity has an infinite d_f) is taken to be zero, so
+    such coordinates stay inert.  The evaluation holds `state` itself, not
+    a copy, so the state must not change while the evaluation is in use.
     """
 
     scenario: NetworkScenario = field(repr=False)
@@ -681,55 +737,82 @@ class DerivedState:
         size = lay.n * lay.band_count
         return np.bincount(lay.rx_cell, weights=term, minlength=size).reshape(lay.n, lay.band_count)
 
+    def _stacked(self, row, width: int, dtype=np.float64) -> np.ndarray:
+        """The sessions' rows `row(w)`, each `width` long, stacked in session order."""
+        sessions = len(self.scenario.sessions)
+        return np.array([row(w) for w in range(sessions)], dtype=dtype).reshape(sessions, width)
+
     @_lazy
-    def node_marginals(self) -> np.ndarray:
-        """Per (session, node): the cost of one more unit of the session's
-        traffic at the node, the fraction-weighted sum over the node's
-        positive outgoing links of the link marginal plus the head's
-        marginal, in reverse topological order; 0 at the destination."""
-        lay = self.scenario.layout
-        link_marginal = self.link_marginals.tolist()
-        rows = []
-        # Python floats: the same operations as on numpy scalars, bit for bit
-        sessions = zip(lay.dest.tolist(), self.state.phi.tolist(), self.flows.orders, self.flows.adjacency)
-        for d, phi, order, adj in sessions:
+    def _node_marginal_rows(self) -> list:
+        """Per session, its row of :meth:`node_marginal_row` once built, else None."""
+        return [None] * len(self.scenario.sessions)
+
+    def node_marginal_row(self, w: int) -> np.ndarray:
+        """Per node: the cost of one more unit of session w's traffic at the
+        node, the fraction-weighted sum over the node's positive outgoing
+        links of the link marginal plus the head's marginal, in reverse
+        topological order; 0 at the destination.  Built on first use."""
+        rows = self._node_marginal_rows
+        if rows[w] is None:
+            lay = self.scenario.layout
+            d = int(lay.dest[w])
+            adj = self.flows.adjacency[w]
+            # Python floats: the same operations as on numpy scalars, bit for bit
+            link_marginal = self.link_marginals.tolist()
+            phi = self.state.phi[w].tolist()
             row = [0.0] * lay.n
-            for v in reversed(order):
+            for v in reversed(self.flows.orders[w]):
                 if v == d:
                     continue
                 acc = 0.0
                 for u, li in adj[v]:
                     acc += phi[li] * (link_marginal[li] + row[u])
                 row[v] = acc
-            rows.append(row)
-        return np.array(rows, dtype=np.float64).reshape(len(self.scenario.sessions), lay.n)
+            rows[w] = np.array(row, dtype=np.float64)
+        return rows[w]
+
+    @_lazy
+    def node_marginals(self) -> np.ndarray:
+        """Per (session, node): :meth:`node_marginal_row` stacked."""
+        return self._stacked(self.node_marginal_row, self.scenario.layout.n)
+
+    @_lazy
+    def _cycle_rows(self) -> list:
+        """Per session, its row of :meth:`cycle_row` once built, else None."""
+        return [None] * len(self.scenario.sessions)
+
+    def cycle_row(self, w: int) -> np.ndarray:
+        """Per link: True where phi[w, l] is zero and raising it would close
+        a routing cycle, since the link's tail is reachable from its head
+        through positive fractions.  Built on first use.
+
+        If the row has a zero fraction, one pass in reverse topological
+        order gives each node the set of nodes it reaches (itself included)
+        as a Python-int bitset: its own bit or'ed with the sets of its
+        positive out-links' heads.
+        """
+        rows = self._cycle_rows
+        if rows[w] is None:
+            lay = self.scenario.layout
+            mask = np.zeros(lay.n_links, dtype=bool)
+            zero = np.flatnonzero(self.state.phi[w] == 0.0).tolist()
+            if zero:
+                adj = self.flows.adjacency[w]
+                reach = [0] * lay.n
+                for v in reversed(self.flows.orders[w]):
+                    bits = 1 << v
+                    for u, _ in adj[v]:
+                        bits |= reach[u]
+                    reach[v] = bits
+                ends = [lay.links[li] for li in zero]
+                mask[zero] = [reach[j] >> i & 1 for i, j in ends]
+            rows[w] = mask
+        return rows[w]
 
     @_lazy
     def cycle_mask(self) -> np.ndarray:
-        """Per (session, link): True where phi[w, l] is zero and raising it
-        would close a routing cycle, since the link's tail is reachable from
-        its head through positive fractions.
-
-        One pass per session that has a zero fraction, in reverse
-        topological order, gives each node the set of nodes it reaches
-        (itself included) as a Python-int bitset: its own bit or'ed with
-        the sets of its positive out-links' heads.
-        """
-        lay = self.scenario.layout
-        mask = np.zeros(self.state.phi.shape, dtype=bool)
-        for w, (phi, order, adj) in enumerate(zip(self.state.phi, self.flows.orders, self.flows.adjacency)):
-            zero = np.flatnonzero(phi == 0.0).tolist()
-            if not zero:
-                continue
-            reach = [0] * lay.n
-            for v in reversed(order):
-                bits = 1 << v
-                for u, _ in adj[v]:
-                    bits |= reach[u]
-                reach[v] = bits
-            ends = [lay.links[li] for li in zero]
-            mask[w, zero] = [reach[j] >> i & 1 for i, j in ends]
-        return mask
+        """Per (session, link): :meth:`cycle_row` stacked."""
+        return self._stacked(self.cycle_row, self.scenario.layout.n_links, dtype=bool)
 
     def gradient(self, kind: str) -> np.ndarray:
         """Partial derivatives of total cost in the ControlState array `kind`."""
@@ -809,52 +892,85 @@ class DerivedState:
             lay.n, lay.band_count
         )
 
+    def _delta_phi_on(self, w: int, links) -> np.ndarray:
+        """Session w's delta_phi on `links` (link indices, or a slice): the
+        link's marginal plus the session's node marginal at the link's head,
+        defined for every link."""
+        return self.link_marginals[links] + self.node_marginal_row(w)[self.scenario.layout.link_ends[1][links]]
+
+    def _phi_gradient_on(self, w: int, links) -> np.ndarray:
+        """Session w's phi gradient on `links`: inflow t at the link's tail
+        times delta_phi, zero without inflow or out of the destination even
+        where delta_phi is infinite."""
+        lay = self.scenario.layout
+        tails = lay.link_ends[0][links]
+        t = self.flows.inflow[w, tails]
+        grad = np.zeros(t.size)
+        live = (t > 0.0) & (tails != lay.dest[w])
+        grad[live] = t[live] * self._delta_phi_on(w, links)[live]
+        return grad
+
+    def _phi_curvature_on(self, w: int, links) -> np.ndarray:
+        """Session w's phi curvature on `links`: inflow at the link's tail
+        squared times the link's sum of mu squared times d_ff."""
+        t = self.flows.inflow[w, self.scenario.layout.link_ends[0][links]]
+        return t * t * self._link_flow_curvature[links]
+
+    @_lazy
+    def _link_flow_curvature(self) -> np.ndarray:
+        """Per link, the sum over its entries of mu squared times d_ff."""
+        lay = self.scenario.layout
+        mu = self.state.mu
+        return group_sums(mu * mu * self.flow_derivatives[1], lay.ent_link, lay.n_links, lay.wide_links)
+
+    def routing_terms(self, block) -> tuple:
+        """A routing block's gradient, curvature and fixed mask, computed on
+        its own links from its session's rows alone."""
+        w = block.group[0]
+        links = block.key - w * self.state.phi.shape[1]
+        return self._phi_gradient_on(w, links), self._phi_curvature_on(w, links), self.cycle_row(w)[links]
+
     @_lazy
     def delta_phi(self) -> np.ndarray:
-        """Per (session, link): the link's marginal plus the session's node
-        marginal at the link's head, defined for every link."""
-        return self.link_marginals + self.node_marginals[:, self.scenario.layout.link_ends[1]]
+        """Per (session, link): :meth:`_delta_phi_on` of every link, stacked."""
+        return self._stacked(lambda w: self._delta_phi_on(w, slice(None)), self.scenario.layout.n_links)
 
     @_lazy
     def _phi_gradient(self):
-        """Inflow t at the link's tail times delta_phi, zero without inflow or
-        out of the destination even where delta_phi is infinite."""
-        lay = self.scenario.layout
-        tails = lay.link_ends[0]
-        t = self.flows.inflow[:, tails]
-        grad = np.zeros_like(t)
-        live = (t > 0.0) & (tails != lay.dest[:, None])
-        grad[live] = t[live] * self.delta_phi[live]
-        return grad
+        """Per (session, link): :meth:`_phi_gradient_on` of every link, stacked."""
+        return self._stacked(lambda w: self._phi_gradient_on(w, slice(None)), self.scenario.layout.n_links)
 
     @_lazy
     def _phi_curvature(self):
-        """Inflow at the link's tail squared times the link's sum of mu
-        squared times d_ff."""
-        lay = self.scenario.layout
-        t = self.flows.inflow[:, lay.link_ends[0]]
-        mu = self.state.mu
-        per_link = group_sums(mu * mu * self.flow_derivatives[1], lay.ent_link, lay.n_links, lay.wide_links)
-        return t * t * per_link
+        """Per (session, link): :meth:`_phi_curvature_on` of every link, stacked."""
+        return self._stacked(lambda w: self._phi_curvature_on(w, slice(None)), self.scenario.layout.n_links)
+
+    def _overflow_gradient_of(self, w: int) -> float:
+        """Session w's demand-scaled overflow marginal minus its origin's node marginal."""
+        sess = self.scenario.sessions[w]
+        slope = sess.utility.overflow_derivative(self.flows.overflow[w], sess.demand)
+        return sess.demand * (slope - self.node_marginal_row(w)[self.scenario.layout.origin[w]])
+
+    def _overflow_curvature_of(self, w: int) -> float:
+        """Session w's overflow cost's second derivative."""
+        sess = self.scenario.sessions[w]
+        return sess.utility.overflow_curvature(self.flows.overflow[w], sess.demand)
+
+    def overflow_terms(self, block) -> tuple:
+        """An admission block's gradient and curvature, from its session's
+        rows alone, and no fixed mask."""
+        w = block.group
+        return np.array([self._overflow_gradient_of(w)]), np.array([self._overflow_curvature_of(w)]), None
 
     @_lazy
     def _phi_w_gradient(self):
-        """Demand-scaled overflow marginal minus the origin's node marginal,
-        per session."""
-        origin = self.scenario.layout.origin
-        over = self.flows.overflow
-        grad = np.empty(len(self.scenario.sessions))
-        for w, sess in enumerate(self.scenario.sessions):
-            slope = sess.utility.overflow_derivative(over[w], sess.demand)
-            grad[w] = sess.demand * (slope - self.node_marginals[w, origin[w]])
-        return grad
+        """Per session: :meth:`_overflow_gradient_of`."""
+        return np.array([self._overflow_gradient_of(w) for w in range(len(self.scenario.sessions))], dtype=np.float64)
 
     @_lazy
     def _phi_w_curvature(self):
-        """The overflow cost's second derivative, per session."""
-        over = self.flows.overflow
-        sessions = self.scenario.sessions
-        return np.array([sess.utility.overflow_curvature(over[w], sess.demand) for w, sess in enumerate(sessions)])
+        """Per session: :meth:`_overflow_curvature_of`."""
+        return np.array([self._overflow_curvature_of(w) for w in range(len(self.scenario.sessions))], dtype=np.float64)
 
 
 def group_sums(values: np.ndarray, groups: np.ndarray, count: int, wide=None) -> np.ndarray:
@@ -1010,7 +1126,16 @@ def derive(
     if feeds == "physical":
         flows = parent.flows
     elif feeds == "band_flow":
-        flows = replace(parent.flows, band_flow=_band_flow(scenario.layout, state.mu, parent.flows.link_flow))
+        old = parent.flows
+        flows = FlowTerms(
+            old.inflow,
+            old.session_flow,
+            old.link_flow,
+            _band_flow(scenario.layout, state.mu, old.link_flow),
+            old.overflow,
+            old.orders,
+            old.adjacency,
+        )
     else:
         flows = evaluate_flows(scenario, state, parent)
     link_cost = kernels.link_cost_terms(phys.capacity, flows.band_flow)
@@ -1031,11 +1156,11 @@ def derive(
 
 
 def summed_cost(link_cost: np.ndarray, band_flow: np.ndarray, overflow_cost: np.ndarray) -> float:
-    """Total cost: the link costs of the loaded entries, summed by np.sum
-    in entry order, plus the overflow costs.  :func:`derive` and the
-    optimizer's replay of a run of separable blocks both total with it, so
-    equal per-entry terms give bit-identical totals."""
-    return float(np.sum(link_cost[band_flow != 0.0]) + overflow_cost.sum())
+    """Total cost: the link costs of the loaded entries, summed in entry
+    order by ndarray.sum (np.sum's own reduction), plus the overflow costs.
+    :func:`derive` and the optimizer's replay of a run of separable blocks
+    both total with it, so equal per-entry terms give bit-identical totals."""
+    return float(link_cost[band_flow != 0.0].sum() + overflow_cost.sum())
 
 
 def total_cost(scenario: NetworkScenario, state: ControlState) -> float:

@@ -260,6 +260,40 @@ def test_a_rho_block_after_a_rho_move_prices_only_its_own_terms(monkeypatch):
     assert _computed(derived) == rho_terms
 
 
+def test_a_phi_block_after_a_phi_move_builds_only_its_own_session_rows(monkeypatch):
+    # after an accepted phi move in session w, the next phi block of w reads
+    # the flow pair, the link marginals and session w's rows: no log, no
+    # SINR pair, no other session's node-marginal or cycle-mask row, and no
+    # stacked whole-network routing array
+    scen = grid_scenario(np.random.default_rng(97), 4, 3)
+    state = uniform_state(scen, 0.9, 0.1)
+    w = 1
+    phi_blocks = [b for b in scen.layout.blocks if b.kind == "phi" and b.group[0] == w]
+    derived = derive(scen, state)
+    for block, after in zip(phi_blocks, phi_blocks[1:]):
+        out = optimizer.update_block(scen, state, block, derived=derived)
+        state, derived = out.state, out.derived
+        if out.moved and derived.flows.inflow[after.group] > 0:
+            break
+    assert out.moved
+    logs = _counting(monkeypatch, kernels, "capacity")
+    flow_pairs = _counting(monkeypatch, kernels, "flow_derivatives")
+    signal_pairs = _counting(monkeypatch, kernels, "signal_derivatives")
+    built = {"node_marginal_row": [], "cycle_row": []}
+    for name, rows in built.items():
+        real = getattr(DerivedState, name)
+        monkeypatch.setattr(DerivedState, name, lambda self, s, real=real, rows=rows: rows.append(s) or real(self, s))
+    assert optimizer._search(scen, state, after, derived) is not None
+    assert logs == [] and signal_pairs == []
+    assert flow_pairs == ["flow_derivatives"]
+    assert set(built["node_marginal_row"]) == set(built["cycle_row"]) == {w}
+    sessions = range(len(scen.sessions))
+    assert [s for s in sessions if derived._node_marginal_rows[s] is not None] == [w]
+    assert [s for s in sessions if derived._cycle_rows[s] is not None] == [w]
+    phi_terms = {"flow_derivatives", "link_marginals", "_node_marginal_rows", "_cycle_rows", "_link_flow_curvature"}
+    assert _computed(derived) == phi_terms
+
+
 def test_flow_trials_take_no_log(monkeypatch):
     # mu, phi and phi_w trials keep their parent's physical terms, capacity included
     rng = np.random.default_rng(94)
@@ -279,12 +313,15 @@ def test_residuals_compute_no_curvature():
         for state in (uniform_state(scen, 0.9, 0.1), random_interior_state(scen, rng)):
             derived = derive(scen, state)
             optimizer.optimality_residuals(scen, state, derived)
-            # only the marginals the optimality conditions compare, and what they read
+            # only the marginals the optimality conditions compare, what they
+            # read and the per-session rows they stack
             assert _computed(derived) <= {
                 "signal_derivatives", "flow_derivatives", "power_messages", "eta_delta", "link_marginals",
                 "node_marginals", "delta_phi", "cycle_mask", "_rho_gradient", "_mu_gradient", "_phi_w_gradient",
+                "_node_marginal_rows", "_cycle_rows",
             }
             assert "_rho_gradient" in _computed(derived)
+            assert not any("curvature" in name for name in _computed(derived))
 
 
 def test_bincount_equals_add_at_on_the_layout_scatters():

@@ -12,6 +12,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 from scipy.optimize import minimize
 
 from duplexnet import kernels, optimizer
@@ -30,6 +32,7 @@ from duplexnet.scenario import FAMILIES, ControlState, derive, total_cost, unifo
 
 from helpers import (
     complete_graph,
+    fan_scenario,
     grid_scenario,
     hub_scenario,
     line3_scenario,
@@ -512,25 +515,31 @@ def _count_derive(monkeypatch):
 
 def test_solve_evaluates_once_per_trial(monkeypatch):
     # every evaluation is the start's, a trial's or a run's closing one, and
-    # each comes with one copy of a state: solve copies its start, and a
-    # run copies the state it prices; the trace counts all but the start's
-    copies = []
-    real_copy = ControlState.copy
+    # each comes with one new state: solve copies its start once, and a run
+    # moves the state it prices; the trace counts all but the start's
+    copies, moves = [], []
+    real_copy, real_moved = ControlState.copy, ControlState.moved
 
     def counting_copy(state):
         copies.append(1)
         return real_copy(state)
 
+    def counting_moved(state, kind, moved):
+        moves.append(1)
+        return real_moved(state, kind, moved)
+
     monkeypatch.setattr(ControlState, "copy", counting_copy)
+    monkeypatch.setattr(ControlState, "moved", counting_moved)
     calls = _count_derive(monkeypatch)
     grid = grid_scenario(np.random.default_rng(5), 4, 2)
     for scen, kwargs in ((line3_scenario(), dict(max_sweeps=400, tol=1e-4)), (grid, dict(max_sweeps=3, tol=0.0))):
         copies.clear()
+        moves.clear()
         calls.clear()
         res = solve(scen, uniform_state(scen, 0.9, 0.1), **kwargs)
         assert res.converged or res.sweeps == kwargs["max_sweeps"]
-        assert len(copies) > 1
-        assert len(calls) == len(copies) == 1 + sum(row.evaluations for row in res.trace)
+        assert len(copies) == 1 and len(moves) > 0
+        assert len(calls) == len(copies) + len(moves) == 1 + sum(row.evaluations for row in res.trace)
 
 
 def test_update_block_at_optimal_vertex_does_not_evaluate(monkeypatch):
@@ -1154,3 +1163,83 @@ def test_residuals_equal_the_per_block_loop(sweep_states):
         assert got.blocks.shape == (len(scen.layout.blocks),), label
         for k, (a, b) in enumerate(zip(got.blocks.tolist(), want.blocks.tolist())):
             assert a.hex() == b.hex(), f"{label}: block {k} ({scen.layout.blocks[k].kind})"
+
+
+# the whole-network routing arrays, which a block reading its session's rows builds none of
+_STACKED = ("node_marginals", "cycle_mask", "delta_phi", "_phi_gradient", "_phi_curvature", "_phi_w_gradient",
+            "_phi_w_curvature")
+
+
+def test_session_blocks_equal_their_slices_of_the_stacked_arrays(sweep_states):
+    # a phi or phi_w block computes its gradient, curvature and fixed mask
+    # from its own session's rows; a second evaluation of the same state
+    # builds the stacked whole-network arrays, whose slices they must be
+    # bit for bit.  The fan's end nodes route over rows of 9 links
+    fan = fan_scenario(np.random.default_rng(62))
+    fans = [
+        ("fan, even split", fan, uniform_state(fan, 0.9, 0.1)),
+        ("fan, interior", fan, random_interior_state(fan, np.random.default_rng(63))),
+    ]
+    checked = dict.fromkeys(("phi", "phi_w"), 0)
+    wide = 0
+    for label, scen, st in sweep_states + fans:
+        by_block, whole = derive(scen, st), derive(scen, st)
+        for block in scen.layout.blocks:
+            if block.kind not in checked:
+                continue
+            family = FAMILIES[block.kind]
+            grad, curv, fixed = family.terms(by_block, block)
+            what = f"{label}, {block}"
+            _assert_bitwise(grad, whole.gradient(block.kind).ravel()[block.key], f"{what}: gradient")
+            _assert_bitwise(curv, whole.curvature(block.kind).ravel()[block.key], f"{what}: curvature")
+            if family.fixed is None:
+                assert fixed is None, what
+            else:
+                _assert_bitwise(fixed, family.fixed(whole).ravel()[block.key], f"{what}: fixed mask")
+            checked[block.kind] += 1
+            wide += block.key.size >= 8
+        assert not set(_STACKED) & set(vars(by_block)), label
+    assert all(checked.values()) and wide > 0, (checked, wide)
+
+
+# per power row and per overflow scalar, where the property puts it
+RHO_ROWS = ("slack", "tight", "within SLACK_TOL")
+PHI_W = ("zero", "between", "just below the cap", "within SUPPORT_TOL of 1", "one")
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(seed=hs.integers(0, 2**32 - 1), grid=hs.booleans(), data=hs.data())
+def test_residuals_equal_the_per_block_loop_on_drawn_states(seed, grid, data):
+    # the one-pass residuals against the per-block loop, per family and per
+    # block, with power rows slack and at their cap and overflow scalars at
+    # 0, in between and at their cap
+    rng = np.random.default_rng(seed)
+    scen = grid_scenario(rng, 3, 2) if grid else random_scenario(rng)
+    st = random_interior_state(scen, rng)
+    rho_mask = scen.layout.rho_mask
+    for i in range(scen.layout.n):
+        row = st.rho[i, rho_mask[i]]
+        case = data.draw(hs.sampled_from(RHO_ROWS))
+        if case == "tight":
+            st.rho[i, rho_mask[i]] = row / row.sum()
+        elif case == "within SLACK_TOL":
+            st.rho[i, rho_mask[i]] = row / row.sum() * (1.0 - SLACK_TOL / 2)
+    for w in range(len(scen.sessions)):
+        case = data.draw(hs.sampled_from(PHI_W))
+        st.phi_w[w] = {
+            "zero": 0.0,
+            "between": data.draw(hs.floats(0.01, 0.99)),
+            "just below the cap": 1.0 - 100 * SUPPORT_TOL,
+            "within SUPPORT_TOL of 1": 1.0 - SUPPORT_TOL / 2,
+            "one": 1.0,
+        }[case]
+    der = derive(scen, st)
+    assume(math.isfinite(der.total))
+    got = optimality_residuals(scen, st, der)
+    want = _loop_residuals(scen, st, der)
+    for f in fields(Residuals):
+        if f.name != "blocks":
+            assert float(getattr(got, f.name)).hex() == float(getattr(want, f.name)).hex(), f.name
+    assert got.blocks.shape == want.blocks.shape
+    for k, (a, b) in enumerate(zip(got.blocks.tolist(), want.blocks.tolist())):
+        assert a.hex() == b.hex(), f"block {k} ({scen.layout.blocks[k].kind})"

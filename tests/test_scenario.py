@@ -532,14 +532,19 @@ def test_moved_copies_and_leaves_the_source_untouched():
     bands, links = st.rho.shape[1], st.phi.shape[1]
     w = st.phi.shape[0] - 1
     before = {name: getattr(st, name).copy() for name in ("rho", "eta", "phi", "phi_w", "mu")}
+    arrays = {name: getattr(st, name) for name in before}
     moved = st.moved("rho", [(0, 0.25), (np.array([0]), 0.5), (bands + np.arange(bands), 0.0)])
     routed = st.moved("phi", [(w * links + np.array([links - 1, 0]), np.array([0.75, 0.125]))])
     for name, want in before.items():
-        assert np.array_equal(getattr(st, name), want), name
+        # the source keeps its own arrays, unchanged
+        assert getattr(st, name) is arrays[name] and np.array_equal(getattr(st, name), want), name
         for copy, array in ((moved, "rho"), (routed, "phi")):
-            if name != array:
-                assert np.array_equal(getattr(copy, name), want), name
-                assert getattr(copy, name) is not getattr(st, name), name
+            if name == array:
+                # the written array is a fresh copy
+                assert not np.shares_memory(getattr(copy, name), arrays[name]), name
+            else:
+                # the other four are the source's own objects
+                assert getattr(copy, name) is arrays[name], name
     want = before["rho"].copy()
     want[0, 0] = 0.5  # the moves apply in order, the later one last
     want[1, :] = 0.0
@@ -547,7 +552,8 @@ def test_moved_copies_and_leaves_the_source_untouched():
     want = before["phi"].copy()
     want[w, [links - 1, 0]] = [0.75, 0.125]
     assert np.array_equal(routed.phi, want)
-    assert np.array_equal(st.moved("mu", []).mu, st.mu)
+    unmoved = st.moved("mu", [])
+    assert np.array_equal(unmoved.mu, st.mu) and unmoved.mu is not st.mu
 
 
 def test_the_family_table_has_one_row_per_control_array():
@@ -555,23 +561,39 @@ def test_the_family_table_has_one_row_per_control_array():
 
 
 def test_segments_lay_the_block_keys_end_to_end():
+    # one layout of every block in table order: each coordinate addresses the
+    # concatenation of the raveled arrays of the kinds that have blocks
     rng = np.random.default_rng(83)
     for scen in [line3_scenario(), square_scenario(), random_scenario(rng), grid_scenario(rng, 4, 2)]:
         lay = scen.layout
-        kinds = {b.kind for b in lay.blocks}
-        assert set(lay.segments) == kinds
-        for kind, seg in lay.segments.items():
-            table = [b for b in lay.blocks if b.kind == kind]
-            assert np.array_equal(seg.index, np.concatenate([b.key for b in table])), kind
-            assert np.array_equal(seg.starts, np.cumsum([0] + [b.key.size for b in table])[:-1]), kind
-            assert np.array_equal(seg.rows, np.concatenate([[k] * b.key.size for k, b in enumerate(table)])), kind
-            # a group id addresses the group's cell of the family's load, or
-            # of the array for a family without one (rho, phi_w)
+        seg = lay.segments
+        table = lay.blocks
+        assert seg.kinds == tuple(kind for kind in FAMILIES if any(b.kind == kind for b in table))
+        assert [seg.kinds[f] for f in seg.family.tolist()] == [b.kind for b in table]
+        start = uniform_state(scen)
+        derived = derive(scen, start)
+        arrays = [getattr(start, kind) for kind in seg.kinds]
+        offsets = dict(zip(seg.kinds, np.cumsum([0] + [a.size for a in arrays])[:-1].tolist()))
+        assert np.array_equal(seg.index, np.concatenate([offsets[b.kind] + b.key for b in table]))
+        assert np.array_equal(seg.starts, np.cumsum([0] + [b.key.size for b in table])[:-1])
+        assert np.array_equal(seg.rows, np.concatenate([[k] * b.key.size for k, b in enumerate(table)]))
+        assert seg.index.dtype == seg.starts.dtype == seg.rows.dtype == np.int64
+        values = np.concatenate([a.ravel() for a in arrays])
+        for k, b in enumerate(table):
+            stop = seg.starts[k + 1] if k + 1 < len(table) else seg.index.size
+            assert np.array_equal(values[seg.index[seg.starts[k]:stop]], getattr(start, b.kind).ravel()[b.key]), b
+        wide = [k for k, b in enumerate(table) if b.key.size >= 8]
+        assert [g for g, _ in seg.wide] == wide
+        # a group id addresses the group's cell of the family's load, or of
+        # the array's rows for a family without one (rho, phi_w), in the
+        # concatenation of those cells over the kinds in order
+        shapes = {}
+        for kind in seg.kinds:
             load = FAMILIES[kind].load
-            start = uniform_state(scen)
-            shape = getattr(start, kind).shape[:1] if load is None else load(derive(scen, start)).shape
-            cells = np.arange(math.prod(shape)).reshape(shape)
-            assert np.array_equal(seg.group_ids, [cells[b.group] for b in table]), kind
+            shapes[kind] = getattr(start, kind).shape[:1] if load is None else load(derived).shape
+        cells = dict(zip(seg.kinds, np.cumsum([0] + [math.prod(s) for s in shapes.values()])[:-1].tolist()))
+        want = [cells[b.kind] + np.arange(math.prod(shapes[b.kind])).reshape(shapes[b.kind])[b.group] for b in table]
+        assert np.array_equal(seg.group_ids, want)
 
 
 def _same_bits(got, want):
